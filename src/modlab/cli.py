@@ -129,9 +129,12 @@ def _parse_scalar(key, kind, unit, raw, line):
     try:
         if kind == "int":
             return int(parts[0])
-        return float(parts[0])
+        value = float(parts[0])
     except ValueError as exc:
         raise ConfigParseError(f"non-numeric value for key '{key}': '{parts[0]}'", line) from exc
+    if not math.isfinite(value):
+        raise ConfigParseError(f"non-finite value for key '{key}': '{parts[0]}'", line)
+    return value
 
 
 def _tokenize(text):

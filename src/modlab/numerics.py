@@ -2,6 +2,10 @@
 
 Kept dependency-free on purpose; the integrands in this package are smooth
 Gaussian-type profiles for which recursive Simpson converges quickly.
+The remaining callers are the flat-band branch of
+``correlator.singles_rate`` (the filter's truncated intensity integral)
+and ``cli._validate_h2`` (the numeric lineshape oracle). The sampled
+amplitudes' singles rate uses a fixed Gauss-Legendre rule instead.
 """
 
 from .errors import ConvergenceError

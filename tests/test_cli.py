@@ -271,6 +271,26 @@ def test_main_scan_and_exit_codes(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("line", [
+    "filter1_fwhm = nan GHz",
+    "filter2_fwhm = inf GHz",
+    "delta_step = nan GHz",
+])
+def test_main_rejects_non_finite_values(tmp_path, capsys, line):
+    key = line.split()[0]
+    if key == "delta_step":
+        text = MINIMAL.replace("delta_step = 0.5 GHz", line)
+    else:
+        text = MINIMAL + line + "\n"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert key in err and "line" in err
+
+
 def test_main_scan_byte_identical(tmp_path):
     cfg = tmp_path / "scan.cfg"
     cfg.write_text(MINIMAL)

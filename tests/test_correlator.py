@@ -7,6 +7,7 @@ full delay-kernel model as the high-fidelity cross-check of the
 closed-form trace.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from modlab import (ConfigurationError, CorrelationTrace, DomainError, GaussianF
                     coincidence_full, coincidence_trace, h2_profile, make_tau_grid,
                     pair_kernel, sideband_areas, singles_rate, sinusoidal_coeffs)
 from modlab import CrystalProfile, FrequencyGrid, figure_preset, propagate_envelopes
+from modlab.numerics import adaptive_simpson
 from modlab.scenario import ExperimentScenario, reference_scenario
 
 H2_FWHM_REFERENCE = 12.020815280171307   # sqrt(2) * 8.5, frozen from the numeric oracle
@@ -28,10 +30,11 @@ def unit_filter(fwhm=8.5, alpha=1.0, slit=100.0):
 
 
 def test_filter_validation():
-    with pytest.raises(ConfigurationError):
-        GaussianFilter(fwhm=0.0, alpha=1.0, slit=0.0, dispersion=210.0)
-    with pytest.raises(ConfigurationError):
-        GaussianFilter(fwhm=8.5, alpha=-0.1, slit=0.0, dispersion=210.0)
+    for fwhm, alpha, dispersion in [(0.0, 1.0, 210.0), (8.5, -0.1, 210.0),
+                                    (math.nan, 1.0, 210.0), (8.5, math.nan, 210.0),
+                                    (8.5, 1.0, math.nan)]:
+        with pytest.raises(ConfigurationError):
+            GaussianFilter(fwhm=fwhm, alpha=alpha, slit=0.0, dispersion=dispersion)
     with pytest.raises(ConfigurationError):
         unit_filter().field_response(0.0, "strange")
 
@@ -168,6 +171,61 @@ def test_singles_passband_outside_grid():
     filt = unit_filter(slit=slit)
     with pytest.raises(DomainError):
         singles_rate(amps, sinusoidal_coeffs(1.5, 0.0, 30.0), filt)
+
+
+def _singles_simpson_reference(amps, mod, filt, convention):
+    """The scalar rule ``singles_rate`` used before the Gauss-Legendre one.
+
+    Adaptive Simpson over the passband for each sideband, one scalar
+    integrand evaluation at a time. B is interpolated linearly between the
+    grid samples with ``np.interp``'s formula, written out in plain Python
+    so that the ~10^5 evaluations per call stay fast.
+    """
+    grid_w = amps.grid.omegas.tolist()
+    b_re, b_im = amps.b.real.tolist(), amps.b.imag.tolist()
+
+    def b_sq(x):
+        j = min(max(bisect.bisect_right(grid_w, x) - 1, 0), len(grid_w) - 2)
+        t = (x - grid_w[j]) / (grid_w[j + 1] - grid_w[j])
+        re = b_re[j] + t * (b_re[j + 1] - b_re[j])
+        im = b_im[j] + t * (b_im[j + 1] - b_im[j])
+        return re * re + im * im
+
+    center = filt.center
+    width = filt.passband_halfwidth(convention)
+    two_var = 2.0 * filt.intensity_sigma(convention) ** 2
+    total = 0.0
+    for k in mod.k_values:
+        p = abs(mod.coefficient(int(k))) ** 2
+        if p < 1e-30:
+            continue
+        shift = k * mod.omega_m
+
+        def integrand(w, _shift=shift):
+            return b_sq(w - _shift) * filt.alpha ** 2 * math.exp(-(w - center) ** 2 / two_var)
+
+        atol = 1e-12 * integrand(center) * 2.0 * width
+        total += p * adaptive_simpson(integrand, center - width, center + width, atol)
+    return total / (4.0 * math.pi)
+
+
+@pytest.mark.parametrize("fwhm,depth,omega_m,convention,slit_shift", [
+    (8.5, 1.5, 30.0, "intensity", 0.0),     # shifted windows start on grid nodes
+    (8.5, 2.5, 17.3, "intensity", 0.0),     # ... and between them
+    (30.0, 1.5, 30.0, "intensity", 0.0),
+    (8.5, 1.5, 30.0, "field", 0.0),
+    (8.5, 1.5, 30.0, "intensity", 0.37),    # slit center off the grid, in grid steps
+], ids=["aligned", "misaligned", "wide-filter", "field", "slit-off-grid"])
+def test_singles_sampled_matches_scalar_simpson(fwhm, depth, omega_m, convention,
+                                                slit_shift):
+    # both rules converge; 1e-10 allows for float64 round-off in each
+    amps, pump = _sampled_amplitudes()
+    center = 0.5 * pump + slit_shift * amps.grid.step
+    filt = GaussianFilter(fwhm=fwhm, alpha=0.9, slit=center / 210.0, dispersion=210.0)
+    mod = sinusoidal_coeffs(depth, 0.0, omega_m)
+    rate = singles_rate(amps, mod, filt, convention)
+    reference = _singles_simpson_reference(amps, mod, filt, convention)
+    assert rate == pytest.approx(reference, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
