@@ -26,9 +26,11 @@ With ``preset`` present the remaining scenario keys act as overrides.
 Missing slits default to the degenerate spectrum center; missing modulator
 keys default to an undriven channel.
 
-Exit codes: 0 success, 1 validation/fit failure, 2 configuration error,
-3 I/O failure. Identical config and seed reproduce byte-identical output
-files; the random generator is numpy's PCG64.
+Exit codes: 0 success, 1 validation/fit failure, 2 configuration error
+(an unreadable ``--config`` or waveform file included), 3 I/O failure on an
+output file or the fit-data file. A scan axis longer than ``MAX_SCAN_ROWS``
+rows is a configuration error. Identical config and seed reproduce
+byte-identical output files; the random generator is numpy's PCG64.
 """
 
 import argparse
@@ -53,6 +55,8 @@ from .scenario import (FIGURE_CASES, ExperimentScenario, figure_preset, fit_scal
                        regime_report, synthesize_counts)
 from .spdc_core import (CrystalProfile, FrequencyGrid, SpectralAmplitudes,
                         analytic_amplitudes, propagate_envelopes)
+
+MAX_SCAN_ROWS = 10_000_000
 
 _SECTIONS = {
     "run": {"seed": ("int", None), "dwell": ("float", "s"), "out": ("str", None)},
@@ -99,6 +103,10 @@ class RunConfig:
         if self.delta_min is None:
             raise ConfigurationError("missing [scan] section with the delta axis")
         count = int(math.floor((self.delta_max - self.delta_min) / self.delta_step + 1e-9))
+        if count + 1 > MAX_SCAN_ROWS:
+            raise ConfigurationError(
+                f"delta axis would have {count + 1} rows, more than the "
+                f"limit of {MAX_SCAN_ROWS}; increase delta_step")
         return self.delta_min + self.delta_step * np.arange(count + 1)
 
 
@@ -348,6 +356,9 @@ def scenario_hash(scenario: ExperimentScenario) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+_EMIT_CHUNK_ROWS = 1 << 16
+
+
 def emit_trace(trace, path, scenario=None, seed=None, dwell=None,
                gnuplot_style=False):
     """Write a trace as CSV plus a sibling ``<path>.meta`` JSON file.
@@ -355,21 +366,23 @@ def emit_trace(trace, path, scenario=None, seed=None, dwell=None,
     CSV columns: delta_ghz, paired, accidental, total, n_index; 15
     significant digits, LF line endings, UTF-8. ``--gnuplot-style``
     switches to whitespace-separated columns with a '#' header.
+    Rows are written in chunks of ``_EMIT_CHUNK_ROWS``, so memory does not
+    grow with the row count.
     """
     sep = " " if gnuplot_style else ","
     header = sep.join(("delta_ghz", "paired", "accidental", "total", "n_index"))
     if gnuplot_style:
         header = "# " + header
-    rows = [header]
-    for i in range(len(trace.delta_axis)):
-        rows.append(sep.join((
-            f"{trace.delta_axis[i]:.15g}",
-            f"{trace.paired[i]:.15g}",
-            f"{trace.accidental[i]:.15g}",
-            f"{trace.total[i]:.15g}",
-            str(int(trace.n_index[i])))))
+    fmt = sep.join(("%.15g",) * 4 + ("%d",))
+    columns = (trace.delta_axis, trace.paired, trace.accidental, trace.total,
+               trace.n_index)
+    n_rows = len(trace.delta_axis)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write(header + "\n")
+        for start in range(0, n_rows, _EMIT_CHUNK_ROWS):
+            cols = [c[start:start + _EMIT_CHUNK_ROWS].tolist() for c in columns]
+            fh.write("\n".join(map(fmt.__mod__, zip(*cols))))
+            fh.write("\n")
     meta = {
         "tool": "modlab",
         "tool_version": __version__,
@@ -378,7 +391,7 @@ def emit_trace(trace, path, scenario=None, seed=None, dwell=None,
         "seed": seed,
         "dwell_s": dwell,
         "generator": "pcg64",
-        "rows": len(trace.delta_axis),
+        "rows": n_rows,
     }
     with open(str(path) + ".meta", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
@@ -444,14 +457,12 @@ def _test_propagation():
     return propagate_envelopes(profile, grid, steps=256)
 
 
-def _validate_unitarity():
-    amps = _test_propagation()
+def _validate_unitarity(amps):
     res = amps.unitarity_residual()
     return _check("unitarity_propagation", res <= 1e-9, f"max_residual={res:.3e}")
 
 
-def _validate_symmetry():
-    amps = _test_propagation()
+def _validate_symmetry(amps):
     res = amps.symmetry_residual()
     return _check("conjugate_symmetry", res <= 1e-9, f"max_residual={res:.3e}")
 
@@ -577,13 +588,14 @@ def run_validate(scenario: ExperimentScenario | None = None):
     """
     if scenario is None:
         scenario = figure_preset("fig4a")
+    amps = _test_propagation()
     results = [
         _validate_bessel(),
         _validate_parseval(),
         _validate_addition_theorem(),
         _validate_waveform_dft(),
-        _validate_unitarity(),
-        _validate_symmetry(),
+        _validate_unitarity(amps),
+        _validate_symmetry(amps),
         _validate_rk4_convergence(),
         _validate_analytic_agreement(),
         _validate_singles(),

@@ -63,9 +63,9 @@ class ExperimentScenario:
         if self.mod1.omega_m != self.mod2.omega_m:
             raise ConfigurationError(
                 "modulators must share one synchronous drive frequency")
-        if self.gate_ns < 0:
+        if not self.gate_ns >= 0:
             raise ConfigurationError("gate width must be nonnegative")
-        if self.dispersion <= 0:
+        if not self.dispersion > 0:
             raise ConfigurationError("dispersion must be positive")
         if self.fwhm_convention not in ("intensity", "field"):
             raise ConfigurationError("fwhm_convention must be 'intensity' or 'field'")

@@ -8,9 +8,9 @@ import pytest
 
 from modlab import ConfigParseError, figure_preset, regime_report
 from modlab import modulation
-from modlab.cli import (RunConfig, emit_trace, main, parse_config, run_validate,
-                        scenario_to_config)
-from modlab.correlator import coincidence_trace
+from modlab.cli import (MAX_SCAN_ROWS, RunConfig, emit_trace, main, parse_config,
+                        run_validate, scenario_to_config)
+from modlab.correlator import CorrelationTrace, coincidence_trace
 
 MINIMAL = """\
 schema = 1
@@ -205,6 +205,50 @@ def test_emit_gnuplot_style(tmp_path):
     assert "," not in lines[1]
 
 
+def _emit_rows_reference(trace, path, gnuplot_style=False):
+    """The former row-at-a-time CSV writer, kept as the byte-level reference."""
+    sep = " " if gnuplot_style else ","
+    header = sep.join(("delta_ghz", "paired", "accidental", "total", "n_index"))
+    if gnuplot_style:
+        header = "# " + header
+    rows = [header]
+    for i in range(len(trace.delta_axis)):
+        rows.append(sep.join((
+            f"{trace.delta_axis[i]:.15g}",
+            f"{trace.paired[i]:.15g}",
+            f"{trace.accidental[i]:.15g}",
+            f"{trace.total[i]:.15g}",
+            str(int(trace.n_index[i])))))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("gnuplot_style", [False, True])
+def test_emit_trace_matches_row_reference_across_chunks(tmp_path, gnuplot_style):
+    n_rows = 2 * (1 << 16) + 3
+    axis = -150.0 + (300.0 / (n_rows - 1)) * np.arange(n_rows)
+    trace = coincidence_trace(figure_preset("fig4a"), axis)
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    emit_trace(trace, out, gnuplot_style=gnuplot_style)
+    _emit_rows_reference(trace, ref, gnuplot_style=gnuplot_style)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("gnuplot_style", [False, True])
+def test_emit_trace_matches_row_reference_edge_values(tmp_path, gnuplot_style):
+    trace = CorrelationTrace(
+        delta_axis=np.array([-0.0, 5e-324, 1e22, -1.0 / 3.0]),
+        paired=np.array([0.0, -0.0, 1e-300, 2.0 / 3.0]),
+        accidental=np.array([1e22, 5e-324, 0.1, 123456789012345678.0]),
+        total=np.array([-1e22, 1.0, -5e-324, 1e-5]),
+        n_index=np.array([-3, -1, 0, 7]))
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    emit_trace(trace, out, gnuplot_style=gnuplot_style)
+    _emit_rows_reference(trace, ref, gnuplot_style=gnuplot_style)
+    assert out.read_bytes() == ref.read_bytes()
+    assert out.read_text().splitlines()[1].split(" " if gnuplot_style else ",")[0] == "-0"
+
+
 def test_run_validate_all_pass():
     import warnings
     with warnings.catch_warnings():
@@ -289,6 +333,25 @@ def test_main_rejects_non_finite_values(tmp_path, capsys, line):
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert key in err and "line" in err
+
+
+def test_main_rejects_oversized_delta_axis(tmp_path, capsys):
+    text = MINIMAL.replace("delta_step = 0.5 GHz", "delta_step = 1e-9 GHz")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert str(MAX_SCAN_ROWS) in err
+    assert not out.exists()
+    # one row past the cap is refused before the axis is built
+    run = RunConfig(command="scan", delta_min=0.0, delta_max=float(MAX_SCAN_ROWS),
+                    delta_step=1.0)
+    from modlab import ConfigurationError
+    with pytest.raises(ConfigurationError, match="rows"):
+        run.delta_axis()
 
 
 def test_main_scan_byte_identical(tmp_path):

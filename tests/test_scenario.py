@@ -71,6 +71,20 @@ def test_scenario_invariants():
             gate_ns=1.25, dispersion=210.0, fwhm_convention="both")
 
 
+@pytest.mark.parametrize("gate_ns,dispersion,fragment", [
+    (math.nan, 210.0, "gate width"),
+    (1.25, math.nan, "dispersion must be positive"),
+])
+def test_scenario_rejects_nan(gate_ns, dispersion, fragment):
+    scn = figure_preset("fig3a")
+    with pytest.raises(ConfigurationError, match=fragment):
+        ExperimentScenario(
+            pump_frequency=scn.pump_frequency, amplitudes=scn.amplitudes,
+            mod1=scn.mod1, mod2=scn.mod2,
+            filter1=scn.filter1, filter2=scn.filter2,
+            gate_ns=gate_ns, dispersion=dispersion)
+
+
 def test_regime_report_reference_values():
     report = regime_report(figure_preset("fig3a"))
     assert round(report.mod_to_filter, 2) == 3.53
