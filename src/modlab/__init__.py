@@ -8,9 +8,9 @@ coefficient algebra (``modulation``), singles and coincidence models
 
 __version__ = "0.1.0"
 
-from .correlator import (CorrelationTrace, GaussianFilter, H2Profile, PairKernel,
+from .correlator import (CorrelationTrace, GaussianFilter, H2Profile, SidebandModel,
                          coincidence_full, coincidence_trace, h2_profile,
-                         make_tau_grid, pair_kernel, sideband_areas, singles_rate)
+                         sideband_areas, singles_rate)
 from .errors import (ConfigParseError, ConfigurationError, ConvergenceError,
                      DomainError, FitError, ModlabError, ResolutionError)
 from .modulation import (ModulatorSpectrum, NonlocalCoefficients, bessel_j_sequence,
@@ -30,9 +30,9 @@ __all__ = [
     "ModulatorSpectrum", "NonlocalCoefficients", "bessel_j_sequence",
     "bessel_j_series", "sinusoidal_coeffs", "coeffs_from_waveform",
     "read_phase_waveform", "compose_nonlocal",
-    "GaussianFilter", "H2Profile", "PairKernel", "CorrelationTrace",
+    "GaussianFilter", "H2Profile", "SidebandModel", "CorrelationTrace",
     "singles_rate", "h2_profile", "coincidence_trace", "coincidence_full",
-    "pair_kernel", "make_tau_grid", "sideband_areas",
+    "sideband_areas",
     "ExperimentScenario", "FitResult", "RegimeReport", "figure_preset",
     "reference_scenario", "regime_report", "synthesize_counts", "fit_scale",
 ]

@@ -29,8 +29,10 @@ keys default to an undriven channel.
 Exit codes: 0 success, 1 validation/fit failure, 2 configuration error
 (an unreadable ``--config`` or waveform file included), 3 I/O failure on an
 output file or the fit-data file. A scan axis longer than ``MAX_SCAN_ROWS``
-rows is a configuration error. Identical config and seed reproduce
-byte-identical output files; the random generator is numpy's PCG64.
+rows, a negative seed, a dwell that is not positive and finite, and a
+non-finite fit-data value are configuration errors. Identical config and
+seed reproduce byte-identical output files; the random generator is
+numpy's PCG64.
 """
 
 import argparse
@@ -218,6 +220,8 @@ def parse_config(text: str, command: str = "scan", config_path: str | None = Non
                                    lines[("scan", "delta_min")])
     if run.dwell <= 0:
         raise ConfigParseError("dwell must be positive", lines.get(("run", "dwell")))
+    if run.seed < 0:
+        raise ConfigParseError("seed must be nonnegative", lines.get(("run", "seed")))
 
     scenario = None
     scn_items = {k: v for (sec, k), v in values.items() if sec == "scenario"}
@@ -630,10 +634,13 @@ def _read_counts_csv(path):
             if len(parts) != 2:
                 raise ConfigurationError(f"{path}:{lineno}: expected two CSV columns")
             try:
-                deltas.append(float(parts[0]))
-                counts.append(float(parts[1]))
+                delta, count = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise ConfigurationError(f"{path}:{lineno}: non-numeric value") from exc
+            if not (math.isfinite(delta) and math.isfinite(count)):
+                raise ConfigurationError(f"{path}:{lineno}: non-finite value")
+            deltas.append(delta)
+            counts.append(count)
     return np.asarray(deltas), np.asarray(counts)
 
 
@@ -735,10 +742,13 @@ def main(argv=None) -> int:
         if args.out is not None:
             run.out_path = args.out
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigurationError("--seed must be nonnegative")
             run.seed = args.seed
         if args.dwell is not None:
-            if args.dwell <= 0:
-                raise ConfigurationError("dwell must be positive")
+            # a negated comparison, so that NaN fails it too
+            if not 0 < args.dwell < math.inf:
+                raise ConfigurationError("--dwell must be positive and finite")
             run.dwell = args.dwell
         run.gnuplot_style = args.gnuplot_style
 

@@ -20,13 +20,13 @@ effective per-channel scales; |B0| likewise stays at its configured value.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .correlator import GaussianFilter, h2_profile, singles_rate
+from .correlator import GaussianFilter, SidebandModel
 from .errors import ConfigurationError, DomainError, FitError
-from .modulation import ModulatorSpectrum, compose_nonlocal, sinusoidal_coeffs
+from .modulation import ModulatorSpectrum, sinusoidal_coeffs
 from .spdc_core import SpectralAmplitudes, amplitudes_from_rate
 
 # 532 nm cw pump, ordinary frequency
@@ -125,8 +125,8 @@ def synthesize_counts(trace, dwell: float = 20.0, seed: int = 0) -> np.ndarray:
     Independent draws with mean rate*dwell from numpy's seeded PCG64
     generator; a fixed seed reproduces the data bit for bit.
     """
-    if dwell <= 0:
-        raise DomainError("dwell time must be positive")
+    if not 0 < dwell < math.inf:
+        raise DomainError("dwell time must be positive and finite")
     rng = np.random.default_rng(seed)
     means = np.maximum(trace.total, 0.0) * float(dwell)
     return rng.poisson(means)
@@ -173,44 +173,6 @@ class FitResult:
         return self.alpha1_sq * self.alpha2_sq
 
 
-class _UnitTraceModel:
-    """Closed-form trace with the transmission product divided out."""
-
-    def __init__(self, scenario):
-        unit_f1 = GaussianFilter(fwhm=scenario.filter1.fwhm, alpha=1.0,
-                                 slit=scenario.filter1.slit,
-                                 dispersion=scenario.filter1.dispersion)
-        unit_f2 = GaussianFilter(fwhm=scenario.filter2.fwhm, alpha=1.0,
-                                 slit=scenario.filter2.slit,
-                                 dispersion=scenario.filter2.dispersion)
-        conv = scenario.fwhm_convention
-        r1 = singles_rate(scenario.amplitudes, scenario.mod1, unit_f1, conv)
-        r2 = singles_rate(scenario.amplitudes, scenario.mod2, unit_f2, conv)
-        self.accidental = r1 * r2 * scenario.gate_ns * 1e-9
-        self.h2 = h2_profile(unit_f1, unit_f2, conv)
-        s = compose_nonlocal(scenario.mod1, scenario.mod2)
-        amp = abs(scenario.amplitudes.a0 * scenario.amplitudes.b0) ** 2 / (8.0 * np.pi)
-        self.c_table = amp * np.abs(s.coeffs) ** 2
-        self.n_max = s.n_max
-        self.omega_m = scenario.omega_m
-
-    def _window(self, delta):
-        n = np.floor(delta / self.omega_m + 0.5).astype(int)
-        ok = np.abs(n) <= self.n_max
-        c = np.where(ok, self.c_table[np.clip(n + self.n_max, 0, 2 * self.n_max)], 0.0)
-        u = n * self.omega_m - delta
-        return c, u
-
-    def rate(self, delta):
-        c, u = self._window(np.asarray(delta, dtype=float))
-        return self.accidental + c * self.h2(u)
-
-    def rate_slope(self, delta):
-        """d(rate)/d(delta)."""
-        c, u = self._window(np.asarray(delta, dtype=float))
-        return c * self.h2(u) * u / self.h2.sigma ** 2
-
-
 def fit_scale(delta_axis, counts, scenario: ExperimentScenario,
               dwell: float = 20.0, max_iterations: int = 500,
               gradient_tol: float = 1e-8) -> FitResult:
@@ -233,25 +195,31 @@ def fit_scale(delta_axis, counts, scenario: ExperimentScenario,
         raise DomainError("fit needs at least 10 data points")
     if np.any(y < 0):
         raise DomainError("counts must be nonnegative")
-    if dwell <= 0:
-        raise DomainError("dwell time must be positive")
+    if not 0 < dwell < math.inf:
+        raise DomainError("dwell time must be positive and finite")
     a1_sq = scenario.filter1.alpha ** 2
     a2_sq = scenario.filter2.alpha ** 2
     if a1_sq <= 0 or a2_sq <= 0:
         raise DomainError("fit needs positive configured transmissions to split the product")
     ratio = a1_sq / a2_sq
 
-    model = _UnitTraceModel(scenario)
+    # the model with the transmission product divided out
+    model = SidebandModel(replace(scenario,
+                                  filter1=replace(scenario.filter1, alpha=1.0),
+                                  filter2=replace(scenario.filter2, alpha=1.0)))
     off_bound = 0.5 * scenario.omega_m
 
+    def rate(x):
+        return model.accidental + model.paired(x)
+
     def objective(scale, off):
-        resid = dwell * scale * model.rate(delta - off) - y
+        resid = dwell * scale * rate(delta - off) - y
         return float(resid @ resid), resid
 
     # coarse initialization: scan offsets, closed-form scale at each
     best = None
     for off in np.linspace(-off_bound * 0.99, off_bound * 0.99, 121):
-        m = model.rate(delta - off) * dwell
+        m = rate(delta - off) * dwell
         denom = float(m @ m)
         scale = max(float(m @ y) / denom, 0.0) if denom > 0 else 0.0
         f, _ = objective(scale, off)
@@ -265,10 +233,10 @@ def fit_scale(delta_axis, counts, scenario: ExperimentScenario,
     converged = False
     while iterations < max_iterations:
         iterations += 1
-        m = model.rate(delta - off)
+        m = rate(delta - off)
         resid = dwell * scale * m - y
         j_scale = dwell * m
-        j_off = -dwell * scale * model.rate_slope(delta - off)
+        j_off = -dwell * scale * model.slope(delta - off)
         jac = np.column_stack([j_scale, j_off])
         grad = jac.T @ resid
         gnorm = float(np.linalg.norm(grad))

@@ -315,24 +315,47 @@ def test_main_scan_and_exit_codes(tmp_path, capsys):
     assert "line" in err
 
 
-@pytest.mark.parametrize("line", [
-    "filter1_fwhm = nan GHz",
-    "filter2_fwhm = inf GHz",
-    "delta_step = nan GHz",
+def _fit_data(bad_line):
+    """A 12-row fit-data CSV whose third data row is ``bad_line``."""
+    rows = [f"{d:.1f},{100 + d:.0f}" for d in np.arange(-6.0, 6.0)]
+    rows[2] = bad_line
+    return "delta_ghz,counts\n" + "\n".join(rows) + "\n"
+
+
+# (command, config text, extra argv, fit-data CSV or None, stderr fragments)
+@pytest.mark.parametrize("command, text, argv, data, fragments", [
+    pytest.param("scan", MINIMAL + "filter1_fwhm = nan GHz\n", [], None,
+                 ("filter1_fwhm", "line"), id="filter1_fwhm = nan GHz"),
+    pytest.param("scan", MINIMAL + "filter2_fwhm = inf GHz\n", [], None,
+                 ("filter2_fwhm", "line"), id="filter2_fwhm = inf GHz"),
+    pytest.param("scan", MINIMAL.replace("delta_step = 0.5 GHz", "delta_step = nan GHz"),
+                 [], None, ("delta_step", "line"), id="delta_step = nan GHz"),
+    pytest.param("fit", MINIMAL, ["--dwell", "nan"], None, ("--dwell",), id="--dwell nan"),
+    pytest.param("fit", MINIMAL, ["--dwell", "inf"], None, ("--dwell",), id="--dwell inf"),
+    pytest.param("fit", MINIMAL, ["--seed", "-1"], None, ("--seed",), id="--seed -1"),
+    pytest.param("fit", MINIMAL + "[run]\nseed = -1\n", [], None, ("seed", "line 11"),
+                 id="seed = -1"),
+    pytest.param("fit", MINIMAL + "[fit]\ndata = {data}\n", [], _fit_data("-4.0,nan"),
+                 ("counts.csv:4", "non-finite"), id="nan count in fit data"),
+    pytest.param("fit", MINIMAL + "[fit]\ndata = {data}\n", [], _fit_data("inf,96"),
+                 ("counts.csv:4", "non-finite"), id="inf delta in fit data"),
 ])
-def test_main_rejects_non_finite_values(tmp_path, capsys, line):
-    key = line.split()[0]
-    if key == "delta_step":
-        text = MINIMAL.replace("delta_step = 0.5 GHz", line)
-    else:
-        text = MINIMAL + line + "\n"
+def test_main_rejects_non_finite_values(tmp_path, capsys, command, text, argv, data,
+                                        fragments):
+    if data is not None:
+        csv = tmp_path / "counts.csv"
+        csv.write_text(data)
+        text = text.format(data=csv)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
-    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    out = tmp_path / "x.out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *argv]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
-    assert key in err and "line" in err
+    for fragment in fragments:
+        assert fragment in err
+    assert not out.exists()
 
 
 def test_main_rejects_oversized_delta_axis(tmp_path, capsys):

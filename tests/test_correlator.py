@@ -2,9 +2,10 @@
 
 Independent oracles used here: closed-form Gaussian integrals cross-checked
 by trapezoid quadrature, a numeric convolution of sampled intensity
-profiles for the sideband lineshape (FWHM located by bisection), and the
-full delay-kernel model as the high-fidelity cross-check of the
-closed-form trace.
+profiles for the sideband lineshape (FWHM located by bisection), the
+full model as the high-fidelity cross-check of the closed-form trace, and
+the former delay-domain transform (kept below) as the reference for the
+full model's Parseval sum.
 """
 
 import bisect
@@ -14,10 +15,11 @@ import numpy as np
 import pytest
 
 from modlab import (ConfigurationError, CorrelationTrace, DomainError, GaussianFilter,
-                    ResolutionError, SpectralAmplitudes, bessel_j_series,
-                    coincidence_full, coincidence_trace, h2_profile, make_tau_grid,
-                    pair_kernel, sideband_areas, singles_rate, sinusoidal_coeffs)
+                    ResolutionError, SidebandModel, SpectralAmplitudes, bessel_j_series,
+                    coincidence_full, coincidence_trace, h2_profile, sideband_areas,
+                    singles_rate, sinusoidal_coeffs)
 from modlab import CrystalProfile, FrequencyGrid, figure_preset, propagate_envelopes
+from modlab.correlator import _omega_offsets
 from modlab.numerics import adaptive_simpson
 from modlab.scenario import ExperimentScenario, reference_scenario
 
@@ -380,10 +382,10 @@ def test_tier_agreement_flat_band():
     assert rel_rms <= 0.01
 
 
-def test_tier_agreement_sampled_amplitudes():
+def _sampled_tier_scenario():
     amps, pump = _sampled_amplitudes()
     base = reference_scenario(1.5, 1.5)
-    scn = ExperimentScenario(
+    return ExperimentScenario(
         pump_frequency=pump, amplitudes=amps,
         mod1=base.mod1, mod2=base.mod2,
         filter1=GaussianFilter(fwhm=8.5, alpha=base.filter1.alpha,
@@ -391,6 +393,10 @@ def test_tier_agreement_sampled_amplitudes():
         filter2=GaussianFilter(fwhm=8.5, alpha=base.filter2.alpha,
                                slit=(0.5 * pump) / 210.0, dispersion=210.0),
         gate_ns=1.25, dispersion=210.0)
+
+
+def test_tier_agreement_sampled_amplitudes():
+    scn = _sampled_tier_scenario()
     delta = np.arange(-150.0, 151.0, 1.0)
     trace = coincidence_trace(scn, delta)
     full = coincidence_full(scn, delta)
@@ -400,26 +406,52 @@ def test_tier_agreement_sampled_amplitudes():
     assert 0.0 < rel_rms <= 0.01
 
 
-def test_pair_kernel_decay_and_consistency():
-    scn = figure_preset("fig4a")
-    tau = make_tau_grid(scn)
-    kernel = pair_kernel(scn, delta=31.0, tau_grid=tau)
-    kernel.validate()
-    paired_from_kernel = float(np.trapezoid(np.abs(kernel.summed()) ** 2, tau))
-    full = coincidence_full(scn, np.array([31.0]), tau)
-    assert paired_from_kernel == pytest.approx(float(full.paired[0]), rel=1e-12)
+def _delay_domain_paired(scenario, delta_axis, points=4096):
+    """Paired rate by the delay transform that Parseval's sum replaced.
+
+    Builds g(u) on the full tier's offset grid, transforms it to
+    F(tau) = du/(4 pi) sum_u g(u) exp(i u tau) on a uniform grid over
+    +-24 inverse intensity FWHMs, checks that |F|^2 has decayed at the grid
+    edges, and integrates |F|^2 by the trapezoid rule.
+    """
+    conv = scenario.fwhm_convention
+    f1, f2 = scenario.filter1, scenario.filter2
+    half = 24.0 / min(f1.intensity_fwhm(conv), f2.intensity_fwhm(conv))
+    tau = np.linspace(-half, half, points)
+    u = _omega_offsets(scenario)
+    du = u[1] - u[0]
+    amps, omega_m = scenario.amplitudes, scenario.omega_m
+    c1, pump = f1.center, scenario.pump_frequency
+    phase = np.exp(1j * np.outer(u, tau))
+    paired = []
+    for d in delta_axis:
+        n = int(math.floor(d / omega_m + 0.5))
+        g = np.zeros(len(u), dtype=complex)
+        for k in scenario.mod1.k_values:
+            weight = scenario.mod1.coefficient(int(k)) * scenario.mod2.coefficient(int(n - k))
+            g += weight * (amps.a_at(c1 + u - k * omega_m)
+                           * amps.b_at(pump - c1 - u + k * omega_m))
+        g *= f1.field_response(u, conv) * f2.field_response(n * omega_m - d - u, conv)
+        mags = np.abs((du / (4.0 * np.pi)) * (g @ phase)) ** 2
+        assert max(mags[0], mags[-1]) <= 1e-6 * mags.max()
+        paired.append(np.trapezoid(mags, tau))
+    return np.array(paired)
 
 
-def test_short_tau_grid_rejected():
-    scn = figure_preset("fig4a")
-    with pytest.raises(ResolutionError):
-        coincidence_full(scn, np.array([0.0]), np.linspace(-0.2, 0.2, 64))
+@pytest.mark.parametrize("case", ["fig4a", "sampled"])
+def test_full_tier_parseval_matches_delay_transform(case):
+    scn = figure_preset("fig4a") if case == "fig4a" else _sampled_tier_scenario()
+    delta = np.arange(-150.0, 151.0, 1.0)
+    reference = _delay_domain_paired(scn, delta)
+    full = coincidence_full(scn, delta)
+    assert np.max(np.abs(full.paired - reference)) <= 1e-11 * reference.max()
 
 
-def test_make_tau_grid_contract():
-    scn = figure_preset("fig4a")
-    tau = make_tau_grid(scn)
-    assert len(tau) == 4096
-    assert tau[-1] - tau[0] >= 10.0 / 8.5
-    with pytest.raises(ConfigurationError):
-        make_tau_grid(scn, points=1000)
+def test_sideband_model_slope_matches_central_difference():
+    model = SidebandModel(figure_preset("fig4a"))
+    # samples inside windows n = -4..4, clear of the window edges at +-15 GHz
+    delta = (30.0 * np.arange(-4, 5)[:, None] + np.linspace(-13.0, 13.0, 27)).ravel()
+    h = 1e-4
+    numeric = (model.paired(delta + h) - model.paired(delta - h)) / (2.0 * h)
+    slope = model.slope(delta)
+    assert np.max(np.abs(slope - numeric)) <= 1e-7 * np.max(np.abs(slope))

@@ -148,8 +148,9 @@ def test_synthesize_deterministic():
 
 
 def test_synthesize_rejects_bad_dwell():
-    with pytest.raises(DomainError):
-        synthesize_counts(_flat_trace(1.0, 100), dwell=0.0, seed=1)
+    for dwell in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            synthesize_counts(_flat_trace(1.0, 100), dwell=dwell, seed=1)
 
 
 def test_fit_recovers_noiseless_parameters_exactly():
@@ -206,6 +207,9 @@ def test_fit_input_validation():
         fit_scale(np.arange(20.0), np.full(20, -1.0), scn)
     with pytest.raises(ConfigurationError):
         fit_scale(np.arange(20.0), np.ones(19), scn)
+    for dwell in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            fit_scale(np.arange(20.0), np.ones(20), scn, dwell=dwell)
 
 
 def test_fit_error_carries_best_result():
