@@ -29,16 +29,18 @@ keys default to an undriven channel.
 Exit codes: 0 success, 1 validation/fit failure, 2 configuration error
 (an unreadable ``--config`` or waveform file included), 3 I/O failure on an
 output file or the fit-data file. A scan axis longer than ``MAX_SCAN_ROWS``
-rows, a negative seed, a dwell that is not positive and finite, and a
-non-finite fit-data value are configuration errors. Identical config and
-seed reproduce byte-identical output files; the random generator is
-numpy's PCG64.
+rows, a negative seed, a dwell that is not positive and finite or so long
+that a Poisson mean passes numpy's limit, and a non-finite fit-data value
+are configuration errors. Identical config and seed reproduce
+byte-identical output files; the random generator is numpy's PCG64.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -361,6 +363,36 @@ def scenario_hash(scenario: ExperimentScenario) -> str:
 
 
 _EMIT_CHUNK_ROWS = 1 << 16
+_COLUMN_FORMATS = ("%.15g",) * 4 + ("%d",)
+
+
+def _format_chunk(sep, columns):
+    """Format one chunk of the five trace columns as rows, each ending in LF.
+
+    A column whose values in the chunk are bitwise identical is formatted
+    once into the row format; only the other columns go through
+    ``.tolist()`` and ``%``. The comparison is on the bits, so ``0.0`` and
+    ``-0.0`` never fold together. Module-level, so that a pool can pickle it.
+    """
+    specs, varying = [], []
+    for spec, col in zip(_COLUMN_FORMATS, columns):
+        bits = col.view(np.uint64)
+        if (bits == bits[0]).all():
+            specs.append(spec % col[0].item())
+        else:
+            specs.append(spec)
+            varying.append(col.tolist())
+    row = sep.join(specs) + "\n"
+    if not varying:
+        return row * len(columns[0])
+    return "".join(map(row.__mod__, zip(*varying)))
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def emit_trace(trace, path, scenario=None, seed=None, dwell=None,
@@ -370,23 +402,50 @@ def emit_trace(trace, path, scenario=None, seed=None, dwell=None,
     CSV columns: delta_ghz, paired, accidental, total, n_index; 15
     significant digits, LF line endings, UTF-8. ``--gnuplot-style``
     switches to whitespace-separated columns with a '#' header.
-    Rows are written in chunks of ``_EMIT_CHUNK_ROWS``, so memory does not
-    grow with the row count.
+
+    Rows are formatted in chunks of ``_EMIT_CHUNK_ROWS`` by
+    ``_format_chunk``, which writes a column that is constant within the
+    chunk (the accidental floor always is) into the row format once. A
+    trace of more than one chunk is formatted by a pool of spawned worker
+    processes, one per usable CPU (``os.sched_getaffinity``) and at most
+    one per chunk, and the chunks are written in order as they return. A
+    single-chunk trace, which includes every 601-row figure or scan, or a
+    process limited to one CPU, is formatted in process and starts no pool.
+    The bytes are the same on every path.
+
+    The output file is opened before any worker starts, so an unwritable
+    path fails first. On an error, chunks not yet handed to a worker are
+    cancelled and the pool is shut down before the error propagates.
+    Spawned workers re-import the main module: a script that calls this
+    on more than one chunk needs an ``if __name__ == "__main__":`` guard,
+    and without one the workers fail and ``BrokenProcessPool`` is raised.
     """
     sep = " " if gnuplot_style else ","
     header = sep.join(("delta_ghz", "paired", "accidental", "total", "n_index"))
     if gnuplot_style:
         header = "# " + header
-    fmt = sep.join(("%.15g",) * 4 + ("%d",))
-    columns = (trace.delta_axis, trace.paired, trace.accidental, trace.total,
-               trace.n_index)
+    # canonical 8-byte dtypes, so that _format_chunk can compare bits
+    columns = [np.asarray(c, dtype=np.float64) for c in
+               (trace.delta_axis, trace.paired, trace.accidental, trace.total)]
+    columns.append(np.asarray(trace.n_index, dtype=np.int64))
     n_rows = len(trace.delta_axis)
+    chunks = [tuple(c[start:start + _EMIT_CHUNK_ROWS] for c in columns)
+              for start in range(0, n_rows, _EMIT_CHUNK_ROWS)]
+    format_chunk = functools.partial(_format_chunk, sep)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for start in range(0, n_rows, _EMIT_CHUNK_ROWS):
-            cols = [c[start:start + _EMIT_CHUNK_ROWS].tolist() for c in columns]
-            fh.write("\n".join(map(fmt.__mod__, zip(*cols))))
-            fh.write("\n")
+        workers = min(_usable_cpus(), len(chunks))
+        if workers > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(workers,
+                                       mp_context=multiprocessing.get_context("spawn"))
+            try:
+                fh.writelines(pool.map(format_chunk, chunks))
+            finally:
+                pool.shutdown(cancel_futures=True)
+        else:
+            fh.writelines(map(format_chunk, chunks))
     meta = {
         "tool": "modlab",
         "tool_version": __version__,

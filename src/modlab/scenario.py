@@ -123,13 +123,19 @@ def synthesize_counts(trace, dwell: float = 20.0, seed: int = 0) -> np.ndarray:
     """Poisson counts per delta sample for the given dwell time in seconds.
 
     Independent draws with mean rate*dwell from numpy's seeded PCG64
-    generator; a fixed seed reproduces the data bit for bit.
+    generator; a fixed seed reproduces the data bit for bit. A dwell that
+    puts a mean beyond numpy's Poisson limit raises ``DomainError``.
     """
     if not 0 < dwell < math.inf:
         raise DomainError("dwell time must be positive and finite")
     rng = np.random.default_rng(seed)
-    means = np.maximum(trace.total, 0.0) * float(dwell)
-    return rng.poisson(means)
+    with np.errstate(over="ignore"):   # an infinite mean is refused below
+        means = np.maximum(trace.total, 0.0) * float(dwell)
+    try:
+        return rng.poisson(means)
+    except ValueError as exc:
+        raise DomainError(f"dwell time {dwell!r} s puts a Poisson mean beyond "
+                          f"numpy's limit ({exc})") from exc
 
 
 @dataclass(frozen=True)

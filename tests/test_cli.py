@@ -2,6 +2,11 @@
 
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,9 @@ from modlab import modulation
 from modlab.cli import (MAX_SCAN_ROWS, RunConfig, emit_trace, main, parse_config,
                         run_validate, scenario_to_config)
 from modlab.correlator import CorrelationTrace, coincidence_trace
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CHUNK_ROWS = 1 << 16
 
 MINIMAL = """\
 schema = 1
@@ -223,14 +231,73 @@ def _emit_rows_reference(trace, path, gnuplot_style=False):
         fh.write("\n".join(rows) + "\n")
 
 
+def _emit_with_cpus(monkeypatch, cpus, trace, path, **kwargs):
+    """``emit_trace`` as if ``cpus`` CPUs were usable; returns the start
+    methods of the process contexts it asked for."""
+    methods = []
+    real = multiprocessing.get_context
+
+    def spy(method=None):
+        methods.append(method)
+        return real(method)
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        m.setattr(multiprocessing, "get_context", spy)
+        emit_trace(trace, path, **kwargs)
+    return methods
+
+
+def _fig4a_trace(lo, hi, n_rows):
+    axis = lo + ((hi - lo) / (n_rows - 1)) * np.arange(n_rows)
+    return coincidence_trace(figure_preset("fig4a"), axis)
+
+
+def _signed_zero_trace(n_rows):
+    """A two-chunk trace whose paired column alternates 0.0 and -0.0."""
+    paired = np.zeros(n_rows)
+    paired[1::2] = -0.0
+    return CorrelationTrace(delta_axis=np.arange(n_rows, dtype=float), paired=paired,
+                            accidental=np.full(n_rows, -0.0), total=paired.copy(),
+                            n_index=np.zeros(n_rows, dtype=np.int64))
+
+
 @pytest.mark.parametrize("gnuplot_style", [False, True])
-def test_emit_trace_matches_row_reference_across_chunks(tmp_path, gnuplot_style):
-    n_rows = 2 * (1 << 16) + 3
-    axis = -150.0 + (300.0 / (n_rows - 1)) * np.arange(n_rows)
-    trace = coincidence_trace(figure_preset("fig4a"), axis)
+def test_emit_trace_matches_row_reference_across_chunks(tmp_path, monkeypatch,
+                                                        gnuplot_style):
+    cases = {
+        "three-row last chunk": _fig4a_trace(-150.0, 150.0, 2 * CHUNK_ROWS + 3),
+        # every column of the one-row last chunk is constant
+        "one-row last chunk": _fig4a_trace(-150.0, 150.0, 2 * CHUNK_ROWS + 1),
+        # one sideband window: n_index is constant in both chunks
+        "constant n_index": _fig4a_trace(-10.0, 10.0, CHUNK_ROWS + 2),
+        "0.0 and -0.0 in one chunk": _signed_zero_trace(CHUNK_ROWS + 1),
+    }
+    assert set(cases["constant n_index"].n_index.tolist()) == {0}
     out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
-    emit_trace(trace, out, gnuplot_style=gnuplot_style)
-    _emit_rows_reference(trace, ref, gnuplot_style=gnuplot_style)
+    for name, trace in cases.items():
+        _emit_rows_reference(trace, ref, gnuplot_style=gnuplot_style)
+        assert _emit_with_cpus(monkeypatch, 2, trace, out,
+                               gnuplot_style=gnuplot_style) == ["spawn"], name
+        assert out.read_bytes() == ref.read_bytes(), name
+    # on one CPU the same chunks are formatted in process
+    assert _emit_with_cpus(monkeypatch, 1, trace, out, gnuplot_style=gnuplot_style) == []
+    assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_emit_trace_write_error_stops_workers(monkeypatch):
+    trace = _fig4a_trace(-150.0, 150.0, 4 * CHUNK_ROWS)
+    with pytest.raises(OSError):
+        _emit_with_cpus(monkeypatch, 2, trace, "/dev/full")
+    assert multiprocessing.active_children() == []
+
+
+def test_single_chunk_emit_starts_no_pool(tmp_path, monkeypatch):
+    trace = _fig4a_trace(-150.0, 150.0, 601)
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    assert _emit_with_cpus(monkeypatch, 2, trace, out) == []
+    _emit_rows_reference(trace, ref)
     assert out.read_bytes() == ref.read_bytes()
 
 
@@ -333,6 +400,10 @@ def _fit_data(bad_line):
     pytest.param("fit", MINIMAL, ["--dwell", "nan"], None, ("--dwell",), id="--dwell nan"),
     pytest.param("fit", MINIMAL, ["--dwell", "inf"], None, ("--dwell",), id="--dwell inf"),
     pytest.param("fit", MINIMAL, ["--seed", "-1"], None, ("--seed",), id="--seed -1"),
+    pytest.param("fit", MINIMAL, ["--dwell", "1e308"], None, ("dwell", "1e+308"),
+                 id="--dwell 1e308"),
+    pytest.param("fit", MINIMAL + "[run]\ndwell = 1e300 s\n", [], None, ("dwell", "1e+300"),
+                 id="dwell = 1e300 s"),
     pytest.param("fit", MINIMAL + "[run]\nseed = -1\n", [], None, ("seed", "line 11"),
                  id="seed = -1"),
     pytest.param("fit", MINIMAL + "[fit]\ndata = {data}\n", [], _fit_data("-4.0,nan"),
@@ -340,6 +411,7 @@ def _fit_data(bad_line):
     pytest.param("fit", MINIMAL + "[fit]\ndata = {data}\n", [], _fit_data("inf,96"),
                  ("counts.csv:4", "non-finite"), id="inf delta in fit data"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_main_rejects_non_finite_values(tmp_path, capsys, command, text, argv, data,
                                         fragments):
     if data is not None:
@@ -375,6 +447,45 @@ def test_main_rejects_oversized_delta_axis(tmp_path, capsys):
     from modlab import ConfigurationError
     with pytest.raises(ConfigurationError, match="rows"):
         run.delta_axis()
+
+
+MULTI_CHUNK = MINIMAL.replace("delta_step = 0.5 GHz", "delta_step = 0.002 GHz")
+
+
+def test_main_scan_multi_chunk_subprocess(tmp_path):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(MULTI_CHUNK)
+    out = tmp_path / "sub.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "modlab.cli", "scan", "--config", str(cfg), "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    run, scenario = parse_config(MULTI_CHUNK, command="scan")
+    trace = coincidence_trace(scenario, run.delta_axis())
+    n_rows = len(trace.delta_axis)
+    assert n_rows > 2 * CHUNK_ROWS
+    assert proc.stdout.splitlines() == [f"wrote {n_rows} rows to {out}"]
+    ref = tmp_path / "ref.csv"
+    emit_trace(trace, ref, scenario=scenario)
+    assert out.read_bytes() == ref.read_bytes()
+    assert Path(f"{out}.meta").read_bytes() == Path(f"{ref}.meta").read_bytes()
+
+
+def test_main_unwritable_out_starts_no_workers(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(MULTI_CHUNK)
+    out = tmp_path / "no_dir" / "x.csv"
+    methods = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(multiprocessing, "get_context", methods.append)
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert methods == []
+    assert multiprocessing.active_children() == []
 
 
 def test_main_scan_byte_identical(tmp_path):
