@@ -31,17 +31,18 @@ Exit codes: 0 success, 1 validation/fit failure, 2 configuration error
 output file or the fit-data file. A scan axis longer than ``MAX_SCAN_ROWS``
 rows, a negative seed, a dwell that is not positive and finite or so long
 that a Poisson mean passes numpy's limit, and a non-finite fit-data value
-are configuration errors. Identical config and seed reproduce
-byte-identical output files; the random generator is numpy's PCG64.
+are configuration errors. A scan or figure whose axis runs past the
+composed modulator support still succeeds, with one ``warning:`` line on
+stderr. Identical config and seed reproduce byte-identical output files;
+the random generator is numpy's PCG64.
 """
 
 import argparse
-import functools
 import hashlib
 import json
 import math
-import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -362,37 +363,34 @@ def scenario_hash(scenario: ExperimentScenario) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-_EMIT_CHUNK_ROWS = 1 << 16
+_EMIT_CHUNK_ROWS = 1 << 14
 _COLUMN_FORMATS = ("%.15g",) * 4 + ("%d",)
 
 
 def _format_chunk(sep, columns):
     """Format one chunk of the five trace columns as rows, each ending in LF.
 
-    A column whose values in the chunk are bitwise identical is formatted
-    once into the row format; only the other columns go through
-    ``.tolist()`` and ``%``. The comparison is on the bits, so ``0.0`` and
-    ``-0.0`` never fold together. Module-level, so that a pool can pickle it.
+    Returns the rows as ASCII bytes. A column whose values in the chunk are
+    bitwise identical is formatted once and shared by every row; the
+    comparison is on the bits, so ``0.0`` and ``-0.0`` never fold together.
+    The other columns are formatted a whole column at a time by
+    ``textfmt.format_g15`` and ``textfmt.format_d``, which give the bytes of
+    a per-value ``%.15g`` or ``%d``: values whose 15-digit rounding the
+    vectorised arithmetic cannot certify, such as zeros, subnormals,
+    non-finite values and near ties, go through ``%`` one distinct value
+    at a time.
     """
-    specs, varying = [], []
+    from . import textfmt   # imported here, so that commands writing no CSV skip it
+    fields = []
     for spec, col in zip(_COLUMN_FORMATS, columns):
         bits = col.view(np.uint64)
         if (bits == bits[0]).all():
-            specs.append(spec % col[0].item())
+            fields.append((spec % col[0].item()).encode("ascii"))
+        elif spec == "%d":
+            fields.append(textfmt.format_d(col))
         else:
-            specs.append(spec)
-            varying.append(col.tolist())
-    row = sep.join(specs) + "\n"
-    if not varying:
-        return row * len(columns[0])
-    return "".join(map(row.__mod__, zip(*varying)))
-
-
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+            fields.append(textfmt.format_g15(col))
+    return textfmt.join_rows(fields, sep, len(columns[0]))
 
 
 def emit_trace(trace, path, scenario=None, seed=None, dwell=None,
@@ -403,22 +401,10 @@ def emit_trace(trace, path, scenario=None, seed=None, dwell=None,
     significant digits, LF line endings, UTF-8. ``--gnuplot-style``
     switches to whitespace-separated columns with a '#' header.
 
-    Rows are formatted in chunks of ``_EMIT_CHUNK_ROWS`` by
-    ``_format_chunk``, which writes a column that is constant within the
-    chunk (the accidental floor always is) into the row format once. A
-    trace of more than one chunk is formatted by a pool of spawned worker
-    processes, one per usable CPU (``os.sched_getaffinity``) and at most
-    one per chunk, and the chunks are written in order as they return. A
-    single-chunk trace, which includes every 601-row figure or scan, or a
-    process limited to one CPU, is formatted in process and starts no pool.
-    The bytes are the same on every path.
-
-    The output file is opened before any worker starts, so an unwritable
-    path fails first. On an error, chunks not yet handed to a worker are
-    cancelled and the pool is shut down before the error propagates.
-    Spawned workers re-import the main module: a script that calls this
-    on more than one chunk needs an ``if __name__ == "__main__":`` guard,
-    and without one the workers fail and ``BrokenProcessPool`` is raised.
+    The output file is opened first, so an unwritable path fails before
+    any formatting. Rows are then formatted and written in chunks of
+    ``_EMIT_CHUNK_ROWS`` by ``_format_chunk``, whose vectorised formatter
+    writes the same bytes as ``'%.15g' % v`` and ``'%d' % v`` per value.
     """
     sep = " " if gnuplot_style else ","
     header = sep.join(("delta_ghz", "paired", "accidental", "total", "n_index"))
@@ -429,23 +415,10 @@ def emit_trace(trace, path, scenario=None, seed=None, dwell=None,
                (trace.delta_axis, trace.paired, trace.accidental, trace.total)]
     columns.append(np.asarray(trace.n_index, dtype=np.int64))
     n_rows = len(trace.delta_axis)
-    chunks = [tuple(c[start:start + _EMIT_CHUNK_ROWS] for c in columns)
-              for start in range(0, n_rows, _EMIT_CHUNK_ROWS)]
-    format_chunk = functools.partial(_format_chunk, sep)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        workers = min(_usable_cpus(), len(chunks))
-        if workers > 1:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(workers,
-                                       mp_context=multiprocessing.get_context("spawn"))
-            try:
-                fh.writelines(pool.map(format_chunk, chunks))
-            finally:
-                pool.shutdown(cancel_futures=True)
-        else:
-            fh.writelines(map(format_chunk, chunks))
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        for start in range(0, n_rows, _EMIT_CHUNK_ROWS):
+            fh.write(_format_chunk(sep, [c[start:start + _EMIT_CHUNK_ROWS] for c in columns]))
     meta = {
         "tool": "modlab",
         "tool_version": __version__,
@@ -594,7 +567,6 @@ def _validate_sideband_positions():
 
 
 def _validate_area_conservation():
-    import warnings
     totals = []
     delta = np.arange(-345.0, 345.5, 0.5)
     for case in FIGURE_CASES:
@@ -709,10 +681,21 @@ def _require(value, message):
     return value
 
 
+def _trace(scenario, axis):
+    """``coincidence_trace``, with each warning it issues printed to stderr
+    as one ``warning: <message>`` line instead of the default two."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        trace = coincidence_trace(scenario, axis)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return trace
+
+
 def _cmd_scan(run, scenario):
     scenario = _require(scenario, "scan needs a [scenario] section")
-    trace = coincidence_trace(scenario, run.delta_axis())
     out = _require(run.out_path, "scan needs an output path (--out or [run] out)")
+    trace = _trace(scenario, run.delta_axis())
     emit_trace(trace, out, scenario=scenario, gnuplot_style=run.gnuplot_style)
     print(f"wrote {len(trace.delta_axis)} rows to {out}")
     return 0
@@ -720,13 +703,13 @@ def _cmd_scan(run, scenario):
 
 def _cmd_figure(run, scenario):
     case = _require(run.figure_case, "figure needs a [figure] section with a case")
+    out = _require(run.out_path, "figure needs an output path (--out or [run] out)")
     scenario = figure_preset(case)
     if run.delta_min is not None:
         axis = run.delta_axis()
     else:
         axis = -150.0 + 0.5 * np.arange(601)
-    trace = coincidence_trace(scenario, axis)
-    out = _require(run.out_path, "figure needs an output path (--out or [run] out)")
+    trace = _trace(scenario, axis)
     emit_trace(trace, out, scenario=scenario, gnuplot_style=run.gnuplot_style)
     print(f"wrote {case} trace ({len(axis)} rows) to {out}")
     return 0

@@ -2,7 +2,6 @@
 
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from modlab import ConfigParseError, figure_preset, regime_report
-from modlab import modulation
+from modlab import cli, modulation
 from modlab.cli import (MAX_SCAN_ROWS, RunConfig, emit_trace, main, parse_config,
                         run_validate, scenario_to_config)
 from modlab.correlator import CorrelationTrace, coincidence_trace
@@ -219,33 +218,14 @@ def _emit_rows_reference(trace, path, gnuplot_style=False):
     header = sep.join(("delta_ghz", "paired", "accidental", "total", "n_index"))
     if gnuplot_style:
         header = "# " + header
-    rows = [header]
-    for i in range(len(trace.delta_axis)):
-        rows.append(sep.join((
-            f"{trace.delta_axis[i]:.15g}",
-            f"{trace.paired[i]:.15g}",
-            f"{trace.accidental[i]:.15g}",
-            f"{trace.total[i]:.15g}",
-            str(int(trace.n_index[i])))))
+    # .tolist() first: f-strings on Python floats and ints give the same
+    # bytes as on numpy scalars, and much faster
+    texts = [[f"{v:.15g}" for v in np.asarray(c).tolist()]
+             for c in (trace.delta_axis, trace.paired, trace.accidental, trace.total)]
+    texts.append([str(int(n)) for n in np.asarray(trace.n_index).tolist()])
+    rows = [header, *map(sep.join, zip(*texts))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
-
-
-def _emit_with_cpus(monkeypatch, cpus, trace, path, **kwargs):
-    """``emit_trace`` as if ``cpus`` CPUs were usable; returns the start
-    methods of the process contexts it asked for."""
-    methods = []
-    real = multiprocessing.get_context
-
-    def spy(method=None):
-        methods.append(method)
-        return real(method)
-
-    with monkeypatch.context() as m:
-        m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        m.setattr(multiprocessing, "get_context", spy)
-        emit_trace(trace, path, **kwargs)
-    return methods
 
 
 def _fig4a_trace(lo, hi, n_rows):
@@ -263,13 +243,15 @@ def _signed_zero_trace(n_rows):
 
 
 @pytest.mark.parametrize("gnuplot_style", [False, True])
-def test_emit_trace_matches_row_reference_across_chunks(tmp_path, monkeypatch,
-                                                        gnuplot_style):
+def test_emit_trace_matches_row_reference_across_chunks(tmp_path, gnuplot_style):
+    # whole emit chunks, so that the case names below hold
+    assert CHUNK_ROWS % cli._EMIT_CHUNK_ROWS == 0
     cases = {
+        "single chunk": _fig4a_trace(-150.0, 150.0, 601),
         "three-row last chunk": _fig4a_trace(-150.0, 150.0, 2 * CHUNK_ROWS + 3),
         # every column of the one-row last chunk is constant
         "one-row last chunk": _fig4a_trace(-150.0, 150.0, 2 * CHUNK_ROWS + 1),
-        # one sideband window: n_index is constant in both chunks
+        # one sideband window: n_index is constant in every chunk
         "constant n_index": _fig4a_trace(-10.0, 10.0, CHUNK_ROWS + 2),
         "0.0 and -0.0 in one chunk": _signed_zero_trace(CHUNK_ROWS + 1),
     }
@@ -277,28 +259,15 @@ def test_emit_trace_matches_row_reference_across_chunks(tmp_path, monkeypatch,
     out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
     for name, trace in cases.items():
         _emit_rows_reference(trace, ref, gnuplot_style=gnuplot_style)
-        assert _emit_with_cpus(monkeypatch, 2, trace, out,
-                               gnuplot_style=gnuplot_style) == ["spawn"], name
+        emit_trace(trace, out, gnuplot_style=gnuplot_style)
         assert out.read_bytes() == ref.read_bytes(), name
-    # on one CPU the same chunks are formatted in process
-    assert _emit_with_cpus(monkeypatch, 1, trace, out, gnuplot_style=gnuplot_style) == []
-    assert out.read_bytes() == ref.read_bytes()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_emit_trace_write_error_stops_workers(monkeypatch):
+def test_emit_trace_write_error_raises():
     trace = _fig4a_trace(-150.0, 150.0, 4 * CHUNK_ROWS)
     with pytest.raises(OSError):
-        _emit_with_cpus(monkeypatch, 2, trace, "/dev/full")
-    assert multiprocessing.active_children() == []
-
-
-def test_single_chunk_emit_starts_no_pool(tmp_path, monkeypatch):
-    trace = _fig4a_trace(-150.0, 150.0, 601)
-    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
-    assert _emit_with_cpus(monkeypatch, 2, trace, out) == []
-    _emit_rows_reference(trace, ref)
-    assert out.read_bytes() == ref.read_bytes()
+        emit_trace(trace, "/dev/full")
 
 
 @pytest.mark.parametrize("gnuplot_style", [False, True])
@@ -473,19 +442,48 @@ def test_main_scan_multi_chunk_subprocess(tmp_path):
     assert Path(f"{out}.meta").read_bytes() == Path(f"{ref}.meta").read_bytes()
 
 
-def test_main_unwritable_out_starts_no_workers(tmp_path, capsys, monkeypatch):
+def test_main_unwritable_out_exits_3(tmp_path, capsys):
     cfg = tmp_path / "scan.cfg"
     cfg.write_text(MULTI_CHUNK)
     out = tmp_path / "no_dir" / "x.csv"
-    methods = []
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(multiprocessing, "get_context", methods.append)
     assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
-    assert methods == []
-    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command, text", [
+    ("scan", MINIMAL),
+    ("figure", "schema = 1\n[figure]\ncase = fig3b\n"),
+])
+def test_main_checks_out_path_before_building_trace(tmp_path, capsys, monkeypatch,
+                                                    command, text):
+    def no_trace(*args, **kwargs):
+        raise AssertionError("trace built before the output path was checked")
+
+    monkeypatch.setattr(cli, "coincidence_trace", no_trace)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"config error: {command} needs an output path (--out or [run] out)"]
+
+
+def test_main_prints_clipping_warning_as_one_line(tmp_path, capsys):
+    # fig3a has no sidebands, so the default axis runs past the support
+    out = tmp_path / "fig3a.csv"
+    cfg = tmp_path / "fig.cfg"
+    cfg.write_text("schema = 1\n[figure]\ncase = fig3a\n")
+    assert main(["figure", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: delta samples beyond the modulator truncation support; "
+        "paired term set to zero"]
+    cfg.write_text(MINIMAL.replace("preset = fig4b", "preset = fig3a"))
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: delta samples beyond the modulator truncation support; "
+        "paired term set to zero"]
 
 
 def test_main_scan_byte_identical(tmp_path):
