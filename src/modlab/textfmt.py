@@ -51,13 +51,14 @@ def _words(data):
 def _quad_tables():
     """``"0000".."9999"`` as uint32, for ``np.take`` to write four ASCII
     digits per element in memory order whatever the byte order; and the
-    index, within its four digits, of the last nonzero digit of 0..9999."""
+    index, within its four digits, of the last nonzero digit of 1..9999."""
     pairs = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode("ascii"),
                           dtype=np.uint16)
-    quads = np.stack((np.repeat(pairs, 100), np.tile(pairs, 100)), axis=1)
+    quads = np.empty((100, 100, 2), dtype=np.uint16)
+    quads[:, :, 0] = pairs[:, None]
+    quads[:, :, 1] = pairs
     last = np.full(10_000, 3)
-    for zeros in (1, 2, 3):
-        last = np.where(np.arange(10_000) % 10 ** zeros == 0, 3 - zeros, last)
+    last[::10], last[::100], last[::1000] = 2, 1, 0
     return quads.view(np.uint32).ravel(), last
 
 
@@ -85,10 +86,9 @@ _MINUS = _words(b"-")[0]
 
 @functools.cache
 def _exponent_entry(e):
-    """Per decimal exponent ``e``, as five uint64 values: ``10**(14 - e)``
-    as a double-double ``(hi, lo)`` from exact int arithmetic (float64
-    bits), the number of integer-part digits, the lead word and the
-    exponent word."""
+    """Per decimal exponent ``e``: ``10**(14 - e)`` as a double-double
+    ``(hi, lo)`` from exact int arithmetic, the number of integer-part
+    digits, and the lead and exponent words as ints."""
     k = _DIGITS - 1 - e
     if k >= 0:
         exact = 10 ** k
@@ -100,13 +100,12 @@ def _exponent_entry(e):
         num, den = hi.as_integer_ratio()
         lo = (den - num * scale) / (den * scale)
     if -4 <= e < 0:
-        n_int, lead, exponent = 0, b"\0" + b"0." + b"0" * (-1 - e), b"\0"
+        n_int, lead, exponent = 0, b"\0" + b"0." + b"0" * (-1 - e), b""
     elif 0 <= e < _DIGITS:
-        n_int, lead, exponent = e + 1, b"\0", b"\0"
+        n_int, lead, exponent = e + 1, b"", b""
     else:
-        n_int, lead, exponent = 1, b"\0", f"e{e:+03d}".encode("ascii")
-    entry = np.array([hi, lo]).view(np.uint64).tolist() + [n_int]
-    return entry + [int(_words(lead)[0]), int(_words(exponent)[0])]
+        n_int, lead, exponent = 1, b"", f"e{e:+03d}".encode("ascii")
+    return hi, lo, n_int, int.from_bytes(lead, "little"), int.from_bytes(exponent, "little")
 
 
 def _exponent_tables(e):
@@ -116,12 +115,16 @@ def _exponent_tables(e):
     e_min = int(e.min())
     present = np.zeros(int(e.max()) - e_min + 1, dtype=bool)
     present[e - e_min] = True
-    table = np.zeros((len(present), 5), dtype=np.uint64)
+    floats = np.zeros((len(present), 2))
+    ints = np.zeros((len(present), 3), dtype=np.uint64)
     for i in np.flatnonzero(present).tolist():
-        table[i] = _exponent_entry(i + e_min)
-    rows = np.take(table, e - e_min, axis=0)
-    hi, lo, n_int, lead, exponent = rows.T
-    return hi.view(np.float64), lo.view(np.float64), n_int.view(np.int64), lead, exponent
+        hi, lo, *words = _exponent_entry(i + e_min)
+        floats[i] = hi, lo
+        ints[i] = words
+    index = e - e_min
+    hi, lo = np.take(floats, index, axis=0).T
+    n_int, lead, exponent = np.take(ints, index, axis=0).T
+    return hi, lo, n_int.view(np.int64), lead, exponent
 
 
 def _split(a):
