@@ -261,6 +261,9 @@ def test_emit_trace_matches_row_reference_across_chunks(tmp_path, gnuplot_style)
         _emit_rows_reference(trace, ref, gnuplot_style=gnuplot_style)
         emit_trace(trace, out, gnuplot_style=gnuplot_style)
         assert out.read_bytes() == ref.read_bytes(), name
+    # emitting the last multi-chunk trace again gives the same bytes
+    emit_trace(trace, out, gnuplot_style=gnuplot_style)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
