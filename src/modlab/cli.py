@@ -11,7 +11,8 @@ Sections and keys:
   schema = 1                   (required, before any section)
   [run]      seed (int), dwell (s), out (path)
   [scan]     delta_min (GHz), delta_max (GHz), delta_step (GHz)
-  [figure]   case (fig3a|fig3b|fig4a|fig4b)
+  [figure]   case (fig3a|fig3b|fig4a|fig4b); the preset is the whole
+             scenario, so ``figure`` rejects a [scenario] section
   [fit]      data (path to a delta_ghz,counts CSV; synthesized when absent)
   [scenario] preset (figure case), or explicit keys:
              pump_frequency (GHz), modulation_frequency (GHz), gate (ns),
@@ -30,8 +31,9 @@ Exit codes: 0 success, 1 validation/fit failure, 2 configuration error
 (an unreadable ``--config`` or waveform file included), 3 I/O failure on an
 output file or the fit-data file. A scan axis longer than ``MAX_SCAN_ROWS``
 rows, a negative seed, a dwell that is not positive and finite or so long
-that a Poisson mean passes numpy's limit, and a non-finite fit-data value
-are configuration errors. A scan or figure whose axis runs past the
+that a Poisson mean passes numpy's limit, a filter FWHM whose squared
+passband half-width overflows, and a non-finite fit-data value are
+configuration errors. A scan or figure whose axis runs past the
 composed modulator support still succeeds, with one ``warning:`` line on
 stderr. Identical config and seed reproduce byte-identical output files;
 the random generator is numpy's PCG64.
@@ -228,6 +230,10 @@ def parse_config(text: str, command: str = "scan", config_path: str | None = Non
 
     scenario = None
     scn_items = {k: v for (sec, k), v in values.items() if sec == "scenario"}
+    if scn_items and command == "figure":
+        raise ConfigParseError(
+            "figure takes its scenario from [figure] case; remove the [scenario] section",
+            min(line for (sec, _), line in lines.items() if sec == "scenario"))
     if scn_items:
         scenario = _build_scenario(scn_items, lines)
     return run, scenario
@@ -548,7 +554,7 @@ def _validate_h2():
     h2 = h2_profile(f1, f2, "intensity")
     fwhm_err = abs(h2.fwhm - 8.5 * math.sqrt(2.0))
     overlap = adaptive_simpson(
-        lambda w: float(f1.intensity_response(w) * f2.intensity_response(w)),
+        lambda w: f1.intensity_response(w) * f2.intensity_response(w),
         -60.0, 60.0, 1e-14)
     peak_err = abs(h2.peak - overlap) / overlap
     ok = fwhm_err <= 1e-9 and peak_err <= 1e-10

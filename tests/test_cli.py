@@ -367,6 +367,10 @@ def _fit_data(bad_line):
                  ("filter1_fwhm", "line"), id="filter1_fwhm = nan GHz"),
     pytest.param("scan", MINIMAL + "filter2_fwhm = inf GHz\n", [], None,
                  ("filter2_fwhm", "line"), id="filter2_fwhm = inf GHz"),
+    pytest.param("scan", MINIMAL + "filter1_fwhm = 1e200 GHz\n", [], None,
+                 ("filter FWHM", "1e+200", "too large"), id="filter1_fwhm = 1e200 GHz"),
+    pytest.param("scan", MINIMAL + "filter2_fwhm = 1e160 GHz\n", [], None,
+                 ("filter FWHM", "1e+160", "too large"), id="filter2_fwhm = 1e160 GHz"),
     pytest.param("scan", MINIMAL.replace("delta_step = 0.5 GHz", "delta_step = nan GHz"),
                  [], None, ("delta_step", "line"), id="delta_step = nan GHz"),
     pytest.param("fit", MINIMAL, ["--dwell", "nan"], None, ("--dwell",), id="--dwell nan"),
@@ -519,6 +523,20 @@ def test_main_figure_gnuplot(tmp_path):
     assert main(["figure", "--config", str(cfg), "--out", str(out),
                  "--gnuplot-style"]) == 0
     assert out.read_text().splitlines()[0].startswith("# ")
+
+
+@pytest.mark.parametrize("fwhm", ["12 GHz", "1e160 GHz"])
+def test_main_figure_rejects_scenario_section(tmp_path, capsys, fwhm):
+    # figure writes the preset named by [figure] case, so a [scenario]
+    # section would otherwise be dropped without notice
+    cfg = tmp_path / "fig.cfg"
+    cfg.write_text(f"schema = 1\n[figure]\ncase = fig4a\n[scenario]\nfilter2_fwhm = {fwhm}\n")
+    out = tmp_path / "fig.csv"
+    assert main(["figure", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "line 5" in err and "[scenario]" in err
+    assert not out.exists()
 
 
 def test_main_fit_synthetic(tmp_path, capsys):

@@ -20,8 +20,9 @@ from modlab import (ConfigurationError, CorrelationTrace, DomainError, GaussianF
                     singles_rate, sinusoidal_coeffs)
 from modlab import CrystalProfile, FrequencyGrid, figure_preset, propagate_envelopes
 from modlab.correlator import _omega_offsets
-from modlab.numerics import adaptive_simpson
 from modlab.scenario import ExperimentScenario, reference_scenario
+
+from simpson_reference import recursive_simpson
 
 H2_FWHM_REFERENCE = 12.020815280171307   # sqrt(2) * 8.5, frozen from the numeric oracle
 GAUSS_INT = math.sqrt(math.pi / (4.0 * math.log(2.0)))   # int exp(-4ln2 w^2/G^2) = G * this
@@ -34,9 +35,14 @@ def unit_filter(fwhm=8.5, alpha=1.0, slit=100.0):
 def test_filter_validation():
     for fwhm, alpha, dispersion in [(0.0, 1.0, 210.0), (8.5, -0.1, 210.0),
                                     (math.nan, 1.0, 210.0), (8.5, math.nan, 210.0),
-                                    (8.5, 1.0, math.nan)]:
+                                    (8.5, 1.0, math.nan),
+                                    # (4 FWHM)^2 overflows above about 3.352e153
+                                    (3.36e153, 1.0, 210.0), (1e200, 1.0, 210.0),
+                                    (math.inf, 1.0, 210.0)]:
         with pytest.raises(ConfigurationError):
             GaussianFilter(fwhm=fwhm, alpha=alpha, slit=0.0, dispersion=dispersion)
+    # just below that limit the filter is accepted
+    GaussianFilter(fwhm=3.35e153, alpha=1.0, slit=0.0, dispersion=210.0)
     with pytest.raises(ConfigurationError):
         unit_filter().field_response(0.0, "strange")
 
@@ -178,10 +184,10 @@ def test_singles_passband_outside_grid():
 def _singles_simpson_reference(amps, mod, filt, convention):
     """The scalar rule ``singles_rate`` used before the Gauss-Legendre one.
 
-    Adaptive Simpson over the passband for each sideband, one scalar
-    integrand evaluation at a time. B is interpolated linearly between the
-    grid samples with ``np.interp``'s formula, written out in plain Python
-    so that the ~10^5 evaluations per call stay fast.
+    The recursive scalar adaptive Simpson rule over the passband for each
+    sideband, one scalar integrand evaluation at a time. B is interpolated
+    linearly between the grid samples with ``np.interp``'s formula, written
+    out in plain Python so that the ~10^5 evaluations per call stay fast.
     """
     grid_w = amps.grid.omegas.tolist()
     b_re, b_im = amps.b.real.tolist(), amps.b.imag.tolist()
@@ -207,7 +213,7 @@ def _singles_simpson_reference(amps, mod, filt, convention):
             return b_sq(w - _shift) * filt.alpha ** 2 * math.exp(-(w - center) ** 2 / two_var)
 
         atol = 1e-12 * integrand(center) * 2.0 * width
-        total += p * adaptive_simpson(integrand, center - width, center + width, atol)
+        total += p * recursive_simpson(integrand, center - width, center + width, atol)
     return total / (4.0 * math.pi)
 
 
