@@ -1,8 +1,9 @@
-"""Byte-identical outputs of the sample configs, pinned by SHA-256.
+"""Byte-identical outputs of the sample configs, pinned by SHA-256 or as text.
 
 Every trace-writing config under ``configs/`` runs through ``main()`` and
 the digests of its CSV and ``.meta`` file must match the values below; so
-must the stdout of the fit demo. A refactor that claims no change in
+must the stdout of the fit demo. The stdout of ``modlab validate``, by
+default and with the out-of-regime config, is pinned line for line. A refactor that claims no change in
 behaviour keeps these digests. Digests taken with Python 3.11.7 and numpy
 2.4.6 on x86-64; a different numpy may legitimately change the last digit
 of a printed float, so regenerate them only together with a stated reason.
@@ -42,6 +43,31 @@ TRACE_DIGESTS = {
 }
 FIT_DEMO_STDOUT_DIGEST = "0d1684e5a2a40785483514945e36509d8080f77e217f80507380e650dace0ba7"
 
+# the first 14 checks do not depend on the scenario
+VALIDATE_SHARED_LINES = """\
+PASS bessel_recurrence_vs_series max_abs_err=3.331e-16
+PASS modulator_parseval max_abs_err=3.331e-16
+PASS bessel_addition_theorem max_abs_err=2.887e-14
+PASS waveform_dft_agreement max_abs_err=1.323e-16
+PASS unitarity_propagation max_residual=1.749e-11
+PASS conjugate_symmetry max_residual=2.220e-16
+PASS rk4_convergence ratios=16.3,16.2
+PASS analytic_oracle_agreement max_abs_err=2.571e-11
+PASS singles_closed_form rel_err=7.347e-13
+PASS h2_lineshape fwhm_err=1.776e-15 peak_rel_err=1.388e-16
+PASS sideband_positions max_offset=0 GHz
+PASS area_conservation rel_spread=1.053e-13
+PASS trace_symmetry rel_err=0.000e+00
+PASS accidental_floor tail_fraction=2.107e-12
+"""
+# run name -> (extra argv, the last two stdout lines)
+VALIDATE_TAILS = {
+    "default": ([], "PASS tier_agreement rel_rms=6.239e-15\nOK 15 checks, 0 failures\n"),
+    "out_of_regime": (["--config", str(CONFIGS / "out_of_regime.cfg")],
+                      "SKIP tier_agreement out-of-regime (ratios=1.00,37.50)\n"
+                      "OK 15 checks, 0 failures\n"),
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -62,3 +88,12 @@ def test_trace_config_outputs_are_pinned(tmp_path, capsys, name):
 def test_fit_demo_stdout_is_pinned(capsys):
     assert main(["fit", "--config", str(CONFIGS / "fit_demo.cfg")]) == 0
     assert _sha256(capsys.readouterr().out.encode("utf-8")) == FIT_DEMO_STDOUT_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_TAILS))
+def test_validate_stdout_is_pinned(capsys, name):
+    argv, tail = VALIDATE_TAILS[name]
+    assert main(["validate", *argv]) == 0
+    out, err = capsys.readouterr()
+    assert out == VALIDATE_SHARED_LINES + tail
+    assert err == ""
