@@ -3,7 +3,8 @@
 Subpackages by concern: crystal propagation (``spdc_core``), modulator
 coefficient algebra (``modulation``), singles and coincidence models
 (``correlator``), experiment bundles, presets, synthetic data and fitting
-(``scenario``), and the command-line front end (``cli``).
+(``scenario``), the invariant suite behind ``modlab validate``
+(``checks``), and the command-line front end (``cli``).
 """
 
 __version__ = "0.1.0"

@@ -1,18 +1,30 @@
 """Command-line front end: scans, figure presets, fits and self-validation.
 
+This module parses arguments and config files, writes trace CSVs and
+prints reports. The invariant suite that ``validate`` reports on is
+``modlab.checks``; ``run_validate`` is bound here from there.
+
 Configuration is a plain-text file with named ``[section]`` headers and
 ``key = value`` pairs; values may carry a unit suffix which is checked
 against the unit expected for that key. Unknown sections or keys are hard
-errors so misspellings cannot silently fall back to defaults. The file
-must start with ``schema = 1``.
+errors so misspellings cannot silently fall back to defaults, and so is a
+section the command does not read. The file must start with
+``schema = 1``.
+
+Sections each command reads:
+
+  scan       [run] [scan] [scenario]
+  figure     [run] [scan] [figure]; the preset named by [figure] case is
+             the whole scenario
+  fit        [run] [scan] [fit] [scenario]
+  validate   [run] [scenario]
 
 Sections and keys:
 
   schema = 1                   (required, before any section)
   [run]      seed (int), dwell (s), out (path)
   [scan]     delta_min (GHz), delta_max (GHz), delta_step (GHz)
-  [figure]   case (fig3a|fig3b|fig4a|fig4b); the preset is the whole
-             scenario, so ``figure`` rejects a [scenario] section
+  [figure]   case (fig3a|fig3b|fig4a|fig4b)
   [fit]      data (path to a delta_ghz,counts CSV; synthesized when absent)
   [scenario] preset (figure case), or explicit keys:
              pump_frequency (GHz), modulation_frequency (GHz), gate (ns),
@@ -32,10 +44,11 @@ Exit codes: 0 success, 1 validation/fit failure, 2 configuration error
 output file or the fit-data file. A scan axis longer than ``MAX_SCAN_ROWS``
 rows, a negative seed, a dwell that is not positive and finite or so long
 that a Poisson mean passes numpy's limit, a filter FWHM whose squared
-passband half-width overflows, and a non-finite fit-data value are
-configuration errors. A scan or figure whose axis runs past the
-composed modulator support still succeeds, with one ``warning:`` line on
-stderr. Identical config and seed reproduce byte-identical output files;
+passband half-width overflows, a negative transmission scale, transmission
+scales so large that the coincidence rates overflow, and a non-finite
+fit-data value are configuration errors. A scan or figure whose axis runs
+past the composed modulator support still succeeds, with one ``warning:``
+line on stderr. Identical config and seed reproduce byte-identical output files;
 the random generator is numpy's PCG64.
 """
 
@@ -50,18 +63,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from . import modulation
-from .correlator import (GaussianFilter, coincidence_full, coincidence_trace,
-                         h2_profile, sideband_areas, singles_rate)
+from .checks import run_validate
+from .correlator import GaussianFilter, coincidence_trace
 from .errors import (ConfigParseError, ConfigurationError, DomainError, FitError,
                      ModlabError, ResolutionError)
-from .modulation import (bessel_j_series, coeffs_from_waveform, compose_nonlocal,
-                         read_phase_waveform, sinusoidal_coeffs)
-from .numerics import adaptive_simpson
+from .modulation import coeffs_from_waveform, read_phase_waveform, sinusoidal_coeffs
 from .scenario import (FIGURE_CASES, ExperimentScenario, figure_preset, fit_scale,
-                       regime_report, synthesize_counts)
-from .spdc_core import (CrystalProfile, FrequencyGrid, SpectralAmplitudes,
-                        analytic_amplitudes, propagate_envelopes)
+                       synthesize_counts)
+from .spdc_core import SpectralAmplitudes
 
 MAX_SCAN_ROWS = 10_000_000
 
@@ -87,6 +96,14 @@ _SECTIONS = {
         "filter2_fwhm": ("float", "GHz"), "filter2_alpha_sq": ("float", None),
         "filter2_slit": ("float", "mm"),
     },
+}
+
+# the sections each command reads; any other section is an error, not ignored
+_COMMAND_SECTIONS = {
+    "scan": ("run", "scan", "scenario"),
+    "figure": ("run", "scan", "figure"),
+    "fit": ("run", "scan", "fit", "scenario"),
+    "validate": ("run", "scenario"),
 }
 
 
@@ -174,9 +191,10 @@ def _tokenize(text):
 def parse_config(text: str, command: str = "scan", config_path: str | None = None):
     """Parse a config file into a RunConfig and (when present) a scenario.
 
-    Fully validated: unknown sections/keys, unit mismatches, duplicate
-    keys, ordering violations and out-of-range values all raise
-    ConfigParseError with the offending line number.
+    Fully validated: unknown sections/keys, sections ``command`` does not
+    read, unit mismatches, duplicate keys, ordering violations and
+    out-of-range values all raise ConfigParseError with the offending line
+    number.
     """
     values = {}     # (section, key) -> value
     lines = {}
@@ -203,6 +221,15 @@ def parse_config(text: str, command: str = "scan", config_path: str | None = Non
         lines[(section, key)] = lineno
     if not saw_schema:
         raise ConfigParseError("missing required 'schema = 1' key", None)
+    # lines is in file order, so the first hit is the first key of its section
+    for (section, _), line in lines.items():
+        if section not in _COMMAND_SECTIONS[command]:
+            if (command, section) == ("figure", "scenario"):
+                message = ("figure takes its scenario from [figure] case; "
+                           "remove the [scenario] section")
+            else:
+                message = f"{command} does not read a [{section}] section; remove it"
+            raise ConfigParseError(message, line)
 
     run = RunConfig(command=command, config_path=config_path)
     run.seed = values.get(("run", "seed"), run.seed)
@@ -228,14 +255,8 @@ def parse_config(text: str, command: str = "scan", config_path: str | None = Non
     if run.seed < 0:
         raise ConfigParseError("seed must be nonnegative", lines.get(("run", "seed")))
 
-    scenario = None
     scn_items = {k: v for (sec, k), v in values.items() if sec == "scenario"}
-    if scn_items and command == "figure":
-        raise ConfigParseError(
-            "figure takes its scenario from [figure] case; remove the [scenario] section",
-            min(line for (sec, _), line in lines.items() if sec == "scenario"))
-    if scn_items:
-        scenario = _build_scenario(scn_items, lines)
+    scenario = _build_scenario(scn_items, lines) if scn_items else None
     return run, scenario
 
 
@@ -300,9 +321,10 @@ def _build_scenario(items, lines):
             mods.append(sinusoidal_coeffs(params.get(f"{ch}_depth", 0.0),
                                           params.get(f"{ch}_phase", 0.0), omega_m))
 
+    for key in ("b0", "filter1_alpha_sq", "filter2_alpha_sq"):
+        if params[key] < 0:
+            raise ConfigParseError(f"{key} must be nonnegative", line_of(key))
     b0 = params["b0"]
-    if b0 < 0:
-        raise ConfigParseError("b0 must be nonnegative", line_of("b0"))
     a0 = math.sqrt(1.0 + b0 * b0)
     try:
         return ExperimentScenario(
@@ -437,218 +459,6 @@ def emit_trace(trace, path, scenario=None, seed=None, dwell=None,
     }
     with open(str(path) + ".meta", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# validation suite
-# ---------------------------------------------------------------------------
-
-def _check(name, condition, detail):
-    return (name, "PASS" if condition else "FAIL", detail)
-
-
-def _validate_bessel():
-    worst = 0.0
-    for x in (0.5, 1.5, 3.0, 5.0):
-        seq = modulation.bessel_j_sequence(20, x)
-        for n in range(21):
-            worst = max(worst, abs(seq[n] - bessel_j_series(n, x)))
-    return _check("bessel_recurrence_vs_series", worst <= 1e-12, f"max_abs_err={worst:.3e}")
-
-
-def _validate_parseval():
-    worst = 0.0
-    for depth in (0.5, 1.0, 1.5, 2.5):
-        mod = sinusoidal_coeffs(depth, 0.3, 30.0)
-        worst = max(worst, abs(mod.total_power() - 1.0))
-    return _check("modulator_parseval", worst <= 1e-10, f"max_abs_err={worst:.3e}")
-
-
-def _validate_addition_theorem():
-    worst = 0.0
-    depths = (0.5, 1.0, 1.5, 2.5)
-    for d1 in depths:
-        for d2 in depths:
-            for rel_phase, total in ((0.0, d1 + d2), (math.pi, d1 - d2)):
-                q = sinusoidal_coeffs(d1, 0.0, 30.0)
-                r = sinusoidal_coeffs(d2, rel_phase, 30.0)
-                s = compose_nonlocal(q, r)
-                for n in range(-s.n_max, s.n_max + 1):
-                    expected = abs(bessel_j_series(n, total))
-                    worst = max(worst, abs(abs(s.coefficient(n)) - expected))
-    return _check("bessel_addition_theorem", worst <= 1e-9, f"max_abs_err={worst:.3e}")
-
-
-def _validate_waveform_dft():
-    theta = 2.0 * math.pi * np.arange(512) / 512
-    wav = coeffs_from_waveform(1.5 * np.cos(theta), 30.0)
-    ana = sinusoidal_coeffs(1.5, 0.0, 30.0)
-    worst = 0.0
-    for k in range(-max(wav.k_max, ana.k_max), max(wav.k_max, ana.k_max) + 1):
-        worst = max(worst, abs(wav.coefficient(k) - ana.coefficient(k)))
-    return _check("waveform_dft_agreement", worst <= 1e-10, f"max_abs_err={worst:.3e}")
-
-
-def _test_propagation():
-    pump = 2.0 * 281759.0
-    grid = FrequencyGrid(center=0.5 * pump, span=400.0, points=401, pump_frequency=pump)
-    detuning = grid.omegas - 0.5 * pump
-    kappa = 0.05 * np.exp(-detuning ** 2 / (2.0 * 150.0 ** 2))
-    delta_k = 2e-5 * detuning ** 2
-    profile = CrystalProfile(kappa=kappa, delta_k=delta_k, length=20.0)
-    return propagate_envelopes(profile, grid, steps=256)
-
-
-def _validate_unitarity(amps):
-    res = amps.unitarity_residual()
-    return _check("unitarity_propagation", res <= 1e-9, f"max_residual={res:.3e}")
-
-
-def _validate_symmetry(amps):
-    res = amps.symmetry_residual()
-    return _check("conjugate_symmetry", res <= 1e-9, f"max_residual={res:.3e}")
-
-
-def _rk4_error(steps):
-    pump = 1000.0
-    grid = FrequencyGrid(center=500.0, span=10.0, points=3, pump_frequency=pump)
-    profile = CrystalProfile.constant(grid, 0.05, 0.2, 20.0)
-    amps = propagate_envelopes(profile, grid, steps=steps)
-    a_ref, b_ref = analytic_amplitudes(0.05, 0.2, 20.0)
-    return max(abs(amps.a0 - a_ref), abs(amps.b0 - b_ref))
-
-
-def _validate_rk4_convergence():
-    e16, e32, e64 = _rk4_error(16), _rk4_error(32), _rk4_error(64)
-    r1 = e16 / max(e32, 1e-300)
-    r2 = e32 / max(e64, 1e-300)
-    ok = r1 >= 12.0 and r2 >= 12.0
-    return _check("rk4_convergence", ok, f"ratios={r1:.1f},{r2:.1f}")
-
-
-def _validate_analytic_agreement():
-    worst = 0.0
-    pump = 1000.0
-    grid = FrequencyGrid(center=500.0, span=10.0, points=3, pump_frequency=pump)
-    for dk in (0.0, 0.2):
-        profile = CrystalProfile.constant(grid, 0.05, dk, 20.0)
-        amps = propagate_envelopes(profile, grid, steps=256)
-        a_ref, b_ref = analytic_amplitudes(0.05, dk, 20.0)
-        worst = max(worst, abs(amps.a0 - a_ref), abs(amps.b0 - b_ref))
-    return _check("analytic_oracle_agreement", worst <= 1e-10, f"max_abs_err={worst:.3e}")
-
-
-def _validate_singles():
-    filt = GaussianFilter(fwhm=8.5, alpha=1.0, slit=100.0, dispersion=210.0)
-    amps = SpectralAmplitudes.flat(math.sqrt(2.0), 1.0)
-    mod = sinusoidal_coeffs(0.0, 0.0, 30.0)
-    rate = singles_rate(amps, mod, filt, "intensity")
-    expected = 1.0 / (4.0 * math.pi) * 8.5 * math.sqrt(math.pi / (4.0 * math.log(2.0)))
-    err = abs(rate - expected) / expected
-    return _check("singles_closed_form", err <= 1e-10, f"rel_err={err:.3e}")
-
-
-def _validate_h2():
-    f1 = GaussianFilter(fwhm=8.5, alpha=1.0, slit=100.0, dispersion=210.0)
-    f2 = GaussianFilter(fwhm=8.5, alpha=1.0, slit=100.0, dispersion=210.0)
-    h2 = h2_profile(f1, f2, "intensity")
-    fwhm_err = abs(h2.fwhm - 8.5 * math.sqrt(2.0))
-    overlap = adaptive_simpson(
-        lambda w: f1.intensity_response(w) * f2.intensity_response(w),
-        -60.0, 60.0, 1e-14)
-    peak_err = abs(h2.peak - overlap) / overlap
-    ok = fwhm_err <= 1e-9 and peak_err <= 1e-10
-    return _check("h2_lineshape", ok, f"fwhm_err={fwhm_err:.3e} peak_rel_err={peak_err:.3e}")
-
-
-def _validate_sideband_positions():
-    scn = figure_preset("fig3b")
-    delta = np.arange(-150.0, 150.5, 0.5)
-    trace = coincidence_trace(scn, delta)
-    p = trace.paired
-    maxima = [delta[i] for i in range(1, len(p) - 1)
-              if p[i] > p[i - 1] and p[i] >= p[i + 1] and p[i] > 1e-6 * p.max()]
-    worst = max(abs(m - 30.0 * round(m / 30.0)) for m in maxima)
-    return _check("sideband_positions", worst <= 0.5, f"max_offset={worst:.3g} GHz")
-
-
-def _validate_area_conservation():
-    totals = []
-    delta = np.arange(-345.0, 345.5, 0.5)
-    for case in FIGURE_CASES:
-        with warnings.catch_warnings():
-            # the unmodulated case has no sidebands beyond n=0 by design
-            warnings.simplefilter("ignore", RuntimeWarning)
-            trace = coincidence_trace(figure_preset(case), delta)
-        totals.append(sum(sideband_areas(trace).values()))
-    spread = (max(totals) - min(totals)) / max(totals)
-    return _check("area_conservation", spread <= 1e-9, f"rel_spread={spread:.3e}")
-
-
-def _validate_trace_symmetry():
-    scn = figure_preset("fig3b")
-    delta = np.arange(-150.25, 150.5, 0.5)   # avoids exact window boundaries
-    trace = coincidence_trace(scn, delta)
-    diff = np.max(np.abs(trace.paired - trace.paired[::-1]))
-    rel = diff / trace.paired.max()
-    return _check("trace_symmetry", rel <= 1e-9, f"rel_err={rel:.3e}")
-
-
-def _validate_accidental_floor():
-    scn = figure_preset("fig3b")
-    delta = np.arange(-345.0, 345.5, 0.5)
-    trace = coincidence_trace(scn, delta)
-    floor = trace.accidental[0]
-    ok_min = bool(np.all(trace.total >= floor))
-    far = np.abs(delta) > 250.0   # beyond the populated sideband comb
-    tail = float(np.max(trace.paired[far]))
-    ok_far = tail <= 1e-6 * trace.paired.max()
-    return _check("accidental_floor", ok_min and ok_far,
-                  f"tail_fraction={tail / trace.paired.max():.3e}")
-
-
-def _validate_tier_agreement(scenario):
-    report = regime_report(scenario)
-    if not report.valid:
-        return ("tier_agreement", "SKIP",
-                f"out-of-regime (ratios={report.mod_to_filter:.2f},{report.filter_gate:.2f})")
-    delta = np.arange(-150.0, 151.0, 1.0)
-    trace = coincidence_trace(scenario, delta)
-    full = coincidence_full(scenario, delta)
-    rel_rms = (np.sqrt(np.mean((full.total - trace.total) ** 2))
-               / np.sqrt(np.mean(trace.total ** 2)))
-    return _check("tier_agreement", rel_rms <= 0.01, f"rel_rms={rel_rms:.3e}")
-
-
-def run_validate(scenario: ExperimentScenario | None = None):
-    """Execute the invariant suite of every module; returns (exit_code, results).
-
-    The tier-agreement comparison runs on the supplied scenario (the fig4a
-    preset by default) and is skipped, not failed, when that scenario is
-    outside the closed-form model's validity regime.
-    """
-    if scenario is None:
-        scenario = figure_preset("fig4a")
-    amps = _test_propagation()
-    results = [
-        _validate_bessel(),
-        _validate_parseval(),
-        _validate_addition_theorem(),
-        _validate_waveform_dft(),
-        _validate_unitarity(amps),
-        _validate_symmetry(amps),
-        _validate_rk4_convergence(),
-        _validate_analytic_agreement(),
-        _validate_singles(),
-        _validate_h2(),
-        _validate_sideband_positions(),
-        _validate_area_conservation(),
-        _validate_trace_symmetry(),
-        _validate_accidental_floor(),
-        _validate_tier_agreement(scenario),
-    ]
-    code = 0 if all(status != "FAIL" for _, status, _ in results) else 1
-    return code, results
 
 
 # ---------------------------------------------------------------------------

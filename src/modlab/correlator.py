@@ -239,7 +239,9 @@ class SidebandModel:
     ``c_n * H2(n w_m - delta)`` with ``c_n = |A0 B0 s_n|^2 / (8 pi)``, where
     ``s_n`` are the composed modulator coefficients and ``H2`` the two
     filters' lineshape; the accidental floor ``R1 * R2 * T`` is constant.
-    Samples with |n| beyond the composed support get ``c_n = 0``. Both
+    Samples with |n| beyond the composed support get ``c_n = 0``. A
+    scenario whose floor, peak paired rate or their sum is not finite
+    raises ``DomainError``. Both
     trace tiers take the coefficients, the floor and the window lookup from
     here; the fit takes the paired rate and its slope.
     """
@@ -255,6 +257,16 @@ class SidebandModel:
         self.h2 = h2_profile(scenario.filter1, scenario.filter2, conv)
         amp_factor = abs(scenario.amplitudes.a0 * scenario.amplitudes.b0) ** 2 / (8.0 * np.pi)
         self.c_table = amp_factor * np.abs(self.s.coeffs) ** 2
+        # checked once here for both trace tiers and the fit, in Python floats
+        # (which overflow without a warning); an infinite floor or peak would
+        # otherwise be written as inf in every row
+        peak = float(self.c_table.max()) * float(self.h2.peak)
+        if not np.isfinite(float(self.accidental) + peak):
+            raise DomainError(
+                "coincidence rates overflow: transmission scales alpha1^2 = "
+                f"{scenario.filter1.alpha ** 2:g} and alpha2^2 = "
+                f"{scenario.filter2.alpha ** 2:g} with |B0| = "
+                f"{abs(scenario.amplitudes.b0):g} are too large")
 
     def window(self, delta):
         """Per sample: window index n, clipped mask, weight c_n and offset n w_m - delta."""

@@ -301,7 +301,9 @@ def test_run_validate_all_pass():
 
 
 def test_run_validate_skips_out_of_regime():
-    text = MINIMAL + "filter1_fwhm = 30 GHz\nfilter2_fwhm = 30 GHz\n"
+    # validate reads no [scan] section, so the scenario comes without one
+    text = ("schema = 1\n[scenario]\npreset = fig4b\n"
+            "filter1_fwhm = 30 GHz\nfilter2_fwhm = 30 GHz\n")
     _, scenario = parse_config(text, command="validate")
     import warnings
     with warnings.catch_warnings():
@@ -354,6 +356,9 @@ def test_main_scan_and_exit_codes(tmp_path, capsys):
     assert "line" in err
 
 
+OVERFLOWING_SCALES = "filter1_alpha_sq = 1e300\nfilter2_alpha_sq = 1e300\n"
+
+
 def _fit_data(bad_line):
     """A 12-row fit-data CSV whose third data row is ``bad_line``."""
     rows = [f"{d:.1f},{100 + d:.0f}" for d in np.arange(-6.0, 6.0)]
@@ -373,6 +378,12 @@ def _fit_data(bad_line):
                  ("filter FWHM", "1e+160", "too large"), id="filter2_fwhm = 1e160 GHz"),
     pytest.param("scan", MINIMAL.replace("delta_step = 0.5 GHz", "delta_step = nan GHz"),
                  [], None, ("delta_step", "line"), id="delta_step = nan GHz"),
+    pytest.param("scan", MINIMAL + OVERFLOWING_SCALES, [], None,
+                 ("transmission scales", "1e+300"), id="scan alpha_sq = 1e300"),
+    pytest.param("validate", "schema = 1\n[scenario]\npreset = fig4b\n" + OVERFLOWING_SCALES,
+                 [], None, ("transmission scales", "1e+300"), id="validate alpha_sq = 1e300"),
+    pytest.param("scan", MINIMAL + "filter1_alpha_sq = -1\n", [], None,
+                 ("filter1_alpha_sq", "nonnegative", "line 10"), id="filter1_alpha_sq = -1"),
     pytest.param("fit", MINIMAL, ["--dwell", "nan"], None, ("--dwell",), id="--dwell nan"),
     pytest.param("fit", MINIMAL, ["--dwell", "inf"], None, ("--dwell",), id="--dwell inf"),
     pytest.param("fit", MINIMAL, ["--seed", "-1"], None, ("--seed",), id="--seed -1"),
@@ -536,6 +547,31 @@ def test_main_figure_rejects_scenario_section(tmp_path, capsys, fwhm):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "line 5" in err and "[scenario]" in err
+    assert not out.exists()
+
+
+# (command, config text, the section and line the message names)
+@pytest.mark.parametrize("command, text, section, line", [
+    pytest.param("scan", MINIMAL + "[figure]\ncase = fig3a\n", "figure", 11,
+                 id="scan [figure]"),
+    pytest.param("scan", MINIMAL + "[fit]\ndata = nowhere.csv\n", "fit", 11, id="scan [fit]"),
+    pytest.param("validate", MINIMAL, "scan", 4, id="validate [scan]"),
+    pytest.param("validate",
+                 "schema = 1\n[fit]\ndata = nowhere.csv\n[figure]\ncase = fig3a\n",
+                 "fit", 3, id="validate [fit] [figure]"),
+    pytest.param("figure", "schema = 1\n[figure]\ncase = fig3b\n[fit]\ndata = nowhere.csv\n",
+                 "fit", 5, id="figure [fit]"),
+    pytest.param("fit", MINIMAL + "[figure]\ncase = fig3a\n", "figure", 11, id="fit [figure]"),
+])
+def test_main_rejects_sections_the_command_does_not_read(tmp_path, capsys, command, text,
+                                                         section, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "x.out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: line {line}: {command} does not read a [{section}] section; "
+        "remove it"]
     assert not out.exists()
 
 

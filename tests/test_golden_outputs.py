@@ -3,10 +3,11 @@
 Every trace-writing config under ``configs/`` runs through ``main()`` and
 the digests of its CSV and ``.meta`` file must match the values below; so
 must the stdout of the fit demo. The stdout of ``modlab validate``, by
-default and with the out-of-regime config, is pinned line for line. A refactor that claims no change in
-behaviour keeps these digests. Digests taken with Python 3.11.7 and numpy
-2.4.6 on x86-64; a different numpy may legitimately change the last digit
-of a printed float, so regenerate them only together with a stated reason.
+default and with the out-of-regime config, is pinned line for line. A
+refactor that claims no change in behaviour keeps these digests and lines.
+Taken with Python 3.11.7 and numpy 2.4.6 on x86-64; a different numpy may
+legitimately change the last digit of a printed float, so regenerate them
+only together with a stated reason.
 """
 
 import hashlib
