@@ -9,9 +9,9 @@ coefficient algebra (``modulation``), singles and coincidence models
 
 __version__ = "0.1.0"
 
-from .correlator import (CorrelationTrace, GaussianFilter, H2Profile, SidebandModel,
-                         coincidence_full, coincidence_trace, h2_profile,
-                         sideband_areas, singles_rate)
+from .correlator import (CorrelationTrace, GaussianFilter, H2Profile, LazyTrace,
+                         SidebandModel, coincidence_full, coincidence_trace, h2_profile,
+                         lazy_trace, sideband_areas, singles_rate)
 from .errors import (ConfigParseError, ConfigurationError, ConvergenceError,
                      DomainError, FitError, ModlabError, ResolutionError)
 from .modulation import (ModulatorSpectrum, NonlocalCoefficients, bessel_j_sequence,
@@ -31,8 +31,8 @@ __all__ = [
     "ModulatorSpectrum", "NonlocalCoefficients", "bessel_j_sequence",
     "bessel_j_series", "sinusoidal_coeffs", "coeffs_from_waveform",
     "read_phase_waveform", "compose_nonlocal",
-    "GaussianFilter", "H2Profile", "SidebandModel", "CorrelationTrace",
-    "singles_rate", "h2_profile", "coincidence_trace", "coincidence_full",
+    "GaussianFilter", "H2Profile", "SidebandModel", "CorrelationTrace", "LazyTrace",
+    "singles_rate", "h2_profile", "coincidence_trace", "lazy_trace", "coincidence_full",
     "sideband_areas",
     "ExperimentScenario", "FitResult", "RegimeReport", "figure_preset",
     "reference_scenario", "regime_report", "synthesize_counts", "fit_scale",

@@ -157,11 +157,20 @@ def accidental_floor(trace):
 
 
 def tier_rel_rms(scenario, axis=TIER_AXIS):
-    """Relative RMS of the full tier's total rate against the closed form's."""
+    """Relative RMS of the full tier's total rate against the closed form's.
+
+    Both totals are scaled by the power of two that brings the closed
+    form's maximum into [0.5, 1) before they are squared, so the squares
+    cannot overflow. Scaling by a power of two is exact, and so is its
+    effect on every square, sum, root and the final ratio; the result is
+    bit for bit the unscaled one wherever that one is finite.
+    """
     trace = coincidence_trace(scenario, axis)
     full = coincidence_full(scenario, axis)
-    return (np.sqrt(np.mean((full.total - trace.total) ** 2))
-            / np.sqrt(np.mean(trace.total ** 2)))
+    scale = math.ldexp(1.0, -math.frexp(float(np.max(trace.total)))[1])
+    closed = trace.total * scale
+    return (np.sqrt(np.mean((full.total * scale - closed) ** 2))
+            / np.sqrt(np.mean(closed ** 2)))
 
 
 def _check(name, condition, detail):

@@ -48,13 +48,22 @@ passband half-width overflows, a negative transmission scale, transmission
 scales so large that the coincidence rates overflow, and a non-finite
 fit-data value are configuration errors. A scan or figure whose axis runs
 past the composed modulator support still succeeds, with one ``warning:``
-line on stderr. Identical config and seed reproduce byte-identical output files;
-the random generator is numpy's PCG64.
+line on stderr, printed before the output file is opened. Identical config
+and seed reproduce byte-identical output files; the random generator is
+numpy's PCG64.
+
+``scan`` and ``figure`` build the closed-form model once and keep only the
+delta axis (``correlator.lazy_trace``). ``emit_trace`` then evaluates and
+formats the trace ``_EMIT_CHUNK_ROWS`` rows at a time, each chunk's
+columns computed from its slice of the axis right before it is formatted,
+into one ``textfmt.Canvas`` whose word canvas and work arrays every chunk
+reuses. No full-length output column exists, so the memory a scan needs
+grows with its axis alone, and no chunk allocates the formatter's arrays
+anew.
 """
 
 import argparse
-import hashlib
-import json
+import contextlib
 import math
 import sys
 import warnings
@@ -64,7 +73,7 @@ import numpy as np
 
 from . import __version__
 from .checks import run_validate
-from .correlator import GaussianFilter, coincidence_trace
+from .correlator import GaussianFilter, coincidence_trace, lazy_trace
 from .errors import (ConfigParseError, ConfigurationError, DomainError, FitError,
                      ModlabError, ResolutionError)
 from .modulation import coeffs_from_waveform, read_phase_waveform, sinusoidal_coeffs
@@ -384,6 +393,8 @@ def scenario_to_config(scenario: ExperimentScenario) -> str:
 
 
 def scenario_hash(scenario: ExperimentScenario) -> str:
+    import hashlib   # imported here, like json in emit_trace: only .meta files need it
+
     try:
         payload = scenario_to_config(scenario)
     except ConfigurationError:
@@ -395,7 +406,7 @@ _EMIT_CHUNK_ROWS = 1 << 14
 _COLUMN_FORMATS = ("%.15g",) * 4 + ("%d",)
 
 
-def _format_chunk(sep, columns):
+def _format_chunk(sep, columns, canvas=None):
     """Format one chunk of the five trace columns as rows, each ending in LF.
 
     Returns the rows as ASCII bytes. A column whose values in the chunk are
@@ -406,19 +417,25 @@ def _format_chunk(sep, columns):
     a per-value ``%.15g`` or ``%d``: values whose 15-digit rounding the
     vectorised arithmetic cannot certify, such as zeros, subnormals,
     non-finite values and near ties, go through ``%`` one distinct value
-    at a time.
+    at a time. Both write into ``canvas``, a ``textfmt.Canvas`` whose
+    buffers ``emit_trace`` reuses from chunk to chunk; without one, a canvas
+    the size of the chunk is made for this call.
     """
     from . import textfmt   # imported here, so that commands writing no CSV skip it
-    fields = []
-    for spec, col in zip(_COLUMN_FORMATS, columns):
+    n_rows = len(columns[0])
+    if canvas is None:
+        canvas = textfmt.Canvas(n_rows, len(_COLUMN_FORMATS))
+    canvas.start(n_rows)
+    for i, (spec, col) in enumerate(zip(_COLUMN_FORMATS, columns)):
         bits = col.view(np.uint64)
         if (bits == bits[0]).all():
-            fields.append((spec % col[0].item()).encode("ascii"))
+            canvas.text((spec % col[0].item()).encode("ascii"))
         elif spec == "%d":
-            fields.append(textfmt.format_d(col))
+            textfmt.format_d(col, canvas)
         else:
-            fields.append(textfmt.format_g15(col))
-    return textfmt.join_rows(fields, sep, len(columns[0]))
+            textfmt.format_g15(col, canvas)
+        canvas.text(b"\n" if i == len(columns) - 1 else sep.encode("ascii"))
+    return canvas.rows()
 
 
 def emit_trace(trace, path, scenario=None, seed=None, dwell=None,
@@ -429,24 +446,35 @@ def emit_trace(trace, path, scenario=None, seed=None, dwell=None,
     significant digits, LF line endings, UTF-8. ``--gnuplot-style``
     switches to whitespace-separated columns with a '#' header.
 
-    The output file is opened first, so an unwritable path fails before
-    any formatting. Rows are then formatted and written in chunks of
-    ``_EMIT_CHUNK_ROWS`` by ``_format_chunk``, whose vectorised formatter
-    writes the same bytes as ``'%.15g' % v`` and ``'%d' % v`` per value.
+    ``trace`` is a ``CorrelationTrace`` or a ``LazyTrace``; one row is
+    written per sample of ``trace.delta_axis``. The output file is opened
+    first, so an unwritable path fails before any formatting. The rows are
+    then taken ``_EMIT_CHUNK_ROWS`` at a time with ``trace.chunk``, which
+    for a ``LazyTrace`` evaluates the closed form on that slice of the axis
+    only, so its output columns never exist at full length. Each chunk is
+    formatted by ``_format_chunk`` into one ``textfmt.Canvas`` made for
+    this call, whose word canvas and work arrays every chunk reuses; the
+    vectorised formatter writes the same bytes as ``'%.15g' % v`` and
+    ``'%d' % v`` per value.
     """
+    import json   # imported here, like hashlib in scenario_hash: only .meta files need it
+
+    from . import textfmt
     sep = " " if gnuplot_style else ","
     header = sep.join(("delta_ghz", "paired", "accidental", "total", "n_index"))
     if gnuplot_style:
         header = "# " + header
-    # canonical 8-byte dtypes, so that _format_chunk can compare bits
-    columns = [np.asarray(c, dtype=np.float64) for c in
-               (trace.delta_axis, trace.paired, trace.accidental, trace.total)]
-    columns.append(np.asarray(trace.n_index, dtype=np.int64))
     n_rows = len(trace.delta_axis)
+    canvas = textfmt.Canvas(min(n_rows, _EMIT_CHUNK_ROWS), len(_COLUMN_FORMATS))
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
         for start in range(0, n_rows, _EMIT_CHUNK_ROWS):
-            fh.write(_format_chunk(sep, [c[start:start + _EMIT_CHUNK_ROWS] for c in columns]))
+            part = trace.chunk(start, start + _EMIT_CHUNK_ROWS)
+            # canonical 8-byte dtypes, so that _format_chunk can compare bits
+            columns = [np.asarray(c, dtype=np.float64) for c in
+                       (part.delta_axis, part.paired, part.accidental, part.total)]
+            columns.append(np.asarray(part.n_index, dtype=np.int64))
+            fh.write(_format_chunk(sep, columns, canvas))
     meta = {
         "tool": "modlab",
         "tool_version": __version__,
@@ -497,23 +525,41 @@ def _require(value, message):
     return value
 
 
-def _trace(scenario, axis):
-    """``coincidence_trace``, with each warning it issues printed to stderr
-    as one ``warning: <message>`` line instead of the default two."""
-    with warnings.catch_warnings(record=True) as caught:
+@contextlib.contextmanager
+def _warnings_as_lines():
+    """Print each distinct ``RuntimeWarning`` raised inside the block to
+    stderr as one ``warning: <message>`` line, as it happens, instead of
+    the default two lines with a source line."""
+    printed = set()
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        if str(message) not in printed:
+            printed.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
         warnings.simplefilter("always", RuntimeWarning)
-        trace = coincidence_trace(scenario, axis)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
-    return trace
+        warnings.showwarning = show
+        yield
+
+
+def _write_trace(run, scenario, axis, out):
+    """Build the closed form of ``scenario`` on ``axis`` and write it to ``out``.
+
+    The model is built and the clipping warning printed before the file is
+    opened; ``emit_trace`` then evaluates the rows chunk by chunk.
+    """
+    with _warnings_as_lines():
+        trace = lazy_trace(scenario, axis)
+        emit_trace(trace, out, scenario=scenario, gnuplot_style=run.gnuplot_style)
+    return len(trace.delta_axis)
 
 
 def _cmd_scan(run, scenario):
     scenario = _require(scenario, "scan needs a [scenario] section")
     out = _require(run.out_path, "scan needs an output path (--out or [run] out)")
-    trace = _trace(scenario, run.delta_axis())
-    emit_trace(trace, out, scenario=scenario, gnuplot_style=run.gnuplot_style)
-    print(f"wrote {len(trace.delta_axis)} rows to {out}")
+    n_rows = _write_trace(run, scenario, run.delta_axis(), out)
+    print(f"wrote {n_rows} rows to {out}")
     return 0
 
 
@@ -525,9 +571,8 @@ def _cmd_figure(run, scenario):
         axis = run.delta_axis()
     else:
         axis = -150.0 + 0.5 * np.arange(601)
-    trace = _trace(scenario, axis)
-    emit_trace(trace, out, scenario=scenario, gnuplot_style=run.gnuplot_style)
-    print(f"wrote {case} trace ({len(axis)} rows) to {out}")
+    n_rows = _write_trace(run, scenario, axis, out)
+    print(f"wrote {case} trace ({n_rows} rows) to {out}")
     return 0
 
 

@@ -1,7 +1,8 @@
 """Singles rates and frequency-domain coincidence traces.
 
 Two model tiers are provided. ``coincidence_trace`` samples the
-closed-form ``SidebandModel``: within the window around the n-th sideband
+closed-form ``SidebandModel`` (``lazy_trace`` holds the same trace as the
+model and its axis, for evaluation a slice at a time): within the window around the n-th sideband
 the paired rate is ``c_n * H2(n w_m - delta)``, where ``H2`` is the
 convolution of the two monochromators' intensity responses and ``c_n``
 weighs the composed modulator coefficient ``s_n``. ``coincidence_full``
@@ -166,6 +167,13 @@ class CorrelationTrace:
         if self.clipped is None:
             object.__setattr__(self, "clipped", np.zeros(len(self.delta_axis), dtype=bool))
 
+    def chunk(self, start, stop):
+        """Rows ``start:stop`` as a trace of their own (views, not copies)."""
+        return CorrelationTrace(
+            delta_axis=self.delta_axis[start:stop], paired=self.paired[start:stop],
+            accidental=self.accidental[start:stop], total=self.total[start:stop],
+            n_index=self.n_index[start:stop], clipped=self.clipped[start:stop])
+
     def validate(self):
         if np.any(self.paired < 0):
             raise ConfigurationError("paired rate must be nonnegative")
@@ -197,7 +205,8 @@ def singles_rate(amps, mod, filt: GaussianFilter, convention: str = "intensity")
     breadth-first with one vectorised ``intensity_response`` call per
     level: the written traces print the accidental floor to 15 digits, and
     the rule's floats are those of the former scalar recursion, so every
-    CSV stays byte-identical.
+    CSV stays byte-identical. A transmission scale so large that the rule
+    overflows raises ``DomainError``.
     """
     _check_convention(convention)
     center = filt.center
@@ -208,9 +217,16 @@ def singles_rate(amps, mod, filt: GaussianFilter, convention: str = "intensity")
         b0_sq = abs(amps.b0) ** 2
         peak = filt.alpha ** 2
         atol = 1e-12 * max(peak, 1e-300) * 2.0 * width
-        integral = adaptive_simpson(
-            lambda w: filt.intensity_response(w - center, convention),
-            center - width, center + width, atol)
+        try:
+            # an overflow anywhere in the rule raises here instead of warning
+            with np.errstate(over="raise", invalid="raise"):
+                integral = adaptive_simpson(
+                    lambda w: filt.intensity_response(w - center, convention),
+                    center - width, center + width, atol)
+        except FloatingPointError as exc:
+            raise DomainError(
+                f"singles rate overflows: transmission scale alpha^2 = {peak:g} "
+                "is too large") from exc
         return b0_sq / (4.0 * np.pi) * integral * float(powers.sum())
 
     nodes = amps.grid.omegas
@@ -276,6 +292,32 @@ class SidebandModel:
         c = np.where(clipped, 0.0, self.c_table[np.clip(n + self.n_max, 0, 2 * self.n_max)])
         return n, clipped, c, n * self.omega_m - delta
 
+    def clips(self, delta):
+        """Whether any sample of ``delta`` lies beyond the composed support.
+
+        n = floor(delta/w_m + 1/2) is monotone in delta, so the smallest and
+        the largest sample decide. They are compared as floats, which no
+        cast to int can wrap.
+        """
+        delta = np.asarray(delta, dtype=float)
+        if not len(delta):
+            return False
+        n = np.floor(np.array([delta.min(), delta.max()]) / self.omega_m + 0.5)
+        return bool((np.abs(n) > self.n_max).any())
+
+    def evaluate(self, delta) -> CorrelationTrace:
+        """The closed-form trace at the samples ``delta``.
+
+        Every column is computed sample by sample, so evaluating a slice of
+        an axis gives the same slice of the whole axis's trace, bit for bit.
+        """
+        delta = np.asarray(delta, dtype=float)
+        n_idx, clipped, c, u = self.window(delta)
+        paired = c * self.h2(u)
+        accidental = np.full_like(delta, self.accidental)
+        return CorrelationTrace(delta_axis=delta, paired=paired, accidental=accidental,
+                                total=paired + accidental, n_index=n_idx, clipped=clipped)
+
     def paired(self, delta):
         """Paired rate c_n H2(n w_m - delta)."""
         _, _, c, u = self.window(delta)
@@ -287,14 +329,12 @@ class SidebandModel:
         return c * self.h2(u) * u / self.h2.sigma ** 2
 
 
-def _checked_window(model, delta):
-    """Window index and clipped mask of a trace tier, warning once about clipping."""
-    n_idx, clipped, _, _ = model.window(delta)
-    if np.any(clipped):
+def _warn_if_clipped(model, delta):
+    """Warn once when samples of ``delta`` lie beyond the composed support."""
+    if model.clips(delta):
         warnings.warn(
             "delta samples beyond the modulator truncation support; paired term set to zero",
             RuntimeWarning, stacklevel=3)
-    return n_idx, clipped
 
 
 def coincidence_trace(scenario, delta_axis) -> CorrelationTrace:
@@ -306,12 +346,34 @@ def coincidence_trace(scenario, delta_axis) -> CorrelationTrace:
     """
     delta = np.asarray(delta_axis, dtype=float)
     model = SidebandModel(scenario)
-    n_idx, clipped = _checked_window(model, delta)
-    paired = model.paired(delta)
-    accidental_arr = np.full_like(delta, model.accidental)
-    return CorrelationTrace(delta_axis=delta, paired=paired,
-                            accidental=accidental_arr, total=paired + accidental_arr,
-                            n_index=n_idx, clipped=clipped)
+    _warn_if_clipped(model, delta)
+    return model.evaluate(delta)
+
+
+@dataclass(frozen=True)
+class LazyTrace:
+    """The closed-form trace of ``model`` on ``delta_axis``, evaluated on demand.
+
+    Only the axis is held. ``chunk(start, stop)`` evaluates rows
+    ``start:stop`` with ``SidebandModel.evaluate``, the evaluator behind
+    ``coincidence_trace``, so each chunk equals the same rows of the full
+    trace bit for bit and no full-length output column is ever built.
+    """
+
+    model: SidebandModel
+    delta_axis: np.ndarray
+
+    def chunk(self, start, stop) -> CorrelationTrace:
+        return self.model.evaluate(self.delta_axis[start:stop])
+
+
+def lazy_trace(scenario, delta_axis) -> LazyTrace:
+    """``coincidence_trace`` without its columns: the model is built and the
+    clipping warning issued now, the rows are evaluated chunk by chunk."""
+    delta = np.asarray(delta_axis, dtype=float)
+    model = SidebandModel(scenario)
+    _warn_if_clipped(model, delta)
+    return LazyTrace(model, delta)
 
 
 def _omega_offsets(scenario):
@@ -362,7 +424,8 @@ def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
     c1 = scenario.filter1.center
 
     model = SidebandModel(scenario)
-    n_idx, clipped = _checked_window(model, delta)
+    _warn_if_clipped(model, delta)
+    n_idx, clipped, _, _ = model.window(delta)
 
     u = _omega_offsets(scenario)
     du = u[1] - u[0]

@@ -1,11 +1,19 @@
 """Vectorised ``%.15g`` and ``%d`` formatting of numpy columns.
 
-Each formatter returns a list of 8-byte word arrays. Row ``i`` of the
-words, read word after word, holds the ASCII bytes of ``'%.15g' % x[i]``
+The formatters write into a ``Canvas``: a word-major array of 8-byte
+words, one canvas row per word slot and one column per output line. Line
+``i``, read word after word, holds the ASCII bytes of ``'%.15g' % x[i]``
 (or ``'%d' % x[i]``) in fixed slots, with NUL bytes in the slots the value
-does not use. ``join_rows`` lays the fields of a row side by side and
-deletes every NUL with one ``bytes.translate``, which leaves exactly the
-bytes of the per-value ``%``.
+does not use; text shared by every line (separators, constant columns)
+takes whole words of its own. ``Canvas.rows`` lays the words of a line
+side by side and deletes every NUL with one ``bytes.translate``, which
+leaves exactly the bytes of the per-value ``%``.
+
+A canvas is sized for a number of lines and reused: ``Canvas.start``
+begins the next chunk, and every work array the formatters need comes from
+``Canvas.work``, allocated once per name. Formatting a chunk therefore
+allocates little beyond the bytes it returns, so a long run of chunks
+neither grows the heap nor maps fresh pages for each one.
 
 ``%.15g`` rounds |x| to 15 significant digits. For |x| in
 ``[1e-280, 1e280]`` the rounding is done in double-double arithmetic:
@@ -50,8 +58,9 @@ def _words(data):
 
 def _quad_tables():
     """``"0000".."9999"`` as uint32, for ``np.take`` to write four ASCII
-    digits per element in memory order whatever the byte order; and the
-    index, within its four digits, of the last nonzero digit of 1..9999."""
+    digits per element in memory order whatever the byte order; the same
+    digits in the low four bytes of a word; and the index, within its four
+    digits, of the last nonzero digit of 1..9999."""
     pairs = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode("ascii"),
                           dtype=np.uint16)
     quads = np.empty((100, 100, 2), dtype=np.uint16)
@@ -59,7 +68,10 @@ def _quad_tables():
     quads[:, :, 1] = pairs
     last = np.full(10_000, 3)
     last[::10], last[::100], last[::1000] = 2, 1, 0
-    return quads.view(np.uint32).ravel(), last
+    quads = quads.view(np.uint32).ravel()
+    words = np.zeros((10_000, 2), dtype=np.uint32)
+    words[:, 0] = quads
+    return quads, words.view(_WORD).ravel(), last
 
 
 def _digit_masks():
@@ -79,8 +91,9 @@ def _digit_masks():
     return np.ascontiguousarray(table.view(_WORD))
 
 
-_QUADS, _QUAD_LAST = _quad_tables()
-_MASKS = _digit_masks()
+_QUADS, _QUAD_WORDS, _QUAD_LAST = _quad_tables()
+# one contiguous table per mask column, for np.take into 1-D work arrays
+_MASKS = np.ascontiguousarray(_digit_masks().T)
 _MINUS = _words(b"-")[0]
 
 
@@ -108,142 +121,224 @@ def _exponent_entry(e):
     return hi, lo, n_int, int.from_bytes(lead, "little"), int.from_bytes(exponent, "little")
 
 
-def _exponent_tables(e):
-    """The ``_exponent_entry`` fields for an int array ``e``: ``hi`` and
-    ``lo`` as float64, the number of integer-part digits as int64, the
-    words as uint64."""
+class Canvas:
+    """Up to ``capacity`` lines of ``fields`` fields each, reused chunk after
+    chunk.
+
+    ``start(n)`` begins a chunk of ``n`` lines. ``text`` appends bytes
+    shared by every line; ``word`` hands out the next canvas row, which the
+    caller fills with one word per line and may keep writing until
+    ``rows`` returns the finished lines. Adjacent shared texts merge before
+    they are cut into words. ``work(name, dtype)`` is a work array of ``n``
+    entries, the same memory for the same name in every chunk.
+
+    A ``%.15g`` field takes at most four words (lead, two digit words and
+    exponent; a ``%`` text is at most 22 bytes, three words) and a ``%d``
+    field at most three; shared text of ``k`` fields and their separators
+    at most ``3 * k + 1``. Five words per field therefore always suffice.
+    """
+
+    def __init__(self, capacity, fields):
+        self.capacity = capacity
+        self._n = 0
+        self._canvas = np.empty((5 * fields, capacity), dtype=_WORD)
+        self._used = 0
+        self._text = b""
+        self._work = {}
+
+    def start(self, n_rows):
+        if n_rows > self.capacity:
+            raise ValueError(f"{n_rows} rows do not fit a canvas of {self.capacity}")
+        self._n, self._used, self._text = n_rows, 0, b""
+
+    def work(self, name, dtype=np.float64):
+        if name not in self._work:
+            self._work[name] = np.empty(self.capacity, dtype=dtype)
+        return self._work[name][:self._n]
+
+    def text(self, data):
+        self._text += data
+
+    def word(self):
+        self._flush()
+        return self._next()
+
+    def _flush(self):
+        for value in _words(self._text):
+            self._next()[...] = value
+        self._text = b""
+
+    def _next(self):
+        if self._used == len(self._canvas):
+            raise ValueError(f"a line needs more than {self._used} words")
+        self._used += 1
+        return self._canvas[self._used - 1, :self._n]
+
+    def rows(self):
+        """The lines as bytes, NULs deleted."""
+        self._flush()
+        # word-major, so that each word is one contiguous write; tobytes of
+        # the transpose lays the lines out
+        return self._canvas[:self._used, :self._n].T.tobytes().translate(None, b"\0")
+
+
+def _exponent_tables(e, index):
+    """Tables of the ``_exponent_entry`` fields over ``e.min()..e.max()``:
+    ``hi`` and ``lo`` as float64, the number of integer-part digits as
+    int64, the lead and exponent words; zero rows for exponents not in
+    ``e``. Writes each value's row, ``e - e.min()``, into ``index``."""
     e_min = int(e.min())
+    np.subtract(e, e_min, out=index)
     present = np.zeros(int(e.max()) - e_min + 1, dtype=bool)
-    present[e - e_min] = True
-    floats = np.zeros((len(present), 2))
-    ints = np.zeros((len(present), 3), dtype=np.uint64)
-    for i in np.flatnonzero(present).tolist():
-        hi, lo, *words = _exponent_entry(i + e_min)
-        floats[i] = hi, lo
-        ints[i] = words
-    index = e - e_min
-    hi, lo = np.take(floats, index, axis=0).T
-    n_int, lead, exponent = np.take(ints, index, axis=0).T
-    return hi, lo, n_int.view(np.int64), lead, exponent
+    present[index] = True
+    entries = [_exponent_entry(i + e_min) if seen else (0.0, 0.0, 0, 0, 0)
+               for i, seen in enumerate(present.tolist())]
+    hi, lo, n_int, lead, exponent = zip(*entries)
+    return (np.array(hi), np.array(lo), np.array(n_int, dtype=np.int64),
+            np.array(lead, dtype=_WORD), np.array(exponent, dtype=_WORD))
 
 
-def _split(a):
-    c = _SPLIT * a
-    high = c - (c - a)
-    return high, a - high
+def _split(a, high, low):
+    """Veltkamp's split of ``a`` into ``high + low``, written into both."""
+    np.multiply(a, _SPLIT, out=high)
+    np.subtract(high, a, out=low)
+    high -= low
+    np.subtract(a, high, out=low)
+    return high, low
 
 
-def _quads(values, n_quads):
-    """Non-negative ints split into ``n_quads`` groups of four decimal
-    digits, most significant first."""
-    quads = []
-    for _ in range(n_quads - 1):
-        high = values // 10_000
-        quads.append(values - high * 10_000)
-        values = high
-    quads.append(values)
-    return quads[::-1]
+def _quads(quads):
+    """Split the non-negative ints in ``quads[0]`` into ``len(quads)``
+    groups of four decimal digits, most significant first, in place."""
+    for quad in quads[:0:-1]:
+        np.divmod(quads[0], 10_000, out=(quads[0], quad))
+    return quads
 
 
-def _fallback(x, rows, words):
+def _take(table, index, out):
+    # mode="clip" (every index is in range), so np.take writes into out
+    # directly instead of through a temporary
+    return np.take(table, index, out=out, mode="clip")
+
+
+def _fallback(x, rows, words, canvas):
     """Write ``'%.15g' % v`` for ``x[rows]`` over ``words``, once per
     distinct value, adding NUL words at the end when a text needs them."""
     bits, inverse = np.unique(x[rows].view(np.uint64), return_inverse=True)
     texts = [("%.15g" % v).encode("ascii") for v in bits.view(np.float64).tolist()]
     while 8 * len(words) < max(map(len, texts)):
-        words.append(np.zeros(len(x), dtype=_WORD))
+        words.append(canvas.word())
+        words[-1][...] = 0
     width = 8 * len(words)
     table = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), dtype=_WORD)
     for word, column in zip(words, table.reshape(len(texts), -1)[inverse.ravel()].T):
         word[rows] = column
 
 
-def format_g15(x):
-    """``'%.15g' % v`` for every ``v`` in a float64 array, as a list of word
-    arrays whose NUL-padded bytes, word after word, spell it."""
+def format_g15(x, canvas):
+    """Write ``'%.15g' % v`` for every ``v`` in a float64 array as the next
+    words of ``canvas``, whose current chunk has ``len(x)`` lines."""
     x = np.asarray(x, dtype=np.float64)
-    a = np.abs(x)
-    fast = (a >= _SAFE_MIN) & (a <= _SAFE_MAX)
-    a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    hi, lo, n_int, lead, exponent = _exponent_tables(e)
+    work = canvas.work
+    flag = work("flag", bool)
+    a = np.abs(x, out=work("a"))
+    fast = np.greater_equal(a, _SAFE_MIN, out=work("fast", bool))
+    fast &= np.less_equal(a, _SAFE_MAX, out=flag)
+    np.copyto(a, 1.0, where=np.logical_not(fast, out=flag))
+    tmp = work("tmp")
+    e = work("e", np.int64)
+    np.copyto(e, np.floor(np.log10(a, out=tmp), out=tmp), casting="unsafe")
+    index = work("index", np.int64)
+    hi_t, lo_t, n_int_t, lead_t, exponent_t = _exponent_tables(e, index)
+    hi = _take(hi_t, index, work("hi"))
     # y = a * 10**(14 - e) = n0 + r, with n0 = rint(p) and p + err = a * hi exactly
-    p = a * hi
-    ah, al = _split(a)
-    bh, bl = _split(hi)
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    n0 = np.rint(p)
-    r = (p - n0) + err + a * lo
-    n = n0 + (r > 0.5) - (r < -0.5)
-    ok = (fast & (np.abs(np.abs(r) - 0.5) > _TIE_MARGIN)
-          & (n >= 1e14) & (n < 1e15) & ((n0 - 1e14) + r >= 0))
+    p = np.multiply(a, hi, out=work("p"))
+    ah, al = _split(a, work("ah"), work("al"))
+    bh, bl = _split(hi, work("bh"), work("bl"))
+    err = np.multiply(ah, bh, out=work("err"))
+    err -= p
+    err += np.multiply(ah, bl, out=tmp)
+    err += np.multiply(al, bh, out=tmp)
+    err += np.multiply(al, bl, out=tmp)
+    n0 = np.rint(p, out=work("n0"))
+    r = np.subtract(p, n0, out=work("r"))
+    r += err
+    r += np.multiply(a, _take(lo_t, index, work("lo")), out=tmp)
+    n = np.add(n0, np.greater(r, 0.5, out=flag), out=work("n"))
+    n -= np.less(r, -0.5, out=flag)
+    np.abs(r, out=tmp)
+    tmp -= 0.5
+    ok = np.greater(np.abs(tmp, out=tmp), _TIE_MARGIN, out=work("ok", bool))
+    ok &= fast
+    ok &= np.greater_equal(n, 1e14, out=flag)
+    ok &= np.less(n, 1e15, out=flag)
+    np.subtract(n0, 1e14, out=tmp)
+    tmp += r
+    ok &= np.greater_equal(tmp, 0, out=flag)
 
+    words = []
+    sign = np.signbit(x, out=work("sign", bool))
+    sign &= ok
+    if sign.any() or lead_t.any():
+        words.append(_take(lead_t, index, canvas.word()))
+        np.bitwise_or(words[0], _MINUS, out=words[0], where=sign)
     # str(10 * N): 15 digits and a pad byte that the fraction can move into
-    quads = _quads(np.where(ok, n, 1e14).astype(np.int64) * 10, 4)
-    chars = np.empty((2, len(x), 2), dtype=np.uint32)
-    for i, quad in enumerate(quads):
-        chars[i // 2, :, i % 2] = np.take(_QUADS, quad)
-    first, second = chars.view(_WORD)[..., 0]
-    last = _QUAD_LAST[quads[0]]
+    np.copyto(n, 1e14, where=np.logical_not(ok, out=flag))
+    quads = [work(f"quad{i}", np.int64) for i in range(4)]
+    np.copyto(quads[0], n, casting="unsafe")
+    quads[0] *= 10
+    _quads(quads)
+    first, second, shifted = work("first", _WORD), work("second", _WORD), work("shifted", _WORD)
+    for word, (left, right) in ((first, quads[:2]), (second, quads[2:])):
+        _take(_QUAD_WORDS, left, word)
+        word |= np.left_shift(_take(_QUAD_WORDS, right, shifted), 32, out=shifted)
+    last = _take(_QUAD_LAST, quads[0], work("last", np.int64))
+    other = work("other", np.int64)
     for offset, quad in zip((4, 8, 12), quads[1:]):
-        last = np.where(quad != 0, _QUAD_LAST[quad] + offset, last)
-    masks = np.take(_MASKS, n_int * _DIGITS + last, axis=0)
-    low, high = first & masks[:, 2], second & masks[:, 3]
-    words = [(first & masks[:, 0]) | (low << 8) | masks[:, 4],
-             (second & masks[:, 1]) | (high << 8) | (low >> 56) | masks[:, 5]]
-    sign = np.signbit(x) & ok
-    if sign.any() or lead.any():
-        words.insert(0, np.where(sign, _MINUS, 0) | lead)
-    if exponent.any():
-        words.append(exponent)
-    slow = np.flatnonzero(~ok)
+        _take(_QUAD_LAST, quad, other)
+        other += offset
+        np.copyto(last, other, where=np.not_equal(quad, 0, out=flag))
+    row = np.multiply(_take(n_int_t, index, other), _DIGITS, out=other)
+    row += last
+    mask = work("mask", _WORD)
+    low = np.bitwise_and(first, _take(_MASKS[2], row, mask), out=work("low", _WORD))
+    high = np.bitwise_and(second, _take(_MASKS[3], row, mask), out=work("high", _WORD))
+    word = canvas.word()
+    np.bitwise_and(first, _take(_MASKS[0], row, mask), out=word)
+    word |= np.left_shift(low, 8, out=shifted)
+    word |= _take(_MASKS[4], row, mask)
+    words.append(word)
+    word = canvas.word()
+    np.bitwise_and(second, _take(_MASKS[1], row, mask), out=word)
+    word |= np.left_shift(high, 8, out=shifted)
+    word |= np.right_shift(low, 56, out=shifted)
+    word |= _take(_MASKS[5], row, mask)
+    words.append(word)
+    if exponent_t.any():
+        words.append(_take(exponent_t, index, canvas.word()))
+    slow = np.flatnonzero(np.logical_not(ok, out=flag))
     if len(slow):
-        _fallback(x, slow, words)
-    return words
+        _fallback(x, slow, words, canvas)
 
 
-def format_d(x):
-    """``'%d' % v`` for every ``v`` in an int64 array, as a list of word
-    arrays whose NUL-padded bytes, word after word, spell it: a sign slot,
-    then the digits."""
+def format_d(x, canvas):
+    """Write ``'%d' % v`` for every ``v`` in an int64 array as the next
+    words of ``canvas``: a sign slot, then the digits."""
     x = np.asarray(x, dtype=np.int64)
     neg = x < 0
     mag = x.view(np.uint64).copy()
     np.negative(mag, out=mag, where=neg)      # wraps, so iinfo.min is exact
     width = len(str(int(mag.max())))
     n_quads = (width + 3) // 4
-    digits = np.stack([np.take(_QUADS, q) for q in _quads(mag, n_quads)], axis=1)
-    digits = digits.view(np.uint8)[:, 4 * n_quads - width:]
     # leading zeros, never the units digit, become NUL
     n_digits = np.ones(len(x), dtype=np.int64)
     for k in range(1, width):
         n_digits += mag >= 10 ** k
+    quads = _quads([mag] + [np.empty_like(mag) for _ in range(n_quads - 1)])
+    digits = np.stack([np.take(_QUADS, q.view(np.int64)) for q in quads], axis=1)
+    digits = digits.view(np.uint8)[:, 4 * n_quads - width:]
     slots = np.zeros((len(x), 8 * (width // 8 + 1)), dtype=np.uint8)
     slots[:, 0] = np.where(neg, ord("-"), 0)
     slots[:, 1:width + 1] = np.where(np.arange(width) >= width - n_digits[:, None], digits, 0)
-    return list(slots.view(_WORD).T)
-
-
-def join_rows(fields, sep, n_rows):
-    """Rows of ``n_rows`` lines, each the fields joined by ``sep`` and ended by LF.
-
-    A field is a word list from ``format_g15``/``format_d`` or ``bytes``
-    shared by every row. Returns the rows as bytes.
-    """
-    words, shared = [], b""
-    for i, field in enumerate(fields):
-        if isinstance(field, bytes):
-            shared += field
-        else:
-            if shared:
-                words.extend(_words(shared))
-            words.extend(field)
-            shared = b""
-        shared += sep.encode("ascii") if i < len(fields) - 1 else b"\n"
-    words.extend(_words(shared))
-    # word-major, so that each word is one contiguous write; tobytes of the
-    # transpose lays the rows out
-    canvas = np.empty((len(words), n_rows), dtype=_WORD)
-    for j, word in enumerate(words):
-        canvas[j] = word
-    return canvas.T.tobytes().translate(None, b"\0")
+    for column in slots.view(_WORD).T:
+        canvas.word()[...] = column

@@ -1,6 +1,11 @@
-"""The invariant suite behind ``modlab validate``: its binding and shared traces."""
+"""The invariant suite behind ``modlab validate``: its binding, shared traces
+and measurements."""
+
+import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from modlab import checks, cli, coincidence_trace, figure_preset
 
@@ -31,3 +36,16 @@ def test_wide_axis_slice_equals_a_fresh_reference_trace():
     scn = figure_preset("fig3b")
     wide = coincidence_trace(scn, checks.WIDE_AXIS)
     assert wide.paired[window].tobytes() == coincidence_trace(scn, axis).paired.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_tier_rel_rms_does_not_overflow_with_huge_transmission():
+    # every rate is linear in alpha1^2, so the relative RMS does not move
+    base = figure_preset("fig4a")
+
+    def with_alpha1_sq(value):
+        return replace(base, filter1=replace(base.filter1, alpha=math.sqrt(value)))
+
+    unit = checks.tier_rel_rms(with_alpha1_sq(1.0))
+    assert 0 < unit < 0.01
+    assert checks.tier_rel_rms(with_alpha1_sq(1e154)) == pytest.approx(unit, rel=1e-12)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modlab import ConfigParseError, figure_preset, regime_report
+from modlab import ConfigParseError, SidebandModel, figure_preset, regime_report
 from modlab import cli, modulation
 from modlab.cli import (MAX_SCAN_ROWS, RunConfig, emit_trace, main, parse_config,
                         run_validate, scenario_to_config)
@@ -357,6 +357,8 @@ def test_main_scan_and_exit_codes(tmp_path, capsys):
 
 
 OVERFLOWING_SCALES = "filter1_alpha_sq = 1e300\nfilter2_alpha_sq = 1e300\n"
+FIG4A_SCAN = MINIMAL.replace("preset = fig4b", "preset = fig4a")
+FIG4A_VALIDATE = "schema = 1\n[scenario]\npreset = fig4a\n"
 
 
 def _fit_data(bad_line):
@@ -384,6 +386,12 @@ def _fit_data(bad_line):
                  [], None, ("transmission scales", "1e+300"), id="validate alpha_sq = 1e300"),
     pytest.param("scan", MINIMAL + "filter1_alpha_sq = -1\n", [], None,
                  ("filter1_alpha_sq", "nonnegative", "line 10"), id="filter1_alpha_sq = -1"),
+    # the flat-band singles integral itself overflows
+    *[pytest.param(command, text + f"filter1_alpha_sq = {value}\n", [], None,
+                   ("singles rate overflows", f"alpha^2 = {float(value):g}"),
+                   id=f"{command} filter1_alpha_sq = {value}")
+      for command, text in (("scan", FIG4A_SCAN), ("validate", FIG4A_VALIDATE))
+      for value in ("1e307", "1e308")],
     pytest.param("fit", MINIMAL, ["--dwell", "nan"], None, ("--dwell",), id="--dwell nan"),
     pytest.param("fit", MINIMAL, ["--dwell", "inf"], None, ("--dwell",), id="--dwell inf"),
     pytest.param("fit", MINIMAL, ["--seed", "-1"], None, ("--seed",), id="--seed -1"),
@@ -479,7 +487,9 @@ def test_main_checks_out_path_before_building_trace(tmp_path, capsys, monkeypatc
     def no_trace(*args, **kwargs):
         raise AssertionError("trace built before the output path was checked")
 
-    monkeypatch.setattr(cli, "coincidence_trace", no_trace)
+    # what scan and figure call to build and to evaluate the trace
+    monkeypatch.setattr(cli, "lazy_trace", no_trace)
+    monkeypatch.setattr(SidebandModel, "evaluate", no_trace)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     assert main([command, "--config", str(cfg)]) == 2
@@ -488,20 +498,88 @@ def test_main_checks_out_path_before_building_trace(tmp_path, capsys, monkeypatc
         f"config error: {command} needs an output path (--out or [run] out)"]
 
 
+# fig3b's sidebands end at |delta| = 435 GHz; this axis runs past both ends
+CLIPPED_BOTH_ENDS = """\
+schema = 1
+
+[scan]
+delta_min = -491.55 GHz
+delta_max = 491.55 GHz
+delta_step = 0.03 GHz
+
+[scenario]
+preset = fig3b
+"""
+CLIPPING_WARNING = ("warning: delta samples beyond the modulator truncation support; "
+                    "paired term set to zero")
+
+
+@pytest.mark.parametrize("gnuplot_style", [False, True])
+def test_main_scan_streams_the_bytes_of_the_full_trace(tmp_path, gnuplot_style):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(CLIPPED_BOTH_ENDS)
+    run, scenario = parse_config(CLIPPED_BOTH_ENDS, command="scan")
+    with pytest.warns(RuntimeWarning):
+        trace = coincidence_trace(scenario, run.delta_axis())
+    assert len(trace.delta_axis) == 2 * cli._EMIT_CHUNK_ROWS + 3
+    assert trace.clipped[0] and trace.clipped[-1] and not trace.clipped.all()
+    ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+    emit_trace(trace, ref, scenario=scenario, gnuplot_style=gnuplot_style)
+    style = ["--gnuplot-style"] if gnuplot_style else []
+    assert main(["scan", "--config", str(cfg), "--out", str(out), *style]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+    assert Path(f"{out}.meta").read_bytes() == Path(f"{ref}.meta").read_bytes()
+
+
+def test_main_scan_evaluates_and_formats_chunk_by_chunk(tmp_path, monkeypatch):
+    evaluated, formatted = [], []
+    evaluate, format_chunk = SidebandModel.evaluate, cli._format_chunk
+
+    def evaluate_spy(self, delta):
+        evaluated.append(len(delta))
+        return evaluate(self, delta)
+
+    def format_spy(sep, columns, *args):
+        formatted.append({len(c) for c in columns})
+        return format_chunk(sep, columns, *args)
+
+    monkeypatch.setattr(SidebandModel, "evaluate", evaluate_spy)
+    monkeypatch.setattr(cli, "_format_chunk", format_spy)
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(CLIPPED_BOTH_ENDS)
+    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
+    chunk = cli._EMIT_CHUNK_ROWS
+    assert evaluated == [chunk, chunk, 3]
+    assert formatted == [{chunk}, {chunk}, {3}]
+
+
+def test_main_scan_warns_once_before_writing(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out.csv"
+    at_emit = []
+    emit = cli.emit_trace
+
+    def emit_spy(trace, path, **kwargs):
+        at_emit.append((capsys.readouterr().err, out.exists()))
+        return emit(trace, path, **kwargs)
+
+    monkeypatch.setattr(cli, "emit_trace", emit_spy)
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(CLIPPED_BOTH_ENDS)
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+    assert at_emit == [(CLIPPING_WARNING + "\n", False)]
+    assert capsys.readouterr().err == ""
+
+
 def test_main_prints_clipping_warning_as_one_line(tmp_path, capsys):
     # fig3a has no sidebands, so the default axis runs past the support
     out = tmp_path / "fig3a.csv"
     cfg = tmp_path / "fig.cfg"
     cfg.write_text("schema = 1\n[figure]\ncase = fig3a\n")
     assert main(["figure", "--config", str(cfg), "--out", str(out)]) == 0
-    assert capsys.readouterr().err.splitlines() == [
-        "warning: delta samples beyond the modulator truncation support; "
-        "paired term set to zero"]
+    assert capsys.readouterr().err.splitlines() == [CLIPPING_WARNING]
     cfg.write_text(MINIMAL.replace("preset = fig4b", "preset = fig3a"))
     assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
-    assert capsys.readouterr().err.splitlines() == [
-        "warning: delta samples beyond the modulator truncation support; "
-        "paired term set to zero"]
+    assert capsys.readouterr().err.splitlines() == [CLIPPING_WARNING]
 
 
 def test_main_scan_byte_identical(tmp_path):
