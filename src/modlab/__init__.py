@@ -14,9 +14,9 @@ from .correlator import (CorrelationTrace, GaussianFilter, H2Profile, LazyTrace,
                          lazy_trace, sideband_areas, singles_rate)
 from .errors import (ConfigParseError, ConfigurationError, ConvergenceError,
                      DomainError, FitError, ModlabError, ResolutionError)
-from .modulation import (ModulatorSpectrum, NonlocalCoefficients, bessel_j_sequence,
-                         bessel_j_series, coeffs_from_waveform, compose_nonlocal,
-                         read_phase_waveform, sinusoidal_coeffs)
+from .modulation import (ModulatorSpectrum, bessel_j_sequence, bessel_j_series,
+                         coeffs_from_waveform, compose_nonlocal, read_phase_waveform,
+                         sinusoidal_coeffs)
 from .scenario import (ExperimentScenario, FitResult, RegimeReport, figure_preset,
                        fit_scale, reference_scenario, regime_report, synthesize_counts)
 from .spdc_core import (CrystalProfile, FrequencyGrid, SpectralAmplitudes,
@@ -28,7 +28,7 @@ __all__ = [
     "FitError", "ModlabError", "ResolutionError",
     "FrequencyGrid", "CrystalProfile", "SpectralAmplitudes",
     "propagate_envelopes", "analytic_amplitudes", "amplitudes_from_rate",
-    "ModulatorSpectrum", "NonlocalCoefficients", "bessel_j_sequence",
+    "ModulatorSpectrum", "bessel_j_sequence",
     "bessel_j_series", "sinusoidal_coeffs", "coeffs_from_waveform",
     "read_phase_waveform", "compose_nonlocal",
     "GaussianFilter", "H2Profile", "SidebandModel", "CorrelationTrace", "LazyTrace",

@@ -59,7 +59,7 @@ def addition_theorem_error():
                 q = sinusoidal_coeffs(d1, 0.0, 30.0)
                 r = sinusoidal_coeffs(d2, rel_phase, 30.0)
                 s = compose_nonlocal(q, r)
-                for n in range(-s.n_max, s.n_max + 1):
+                for n in range(-s.k_max, s.k_max + 1):
                     expected = abs(bessel_j_series(n, total))
                     worst = max(worst, abs(abs(s.coefficient(n)) - expected))
     return worst

@@ -274,21 +274,7 @@ def _build_scenario(items, lines):
         return lines.get(("scenario", key))
 
     if "preset" in items:
-        base = figure_preset(items["preset"])
-        params = {
-            "pump_frequency": base.pump_frequency,
-            "modulation_frequency": base.omega_m,
-            "gate": base.gate_ns,
-            "dispersion": base.dispersion,
-            "fwhm_convention": base.fwhm_convention,
-            "b0": abs(base.amplitudes.b0),
-            "mod1_depth": base.mod1.depth, "mod1_phase": base.mod1.drive_phase,
-            "mod2_depth": base.mod2.depth, "mod2_phase": base.mod2.drive_phase,
-            "filter1_fwhm": base.filter1.fwhm, "filter1_alpha_sq": base.filter1.alpha ** 2,
-            "filter1_slit": base.filter1.slit,
-            "filter2_fwhm": base.filter2.fwhm, "filter2_alpha_sq": base.filter2.alpha ** 2,
-            "filter2_slit": base.filter2.slit,
-        }
+        params = _scenario_params(figure_preset(items["preset"]))
         params.update({k: v for k, v in items.items() if k != "preset"})
     else:
         required = ("pump_frequency", "modulation_frequency", "gate", "dispersion",
@@ -352,6 +338,27 @@ def _build_scenario(items, lines):
         raise ConfigParseError(f"invalid scenario: {exc}", None) from exc
 
 
+def _scenario_params(scenario: ExperimentScenario) -> dict:
+    """The ``[scenario]`` keys of a flat-band scenario with sinusoidal drives,
+    in config-file order, with the values that rebuild it."""
+    return {
+        "pump_frequency": scenario.pump_frequency,
+        "modulation_frequency": scenario.omega_m,
+        "gate": scenario.gate_ns,
+        "dispersion": scenario.dispersion,
+        "fwhm_convention": scenario.fwhm_convention,
+        "b0": abs(scenario.amplitudes.b0),
+        "mod1_depth": scenario.mod1.depth, "mod1_phase": scenario.mod1.drive_phase,
+        "mod2_depth": scenario.mod2.depth, "mod2_phase": scenario.mod2.drive_phase,
+        "filter1_fwhm": scenario.filter1.fwhm,
+        "filter1_alpha_sq": scenario.filter1.alpha ** 2,
+        "filter1_slit": scenario.filter1.slit,
+        "filter2_fwhm": scenario.filter2.fwhm,
+        "filter2_alpha_sq": scenario.filter2.alpha ** 2,
+        "filter2_slit": scenario.filter2.slit,
+    }
+
+
 def scenario_to_config(scenario: ExperimentScenario) -> str:
     """Serialize a scenario to the config schema (round-trips exactly).
 
@@ -368,27 +375,13 @@ def scenario_to_config(scenario: ExperimentScenario) -> str:
         if mod.depth is None or mod.drive_phase is None:
             raise ConfigurationError(
                 f"{name} was not built from a sinusoidal drive; cannot serialize")
-    out = [
-        "schema = 1",
-        "",
-        "[scenario]",
-        f"pump_frequency = {scenario.pump_frequency!r} GHz",
-        f"modulation_frequency = {scenario.omega_m!r} GHz",
-        f"gate = {scenario.gate_ns!r} ns",
-        f"dispersion = {scenario.dispersion!r} GHz/mm",
-        f"fwhm_convention = {scenario.fwhm_convention}",
-        f"b0 = {abs(amps.b0)!r}",
-        f"mod1_depth = {scenario.mod1.depth!r} rad",
-        f"mod1_phase = {scenario.mod1.drive_phase!r} rad",
-        f"mod2_depth = {scenario.mod2.depth!r} rad",
-        f"mod2_phase = {scenario.mod2.drive_phase!r} rad",
-        f"filter1_fwhm = {scenario.filter1.fwhm!r} GHz",
-        f"filter1_alpha_sq = {scenario.filter1.alpha ** 2!r}",
-        f"filter1_slit = {scenario.filter1.slit!r} mm",
-        f"filter2_fwhm = {scenario.filter2.fwhm!r} GHz",
-        f"filter2_alpha_sq = {scenario.filter2.alpha ** 2!r}",
-        f"filter2_slit = {scenario.filter2.slit!r} mm",
-    ]
+    out = ["schema = 1", "", "[scenario]"]
+    for key, value in _scenario_params(scenario).items():
+        kind, unit = _SECTIONS["scenario"][key]
+        if kind == "enum":
+            out.append(f"{key} = {value}")
+        else:
+            out.append(f"{key} = {value!r} {unit}" if unit else f"{key} = {value!r}")
     return "\n".join(out) + "\n"
 
 

@@ -41,6 +41,7 @@ _NEGLIGIBLE_WEIGHT = 1e-30
 # 3-point Gauss-Legendre rule on [-1, 1]: exact for polynomials up to degree 5
 _GL3_NODES = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
 _GL3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
+_INT64_LIMIT = 2.0 ** 63
 
 FWHM_CONVENTIONS = ("intensity", "field")
 
@@ -183,8 +184,18 @@ class CorrelationTrace:
 
 
 def sideband_index(delta, omega_m):
-    """Window index n = floor(delta/w_m + 1/2); exact half-points round up."""
-    return np.floor(np.asarray(delta, dtype=float) / omega_m + 0.5).astype(int)
+    """Window index n = floor(delta/w_m + 1/2); exact half-points round up.
+
+    Raises ``DomainError`` when n is not finite or |n| reaches 2^63, where
+    the cast to int64 would wrap.
+    """
+    delta = np.asarray(delta, dtype=float)
+    n = np.floor(delta / omega_m + 0.5)
+    if n.size and not (-_INT64_LIMIT < n.min() and n.max() < _INT64_LIMIT):
+        raise DomainError(
+            f"delta axis [{delta.min():g}, {delta.max():g}] GHz is beyond the range of "
+            f"sideband indices at modulation frequency {omega_m:g} GHz")
+    return n.astype(int)
 
 
 def singles_rate(amps, mod, filt: GaussianFilter, convention: str = "intensity") -> float:
@@ -265,7 +276,7 @@ class SidebandModel:
     def __init__(self, scenario):
         conv = scenario.fwhm_convention
         self.s = compose_nonlocal(scenario.mod1, scenario.mod2)
-        self.n_max = self.s.n_max
+        self.n_max = self.s.k_max
         self.omega_m = scenario.omega_m
         r1 = singles_rate(scenario.amplitudes, scenario.mod1, scenario.filter1, conv)
         r2 = singles_rate(scenario.amplitudes, scenario.mod2, scenario.filter2, conv)
@@ -296,13 +307,13 @@ class SidebandModel:
         """Whether any sample of ``delta`` lies beyond the composed support.
 
         n = floor(delta/w_m + 1/2) is monotone in delta, so the smallest and
-        the largest sample decide. They are compared as floats, which no
-        cast to int can wrap.
+        the largest sample decide. ``sideband_index`` raises ``DomainError``
+        for them when n does not fit in int64.
         """
         delta = np.asarray(delta, dtype=float)
         if not len(delta):
             return False
-        n = np.floor(np.array([delta.min(), delta.max()]) / self.omega_m + 0.5)
+        n = sideband_index(np.array([delta.min(), delta.max()]), self.omega_m)
         return bool((np.abs(n) > self.n_max).any())
 
     def evaluate(self, delta) -> CorrelationTrace:
@@ -389,26 +400,21 @@ def _omega_offsets(scenario):
     return np.linspace(-half, half, n)
 
 
-def _sideband_weight_table(scenario, n_values):
-    """w_k(n) = q_k r_{n-k} for each requested n, over channel-1's k support."""
-    q = scenario.mod1
-    r = scenario.mod2
-    k_vals = q.k_values
-    table = np.zeros((len(n_values), len(k_vals)), dtype=complex)
-    for row, n in enumerate(n_values):
-        for col, k in enumerate(k_vals):
-            table[row, col] = q.coefficient(int(k)) * r.coefficient(int(n - k))
-    return k_vals, table
-
-
 def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
     """Full-model coincidence rate from the pair amplitude, by Parseval's theorem.
 
     For each sample in window n, the weighted pair amplitude
-    g(u) = sum_k q_k r_{n-k} A(c1 + u - k w_m) B(w_p - c1 - u + k w_m)
-    H1(u) H2(n w_m - delta - u) is built on the internal frequency-offset
-    grid of spacing du, using the actual sampled amplitudes when available.
-    Its delay kernel F(tau) = du/(4 pi) sum_u g(u) exp(i u tau) is periodic
+    g(u) = summed_n(u) H1(u) H2(n w_m - delta - u), with
+    summed_n(u) = sum_k q_k r_{n-k} A(c1 + u - k w_m) B(w_p - c1 - u + k w_m),
+    is built on the internal frequency-offset grid of spacing du, using the
+    actual sampled amplitudes when available. ``summed`` holds one row per
+    distinct window n of the unclipped samples; on sampled amplitudes it is
+    one product of the (n, k) weights q_k r_{n-k} with the (k, u) amplitude
+    grid, and on flat-band amplitudes the k-sum collapses to A0 B0 s_n.
+    ``summed`` times H1 is then expanded to the samples' rows and multiplied
+    by H2 in one broadcast.
+
+    The delay kernel F(tau) = du/(4 pi) sum_u g(u) exp(i u tau) is periodic
     with period 2 pi/du, so the delay integral of |F|^2 over one period is
     exactly du/(8 pi) sum_u |g(u)|^2, which is the paired rate. The gate is
     long compared to the kernel decay, so the paired integral is ungated;
@@ -420,45 +426,44 @@ def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
     omega_m = scenario.omega_m
     amps = scenario.amplitudes
     conv = scenario.fwhm_convention
-    pump = scenario.pump_frequency
     c1 = scenario.filter1.center
 
     model = SidebandModel(scenario)
     _warn_if_clipped(model, delta)
     n_idx, clipped, _, _ = model.window(delta)
+    kept = ~clipped
+    distinct, which = np.unique(n_idx[kept], return_inverse=True)
 
     u = _omega_offsets(scenario)
     du = u[1] - u[0]
-    distinct_n = sorted(set(int(v) for v in n_idx[~clipped]))
 
     if amps.is_flat:
         # A, B constant: the k-sum collapses to A0 B0 s_n
-        ab0 = amps.a0 * amps.b0
-        summed = {n: np.full(len(u), ab0 * model.s.coefficient(n), dtype=complex)
-                  for n in distinct_n}
+        summed = (amps.a0 * amps.b0 * model.s.coeffs[distinct + model.n_max])[:, None]
     else:
-        k_vals, table = _sideband_weight_table(scenario, distinct_n)
-        ab_k = np.zeros((len(k_vals), len(u)), dtype=complex)
-        for col, k in enumerate(k_vals):
-            lo, hi = c1 + u[0] - k * omega_m, c1 + u[-1] - k * omega_m
-            lo_b, hi_b = pump - c1 - u[-1] + k * omega_m, pump - c1 - u[0] + k * omega_m
-            if not (amps.covers(lo, hi) and amps.covers(lo_b, hi_b)):
-                raise DomainError(
-                    f"sideband k={k} needs amplitudes outside the sampled grid")
-            ab_k[col] = (amps.a_at(c1 + u - k * omega_m)
-                         * amps.b_at(pump - c1 - u + k * omega_m))
-        summed = {n: table[row] @ ab_k for row, n in enumerate(distinct_n)}
+        q, r = scenario.mod1, scenario.mod2
+        shift = q.k_values[:, None] * omega_m
+        a_freq = c1 + u - shift
+        b_freq = scenario.pump_frequency - c1 - u + shift
+        if not (amps.covers(a_freq.min(), a_freq.max())
+                and amps.covers(b_freq.min(), b_freq.max())):
+            raise DomainError(
+                f"sidebands k=-{q.k_max}..{q.k_max} need amplitudes outside the sampled grid")
+        # r_{n-k}, zero beyond channel 2's support
+        j = distinct[:, None] - q.k_values + r.k_max
+        r_nk = np.where((j >= 0) & (j < len(r.coeffs)),
+                        r.coeffs[np.clip(j, 0, len(r.coeffs) - 1)], 0.0)
+        summed = (q.coeffs * r_nk) @ (amps.a_at(a_freq) * amps.b_at(b_freq))
 
-    h1 = scenario.filter1.field_response(u, conv)
-    g_rows = np.zeros((len(delta), len(u)), dtype=complex)
-    for i in range(len(delta)):
-        if clipped[i]:
-            continue
-        n = int(n_idx[i])
-        xi = n * omega_m - delta[i]
-        g_rows[i] = summed[n] * h1 * scenario.filter2.field_response(xi - u, conv)
-
-    paired = (du / (8.0 * np.pi)) * np.sum(np.abs(g_rows) ** 2, axis=1)
+    xi = n_idx[kept] * omega_m - delta[kept]
+    # at most g and one real array of its shape are held at once: the H2
+    # factor is formed first, and its buffer then takes |g|^2
+    h2_rows = scenario.filter2.field_response(xi[:, None] - u, conv)
+    g = (summed * scenario.filter1.field_response(u, conv))[which]
+    g *= h2_rows
+    g_sq = np.square(np.abs(g, out=h2_rows), out=h2_rows)
+    paired = np.zeros_like(delta)
+    paired[kept] = (du / (8.0 * np.pi)) * np.sum(g_sq, axis=1)
     accidental_arr = np.full_like(delta, model.accidental)
     return CorrelationTrace(delta_axis=delta, paired=paired,
                             accidental=accidental_arr, total=paired + accidental_arr,

@@ -7,11 +7,13 @@ are Bessel functions, ``q_k = J_k(-d)``, with a drive-phase offset entering
 as ``q_k -> q_k exp(-i k phi)``. Arbitrary periodic drives are ingested by
 sampling one period of the phase and taking a DFT of ``exp(i phi(t))``.
 
-Two modulators acting on the two photons of an energy-conserving pair
-combine, in the joint frequency correlation, through the discrete
-convolution of their coefficient sequences. For sinusoidal drives this
-reproduces the Bessel addition theorem: equal phases behave like a single
-modulator at the summed depth, opposite phases cancel outright.
+Two modulators acting on the two photons of an energy-conserving pair act
+on the joint frequency correlation as one modulator driven by the summed
+phase phi1(t) + phi2(t): its transfer function is the product m1(t) m2(t),
+whose coefficients are the discrete convolution of the two sequences. For
+sinusoidal drives this is the Bessel addition theorem: equal phases behave
+like a single modulator at the summed depth, opposite phases cancel
+outright.
 
 Bessel values come from downward (Miller) recurrence with the standard
 normalization; an independent power-series evaluator is provided as the
@@ -35,7 +37,8 @@ def bessel_j_sequence(nmax: int, x: float) -> np.ndarray:
     with an arbitrary seed, then normalized with J_0 + 2*sum J_2k = 1.
     Downward is the stable direction above the turning point, so the result
     is accurate to near machine precision for the moderate arguments used
-    here (|x| up to a few tens of radians).
+    here (|x| up to a few tens of radians). Arguments so small that the
+    recurrence overflows take the power series instead.
     """
     if nmax < 0:
         raise ConfigurationError("nmax must be nonnegative")
@@ -65,6 +68,10 @@ def bessel_j_sequence(nmax: int, x: float) -> np.ndarray:
         if order > 0 and order % 2 == 0:
             norm += 2.0 * j
     norm += j   # j now holds unnormalized J_0
+    if not np.isfinite(norm):
+        # below |x| of about 1e-99 the ratios J_{k-1}/J_k ~ 2k/|x| outgrow the
+        # rescaling and the recurrence overflows; the series is accurate there
+        return np.array([bessel_j_series(n, x) for n in range(nmax + 1)])
     out /= norm
     if x < 0.0:
         out[1::2] = -out[1::2]
@@ -101,11 +108,6 @@ def bessel_j_series(n: int, x: float, tol: float = 1e-22) -> float:
         if abs(term) < tol * max(abs(total), 1e-300) or m > 400:
             break
     return sign * total
-
-
-def _i_power(k: int) -> complex:
-    """Exact i**k for integer k."""
-    return (1.0, 1.0j, -1.0, -1.0j)[k % 4]
 
 
 @dataclass(frozen=True)
@@ -169,42 +171,6 @@ class ModulatorSpectrum:
                 and bool(np.array_equal(self.coeffs, other.coeffs)))
 
 
-@dataclass(frozen=True)
-class NonlocalCoefficients:
-    """Convolved sideband weights s_n = sum_k q_k r_{n-k}, n = -Ks..Ks."""
-
-    omega_m: float
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
-        if self.coeffs.ndim != 1 or len(self.coeffs) % 2 != 1:
-            raise ConfigurationError("coefficients must form an odd-length sequence n=-K..K")
-
-    @property
-    def n_max(self) -> int:
-        return (len(self.coeffs) - 1) // 2
-
-    @property
-    def n_values(self) -> np.ndarray:
-        return np.arange(-self.n_max, self.n_max + 1)
-
-    def coefficient(self, n: int) -> complex:
-        if abs(n) > self.n_max:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[n + self.n_max])
-
-    def magnitude_sq(self, n: int) -> float:
-        return abs(self.coefficient(n)) ** 2
-
-    def total_power(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
-
-    def validate(self, parseval_tol: float = 1e-9):
-        if abs(self.total_power() - 1.0) > parseval_tol:
-            raise ConfigurationError("composed coefficients violate sum |s_n|^2 = 1")
-
-
 def sinusoidal_coeffs(depth: float, drive_phase: float = 0.0,
                       omega_m: float = 30.0,
                       tail_tol: float = DEFAULT_TAIL_TOL) -> ModulatorSpectrum:
@@ -225,20 +191,14 @@ def sinusoidal_coeffs(depth: float, drive_phase: float = 0.0,
     # stay above the turning point so an incidental Bessel zero cannot
     # masquerade as a converged tail
     k_floor = int(np.ceil(abs(depth))) + 2
-    k_cut = None
-    for k in range(k_floor, k_big + 1):
-        if 2.0 * j_pos[k] ** 2 < tail_tol:
-            k_cut = k
-            break
-    if k_cut is None:
+    converged = np.flatnonzero(2.0 * j_pos[k_floor:] ** 2 < tail_tol)
+    if not len(converged):
         raise ConfigurationError("tail tolerance not reachable; loosen tail_tol")
+    k_cut = k_floor + int(converged[0])
     k_idx = np.arange(-k_cut, k_cut + 1)
-    coeffs = np.empty(2 * k_cut + 1, dtype=complex)
-    for k in k_idx:
-        val = j_pos[abs(k)]
-        if k < 0 and (-k) % 2 == 1:
-            val = -val
-        coeffs[k + k_cut] = val
+    # J_{-k} = (-1)^k J_k
+    j_k = j_pos[np.abs(k_idx)]
+    coeffs = np.where((k_idx < 0) & (k_idx % 2 == 1), -j_k, j_k).astype(complex)
     coeffs *= np.exp(-1j * k_idx * float(drive_phase))
     return ModulatorSpectrum(omega_m=omega_m, coeffs=coeffs,
                              depth=depth, drive_phase=float(drive_phase))
@@ -265,13 +225,12 @@ def coeffs_from_waveform(phase_samples, omega_m: float,
     power = np.abs(fhat) ** 2
     total = float(power.sum())
     k_lim = n // 2 - 1
-    k_keep = 0
-    for k in range(1, k_lim + 1):
-        if power[k] >= tail_tol * total or power[n - k] >= tail_tol * total:
-            k_keep = k
-    k_cut = min(k_keep + 1, k_lim) if k_keep > 0 else 0
+    k = np.arange(1, k_lim + 1)
+    kept = k[(power[k] >= tail_tol * total) | (power[n - k] >= tail_tol * total)]
+    k_cut = min(int(kept[-1]) + 1, k_lim) if len(kept) else 0
     k_idx = np.arange(-k_cut, k_cut + 1)
-    coeffs = np.array([_i_power(int(k)) * fhat[k % n] for k in k_idx], dtype=complex)
+    # the quarter-period origin shift multiplies q_k by i**k
+    coeffs = np.array((1.0, 1.0j, -1.0, -1.0j))[k_idx % 4] * fhat[k_idx % n]
     return ModulatorSpectrum(omega_m=omega_m, coeffs=coeffs)
 
 
@@ -309,10 +268,12 @@ def read_phase_waveform(path) -> np.ndarray:
     return np.asarray(phases, dtype=float)
 
 
-def compose_nonlocal(q: ModulatorSpectrum, r: ModulatorSpectrum) -> NonlocalCoefficients:
-    """Sideband weights of two distant modulators acting on one photon pair.
+def compose_nonlocal(q: ModulatorSpectrum, r: ModulatorSpectrum) -> ModulatorSpectrum:
+    """The one modulator that two distant modulators make of a photon pair.
 
-    Full discrete convolution of the two coefficient sequences; no
+    Its transfer function is m1(t) m2(t), the modulator driven by the summed
+    phase phi1(t) + phi2(t); its coefficients s_n = sum_k q_k r_{n-k} are the
+    full discrete convolution of the two sequences. There is no
     re-truncation, so the composed sequence keeps the product's power
     exactly. Both modulators must share the drive frequency (they are
     synchronously driven by assumption).
@@ -320,5 +281,4 @@ def compose_nonlocal(q: ModulatorSpectrum, r: ModulatorSpectrum) -> NonlocalCoef
     if q.omega_m != r.omega_m:
         raise ConfigurationError(
             "modulators must be synchronously driven (equal drive frequencies)")
-    s = np.convolve(q.coeffs, r.coeffs)
-    return NonlocalCoefficients(omega_m=q.omega_m, coeffs=s)
+    return ModulatorSpectrum(omega_m=q.omega_m, coeffs=np.convolve(q.coeffs, r.coeffs))

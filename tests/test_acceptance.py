@@ -141,7 +141,7 @@ def test_criterion_7_general_waveform_pathway():
     phi2 = 0.9 * np.cos(theta + 0.4) + 0.5 * np.sin(2.0 * theta)
     s = compose_nonlocal(coeffs_from_waveform(phi1, 30.0),
                          coeffs_from_waveform(phi2, 30.0))
-    comb_dev = max(abs(s.magnitude_sq(n) - _dft_power_oracle(phi1 + phi2, n))
+    comb_dev = max(abs(abs(s.coefficient(n)) ** 2 - _dft_power_oracle(phi1 + phi2, n))
                    for n in range(-12, 13))
     ok = sin_dev <= 1e-10 and comb_dev <= 1e-9
     _report(7, ok, f"cosine waveform vs Bessel path {sin_dev:.2e} per coefficient; "

@@ -359,6 +359,10 @@ def test_main_scan_and_exit_codes(tmp_path, capsys):
 OVERFLOWING_SCALES = "filter1_alpha_sq = 1e300\nfilter2_alpha_sq = 1e300\n"
 FIG4A_SCAN = MINIMAL.replace("preset = fig4b", "preset = fig4a")
 FIG4A_VALIDATE = "schema = 1\n[scenario]\npreset = fig4a\n"
+# |delta|/w_m reaches 3.3e19, past the int64 range of the sideband index
+FIG4A_BEYOND_INT64 = (FIG4A_SCAN.replace("delta_min = -150 GHz", "delta_min = -1e21 GHz")
+                      .replace("delta_max = 150 GHz", "delta_max = 1e21 GHz")
+                      .replace("delta_step = 0.5 GHz", "delta_step = 1e19 GHz"))
 
 
 def _fit_data(bad_line):
@@ -392,6 +396,8 @@ def _fit_data(bad_line):
                    id=f"{command} filter1_alpha_sq = {value}")
       for command, text in (("scan", FIG4A_SCAN), ("validate", FIG4A_VALIDATE))
       for value in ("1e307", "1e308")],
+    pytest.param("scan", FIG4A_BEYOND_INT64, [], None, ("sideband indices", "1e+21"),
+                 id="scan delta = +-1e21 GHz"),
     pytest.param("fit", MINIMAL, ["--dwell", "nan"], None, ("--dwell",), id="--dwell nan"),
     pytest.param("fit", MINIMAL, ["--dwell", "inf"], None, ("--dwell",), id="--dwell inf"),
     pytest.param("fit", MINIMAL, ["--seed", "-1"], None, ("--seed",), id="--seed -1"),

@@ -10,6 +10,7 @@ full model's Parseval sum.
 
 import bisect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from modlab import (ConfigurationError, CorrelationTrace, DomainError, GaussianF
                     coincidence_full, coincidence_trace, h2_profile, sideband_areas,
                     singles_rate, sinusoidal_coeffs)
 from modlab import CrystalProfile, FrequencyGrid, figure_preset, propagate_envelopes
+from modlab.cli import parse_config
 from modlab.correlator import _omega_offsets
 from modlab.scenario import ExperimentScenario, reference_scenario
 
@@ -451,6 +453,83 @@ def test_full_tier_parseval_matches_delay_transform(case):
     reference = _delay_domain_paired(scn, delta)
     full = coincidence_full(scn, delta)
     assert np.max(np.abs(full.paired - reference)) <= 1e-11 * reference.max()
+
+
+def _coincidence_full_reference(scenario, delta):
+    """Paired column of ``coincidence_full`` as loops: the weights
+    q_k r_{n-k} by a double loop over (n, k), one amplitude lookup per k, one
+    vector-matrix product per window n and one row of g per sample."""
+    omega_m = scenario.omega_m
+    amps = scenario.amplitudes
+    conv = scenario.fwhm_convention
+    pump = scenario.pump_frequency
+    c1 = scenario.filter1.center
+    model = SidebandModel(scenario)
+    n_idx, clipped, _, _ = model.window(delta)
+    u = _omega_offsets(scenario)
+    du = u[1] - u[0]
+    distinct_n = sorted(set(int(v) for v in n_idx[~clipped]))
+    if amps.is_flat:
+        ab0 = amps.a0 * amps.b0
+        summed = {n: np.full(len(u), ab0 * model.s.coefficient(n), dtype=complex)
+                  for n in distinct_n}
+    else:
+        q, r = scenario.mod1, scenario.mod2
+        table = np.zeros((len(distinct_n), len(q.k_values)), dtype=complex)
+        ab_k = np.zeros((len(q.k_values), len(u)), dtype=complex)
+        for col, k in enumerate(q.k_values):
+            for row, n in enumerate(distinct_n):
+                table[row, col] = q.coefficient(int(k)) * r.coefficient(int(n - k))
+            ab_k[col] = (amps.a_at(c1 + u - k * omega_m)
+                         * amps.b_at(pump - c1 - u + k * omega_m))
+        summed = {n: table[row] @ ab_k for row, n in enumerate(distinct_n)}
+    h1 = scenario.filter1.field_response(u, conv)
+    g_rows = np.zeros((len(delta), len(u)), dtype=complex)
+    for i in range(len(delta)):
+        if clipped[i]:
+            continue
+        n = int(n_idx[i])
+        xi = n * omega_m - delta[i]
+        g_rows[i] = summed[n] * h1 * scenario.filter2.field_response(xi - u, conv)
+    return (du / (8.0 * np.pi)) * np.sum(np.abs(g_rows) ** 2, axis=1)
+
+
+def _out_of_regime_scenario():
+    path = Path(__file__).resolve().parent.parent / "configs" / "out_of_regime.cfg"
+    return parse_config(path.read_text(), "validate")[1]
+
+
+# fig3a's single window leaves most of the axis clipped
+@pytest.mark.filterwarnings("ignore:delta samples beyond the modulator truncation support")
+@pytest.mark.parametrize("case", ["fig3a", "fig3b", "fig4a", "fig4b", "out_of_regime"])
+def test_full_tier_flat_band_bits_equal_the_row_loop(case):
+    scn = _out_of_regime_scenario() if case == "out_of_regime" else figure_preset(case)
+    delta = np.arange(-150.0, 151.0, 1.0)
+    full = coincidence_full(scn, delta)
+    assert full.paired.tobytes() == _coincidence_full_reference(scn, delta).tobytes()
+
+
+def test_full_tier_sampled_amplitudes_match_the_row_loop():
+    scn = _sampled_tier_scenario()
+    delta = np.arange(-150.0, 151.0, 1.0)
+    reference = _coincidence_full_reference(scn, delta)
+    full = coincidence_full(scn, delta)
+    # one matrix product reassociates the k-sums of the per-window products
+    assert np.max(np.abs(full.paired - reference)) <= 1e-14 * reference.max()
+
+
+def test_sideband_index_beyond_int64_raises():
+    model = SidebandModel(figure_preset("fig4a"))
+    # |delta|/w_m = 3.3e19 is past 2^63 = 9.2e18, where the cast would wrap
+    for delta in ([-1e21, 0.0], [0.0, 1e21], [0.0, np.nan], [np.inf]):
+        with pytest.raises(DomainError, match="beyond the range of sideband indices"):
+            model.window(np.array(delta))
+        with pytest.raises(DomainError):
+            model.clips(np.array(delta))
+    # inside the int64 range the far rows keep their sign and are clipped
+    n, clipped, c, _ = model.window(np.array([-2.7e20, 0.0, 2.7e20]))
+    assert n[0] < 0 < n[2] and n[1] == 0
+    assert clipped.tolist() == [True, False, True] and c[0] == c[2] == 0.0
 
 
 def test_sideband_model_slope_matches_central_difference():
