@@ -1,6 +1,6 @@
 """Simulation of frequency-domain correlations of modulated photon pairs.
 
-Subpackages by concern: crystal propagation (``spdc_core``), modulator
+Modules by concern: crystal propagation (``spdc_core``), modulator
 coefficient algebra (``modulation``), singles and coincidence models
 (``correlator``), experiment bundles, presets, synthetic data and fitting
 (``scenario``), the invariant suite behind ``modlab validate``

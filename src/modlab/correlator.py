@@ -207,8 +207,10 @@ def singles_rate(amps, mod, filt: GaussianFilter, convention: str = "intensity")
     frequency, is split at the amplitude-grid nodes inside it, and every
     piece gets a 3-point Gauss-Legendre rule. ``b_at`` interpolates
     linearly, so |B|^2 is a quadratic on each piece and the Gaussian |H|^2
-    is smooth across it; the rule then converges to round-off. Nodes of
-    one sideband are looked up in a single ``b_at`` call.
+    is smooth across it; the rule then converges to round-off. The pieces
+    of all sidebands are built at once and looked up in a single ``b_at``
+    call; each sideband's rule is then summed over its own pieces, in k
+    order.
 
     Flat-band amplitudes: the sideband shifts drop out and the rate reduces
     to |B0|^2/(4pi) times the filter's intensity integral (the coefficients
@@ -240,22 +242,37 @@ def singles_rate(amps, mod, filt: GaussianFilter, convention: str = "intensity")
                 "is too large") from exc
         return b0_sq / (4.0 * np.pi) * integral * float(powers.sum())
 
+    keep = ~(powers < _NEGLIGIBLE_WEIGHT)
+    ks, ps = mod.k_values[keep], powers[keep]
+    if not len(ks):
+        return 0.0
+    shifts = ks * mod.omega_m
+    los, his = center - width - shifts, center + width - shifts
     nodes = amps.grid.omegas
+    uncovered = ~((nodes[0] <= los) & (his <= nodes[-1]))
+    if uncovered.any():
+        raise DomainError(
+            f"filter passband shifted by sideband k={ks[uncovered.argmax()]} lies outside "
+            "the amplitude grid")
+    # the passband of sideband j is split at nodes first[j]..stop[j]-1, the
+    # nodes strictly inside it, into counts[j] pieces; piece i of sideband j
+    # runs from node first[j]+i-1 (lo for i = 0) to node first[j]+i (hi last)
+    first = np.searchsorted(nodes, los, side="right")
+    stop = np.searchsorted(nodes, his, side="left")
+    counts = stop - first + 1
+    ends = np.cumsum(counts)
+    owner = np.repeat(np.arange(len(ks)), counts)
+    piece = np.arange(ends[-1]) - (ends - counts)[owner]
+    node = first[owner] + piece
+    left = np.where(piece == 0, los[owner], nodes[node - 1])
+    right = np.where(piece == counts[owner] - 1, his[owner], nodes[node])
+    half = 0.5 * (right - left)
+    x = (left + half)[:, None] + half[:, None] * _GL3_NODES
+    f = (np.abs(amps.b_at(x)) ** 2
+         * filt.intensity_response(x + shifts[owner][:, None] - center, convention))
     total = 0.0
-    for k, p in zip(mod.k_values, powers):
-        if p < _NEGLIGIBLE_WEIGHT:
-            continue
-        shift = k * mod.omega_m
-        lo, hi = center - width - shift, center + width - shift
-        if not amps.covers(lo, hi):
-            raise DomainError(
-                f"filter passband shifted by sideband k={k} lies outside the amplitude grid")
-        breaks = np.concatenate(([lo], nodes[(nodes > lo) & (nodes < hi)], [hi]))
-        half = 0.5 * np.diff(breaks)
-        x = (breaks[:-1] + half)[:, None] + half[:, None] * _GL3_NODES
-        f = (np.abs(amps.b_at(x)) ** 2
-             * filt.intensity_response(x + shift - center, convention))
-        total += p * float(half @ (f @ _GL3_WEIGHTS))
+    for p, start, end in zip(ps, ends - counts, ends):
+        total += p * float(half[start:end] @ (f[start:end] @ _GL3_WEIGHTS))
     return total / (4.0 * np.pi)
 
 
@@ -457,8 +474,15 @@ def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
 
     xi = n_idx[kept] * omega_m - delta[kept]
     # at most g and one real array of its shape are held at once: the H2
-    # factor is formed first, and its buffer then takes |g|^2
-    h2_rows = scenario.filter2.field_response(xi[:, None] - u, conv)
+    # factor is formed first, in one buffer with the operation order of
+    # ``GaussianFilter.field_response``, and that buffer then takes |g|^2
+    filter2 = scenario.filter2
+    h2_rows = np.subtract(xi[:, None], u)
+    np.square(h2_rows, out=h2_rows)
+    np.negative(h2_rows, out=h2_rows)
+    np.divide(h2_rows, 4.0 * filter2.intensity_sigma(conv) ** 2, out=h2_rows)
+    np.exp(h2_rows, out=h2_rows)
+    np.multiply(filter2.alpha, h2_rows, out=h2_rows)
     g = (summed * scenario.filter1.field_response(u, conv))[which]
     g *= h2_rows
     g_sq = np.square(np.abs(g, out=h2_rows), out=h2_rows)

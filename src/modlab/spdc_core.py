@@ -193,11 +193,6 @@ class SpectralAmplitudes:
             raise ConfigurationError("flat-band constants violate |A0|^2-|B0|^2=1")
 
 
-def _pair_derivative(z, alpha, beta, kappa, delta_k):
-    c = 1j * kappa * np.exp(1j * delta_k * z)
-    return c * np.conj(beta), c * np.conj(alpha)
-
-
 def propagate_envelopes(profile: CrystalProfile, grid: FrequencyGrid,
                         steps: int = DEFAULT_STEPS) -> SpectralAmplitudes:
     """Integrate the coupled envelope equations from z=0 to z=L.
@@ -208,6 +203,14 @@ def propagate_envelopes(profile: CrystalProfile, grid: FrequencyGrid,
     substep midpoints so the z-dependent coefficient does not degrade the
     fourth-order accuracy. Every pair is solved once and both grid entries
     filled, which makes the cross-symmetry constraint exact by construction.
+
+    The state (alpha, beta) is one (2, pairs) array, so each stage's
+    derivative c * conj(state reversed) is one product. The coefficient
+    c(z) = i kappa exp(i delta_k z) is evaluated twice per step, not four
+    times: the midpoint value serves the second and third stage, and the
+    end value ``z + h`` is the next step's first stage, because ``z += h``
+    gives the same float. Every stage and the update keep the operation
+    order of the four-evaluation loop, so the amplitudes are the same bits.
 
     Raises ConfigurationError for unpaired grids or asymmetric profiles and
     ConvergenceError when the unitarity residual after integration exceeds
@@ -231,25 +234,48 @@ def propagate_envelopes(profile: CrystalProfile, grid: FrequencyGrid,
 
     half = (n + 1) // 2
     idx = np.arange(half)
-    pair_kap = kap[idx]
-    pair_dk = dk[idx]
+    i_kap = 1j * kap[idx]
+    i_dk = 1j * dk[idx]
 
-    alpha = np.ones(half, dtype=complex)
-    beta = np.zeros(half, dtype=complex)
+    def coefficient(z, out):
+        np.multiply(i_dk, z, out=out)
+        np.exp(out, out=out)
+        return np.multiply(i_kap, out, out=out)
+
+    def derivative(c, y, out):
+        np.conjugate(y[::-1], out=out)
+        return np.multiply(c, out, out=out)
+
+    def stage(y, step, k, out):
+        np.multiply(step, k, out=out)
+        return np.add(y, out, out=out)
+
+    y = np.zeros((2, half), dtype=complex)   # rows alpha, beta
+    y[0] = 1.0
+    k1, k2, k3, k4, trial = (np.empty_like(y) for _ in range(5))
+    c_start, c_mid, c_end = (np.empty(half, dtype=complex) for _ in range(3))
     h = profile.length / steps
     z = 0.0
+    coefficient(z, c_start)
     for _ in range(steps):
-        da1, db1 = _pair_derivative(z, alpha, beta, pair_kap, pair_dk)
-        da2, db2 = _pair_derivative(z + 0.5 * h, alpha + 0.5 * h * da1,
-                                    beta + 0.5 * h * db1, pair_kap, pair_dk)
-        da3, db3 = _pair_derivative(z + 0.5 * h, alpha + 0.5 * h * da2,
-                                    beta + 0.5 * h * db2, pair_kap, pair_dk)
-        da4, db4 = _pair_derivative(z + h, alpha + h * da3,
-                                    beta + h * db3, pair_kap, pair_dk)
-        alpha = alpha + (h / 6.0) * (da1 + 2.0 * da2 + 2.0 * da3 + da4)
-        beta = beta + (h / 6.0) * (db1 + 2.0 * db2 + 2.0 * db3 + db4)
+        coefficient(z + 0.5 * h, c_mid)
+        coefficient(z + h, c_end)
+        derivative(c_start, y, k1)
+        derivative(c_mid, stage(y, 0.5 * h, k1, trial), k2)
+        derivative(c_mid, stage(y, 0.5 * h, k2, trial), k3)
+        derivative(c_end, stage(y, h, k3, trial), k4)
+        # y + (h/6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        np.multiply(2.0, k2, out=k2)
+        np.add(k1, k2, out=k1)
+        np.multiply(2.0, k3, out=k3)
+        np.add(k1, k3, out=k1)
+        np.add(k1, k4, out=k1)
+        stage(y, h / 6.0, k1, trial)
+        y, trial = trial, y
+        c_start, c_end = c_end, c_start
         z += h
 
+    alpha, beta = y
     a = np.empty(n, dtype=complex)
     b = np.empty(n, dtype=complex)
     a[idx] = alpha

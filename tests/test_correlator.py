@@ -21,7 +21,8 @@ from modlab import (ConfigurationError, CorrelationTrace, DomainError, GaussianF
                     singles_rate, sinusoidal_coeffs)
 from modlab import CrystalProfile, FrequencyGrid, figure_preset, propagate_envelopes
 from modlab.cli import parse_config
-from modlab.correlator import _omega_offsets
+from modlab.correlator import _GL3_NODES, _GL3_WEIGHTS, _omega_offsets
+from modlab.modulation import ModulatorSpectrum
 from modlab.scenario import ExperimentScenario, reference_scenario
 
 from simpson_reference import recursive_simpson
@@ -236,6 +237,72 @@ def test_singles_sampled_matches_scalar_simpson(fwhm, depth, omega_m, convention
     rate = singles_rate(amps, mod, filt, convention)
     reference = _singles_simpson_reference(amps, mod, filt, convention)
     assert rate == pytest.approx(reference, rel=1e-10)
+
+
+def _singles_per_sideband(amps, mod, filt, convention="intensity"):
+    """The sampled branch of ``singles_rate`` as a loop over sidebands: one
+    coverage check, passband split, ``b_at`` call and Gauss-Legendre sum
+    per k."""
+    center = filt.center
+    width = filt.passband_halfwidth(convention)
+    nodes = amps.grid.omegas
+    total = 0.0
+    for k, p in zip(mod.k_values, np.abs(mod.coeffs) ** 2):
+        if p < 1e-30:
+            continue
+        shift = k * mod.omega_m
+        lo, hi = center - width - shift, center + width - shift
+        if not amps.covers(lo, hi):
+            raise DomainError(
+                f"filter passband shifted by sideband k={k} lies outside the amplitude grid")
+        breaks = np.concatenate(([lo], nodes[(nodes > lo) & (nodes < hi)], [hi]))
+        half = 0.5 * np.diff(breaks)
+        x = (breaks[:-1] + half)[:, None] + half[:, None] * _GL3_NODES
+        f = (np.abs(amps.b_at(x)) ** 2
+             * filt.intensity_response(x + shift - center, convention))
+        total += p * float(half @ (f @ _GL3_WEIGHTS))
+    return total / (4.0 * np.pi)
+
+
+def _tiny_weight_drive():
+    # |q_k|^2 of 1e-40, 1e-32 and 1e-34 are skipped, 1e-28 is kept
+    coeffs = np.array([1e-20, 0.3, 1e-16, 0.9, 1e-17j, 0.3, 1e-14])
+    return ModulatorSpectrum(30.0, coeffs / np.linalg.norm(coeffs))
+
+
+@pytest.mark.parametrize("case", ["sampled-tier-1", "sampled-tier-2", "tiny-weights",
+                                  "all-negligible", "misaligned-field"])
+def test_singles_sampled_bits_equal_the_per_sideband_loop(case):
+    scn = _sampled_tier_scenario()
+    amps = scn.amplitudes
+    mod, filt, convention = scn.mod1, scn.filter1, "intensity"
+    if case == "sampled-tier-2":
+        mod, filt = scn.mod2, scn.filter2
+    elif case == "tiny-weights":
+        mod = _tiny_weight_drive()
+        assert (np.abs(mod.coeffs) ** 2 < 1e-30).sum() == 3
+    elif case == "all-negligible":
+        mod = ModulatorSpectrum(30.0, np.zeros(3))
+    elif case == "misaligned-field":
+        center = filt.center + 0.37 * amps.grid.step
+        mod = sinusoidal_coeffs(2.5, 0.4, 17.3)
+        filt = GaussianFilter(fwhm=8.5, alpha=0.9, slit=center / 210.0, dispersion=210.0)
+        convention = "field"
+    rate = singles_rate(amps, mod, filt, convention)
+    assert rate == _singles_per_sideband(amps, mod, filt, convention)
+
+
+def test_singles_uncovered_sideband_names_the_first_kept_k():
+    amps, pump = _sampled_amplitudes(span=100.0, points=201)
+    filt = unit_filter(slit=(0.5 * pump) / 210.0)
+    # the grid covers the k = 0 passband only; k = -2 is negligible and
+    # skipped, so of the uncovered k = -1 and k = 1 the error names k = -1
+    mod = ModulatorSpectrum(30.0, np.array([1e-20, 0.6, 0.6, 0.4, 0.0]) / np.sqrt(0.88))
+    message = "filter passband shifted by sideband k=-1 lies outside the amplitude grid"
+    for rate in (singles_rate, _singles_per_sideband):
+        with pytest.raises(DomainError) as err:
+            rate(amps, mod, filt)
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,59 @@ def test_rk4_fourth_order_convergence():
     assert math.log2(e16 / e32) >= 3.8
 
 
+def _four_evaluation_rk4(profile, grid, steps):
+    """(alpha, beta) of the RK4 loop that evaluated the coefficient
+    i kappa exp(i delta_k z) in every stage, four times per step, and held
+    alpha and beta as separate arrays."""
+    half = (grid.points + 1) // 2
+    kappa, delta_k = profile.kappa[:half], profile.delta_k[:half]
+
+    def derivative(z, alpha, beta):
+        c = 1j * kappa * np.exp(1j * delta_k * z)
+        return c * np.conj(beta), c * np.conj(alpha)
+
+    alpha = np.ones(half, dtype=complex)
+    beta = np.zeros(half, dtype=complex)
+    h = profile.length / steps
+    z = 0.0
+    for _ in range(steps):
+        da1, db1 = derivative(z, alpha, beta)
+        da2, db2 = derivative(z + 0.5 * h, alpha + 0.5 * h * da1, beta + 0.5 * h * db1)
+        da3, db3 = derivative(z + 0.5 * h, alpha + 0.5 * h * da2, beta + 0.5 * h * db2)
+        da4, db4 = derivative(z + h, alpha + h * da3, beta + h * db3)
+        alpha = alpha + (h / 6.0) * (da1 + 2.0 * da2 + 2.0 * da3 + da4)
+        beta = beta + (h / 6.0) * (db1 + 2.0 * db2 + 2.0 * db3 + db4)
+        z += h
+    return alpha, beta
+
+
+def _bits(values):
+    # the IEEE bit patterns, so that signed zeros and NaNs count as well
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@pytest.mark.parametrize("steps", [16, 64, 256])
+@pytest.mark.parametrize("case", ["gaussian-odd", "gaussian-even", "constant-complex"])
+def test_rk4_bits_equal_the_four_evaluation_loop(case, steps):
+    if case == "constant-complex":
+        grid = small_grid(points=5)
+        profile = CrystalProfile.constant(grid, 0.03 + 0.04j, 0.2, 20.0)
+    else:
+        pump = 2.0 * 281759.0
+        points = 401 if case == "gaussian-odd" else 400
+        grid = FrequencyGrid(center=0.5 * pump, span=400.0, points=points, pump_frequency=pump)
+        detuning = grid.omegas - grid.center
+        # weak enough that 16 steps stay inside the unitarity limit
+        profile = CrystalProfile(kappa=0.02 * np.exp(-detuning ** 2 / (2.0 * 150.0 ** 2)),
+                                 delta_k=2e-5 * detuning ** 2, length=10.0)
+    amps = propagate_envelopes(profile, grid, steps=steps)
+    alpha, beta = _four_evaluation_rk4(profile, grid, steps)
+    half = len(alpha)
+    for values, reference in ((amps.a, alpha), (amps.b, beta)):
+        assert np.array_equal(_bits(values[:half]), _bits(reference))
+        assert np.array_equal(_bits(values[::-1][:half]), _bits(reference))
+
+
 def structured_profile(grid):
     detuning = grid.omegas - grid.center
     kappa = 0.05 * np.exp(-detuning ** 2 / (2.0 * 150.0 ** 2))
