@@ -42,15 +42,17 @@ keys default to an undriven channel.
 Exit codes: 0 success, 1 validation/fit failure, 2 configuration error
 (an unreadable ``--config`` or waveform file included), 3 I/O failure on an
 output file or the fit-data file. A scan axis longer than ``MAX_SCAN_ROWS``
-rows, a negative seed, a dwell that is not positive and finite or so long
-that a Poisson mean passes numpy's limit, a filter FWHM whose squared
-passband half-width overflows, a negative transmission scale, transmission
-scales so large that the coincidence rates overflow, and a non-finite
-fit-data value are configuration errors. A scan or figure whose axis runs
-past the composed modulator support still succeeds, with one ``warning:``
-line on stderr, printed before the output file is opened. Identical config
-and seed reproduce byte-identical output files; the random generator is
-numpy's PCG64.
+rows, a scan axis whose span or row count is not finite, a negative seed, a
+dwell that is not positive and finite or so long that a Poisson mean passes
+numpy's limit, a filter FWHM whose squared passband half-width overflows, a
+negative transmission scale, transmission scales so large that the
+coincidence rates overflow, a modulation depth too large for the Bessel
+truncation (from about 159 rad), and a non-finite fit-data or waveform value
+are configuration errors. A scan or figure whose axis runs past the composed
+modulator support still succeeds, with one ``warning:`` line on stderr,
+printed before the output file is opened. Identical config and seed
+reproduce byte-identical output files; the random generator is numpy's
+PCG64.
 
 ``scan`` and ``figure`` build the closed-form model once and keep only the
 delta axis (``correlator.lazy_trace``). ``emit_trace`` then evaluates and
@@ -120,8 +122,6 @@ _COMMAND_SECTIONS = {
 class RunConfig:
     """Resolved run parameters (config file plus command-line overrides)."""
 
-    command: str
-    config_path: str | None = None
     out_path: str | None = None
     delta_min: float | None = None
     delta_max: float | None = None
@@ -135,7 +135,12 @@ class RunConfig:
     def delta_axis(self):
         if self.delta_min is None:
             raise ConfigurationError("missing [scan] section with the delta axis")
-        count = int(math.floor((self.delta_max - self.delta_min) / self.delta_step + 1e-9))
+        steps = (self.delta_max - self.delta_min) / self.delta_step
+        if not math.isfinite(steps):
+            raise ConfigurationError(
+                f"delta axis from {self.delta_min:g} to {self.delta_max:g} GHz in steps of "
+                f"{self.delta_step:g} GHz has no finite row count")
+        count = int(math.floor(steps + 1e-9))
         if count + 1 > MAX_SCAN_ROWS:
             raise ConfigurationError(
                 f"delta axis would have {count + 1} rows, more than the "
@@ -197,7 +202,7 @@ def _tokenize(text):
         yield lineno, section, key.strip(), value.strip()
 
 
-def parse_config(text: str, command: str = "scan", config_path: str | None = None):
+def parse_config(text: str, command: str = "scan"):
     """Parse a config file into a RunConfig and (when present) a scenario.
 
     Fully validated: unknown sections/keys, sections ``command`` does not
@@ -240,7 +245,7 @@ def parse_config(text: str, command: str = "scan", config_path: str | None = Non
                 message = f"{command} does not read a [{section}] section; remove it"
             raise ConfigParseError(message, line)
 
-    run = RunConfig(command=command, config_path=config_path)
+    run = RunConfig()
     run.seed = values.get(("run", "seed"), run.seed)
     run.dwell = values.get(("run", "dwell"), run.dwell)
     run.out_path = values.get(("run", "out"), None)
@@ -399,7 +404,7 @@ _EMIT_CHUNK_ROWS = 1 << 14
 _COLUMN_FORMATS = ("%.15g",) * 4 + ("%d",)
 
 
-def _format_chunk(sep, columns, canvas=None):
+def _format_chunk(sep, columns, canvas):
     """Format one chunk of the five trace columns as rows, each ending in LF.
 
     Returns the rows as ASCII bytes. A column whose values in the chunk are
@@ -410,14 +415,11 @@ def _format_chunk(sep, columns, canvas=None):
     a per-value ``%.15g`` or ``%d``: values whose 15-digit rounding the
     vectorised arithmetic cannot certify, such as zeros, subnormals,
     non-finite values and near ties, go through ``%`` one distinct value
-    at a time. Both write into ``canvas``, a ``textfmt.Canvas`` whose
-    buffers ``emit_trace`` reuses from chunk to chunk; without one, a canvas
-    the size of the chunk is made for this call.
+    at a time. Both write into ``canvas``, a ``textfmt.Canvas`` with room
+    for the chunk, whose buffers ``emit_trace`` reuses from chunk to chunk.
     """
     from . import textfmt   # imported here, so that commands writing no CSV skip it
     n_rows = len(columns[0])
-    if canvas is None:
-        canvas = textfmt.Canvas(n_rows, len(_COLUMN_FORMATS))
     canvas.start(n_rows)
     for i, (spec, col) in enumerate(zip(_COLUMN_FORMATS, columns)):
         bits = col.view(np.uint64)
@@ -631,10 +633,9 @@ def main(argv=None) -> int:
                     text = fh.read()
             except OSError as exc:
                 raise ConfigurationError(f"cannot read config file: {exc}") from exc
-            run, scenario = parse_config(text, command=args.command,
-                                         config_path=args.config)
+            run, scenario = parse_config(text, command=args.command)
         else:
-            run, scenario = RunConfig(command=args.command), None
+            run, scenario = RunConfig(), None
         if args.out is not None:
             run.out_path = args.out
         if args.seed is not None:

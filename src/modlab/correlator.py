@@ -42,6 +42,7 @@ _NEGLIGIBLE_WEIGHT = 1e-30
 _GL3_NODES = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
 _GL3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
 _INT64_LIMIT = 2.0 ** 63
+_MIN_WINDOW_SAMPLES = 24     # samples an interior window needs in sideband_areas
 
 FWHM_CONVENTIONS = ("intensity", "field")
 
@@ -174,13 +175,6 @@ class CorrelationTrace:
             delta_axis=self.delta_axis[start:stop], paired=self.paired[start:stop],
             accidental=self.accidental[start:stop], total=self.total[start:stop],
             n_index=self.n_index[start:stop], clipped=self.clipped[start:stop])
-
-    def validate(self):
-        if np.any(self.paired < 0):
-            raise ConfigurationError("paired rate must be nonnegative")
-        if np.max(np.abs(self.total - (self.paired + self.accidental))) > 1e-12 * max(
-                1.0, float(np.max(np.abs(self.total)))):
-            raise ConfigurationError("total must equal paired + accidental pointwise")
 
 
 def sideband_index(delta, omega_m):
@@ -494,7 +488,7 @@ def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
                             n_index=n_idx, clipped=clipped)
 
 
-def sideband_areas(trace: CorrelationTrace, min_window_samples: int = 24) -> dict:
+def sideband_areas(trace: CorrelationTrace) -> dict:
     """Integrated paired rate per sideband window, keyed by the index n.
 
     Windows are the half-open intervals [(n-1/2) w_m, (n+1/2) w_m) already
@@ -515,12 +509,12 @@ def sideband_areas(trace: CorrelationTrace, min_window_samples: int = 24) -> dic
     boundaries = np.flatnonzero(np.diff(n_idx)) + 1
     if len(boundaries) >= 2:
         run_lengths = np.diff(boundaries)
-        if len(run_lengths) and run_lengths.min() < min_window_samples:
+        if len(run_lengths) and run_lengths.min() < _MIN_WINDOW_SAMPLES:
             raise ResolutionError(
-                f"fewer than {min_window_samples} samples per sideband window")
-    elif len(delta) < min_window_samples:
+                f"fewer than {_MIN_WINDOW_SAMPLES} samples per sideband window")
+    elif len(delta) < _MIN_WINDOW_SAMPLES:
         raise ResolutionError(
-            f"fewer than {min_window_samples} samples per sideband window")
+            f"fewer than {_MIN_WINDOW_SAMPLES} samples per sideband window")
 
     areas = {}
     for n in np.unique(n_idx):

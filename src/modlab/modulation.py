@@ -20,14 +20,16 @@ normalization; an independent power-series evaluator is provided as the
 verification oracle.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 
-DEFAULT_TAIL_TOL = 1e-24
+TAIL_TOL = 1e-24
 _RESCALE_LIMIT = 1e100
+_SERIES_TOL = 1e-22
 
 
 def bessel_j_sequence(nmax: int, x: float) -> np.ndarray:
@@ -78,7 +80,7 @@ def bessel_j_sequence(nmax: int, x: float) -> np.ndarray:
     return out
 
 
-def bessel_j_series(n: int, x: float, tol: float = 1e-22) -> float:
+def bessel_j_series(n: int, x: float) -> float:
     """J_n(x) from the ascending power series; the independent oracle.
 
     Accurate to ~1e-15 absolute for |x| below about 15, which covers every
@@ -105,7 +107,7 @@ def bessel_j_series(n: int, x: float, tol: float = 1e-22) -> float:
         m += 1
         term *= -(half * half) / (m * (n + m))
         total += term
-        if abs(term) < tol * max(abs(total), 1e-300) or m > 400:
+        if abs(term) < _SERIES_TOL * max(abs(total), 1e-300) or m > 400:
             break
     return sign * total
 
@@ -147,20 +149,6 @@ class ModulatorSpectrum:
     def total_power(self) -> float:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
-    def tail_fraction(self) -> float:
-        """(|q_K|^2 + |q_-K|^2) / total power; zero for the K=0 identity case."""
-        if self.k_max == 0:
-            return 0.0
-        power = self.total_power()
-        edge = abs(self.coeffs[0]) ** 2 + abs(self.coeffs[-1]) ** 2
-        return float(edge / power)
-
-    def validate(self, parseval_tol: float = 1e-10, tail_tol: float = DEFAULT_TAIL_TOL):
-        if abs(self.total_power() - 1.0) > parseval_tol:
-            raise ConfigurationError("modulator coefficients violate sum |q_k|^2 = 1")
-        if self.tail_fraction() >= tail_tol:
-            raise ConfigurationError("modulator truncation tail above tolerance")
-
     def __eq__(self, other):
         if not isinstance(other, ModulatorSpectrum):
             return NotImplemented
@@ -172,16 +160,14 @@ class ModulatorSpectrum:
 
 
 def sinusoidal_coeffs(depth: float, drive_phase: float = 0.0,
-                      omega_m: float = 30.0,
-                      tail_tol: float = DEFAULT_TAIL_TOL) -> ModulatorSpectrum:
+                      omega_m: float = 30.0) -> ModulatorSpectrum:
     """Coefficients of a sinusoidal phase modulator of the given depth.
 
     q_k = J_k(-depth) * exp(-i k drive_phase), truncated at the smallest K
-    whose edge coefficients carry less than ``tail_tol`` of the power. For
-    the default tolerance K comes out near depth + 18.
+    whose edge coefficients carry less than ``TAIL_TOL`` of the power; K
+    comes out near depth + 18. From about 159 rad up the edge power can stay
+    above that within the orders computed, and the depth is rejected.
     """
-    if tail_tol <= 0:
-        raise ConfigurationError("tail tolerance must be positive")
     depth = float(depth)
     if depth == 0.0:
         return ModulatorSpectrum(omega_m=omega_m, coeffs=np.array([1.0 + 0.0j]),
@@ -191,9 +177,11 @@ def sinusoidal_coeffs(depth: float, drive_phase: float = 0.0,
     # stay above the turning point so an incidental Bessel zero cannot
     # masquerade as a converged tail
     k_floor = int(np.ceil(abs(depth))) + 2
-    converged = np.flatnonzero(2.0 * j_pos[k_floor:] ** 2 < tail_tol)
+    converged = np.flatnonzero(2.0 * j_pos[k_floor:] ** 2 < TAIL_TOL)
     if not len(converged):
-        raise ConfigurationError("tail tolerance not reachable; loosen tail_tol")
+        raise ConfigurationError(
+            f"modulation depth {depth:g} rad is too large: its Bessel tail does not "
+            f"fall below {TAIL_TOL:g} of the power within {k_big} orders")
     k_cut = k_floor + int(converged[0])
     k_idx = np.arange(-k_cut, k_cut + 1)
     # J_{-k} = (-1)^k J_k
@@ -204,8 +192,7 @@ def sinusoidal_coeffs(depth: float, drive_phase: float = 0.0,
                              depth=depth, drive_phase=float(drive_phase))
 
 
-def coeffs_from_waveform(phase_samples, omega_m: float,
-                         tail_tol: float = DEFAULT_TAIL_TOL) -> ModulatorSpectrum:
+def coeffs_from_waveform(phase_samples, omega_m: float) -> ModulatorSpectrum:
     """Coefficients of an arbitrary periodic phase drive phi(t).
 
     ``phase_samples`` holds phi in radians at uniform times j*T/N over one
@@ -226,7 +213,7 @@ def coeffs_from_waveform(phase_samples, omega_m: float,
     total = float(power.sum())
     k_lim = n // 2 - 1
     k = np.arange(1, k_lim + 1)
-    kept = k[(power[k] >= tail_tol * total) | (power[n - k] >= tail_tol * total)]
+    kept = k[(power[k] >= TAIL_TOL * total) | (power[n - k] >= TAIL_TOL * total)]
     k_cut = min(int(kept[-1]) + 1, k_lim) if len(kept) else 0
     k_idx = np.arange(-k_cut, k_cut + 1)
     # the quarter-period origin shift multiplies q_k by i**k
@@ -254,10 +241,13 @@ def read_phase_waveform(path) -> np.ndarray:
                 raise ConfigurationError(
                     f"{path}:{lineno}: expected two columns (time_fraction phase_radians)")
             try:
-                times.append(float(parts[0]))
-                phases.append(float(parts[1]))
+                time, phase = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise ConfigurationError(f"{path}:{lineno}: non-numeric value") from exc
+            if not (math.isfinite(time) and math.isfinite(phase)):
+                raise ConfigurationError(f"{path}:{lineno}: non-finite value")
+            times.append(time)
+            phases.append(phase)
     n = len(times)
     if n < 64:
         raise ConfigurationError("waveform file needs at least 64 samples per period")

@@ -44,6 +44,10 @@ PRESET_R2_RATE = 2.18
 
 FIGURE_CASES = ("fig3a", "fig3b", "fig4a", "fig4b")
 
+# fit_scale stops once the gradient norm falls to this fraction of its first value
+_GRADIENT_TOL = 1e-8
+_MAX_ITERATIONS = 500
+
 
 @dataclass(frozen=True)
 class ExperimentScenario:
@@ -90,7 +94,7 @@ def reference_scenario(depth1: float = 0.0, depth2: float = 0.0,
     filter2 = GaussianFilter(fwhm=REFERENCE_FILTER_FWHM,
                              alpha=math.sqrt(REFERENCE_ALPHA2_SQ),
                              slit=slit, dispersion=REFERENCE_DISPERSION)
-    a0, b0 = amplitudes_from_rate(PRESET_R2_RATE, filter2, "intensity")
+    a0, b0 = amplitudes_from_rate(PRESET_R2_RATE, filter2)
     return ExperimentScenario(
         pump_frequency=REFERENCE_PUMP_FREQUENCY,
         amplitudes=SpectralAmplitudes.flat(a0, b0),
@@ -180,8 +184,7 @@ class FitResult:
 
 
 def fit_scale(delta_axis, counts, scenario: ExperimentScenario,
-              dwell: float = 20.0, max_iterations: int = 500,
-              gradient_tol: float = 1e-8) -> FitResult:
+              dwell: float = 20.0) -> FitResult:
     """Least-squares fit of transmission scales and horizontal offset.
 
     Minimizes sum((dwell * scale * unit_rate(delta - offset) - counts)^2)
@@ -189,9 +192,9 @@ def fit_scale(delta_axis, counts, scenario: ExperimentScenario,
     offset grid (the optimal scale at fixed offset is closed-form). The
     offset is confined to half a sideband spacing to avoid relabeling
     degeneracy. The fit stops when the gradient norm falls below
-    ``gradient_tol`` of its initial value or no further descent is
-    resolvable at working precision; running out of iterations raises
-    FitError carrying the best result so far.
+    ``_GRADIENT_TOL`` of its initial value or no further descent is
+    resolvable at working precision; running out of ``_MAX_ITERATIONS``
+    iterations raises FitError carrying the best result so far.
     """
     delta = np.asarray(delta_axis, dtype=float)
     y = np.asarray(counts, dtype=float)
@@ -220,7 +223,7 @@ def fit_scale(delta_axis, counts, scenario: ExperimentScenario,
 
     def objective(scale, off):
         resid = dwell * scale * rate(delta - off) - y
-        return float(resid @ resid), resid
+        return float(resid @ resid)
 
     # coarse initialization: scan offsets, closed-form scale at each
     best = None
@@ -228,7 +231,7 @@ def fit_scale(delta_axis, counts, scenario: ExperimentScenario,
         m = rate(delta - off) * dwell
         denom = float(m @ m)
         scale = max(float(m @ y) / denom, 0.0) if denom > 0 else 0.0
-        f, _ = objective(scale, off)
+        f = objective(scale, off)
         if best is None or f < best[0]:
             best = (f, scale, off)
     f_cur, scale, off = best
@@ -237,7 +240,7 @@ def fit_scale(delta_axis, counts, scenario: ExperimentScenario,
     grad0 = None
     iterations = 0
     converged = False
-    while iterations < max_iterations:
+    while iterations < _MAX_ITERATIONS:
         iterations += 1
         m = rate(delta - off)
         resid = dwell * scale * m - y
@@ -248,7 +251,7 @@ def fit_scale(delta_axis, counts, scenario: ExperimentScenario,
         gnorm = float(np.linalg.norm(grad))
         if grad0 is None:
             grad0 = max(gnorm, 1e-300)
-        if gnorm <= gradient_tol * grad0:
+        if gnorm <= _GRADIENT_TOL * grad0:
             converged = True
             break
         step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
@@ -257,7 +260,7 @@ def fit_scale(delta_axis, counts, scenario: ExperimentScenario,
         for _ in range(40):
             trial_scale = max(scale + t * step[0], 0.0)
             trial_off = float(np.clip(off + t * step[1], -off_bound, off_bound))
-            f_new, _ = objective(trial_scale, trial_off)
+            f_new = objective(trial_scale, trial_off)
             if f_new < f_cur:
                 scale, off, f_cur = trial_scale, trial_off, f_new
                 history.append(f_cur)
@@ -282,5 +285,5 @@ def fit_scale(delta_axis, counts, scenario: ExperimentScenario,
         iterations=iterations,
         objective_history=tuple(history))
     if not converged:
-        raise FitError(f"fit did not converge in {max_iterations} iterations", best=result)
+        raise FitError(f"fit did not converge in {_MAX_ITERATIONS} iterations", best=result)
     return result

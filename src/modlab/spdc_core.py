@@ -184,14 +184,6 @@ class SpectralAmplitudes:
         rev_b = self.b[::-1]
         return float(np.abs(self.a * rev_b - self.b * rev_a).max())
 
-    def validate(self, tol=1e-9):
-        if self.unitarity_residual() > tol:
-            raise ConfigurationError("amplitude unitarity violated beyond tolerance")
-        if self.symmetry_residual() > tol:
-            raise ConfigurationError("conjugate-pair symmetry violated beyond tolerance")
-        if abs(abs(self.a0) ** 2 - abs(self.b0) ** 2 - 1.0) > tol:
-            raise ConfigurationError("flat-band constants violate |A0|^2-|B0|^2=1")
-
 
 def propagate_envelopes(profile: CrystalProfile, grid: FrequencyGrid,
                         steps: int = DEFAULT_STEPS) -> SpectralAmplitudes:
@@ -319,7 +311,7 @@ def analytic_amplitudes(kappa0, delta_k0, length):
     return complex(a0), complex(b0)
 
 
-def amplitudes_from_rate(r2_measured, filter2, convention="intensity"):
+def amplitudes_from_rate(r2_measured, filter2):
     """Back out flat-band (A0, B0) from a measured singles rate in channel 2.
 
     Inverts the flat-band singles-rate expression
@@ -329,7 +321,7 @@ def amplitudes_from_rate(r2_measured, filter2, convention="intensity"):
     """
     if r2_measured <= 0:
         raise DomainError("measured rate must be positive")
-    h2_integral = filter2.intensity_integral(convention)
+    h2_integral = filter2.intensity_integral()
     if h2_integral <= 0:
         raise DomainError("filter 2 must have positive transmission (alpha > 0)")
     b0_sq = 4.0 * np.pi * float(r2_measured) / h2_integral

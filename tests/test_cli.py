@@ -1,5 +1,6 @@
 """Config parsing, output emission, validation command and exit codes."""
 
+import functools
 import json
 import math
 import os
@@ -212,20 +213,25 @@ def test_emit_gnuplot_style(tmp_path):
     assert "," not in lines[1]
 
 
-def _emit_rows_reference(trace, path, gnuplot_style=False):
-    """The former row-at-a-time CSV writer, kept as the byte-level reference."""
-    sep = " " if gnuplot_style else ","
-    header = sep.join(("delta_ghz", "paired", "accidental", "total", "n_index"))
-    if gnuplot_style:
-        header = "# " + header
+def _value_texts(trace):
+    """The per-value ``%.15g`` and ``%d`` texts of a trace's five columns."""
     # .tolist() first: f-strings on Python floats and ints give the same
     # bytes as on numpy scalars, and much faster
     texts = [[f"{v:.15g}" for v in np.asarray(c).tolist()]
              for c in (trace.delta_axis, trace.paired, trace.accidental, trace.total)]
     texts.append([str(int(n)) for n in np.asarray(trace.n_index).tolist()])
+    return texts
+
+
+def _reference_bytes(texts, gnuplot_style=False):
+    """The former row-at-a-time CSV writer, kept as the byte-level reference:
+    the header and the rows of ``_value_texts`` joined in one style."""
+    sep = " " if gnuplot_style else ","
+    header = sep.join(("delta_ghz", "paired", "accidental", "total", "n_index"))
+    if gnuplot_style:
+        header = "# " + header
     rows = [header, *map(sep.join, zip(*texts))]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+    return ("\n".join(rows) + "\n").encode("utf-8")
 
 
 def _fig4a_trace(lo, hi, n_rows):
@@ -242,10 +248,9 @@ def _signed_zero_trace(n_rows):
                             n_index=np.zeros(n_rows, dtype=np.int64))
 
 
-@pytest.mark.parametrize("gnuplot_style", [False, True])
-def test_emit_trace_matches_row_reference_across_chunks(tmp_path, gnuplot_style):
-    # whole emit chunks, so that the case names below hold
-    assert CHUNK_ROWS % cli._EMIT_CHUNK_ROWS == 0
+@functools.cache
+def _across_chunks_cases():
+    """Name -> (trace, its ``_value_texts``), built once for both styles."""
     cases = {
         "single chunk": _fig4a_trace(-150.0, 150.0, 601),
         "three-row last chunk": _fig4a_trace(-150.0, 150.0, 2 * CHUNK_ROWS + 3),
@@ -255,15 +260,23 @@ def test_emit_trace_matches_row_reference_across_chunks(tmp_path, gnuplot_style)
         "constant n_index": _fig4a_trace(-10.0, 10.0, CHUNK_ROWS + 2),
         "0.0 and -0.0 in one chunk": _signed_zero_trace(CHUNK_ROWS + 1),
     }
-    assert set(cases["constant n_index"].n_index.tolist()) == {0}
-    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
-    for name, trace in cases.items():
-        _emit_rows_reference(trace, ref, gnuplot_style=gnuplot_style)
+    return {name: (trace, _value_texts(trace)) for name, trace in cases.items()}
+
+
+@pytest.mark.parametrize("gnuplot_style", [False, True])
+def test_emit_trace_matches_row_reference_across_chunks(tmp_path, gnuplot_style):
+    # whole emit chunks, so that the case names below hold
+    assert CHUNK_ROWS % cli._EMIT_CHUNK_ROWS == 0
+    cases = _across_chunks_cases()
+    assert set(cases["constant n_index"][0].n_index.tolist()) == {0}
+    out = tmp_path / "out.csv"
+    for name, (trace, texts) in cases.items():
+        ref = _reference_bytes(texts, gnuplot_style)
         emit_trace(trace, out, gnuplot_style=gnuplot_style)
-        assert out.read_bytes() == ref.read_bytes(), name
+        assert out.read_bytes() == ref, name
     # emitting the last multi-chunk trace again gives the same bytes
     emit_trace(trace, out, gnuplot_style=gnuplot_style)
-    assert out.read_bytes() == ref.read_bytes()
+    assert out.read_bytes() == ref
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -281,10 +294,9 @@ def test_emit_trace_matches_row_reference_edge_values(tmp_path, gnuplot_style):
         accidental=np.array([1e22, 5e-324, 0.1, 123456789012345678.0]),
         total=np.array([-1e22, 1.0, -5e-324, 1e-5]),
         n_index=np.array([-3, -1, 0, 7]))
-    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    out = tmp_path / "out.csv"
     emit_trace(trace, out, gnuplot_style=gnuplot_style)
-    _emit_rows_reference(trace, ref, gnuplot_style=gnuplot_style)
-    assert out.read_bytes() == ref.read_bytes()
+    assert out.read_bytes() == _reference_bytes(_value_texts(trace), gnuplot_style)
     assert out.read_text().splitlines()[1].split(" " if gnuplot_style else ",")[0] == "-0"
 
 
@@ -365,6 +377,12 @@ FIG4A_BEYOND_INT64 = (FIG4A_SCAN.replace("delta_min = -150 GHz", "delta_min = -1
                       .replace("delta_step = 0.5 GHz", "delta_step = 1e19 GHz"))
 
 
+# the axis spans 2e308 GHz, which overflows to inf
+OVERFLOWING_AXIS = (MINIMAL.replace("delta_min = -150 GHz", "delta_min = -1e308 GHz")
+                    .replace("delta_max = 150 GHz", "delta_max = 1e308 GHz")
+                    .replace("delta_step = 0.5 GHz", "delta_step = 1e300 GHz"))
+
+
 def _fit_data(bad_line):
     """A 12-row fit-data CSV whose third data row is ``bad_line``."""
     rows = [f"{d:.1f},{100 + d:.0f}" for d in np.arange(-6.0, 6.0)]
@@ -372,7 +390,15 @@ def _fit_data(bad_line):
     return "delta_ghz,counts\n" + "\n".join(rows) + "\n"
 
 
-# (command, config text, extra argv, fit-data CSV or None, stderr fragments)
+def _waveform(bad_line):
+    """A 64-row phase waveform file whose fourth row is ``bad_line``."""
+    rows = [f"{j / 64} 0.0" for j in range(64)]
+    rows[3] = bad_line
+    return "\n".join(rows) + "\n"
+
+
+# (command, config text, extra argv, text of the fit-data or waveform file named
+# {data} in the config, or None, stderr fragments)
 @pytest.mark.parametrize("command, text, argv, data, fragments", [
     pytest.param("scan", MINIMAL + "filter1_fwhm = nan GHz\n", [], None,
                  ("filter1_fwhm", "line"), id="filter1_fwhm = nan GHz"),
@@ -398,6 +424,16 @@ def _fit_data(bad_line):
       for value in ("1e307", "1e308")],
     pytest.param("scan", FIG4A_BEYOND_INT64, [], None, ("sideband indices", "1e+21"),
                  id="scan delta = +-1e21 GHz"),
+    *[pytest.param(command, OVERFLOWING_AXIS, [], None,
+                   ("delta axis", "-1e+308", "1e+300", "no finite row count"),
+                   id=f"{command} delta = +-1e308 GHz")
+      for command in ("scan", "fit")],
+    pytest.param("scan", MINIMAL + "mod1_waveform = {data}\n", [], _waveform("0.046875 nan"),
+                 ("wave.txt:4", "non-finite"), id="nan phase in waveform"),
+    pytest.param("scan", MINIMAL + "mod1_waveform = {data}\n", [], _waveform("nan 0.0"),
+                 ("wave.txt:4", "non-finite"), id="nan time in waveform"),
+    pytest.param("scan", MINIMAL + "mod1_depth = 200 rad\n", [], None,
+                 ("modulation depth 200 rad", "too large"), id="mod1_depth = 200 rad"),
     pytest.param("fit", MINIMAL, ["--dwell", "nan"], None, ("--dwell",), id="--dwell nan"),
     pytest.param("fit", MINIMAL, ["--dwell", "inf"], None, ("--dwell",), id="--dwell inf"),
     pytest.param("fit", MINIMAL, ["--seed", "-1"], None, ("--seed",), id="--seed -1"),
@@ -416,9 +452,9 @@ def _fit_data(bad_line):
 def test_main_rejects_non_finite_values(tmp_path, capsys, command, text, argv, data,
                                         fragments):
     if data is not None:
-        csv = tmp_path / "counts.csv"
-        csv.write_text(data)
-        text = text.format(data=csv)
+        path = tmp_path / ("counts.csv" if command == "fit" else "wave.txt")
+        path.write_text(data)
+        text = text.format(data=path)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     out = tmp_path / "x.out"
@@ -428,6 +464,8 @@ def test_main_rejects_non_finite_values(tmp_path, capsys, command, text, argv, d
     assert "Traceback" not in err
     for fragment in fragments:
         assert fragment in err
+    # no message names a setting that no config key or flag sets
+    assert "tail_tol" not in err
     assert not out.exists()
 
 
@@ -443,8 +481,7 @@ def test_main_rejects_oversized_delta_axis(tmp_path, capsys):
     assert str(MAX_SCAN_ROWS) in err
     assert not out.exists()
     # one row past the cap is refused before the axis is built
-    run = RunConfig(command="scan", delta_min=0.0, delta_max=float(MAX_SCAN_ROWS),
-                    delta_step=1.0)
+    run = RunConfig(delta_min=0.0, delta_max=float(MAX_SCAN_ROWS), delta_step=1.0)
     from modlab import ConfigurationError
     with pytest.raises(ConfigurationError, match="rows"):
         run.delta_axis()
@@ -696,7 +733,7 @@ def test_main_validate(tmp_path, capsys):
 
 
 def test_run_config_axis_requires_scan():
-    run = RunConfig(command="scan")
+    run = RunConfig()
     from modlab import ConfigurationError
     with pytest.raises(ConfigurationError):
         run.delta_axis()

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modlab import (ConfigurationError, CorrelationTrace, DomainError, GaussianFilter,
+from modlab import (ConfigurationError, DomainError, GaussianFilter,
                     ResolutionError, SidebandModel, SpectralAmplitudes, bessel_j_series,
                     coincidence_full, coincidence_trace, h2_profile, sideband_areas,
                     singles_rate, sinusoidal_coeffs)
@@ -317,7 +317,8 @@ def test_unmodulated_trace_is_single_h2_peak():
     c0 = abs(scn.amplitudes.a0 * scn.amplitudes.b0) ** 2 / (8.0 * math.pi)
     assert np.allclose(trace.paired, c0 * h2(-delta), rtol=1e-12)
     assert int(np.argmax(trace.paired)) == int(np.argmin(np.abs(delta)))
-    trace.validate()
+    assert np.all(trace.paired >= 0)
+    assert np.array_equal(trace.total, trace.paired + trace.accidental)
 
 
 def test_single_modulator_sideband_heights():
@@ -387,15 +388,6 @@ def test_accidental_floor_bounds_total():
     assert np.all(trace.total >= trace.accidental[0])
     far = np.abs(delta) > 250.0
     assert trace.paired[far].max() <= 1e-6 * trace.paired.max()
-
-
-def test_trace_validate_rejects_inconsistency():
-    delta = np.arange(5.0)
-    bad = CorrelationTrace(delta_axis=delta, paired=np.ones(5),
-                           accidental=np.zeros(5), total=np.full(5, 2.0),
-                           n_index=np.zeros(5, dtype=int))
-    with pytest.raises(ConfigurationError):
-        bad.validate()
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from modlab import (ConfigurationError, bessel_j_sequence, bessel_j_series,
                     coeffs_from_waveform, compose_nonlocal, read_phase_waveform,
                     sinusoidal_coeffs)
-from modlab.modulation import DEFAULT_TAIL_TOL, ModulatorSpectrum
+from modlab.modulation import TAIL_TOL, ModulatorSpectrum
 
 J_15 = (0.5118276717359181, 0.5579365079100996, 0.2320876721442147,
         0.06096395114113963, 0.011768132420343797)
@@ -28,6 +28,11 @@ J_30 = (-0.26005195490193334, 0.3390589585259365, 0.486091260585891,
 
 # squared magnitudes quoted to five digits (series oracle)
 Q_SQ_15 = (0.26197, 0.31129, 0.05386, 0.003717)
+
+
+def _edge_fraction(mod):
+    """(|q_K|^2 + |q_-K|^2) / total power: what the truncation leaves at the edge."""
+    return (abs(mod.coeffs[0]) ** 2 + abs(mod.coeffs[-1]) ** 2) / mod.total_power()
 S_SQ_30 = (0.06763, 0.11496, 0.23628, 0.09552, 0.017433)
 
 
@@ -64,7 +69,7 @@ def test_identity_modulator():
     assert mod.k_max == 0
     assert mod.coefficient(0) == 1.0
     assert mod.coefficient(3) == 0.0
-    mod.validate()
+    assert mod.total_power() == 1.0
 
 
 def test_sinusoidal_magnitudes_at_depth_1p5():
@@ -89,19 +94,14 @@ def test_sinusoidal_sign_convention():
 def test_parseval(depth, phase):
     mod = sinusoidal_coeffs(depth, phase, 30.0)
     assert abs(mod.total_power() - 1.0) < 1e-12
-    mod.validate()
+    assert _edge_fraction(mod) < TAIL_TOL
 
 
 def test_truncation_tail():
     mod = sinusoidal_coeffs(1.5, 0.0, 30.0)
-    assert mod.tail_fraction() < 1e-24
+    assert _edge_fraction(mod) < TAIL_TOL
     # near depth + 18 for the default tolerance
     assert 10 <= mod.k_max <= 24
-
-
-def test_tail_tolerance_must_be_positive():
-    with pytest.raises(ConfigurationError):
-        sinusoidal_coeffs(1.5, 0.0, 30.0, tail_tol=0.0)
 
 
 def test_waveform_trivial_phase():
@@ -158,7 +158,8 @@ def test_compose_same_phase_doubles_depth():
     for n, ref in enumerate(S_SQ_30):
         assert abs(s.coefficient(n)) ** 2 == pytest.approx(ref, rel=5e-4)
         assert abs(s.coefficient(n)) ** 2 == pytest.approx(J_30[n] ** 2, rel=1e-10)
-    s.validate()
+    assert abs(s.total_power() - 1.0) < 1e-10
+    assert _edge_fraction(s) < TAIL_TOL
 
 
 def test_compose_opposite_phase_cancels():
@@ -273,7 +274,7 @@ def _sinusoidal_coeffs_reference(depth, drive_phase):
     k_floor = int(np.ceil(abs(depth))) + 2
     k_cut = None
     for k in range(k_floor, k_big + 1):
-        if 2.0 * j_pos[k] ** 2 < DEFAULT_TAIL_TOL:
+        if 2.0 * j_pos[k] ** 2 < TAIL_TOL:
             k_cut = k
             break
     k_idx = np.arange(-k_cut, k_cut + 1)
@@ -297,7 +298,7 @@ def _coeffs_from_waveform_reference(phases):
     k_lim = n // 2 - 1
     k_keep = 0
     for k in range(1, k_lim + 1):
-        if power[k] >= DEFAULT_TAIL_TOL * total or power[n - k] >= DEFAULT_TAIL_TOL * total:
+        if power[k] >= TAIL_TOL * total or power[n - k] >= TAIL_TOL * total:
             k_keep = k
     k_cut = min(k_keep + 1, k_lim) if k_keep > 0 else 0
     return np.array([(1.0, 1.0j, -1.0, -1.0j)[k % 4] * fhat[k % n]

@@ -1,10 +1,12 @@
 """The benchmark's span tracer still fits modlab.
 
 ``perfbench/tracer.py`` raises ``TracingError`` for a traced name that is
-gone, and counts the rows ``cli.emit_trace`` writes from the ``trace``
-argument's ``delta_axis``; both only show in a traced benchmark run. These
-tests fail on them at once. The tracer module is loaded from its path and
-left unchanged.
+gone, counts the rows ``cli.emit_trace`` writes from the ``trace``
+argument's ``delta_axis``, and reads named arguments and results at other
+boundaries to count integrand evaluations, RK4 pair steps, fit iterations
+and distinct singles inputs. All of this only shows in a traced benchmark
+run. These tests fail on it at once. The tracer module is loaded from its
+path and left unchanged.
 """
 
 import importlib
@@ -17,7 +19,8 @@ import pytest
 
 from modlab import cli
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 SCAN = """\
 schema = 1
@@ -60,3 +63,17 @@ def test_traced_emit_rows_equal_the_rows_a_scan_writes(tracer, tmp_path, capsys)
     assert rows > 2 * cli._EMIT_CHUNK_ROWS
     assert traced.emitted_rows == rows
     assert capsys.readouterr().out == f"wrote {rows} rows to {out}\n"
+
+
+def test_traced_counters_see_validate_and_fit(tracer, capsys):
+    # each counter reads an argument or a result by name: singles_rate's
+    # convention, adaptive_simpson's f, propagate_envelopes' grid and steps,
+    # fit_scale's iterations; a renamed one fails the call or counts nothing
+    with tracer.Tracer(0) as traced:
+        assert cli.main(["validate"]) == 0
+        assert cli.main(["fit", "--config", str(ROOT / "configs" / "fit_demo.cfg")]) == 0
+    capsys.readouterr()
+    assert traced.integrand_evals > 0
+    assert traced.rk4_pair_steps > 0
+    assert traced.fit_iterations > 0
+    assert traced.singles_inputs

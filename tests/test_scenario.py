@@ -8,6 +8,7 @@ import pytest
 from modlab import (ConfigurationError, CorrelationTrace, DomainError, FitError,
                     coincidence_trace, figure_preset, fit_scale, regime_report,
                     synthesize_counts)
+from modlab import scenario
 from modlab.scenario import (ExperimentScenario, REFERENCE_DISPERSION,
                              REFERENCE_GATE_NS, REFERENCE_OMEGA_M)
 
@@ -212,12 +213,15 @@ def test_fit_input_validation():
             fit_scale(np.arange(20.0), np.ones(20), scn, dwell=dwell)
 
 
-def test_fit_error_carries_best_result():
+def test_fit_error_carries_best_result(monkeypatch):
+    # one iteration and a gradient target no fit reaches: the fit cannot converge
+    monkeypatch.setattr(scenario, "_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(scenario, "_GRADIENT_TOL", 1e-30)
     scn = figure_preset("fig3b")
     delta = np.arange(-150.0, 150.5, 0.5)
     counts = synthesize_counts(coincidence_trace(scn, delta), dwell=20.0, seed=5)
     with pytest.raises(FitError) as info:
-        fit_scale(delta, counts, scn, dwell=20.0, max_iterations=1, gradient_tol=1e-30)
+        fit_scale(delta, counts, scn, dwell=20.0)
     assert info.value.best is not None
     assert info.value.best.scale_product > 0
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modlab.cli import _format_chunk
+from modlab.cli import _COLUMN_FORMATS, _format_chunk
+from modlab.textfmt import Canvas
 
 SEPARATORS = [",", " "]
 
@@ -38,7 +39,7 @@ def _chunk(floats, ints=None):
 
 def _assert_matches(columns):
     for sep in SEPARATORS:
-        got = _format_chunk(sep, columns)
+        got = _format_chunk(sep, columns, Canvas(len(columns[0]), len(_COLUMN_FORMATS)))
         want = _reference(columns, sep)
         if got != want:
             bad = [(g, w) for g, w in zip(got.split(b"\n"), want.split(b"\n")) if g != w]
