@@ -104,7 +104,7 @@ def singles_error():
     filt = GaussianFilter(fwhm=8.5, alpha=1.0, slit=100.0, dispersion=210.0)
     amps = SpectralAmplitudes.flat(math.sqrt(2.0), 1.0)
     mod = sinusoidal_coeffs(0.0, 0.0, 30.0)
-    rate = singles_rate(amps, mod, filt, "intensity")
+    rate = singles_rate(amps, mod, filt)
     expected = 1.0 / (4.0 * math.pi) * 8.5 * math.sqrt(math.pi / (4.0 * math.log(2.0)))
     return abs(rate - expected) / expected
 
@@ -114,7 +114,7 @@ def h2_errors():
     8.5 GHz filters, against sqrt(2) * 8.5 GHz and the numeric overlap integral."""
     f1 = GaussianFilter(fwhm=8.5, alpha=1.0, slit=100.0, dispersion=210.0)
     f2 = GaussianFilter(fwhm=8.5, alpha=1.0, slit=100.0, dispersion=210.0)
-    h2 = h2_profile(f1, f2, "intensity")
+    h2 = h2_profile(f1, f2)
     fwhm_err = abs(h2.fwhm - 8.5 * math.sqrt(2.0))
     overlap = adaptive_simpson(
         lambda w: f1.intensity_response(w) * f2.intensity_response(w),

@@ -36,6 +36,8 @@ Sections and keys:
              filter2_alpha_sq (dimensionless), filter1_slit/filter2_slit (mm)
 
 With ``preset`` present the remaining scenario keys act as overrides.
+``fwhm_convention`` (whether filter FWHMs are those of |H|^2 or of H) is
+applied as each filter is built, so every scenario holds intensity FWHMs.
 Missing slits default to the degenerate spectrum center; missing modulator
 keys default to an undriven channel.
 
@@ -46,8 +48,8 @@ rows, a scan axis whose span or row count is not finite, a negative seed, a
 dwell that is not positive and finite or so long that a Poisson mean passes
 numpy's limit, a filter FWHM whose squared passband half-width overflows, a
 negative transmission scale, transmission scales so large that the
-coincidence rates overflow, a modulation depth too large for the Bessel
-truncation (from about 159 rad), and a non-finite fit-data or waveform value
+coincidence rates overflow, a modulation depth above 157 rad in magnitude
+(``modulation.MAX_DEPTH``), and a non-finite fit-data or waveform value
 are configuration errors. A scan or figure whose axis runs past the composed
 modulator support still succeeds, with one ``warning:`` line on stderr,
 printed before the output file is opened. Identical config and seed
@@ -75,7 +77,8 @@ import numpy as np
 
 from . import __version__
 from .checks import run_validate
-from .correlator import GaussianFilter, coincidence_trace, lazy_trace
+from .correlator import (FWHM_CONVENTIONS, GaussianFilter, coincidence_trace,
+                         intensity_filter, lazy_trace)
 from .errors import (ConfigParseError, ConfigurationError, DomainError, FitError,
                      ModlabError, ResolutionError)
 from .modulation import coeffs_from_waveform, read_phase_waveform, sinusoidal_coeffs
@@ -97,7 +100,7 @@ _SECTIONS = {
         "modulation_frequency": ("float", "GHz"),
         "gate": ("float", "ns"),
         "dispersion": ("float", "GHz/mm"),
-        "fwhm_convention": ("enum", ("intensity", "field")),
+        "fwhm_convention": ("enum", FWHM_CONVENTIONS),
         "b0": ("float", None),
         "mod1_depth": ("float", "rad"), "mod1_phase": ("float", "rad"),
         "mod2_depth": ("float", "rad"), "mod2_phase": ("float", "rad"),
@@ -327,18 +330,18 @@ def _build_scenario(items, lines):
     b0 = params["b0"]
     a0 = math.sqrt(1.0 + b0 * b0)
     try:
+        # each filter is checked at its quoted width, then read per convention
+        filter1, filter2 = (
+            intensity_filter(GaussianFilter(fwhm=params[f"{ch}_fwhm"],
+                                            alpha=math.sqrt(params[f"{ch}_alpha_sq"]),
+                                            slit=params[f"{ch}_slit"], dispersion=dispersion),
+                             params["fwhm_convention"])
+            for ch in ("filter1", "filter2"))
         return ExperimentScenario(
             pump_frequency=pump,
             amplitudes=SpectralAmplitudes.flat(a0, b0),
-            mod1=mods[0], mod2=mods[1],
-            filter1=GaussianFilter(fwhm=params["filter1_fwhm"],
-                                   alpha=math.sqrt(params["filter1_alpha_sq"]),
-                                   slit=params["filter1_slit"], dispersion=dispersion),
-            filter2=GaussianFilter(fwhm=params["filter2_fwhm"],
-                                   alpha=math.sqrt(params["filter2_alpha_sq"]),
-                                   slit=params["filter2_slit"], dispersion=dispersion),
-            gate_ns=params["gate"], dispersion=dispersion,
-            fwhm_convention=params["fwhm_convention"])
+            mod1=mods[0], mod2=mods[1], filter1=filter1, filter2=filter2,
+            gate_ns=params["gate"], dispersion=dispersion)
     except ValueError as exc:
         raise ConfigParseError(f"invalid scenario: {exc}", None) from exc
 
@@ -351,7 +354,8 @@ def _scenario_params(scenario: ExperimentScenario) -> dict:
         "modulation_frequency": scenario.omega_m,
         "gate": scenario.gate_ns,
         "dispersion": scenario.dispersion,
-        "fwhm_convention": scenario.fwhm_convention,
+        # every GaussianFilter holds an intensity FWHM
+        "fwhm_convention": "intensity",
         "b0": abs(scenario.amplitudes.b0),
         "mod1_depth": scenario.mod1.depth, "mod1_phase": scenario.mod1.drive_phase,
         "mod2_depth": scenario.mod2.depth, "mod2_phase": scenario.mod2.drive_phase,

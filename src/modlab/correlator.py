@@ -26,8 +26,10 @@ frequency sum (Parseval's theorem), so no delay grid is built. The gate
 width is quoted in ns and enters only the accidental term.
 """
 
+import math
+import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,16 +51,13 @@ FWHM_CONVENTIONS = ("intensity", "field")
 
 @dataclass(frozen=True)
 class GaussianFilter:
-    """Monochromator response: Gaussian field transmission of width ``fwhm``.
+    """Monochromator response H = alpha*exp[-2 ln2 w^2 / fwhm^2] at offset w.
 
-    ``slit`` is the output slit position in mm; the selected center
-    frequency is ``dispersion * slit``. ``alpha`` is the dimensionless
-    field transmission scale absorbing losses and detector efficiency.
-
-    The quoted ``fwhm`` is interpreted per convention: "intensity" takes it
-    as the FWHM of |H|^2 (this matches the response formula
-    alpha*exp[-2 ln2 w^2 / fwhm^2] taken at face value), "field" takes it
-    as the FWHM of H itself, making the intensity FWHM narrower by sqrt(2).
+    ``fwhm`` is the FWHM of the intensity response |H|^2; ``intensity_filter``
+    converts a width quoted for H itself. ``slit`` is the output slit
+    position in mm, selecting the center frequency ``dispersion * slit``.
+    ``alpha`` is the dimensionless field transmission scale absorbing losses
+    and detector efficiency.
     """
 
     fwhm: float
@@ -74,8 +73,7 @@ class GaussianFilter:
             raise ConfigurationError("filter transmission scale must be nonnegative")
         if not self.dispersion > 0:
             raise ConfigurationError("dispersion must be positive")
-        # the intensity convention gives the wider profile; Python floats
-        # square to inf without an overflow warning
+        # Python floats square to inf without an overflow warning
         sigma = float(self.intensity_sigma())
         halfwidth = float(self.passband_halfwidth())
         if not (sigma * sigma < np.inf and halfwidth * halfwidth < np.inf):
@@ -87,35 +85,42 @@ class GaussianFilter:
     def center(self) -> float:
         return self.dispersion * self.slit
 
-    def intensity_fwhm(self, convention: str = "intensity") -> float:
-        _check_convention(convention)
-        return self.fwhm if convention == "intensity" else self.fwhm / np.sqrt(2.0)
+    def intensity_sigma(self) -> float:
+        return self.fwhm / _TWO_SQRT_2LN2
 
-    def intensity_sigma(self, convention: str = "intensity") -> float:
-        return self.intensity_fwhm(convention) / _TWO_SQRT_2LN2
+    def field_response(self, offset):
+        """H at ``offset`` from the slit center frequency, formed in one new buffer."""
+        offset = np.asarray(offset, dtype=float)
+        h = np.square(offset, out=np.empty(offset.shape))
+        np.negative(h, out=h)
+        np.divide(h, 4.0 * self.intensity_sigma() ** 2, out=h)
+        np.exp(h, out=h)
+        np.multiply(self.alpha, h, out=h)
+        return h[()]
 
-    def field_response(self, offset, convention: str = "intensity"):
-        """H at ``offset`` from the slit center frequency."""
-        sig = self.intensity_sigma(convention)
-        return self.alpha * np.exp(-np.asarray(offset, dtype=float) ** 2 / (4.0 * sig ** 2))
-
-    def intensity_response(self, offset, convention: str = "intensity"):
-        sig = self.intensity_sigma(convention)
+    def intensity_response(self, offset):
+        sig = self.intensity_sigma()
         return self.alpha ** 2 * np.exp(-np.asarray(offset, dtype=float) ** 2 / (2.0 * sig ** 2))
 
-    def intensity_integral(self, convention: str = "intensity") -> float:
+    def intensity_integral(self) -> float:
         """integral of |H|^2 over frequency, closed form."""
-        sig = self.intensity_sigma(convention)
-        return self.alpha ** 2 * sig * np.sqrt(2.0 * np.pi)
+        return self.alpha ** 2 * self.intensity_sigma() * np.sqrt(2.0 * np.pi)
 
-    def passband_halfwidth(self, convention: str = "intensity") -> float:
-        return _PASSBAND_FWHMS * self.intensity_fwhm(convention)
+    def passband_halfwidth(self) -> float:
+        return _PASSBAND_FWHMS * self.fwhm
 
 
-def _check_convention(convention):
+def intensity_filter(filt: GaussianFilter, convention: str) -> GaussianFilter:
+    """``filt`` with its quoted FWHM read per ``convention``, the one place that
+    knows what a convention means: "intensity" (the FWHM of |H|^2, as
+    ``GaussianFilter.fwhm`` holds it) returns ``filt``, "field" (the FWHM of
+    H, sqrt(2) wider) returns it narrowed by sqrt(2)."""
     if convention not in FWHM_CONVENTIONS:
         raise ConfigurationError(
             f"unknown FWHM convention {convention!r}; expected one of {FWHM_CONVENTIONS}")
+    if convention == "field":
+        return replace(filt, fwhm=filt.fwhm / math.sqrt(2.0))
+    return filt
 
 
 @dataclass(frozen=True)
@@ -133,16 +138,14 @@ class H2Profile:
         return _TWO_SQRT_2LN2 * self.sigma
 
 
-def h2_profile(filter1: GaussianFilter, filter2: GaussianFilter,
-               convention: str = "intensity") -> H2Profile:
+def h2_profile(filter1: GaussianFilter, filter2: GaussianFilter) -> H2Profile:
     """Sideband lineshape |H1|^2 * |H2|^2 (Gaussian convolution, analytic).
 
     Variances add, so for two equal filters the result's FWHM is sqrt(2)
     times the individual intensity FWHM; the peak equals the zero-shift
     overlap integral of the two intensity responses.
     """
-    s1 = filter1.intensity_sigma(convention)
-    s2 = filter2.intensity_sigma(convention)
+    s1, s2 = filter1.intensity_sigma(), filter2.intensity_sigma()
     sigma = np.sqrt(s1 ** 2 + s2 ** 2)
     peak = (filter1.alpha ** 2 * filter2.alpha ** 2
             * np.sqrt(2.0 * np.pi) * s1 * s2 / sigma)
@@ -214,10 +217,14 @@ def singles_rate(amps, mod, filt: GaussianFilter, convention: str = "intensity")
     the rule's floats are those of the former scalar recursion, so every
     CSV stays byte-identical. A transmission scale so large that the rule
     overflows raises ``DomainError``.
+
+    ``convention`` goes to ``intensity_filter`` on entry; modlab itself
+    passes intensity FWHMs, and the parameter stays because the benchmark's
+    tracer reads it by name.
     """
-    _check_convention(convention)
+    filt = intensity_filter(filt, convention)
     center = filt.center
-    width = filt.passband_halfwidth(convention)
+    width = filt.passband_halfwidth()
     powers = np.abs(mod.coeffs) ** 2
 
     if amps.is_flat:
@@ -228,7 +235,7 @@ def singles_rate(amps, mod, filt: GaussianFilter, convention: str = "intensity")
             # an overflow anywhere in the rule raises here instead of warning
             with np.errstate(over="raise", invalid="raise"):
                 integral = adaptive_simpson(
-                    lambda w: filt.intensity_response(w - center, convention),
+                    lambda w: filt.intensity_response(w - center),
                     center - width, center + width, atol)
         except FloatingPointError as exc:
             raise DomainError(
@@ -263,7 +270,7 @@ def singles_rate(amps, mod, filt: GaussianFilter, convention: str = "intensity")
     half = 0.5 * (right - left)
     x = (left + half)[:, None] + half[:, None] * _GL3_NODES
     f = (np.abs(amps.b_at(x)) ** 2
-         * filt.intensity_response(x + shifts[owner][:, None] - center, convention))
+         * filt.intensity_response(x + shifts[owner][:, None] - center))
     total = 0.0
     for p, start, end in zip(ps, ends - counts, ends):
         total += p * float(half[start:end] @ (f[start:end] @ _GL3_WEIGHTS))
@@ -285,14 +292,13 @@ class SidebandModel:
     """
 
     def __init__(self, scenario):
-        conv = scenario.fwhm_convention
         self.s = compose_nonlocal(scenario.mod1, scenario.mod2)
         self.n_max = self.s.k_max
         self.omega_m = scenario.omega_m
-        r1 = singles_rate(scenario.amplitudes, scenario.mod1, scenario.filter1, conv)
-        r2 = singles_rate(scenario.amplitudes, scenario.mod2, scenario.filter2, conv)
+        r1 = singles_rate(scenario.amplitudes, scenario.mod1, scenario.filter1)
+        r2 = singles_rate(scenario.amplitudes, scenario.mod2, scenario.filter2)
         self.accidental = r1 * r2 * scenario.gate_ns * 1e-9
-        self.h2 = h2_profile(scenario.filter1, scenario.filter2, conv)
+        self.h2 = h2_profile(scenario.filter1, scenario.filter2)
         amp_factor = abs(scenario.amplitudes.a0 * scenario.amplitudes.b0) ** 2 / (8.0 * np.pi)
         self.c_table = amp_factor * np.abs(self.s.coeffs) ** 2
         # checked once here for both trace tiers and the fit, in Python floats
@@ -352,24 +358,26 @@ class SidebandModel:
 
 
 def _warn_if_clipped(model, delta):
-    """Warn once when samples of ``delta`` lie beyond the composed support."""
+    """Warn, naming the first caller outside this module, when samples of
+    ``delta`` lie beyond the composed support."""
     if model.clips(delta):
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals.get("__name__") == __name__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             "delta samples beyond the modulator truncation support; paired term set to zero",
-            RuntimeWarning, stacklevel=3)
+            RuntimeWarning, stacklevel=level)
 
 
 def coincidence_trace(scenario, delta_axis) -> CorrelationTrace:
     """Closed-form coincidence rate versus delta (the flat-band model).
 
-    Samples the scenario's ``SidebandModel`` on the axis. Samples beyond
+    ``lazy_trace`` evaluated over the whole axis at once. Samples beyond
     the composed coefficients' support get a zero paired term and are
     flagged (with a warning), not rejected.
     """
-    delta = np.asarray(delta_axis, dtype=float)
-    model = SidebandModel(scenario)
-    _warn_if_clipped(model, delta)
-    return model.evaluate(delta)
+    trace = lazy_trace(scenario, delta_axis)
+    return trace.chunk(0, len(trace.delta_axis))
 
 
 @dataclass(frozen=True)
@@ -390,7 +398,7 @@ class LazyTrace:
 
 
 def lazy_trace(scenario, delta_axis) -> LazyTrace:
-    """``coincidence_trace`` without its columns: the model is built and the
+    """The closed-form trace without its columns: the model is built and the
     clipping warning issued now, the rows are evaluated chunk by chunk."""
     delta = np.asarray(delta_axis, dtype=float)
     model = SidebandModel(scenario)
@@ -400,11 +408,8 @@ def lazy_trace(scenario, delta_axis) -> LazyTrace:
 
 def _omega_offsets(scenario):
     """Frequency-offset grid of the full tier: resolves both filters."""
-    conv = scenario.fwhm_convention
-    f_min = min(scenario.filter1.intensity_fwhm(conv),
-                scenario.filter2.intensity_fwhm(conv))
-    sigma_max = max(scenario.filter1.intensity_sigma(conv),
-                    scenario.filter2.intensity_sigma(conv))
+    f_min = min(scenario.filter1.fwhm, scenario.filter2.fwhm)
+    sigma_max = max(scenario.filter1.intensity_sigma(), scenario.filter2.intensity_sigma())
     half = 0.5 * scenario.omega_m + 8.0 * sigma_max
     step = f_min / 40.0
     n = int(np.ceil(2.0 * half / step)) + 1
@@ -436,7 +441,6 @@ def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
     delta = np.asarray(delta_axis, dtype=float)
     omega_m = scenario.omega_m
     amps = scenario.amplitudes
-    conv = scenario.fwhm_convention
     c1 = scenario.filter1.center
 
     model = SidebandModel(scenario)
@@ -467,17 +471,10 @@ def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
         summed = (q.coeffs * r_nk) @ (amps.a_at(a_freq) * amps.b_at(b_freq))
 
     xi = n_idx[kept] * omega_m - delta[kept]
-    # at most g and one real array of its shape are held at once: the H2
-    # factor is formed first, in one buffer with the operation order of
-    # ``GaussianFilter.field_response``, and that buffer then takes |g|^2
-    filter2 = scenario.filter2
-    h2_rows = np.subtract(xi[:, None], u)
-    np.square(h2_rows, out=h2_rows)
-    np.negative(h2_rows, out=h2_rows)
-    np.divide(h2_rows, 4.0 * filter2.intensity_sigma(conv) ** 2, out=h2_rows)
-    np.exp(h2_rows, out=h2_rows)
-    np.multiply(filter2.alpha, h2_rows, out=h2_rows)
-    g = (summed * scenario.filter1.field_response(u, conv))[which]
+    # the H2 factor is formed before g exists and its buffer then takes |g|^2,
+    # so the peak is g and one real array of its shape
+    h2_rows = scenario.filter2.field_response(np.subtract(xi[:, None], u))
+    g = (summed * scenario.filter1.field_response(u))[which]
     g *= h2_rows
     g_sq = np.square(np.abs(g, out=h2_rows), out=h2_rows)
     paired = np.zeros_like(delta)

@@ -28,6 +28,10 @@ import numpy as np
 from .errors import ConfigurationError
 
 TAIL_TOL = 1e-24
+# the largest accepted |depth| in rad: up to it the Bessel tail falls below
+# TAIL_TOL within the orders sinusoidal_coeffs computes (that fails first at
+# 157.963 rad; each depth in (n-1, n] has its least margin at n)
+MAX_DEPTH = 157.0
 _RESCALE_LIMIT = 1e100
 _SERIES_TOL = 1e-22
 
@@ -165,10 +169,14 @@ def sinusoidal_coeffs(depth: float, drive_phase: float = 0.0,
 
     q_k = J_k(-depth) * exp(-i k drive_phase), truncated at the smallest K
     whose edge coefficients carry less than ``TAIL_TOL`` of the power; K
-    comes out near depth + 18. From about 159 rad up the edge power can stay
-    above that within the orders computed, and the depth is rejected.
+    comes out near depth + 18. A depth beyond +-``MAX_DEPTH`` is rejected
+    before any order is computed.
     """
     depth = float(depth)
+    if not abs(depth) <= MAX_DEPTH:
+        raise ConfigurationError(
+            f"modulation depth {depth:g} rad is too large: |depth| must be at most "
+            f"{MAX_DEPTH:g} rad")
     if depth == 0.0:
         return ModulatorSpectrum(omega_m=omega_m, coeffs=np.array([1.0 + 0.0j]),
                                  depth=0.0, drive_phase=float(drive_phase))
@@ -177,12 +185,7 @@ def sinusoidal_coeffs(depth: float, drive_phase: float = 0.0,
     # stay above the turning point so an incidental Bessel zero cannot
     # masquerade as a converged tail
     k_floor = int(np.ceil(abs(depth))) + 2
-    converged = np.flatnonzero(2.0 * j_pos[k_floor:] ** 2 < TAIL_TOL)
-    if not len(converged):
-        raise ConfigurationError(
-            f"modulation depth {depth:g} rad is too large: its Bessel tail does not "
-            f"fall below {TAIL_TOL:g} of the power within {k_big} orders")
-    k_cut = k_floor + int(converged[0])
+    k_cut = k_floor + int(np.flatnonzero(2.0 * j_pos[k_floor:] ** 2 < TAIL_TOL)[0])
     k_idx = np.arange(-k_cut, k_cut + 1)
     # J_{-k} = (-1)^k J_k
     j_k = j_pos[np.abs(k_idx)]

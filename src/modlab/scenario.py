@@ -61,7 +61,6 @@ class ExperimentScenario:
     filter2: GaussianFilter
     gate_ns: float
     dispersion: float
-    fwhm_convention: str = "intensity"
 
     def __post_init__(self):
         if self.mod1.omega_m != self.mod2.omega_m:
@@ -71,8 +70,6 @@ class ExperimentScenario:
             raise ConfigurationError("gate width must be nonnegative")
         if not self.dispersion > 0:
             raise ConfigurationError("dispersion must be positive")
-        if self.fwhm_convention not in ("intensity", "field"):
-            raise ConfigurationError("fwhm_convention must be 'intensity' or 'field'")
         for name, filt in (("filter1", self.filter1), ("filter2", self.filter2)):
             if filt.dispersion != self.dispersion:
                 raise ConfigurationError(
@@ -101,8 +98,7 @@ def reference_scenario(depth1: float = 0.0, depth2: float = 0.0,
         mod1=sinusoidal_coeffs(depth1, phase1, REFERENCE_OMEGA_M),
         mod2=sinusoidal_coeffs(depth2, phase2, REFERENCE_OMEGA_M),
         filter1=filter1, filter2=filter2,
-        gate_ns=REFERENCE_GATE_NS, dispersion=REFERENCE_DISPERSION,
-        fwhm_convention="intensity")
+        gate_ns=REFERENCE_GATE_NS, dispersion=REFERENCE_DISPERSION)
 
 
 def figure_preset(case: str) -> ExperimentScenario:
@@ -153,9 +149,7 @@ class RegimeReport:
 
 def regime_report(scenario: ExperimentScenario) -> RegimeReport:
     """Dimensionless ratios behind the narrow-filter / long-gate assumptions."""
-    conv = scenario.fwhm_convention
-    gamma = min(scenario.filter1.intensity_fwhm(conv),
-                scenario.filter2.intensity_fwhm(conv))
+    gamma = min(scenario.filter1.fwhm, scenario.filter2.fwhm)
     ratio1 = scenario.omega_m / gamma
     ratio2 = gamma * scenario.gate_ns
     return RegimeReport(mod_to_filter=ratio1, filter_gate=ratio2,

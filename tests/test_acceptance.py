@@ -169,7 +169,7 @@ def test_criterion_8_poisson_fit_recovery():
 
 def test_criterion_9_instrument_response():
     scn = figure_preset("fig3a")
-    h2 = h2_profile(scn.filter1, scn.filter2, "intensity")
+    h2 = h2_profile(scn.filter1, scn.filter2)
 
     # numeric-convolution oracle, FWHM by bisection
     step = 0.005

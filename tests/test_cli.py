@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -434,6 +435,9 @@ def _waveform(bad_line):
                  ("wave.txt:4", "non-finite"), id="nan time in waveform"),
     pytest.param("scan", MINIMAL + "mod1_depth = 200 rad\n", [], None,
                  ("modulation depth 200 rad", "too large"), id="mod1_depth = 200 rad"),
+    pytest.param("scan", MINIMAL + "mod2_depth = -1e9 rad\n", [], None,
+                 ("modulation depth -1e+09 rad", "at most 157 rad"),
+                 id="mod2_depth = -1e9 rad"),
     pytest.param("fit", MINIMAL, ["--dwell", "nan"], None, ("--dwell",), id="--dwell nan"),
     pytest.param("fit", MINIMAL, ["--dwell", "inf"], None, ("--dwell",), id="--dwell inf"),
     pytest.param("fit", MINIMAL, ["--seed", "-1"], None, ("--seed",), id="--seed -1"),
@@ -623,6 +627,39 @@ def test_main_prints_clipping_warning_as_one_line(tmp_path, capsys):
     cfg.write_text(MINIMAL.replace("preset = fig4b", "preset = fig3a"))
     assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
     assert capsys.readouterr().err.splitlines() == [CLIPPING_WARNING]
+
+
+def test_main_rejects_a_huge_depth_at_once(tmp_path, capsys):
+    # the depth is checked before any Bessel order is computed
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(MINIMAL + "mod1_depth = 1e9 rad\n")
+    start = time.perf_counter()
+    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "config error: modulation depth 1e+09 rad is too large: "
+        "|depth| must be at most 157 rad\n")
+
+
+def _scan_files(tmp_path, convention, fwhm):
+    """(CSV bytes, .meta text) of a scan of ``EXPLICIT`` with both filters at
+    ``fwhm`` read per ``convention``."""
+    text = (EXPLICIT.replace("fwhm_convention = intensity", f"fwhm_convention = {convention}")
+            .replace("filter1_fwhm = 8.5 GHz", f"filter1_fwhm = {fwhm} GHz")
+            .replace("filter2_fwhm = 8.5 GHz", f"filter2_fwhm = {fwhm} GHz")
+            + "[scan]\ndelta_min = -150 GHz\ndelta_max = 150 GHz\ndelta_step = 0.5 GHz\n")
+    cfg, out = tmp_path / f"{convention}-{fwhm}.cfg", tmp_path / f"{convention}-{fwhm}.csv"
+    cfg.write_text(text)
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+    return out.read_bytes(), Path(str(out) + ".meta").read_text()
+
+
+def test_field_convention_scan_equals_its_intensity_equivalent(tmp_path):
+    # a field FWHM of 12 GHz is an intensity FWHM of 12/sqrt(2) GHz, whose
+    # repr is the quoted 8.48528137423857
+    field = _scan_files(tmp_path, "field", "12")
+    assert field == _scan_files(tmp_path, "intensity", "8.48528137423857")
+    assert field[0] != _scan_files(tmp_path, "intensity", "12")[0]
 
 
 def test_main_scan_byte_identical(tmp_path):

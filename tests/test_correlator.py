@@ -3,7 +3,9 @@
 Independent oracles used here: closed-form Gaussian integrals cross-checked
 by trapezoid quadrature, a numeric convolution of sampled intensity
 profiles for the sideband lineshape (FWHM located by bisection), the
-full model as the high-fidelity cross-check of the closed-form trace, and
+sampled singles rate in closed form (Gaussian moments of the piecewise
+quadratic |B|^2), the full model as the high-fidelity cross-check of the
+closed-form trace, and
 the former delay-domain transform (kept below) as the reference for the
 full model's Parseval sum.
 """
@@ -21,11 +23,11 @@ from modlab import (ConfigurationError, DomainError, GaussianFilter,
                     singles_rate, sinusoidal_coeffs)
 from modlab import CrystalProfile, FrequencyGrid, figure_preset, propagate_envelopes
 from modlab.cli import parse_config
-from modlab.correlator import _GL3_NODES, _GL3_WEIGHTS, _omega_offsets
+from modlab.correlator import (_GL3_NODES, _GL3_WEIGHTS, _omega_offsets, intensity_filter,
+                              lazy_trace)
 from modlab.modulation import ModulatorSpectrum
 from modlab.scenario import ExperimentScenario, reference_scenario
 
-from simpson_reference import recursive_simpson
 
 H2_FWHM_REFERENCE = 12.020815280171307   # sqrt(2) * 8.5, frozen from the numeric oracle
 GAUSS_INT = math.sqrt(math.pi / (4.0 * math.log(2.0)))   # int exp(-4ln2 w^2/G^2) = G * this
@@ -47,7 +49,7 @@ def test_filter_validation():
     # just below that limit the filter is accepted
     GaussianFilter(fwhm=3.35e153, alpha=1.0, slit=0.0, dispersion=210.0)
     with pytest.raises(ConfigurationError):
-        unit_filter().field_response(0.0, "strange")
+        intensity_filter(unit_filter(), "strange")
 
 
 def test_field_response_matches_reference_formula():
@@ -55,32 +57,32 @@ def test_field_response_matches_reference_formula():
     filt = unit_filter(alpha=0.7)
     w = np.linspace(-20.0, 20.0, 41)
     expected = 0.7 * np.exp(-2.0 * math.log(2.0) * w ** 2 / 8.5 ** 2)
-    assert np.allclose(filt.field_response(w, "intensity"), expected, rtol=0, atol=1e-15)
+    assert np.allclose(filt.field_response(w), expected, rtol=0, atol=1e-15)
     # intensity profile has FWHM equal to the quoted value
     assert filt.intensity_response(8.5 / 2.0) == pytest.approx(0.5 * 0.49, rel=1e-12)
 
 
 def test_field_convention_narrows_intensity():
-    filt = unit_filter()
-    assert filt.intensity_fwhm("field") == pytest.approx(8.5 / math.sqrt(2.0))
+    assert intensity_filter(unit_filter(), "intensity") == unit_filter()
+    filt = intensity_filter(unit_filter(), "field")
+    assert filt.fwhm == pytest.approx(8.5 / math.sqrt(2.0))
     # under the field convention H itself has the quoted FWHM
-    assert filt.field_response(8.5 / 2.0, "field") == pytest.approx(0.5, rel=1e-12)
+    assert filt.field_response(8.5 / 2.0) == pytest.approx(0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("convention", ["intensity", "field"])
 def test_intensity_integral_against_quadrature(convention):
-    filt = unit_filter(alpha=0.8)
+    filt = intensity_filter(unit_filter(alpha=0.8), convention)
     w = np.linspace(-90.0, 90.0, 600001)
-    oracle = float(np.trapezoid(filt.intensity_response(w, convention), w))
-    assert filt.intensity_integral(convention) == pytest.approx(oracle, rel=1e-12)
+    oracle = float(np.trapezoid(filt.intensity_response(w), w))
+    assert filt.intensity_integral() == pytest.approx(oracle, rel=1e-12)
 
 
-def _h2_numeric_fwhm(f1, f2, convention="intensity"):
+def _h2_numeric_fwhm(f1, f2):
     """Numeric-convolution oracle; half-max crossings located by bisection."""
     step = 0.005
     w = np.arange(-80.0, 80.0 + step / 2, step)
-    conv = np.convolve(f1.intensity_response(w, convention),
-                       f2.intensity_response(w, convention), mode="same") * step
+    conv = np.convolve(f1.intensity_response(w), f2.intensity_response(w), mode="same") * step
     half = conv.max() / 2.0
     centered = w - w[np.argmax(conv)]
 
@@ -106,7 +108,8 @@ def test_h2_fwhm_against_numeric_convolution():
 
 
 def test_h2_field_convention_fwhm():
-    h2 = h2_profile(unit_filter(), unit_filter(), "field")
+    field = intensity_filter(unit_filter(), "field")
+    h2 = h2_profile(field, field)
     assert h2.fwhm == pytest.approx(8.5, rel=1e-12)
 
 
@@ -184,40 +187,60 @@ def test_singles_passband_outside_grid():
         singles_rate(amps, sinusoidal_coeffs(1.5, 0.0, 30.0), filt)
 
 
-def _singles_simpson_reference(amps, mod, filt, convention):
-    """The scalar rule ``singles_rate`` used before the Gauss-Legendre one.
+def _gaussian_moments(a, b, sigma):
+    """Integrals of y^m exp(-y^2 / (2 sigma^2)) over [a, b] for m = 0, 1, 2.
 
-    The recursive scalar adaptive Simpson rule over the passband for each
-    sideband, one scalar integrand evaluation at a time. B is interpolated
-    linearly between the grid samples with ``np.interp``'s formula, written
-    out in plain Python so that the ~10^5 evaluations per call stay fast.
+    The zeroth moment takes erfc of the tail side when [a, b] lies on one
+    side of zero, so that a piece far out in the tail loses no digits.
     """
-    grid_w = amps.grid.omegas.tolist()
-    b_re, b_im = amps.b.real.tolist(), amps.b.imag.tolist()
+    s = sigma * math.sqrt(2.0)
+    if a >= 0.0:
+        m0 = math.erfc(a / s) - math.erfc(b / s)
+    elif b <= 0.0:
+        m0 = math.erfc(-b / s) - math.erfc(-a / s)
+    else:
+        m0 = math.erf(b / s) - math.erf(a / s)
+    m0 *= sigma * math.sqrt(0.5 * math.pi)
+    ea, eb = math.exp(-(a / s) ** 2), math.exp(-(b / s) ** 2)
+    m1 = sigma * sigma * (ea - eb)
+    m2 = sigma * sigma * (m0 + a * ea - b * eb)
+    return m0, m1, m2
 
-    def b_sq(x):
-        j = min(max(bisect.bisect_right(grid_w, x) - 1, 0), len(grid_w) - 2)
-        t = (x - grid_w[j]) / (grid_w[j + 1] - grid_w[j])
-        re = b_re[j] + t * (b_re[j + 1] - b_re[j])
-        im = b_im[j] + t * (b_im[j + 1] - b_im[j])
-        return re * re + im * im
 
+def _singles_exact_reference(amps, mod, filt):
+    """``singles_rate`` on sampled amplitudes in closed form.
+
+    ``filt.fwhm`` is an intensity FWHM. Between grid nodes B is linear, so
+    on each piece of a shifted passband |B|^2 is a quadratic in the offset
+    y from the filter center, and its integral against the Gaussian |H|^2
+    is a sum of three Gaussian moments in erf and exp. The pieces are those
+    of ``singles_rate``: each passband split at the grid nodes inside it.
+    """
+    nodes = amps.grid.omegas.tolist()
+    b = amps.b.tolist()
     center = filt.center
-    width = filt.passband_halfwidth(convention)
-    two_var = 2.0 * filt.intensity_sigma(convention) ** 2
+    width = float(filt.passband_halfwidth())
+    sigma = float(filt.intensity_sigma())
     total = 0.0
     for k in mod.k_values:
         p = abs(mod.coefficient(int(k))) ** 2
         if p < 1e-30:
             continue
-        shift = k * mod.omega_m
-
-        def integrand(w, _shift=shift):
-            return b_sq(w - _shift) * filt.alpha ** 2 * math.exp(-(w - center) ** 2 / two_var)
-
-        atol = 1e-12 * integrand(center) * 2.0 * width
-        total += p * recursive_simpson(integrand, center - width, center + width, atol)
-    return total / (4.0 * math.pi)
+        shift = float(k * mod.omega_m)
+        lo, hi = center - width - shift, center + width - shift
+        breaks = [lo, *nodes[bisect.bisect_right(nodes, lo):bisect.bisect_left(nodes, hi)], hi]
+        rate = 0.0
+        for left, right in zip(breaks[:-1], breaks[1:]):
+            j = min(bisect.bisect_right(nodes, left) - 1, len(nodes) - 2)
+            slope = (b[j + 1] - b[j]) / (nodes[j + 1] - nodes[j])
+            # |B|^2 = |b_j|^2 + 2 Re(conj(b_j) slope) x + |slope|^2 x^2, x = y - y_j
+            y_j = nodes[j] + shift - center
+            m0, m1, m2 = _gaussian_moments(left + shift - center, right + shift - center, sigma)
+            rate += (abs(b[j]) ** 2 * m0
+                     + 2.0 * (b[j].conjugate() * slope).real * (m1 - y_j * m0)
+                     + abs(slope) ** 2 * (m2 - 2.0 * y_j * m1 + y_j * y_j * m0))
+        total += p * rate
+    return filt.alpha ** 2 * total / (4.0 * math.pi)
 
 
 @pytest.mark.parametrize("fwhm,depth,omega_m,convention,slit_shift", [
@@ -229,13 +252,13 @@ def _singles_simpson_reference(amps, mod, filt, convention):
 ], ids=["aligned", "misaligned", "wide-filter", "field", "slit-off-grid"])
 def test_singles_sampled_matches_scalar_simpson(fwhm, depth, omega_m, convention,
                                                 slit_shift):
-    # both rules converge; 1e-10 allows for float64 round-off in each
+    # the oracle is exact; 1e-10 allows for float64 round-off in both
     amps, pump = _sampled_amplitudes()
     center = 0.5 * pump + slit_shift * amps.grid.step
     filt = GaussianFilter(fwhm=fwhm, alpha=0.9, slit=center / 210.0, dispersion=210.0)
     mod = sinusoidal_coeffs(depth, 0.0, omega_m)
     rate = singles_rate(amps, mod, filt, convention)
-    reference = _singles_simpson_reference(amps, mod, filt, convention)
+    reference = _singles_exact_reference(amps, mod, intensity_filter(filt, convention))
     assert rate == pytest.approx(reference, rel=1e-10)
 
 
@@ -243,8 +266,9 @@ def _singles_per_sideband(amps, mod, filt, convention="intensity"):
     """The sampled branch of ``singles_rate`` as a loop over sidebands: one
     coverage check, passband split, ``b_at`` call and Gauss-Legendre sum
     per k."""
+    filt = intensity_filter(filt, convention)
     center = filt.center
-    width = filt.passband_halfwidth(convention)
+    width = filt.passband_halfwidth()
     nodes = amps.grid.omegas
     total = 0.0
     for k, p in zip(mod.k_values, np.abs(mod.coeffs) ** 2):
@@ -259,7 +283,7 @@ def _singles_per_sideband(amps, mod, filt, convention="intensity"):
         half = 0.5 * np.diff(breaks)
         x = (breaks[:-1] + half)[:, None] + half[:, None] * _GL3_NODES
         f = (np.abs(amps.b_at(x)) ** 2
-             * filt.intensity_response(x + shift - center, convention))
+             * filt.intensity_response(x + shift - center))
         total += p * float(half @ (f @ _GL3_WEIGHTS))
     return total / (4.0 * np.pi)
 
@@ -347,6 +371,14 @@ def test_trace_beyond_support_warns_and_zeroes():
     assert trace.total[1] == trace.accidental[1]
 
 
+def test_clipping_warning_names_the_calling_line():
+    scn = figure_preset("fig3a")   # identity modulators: support is n = 0 only
+    for build in (coincidence_trace, lazy_trace, coincidence_full):
+        with pytest.warns(RuntimeWarning) as record:
+            build(scn, np.array([0.0, 40.0]))
+        assert [w.filename for w in record] == [__file__]
+
+
 def test_same_phase_pair_equals_depth_three():
     delta = np.arange(-150.0, 150.5, 0.5)
     double = coincidence_trace(figure_preset("fig4a"), delta)
@@ -376,7 +408,7 @@ def test_zero_gate_kills_accidentals():
     zero_gate = ExperimentScenario(
         pump_frequency=scn.pump_frequency, amplitudes=scn.amplitudes,
         mod1=scn.mod1, mod2=scn.mod2, filter1=scn.filter1, filter2=scn.filter2,
-        gate_ns=0.0, dispersion=scn.dispersion, fwhm_convention=scn.fwhm_convention)
+        gate_ns=0.0, dispersion=scn.dispersion)
     trace = coincidence_trace(zero_gate, np.arange(-10.0, 10.5, 0.5))
     assert np.all(trace.accidental == 0.0)
 
@@ -481,9 +513,8 @@ def _delay_domain_paired(scenario, delta_axis, points=4096):
     +-24 inverse intensity FWHMs, checks that |F|^2 has decayed at the grid
     edges, and integrates |F|^2 by the trapezoid rule.
     """
-    conv = scenario.fwhm_convention
     f1, f2 = scenario.filter1, scenario.filter2
-    half = 24.0 / min(f1.intensity_fwhm(conv), f2.intensity_fwhm(conv))
+    half = 24.0 / min(f1.fwhm, f2.fwhm)
     tau = np.linspace(-half, half, points)
     u = _omega_offsets(scenario)
     du = u[1] - u[0]
@@ -498,7 +529,7 @@ def _delay_domain_paired(scenario, delta_axis, points=4096):
             weight = scenario.mod1.coefficient(int(k)) * scenario.mod2.coefficient(int(n - k))
             g += weight * (amps.a_at(c1 + u - k * omega_m)
                            * amps.b_at(pump - c1 - u + k * omega_m))
-        g *= f1.field_response(u, conv) * f2.field_response(n * omega_m - d - u, conv)
+        g *= f1.field_response(u) * f2.field_response(n * omega_m - d - u)
         mags = np.abs((du / (4.0 * np.pi)) * (g @ phase)) ** 2
         assert max(mags[0], mags[-1]) <= 1e-6 * mags.max()
         paired.append(np.trapezoid(mags, tau))
@@ -520,7 +551,6 @@ def _coincidence_full_reference(scenario, delta):
     vector-matrix product per window n and one row of g per sample."""
     omega_m = scenario.omega_m
     amps = scenario.amplitudes
-    conv = scenario.fwhm_convention
     pump = scenario.pump_frequency
     c1 = scenario.filter1.center
     model = SidebandModel(scenario)
@@ -542,14 +572,14 @@ def _coincidence_full_reference(scenario, delta):
             ab_k[col] = (amps.a_at(c1 + u - k * omega_m)
                          * amps.b_at(pump - c1 - u + k * omega_m))
         summed = {n: table[row] @ ab_k for row, n in enumerate(distinct_n)}
-    h1 = scenario.filter1.field_response(u, conv)
+    h1 = scenario.filter1.field_response(u)
     g_rows = np.zeros((len(delta), len(u)), dtype=complex)
     for i in range(len(delta)):
         if clipped[i]:
             continue
         n = int(n_idx[i])
         xi = n * omega_m - delta[i]
-        g_rows[i] = summed[n] * h1 * scenario.filter2.field_response(xi - u, conv)
+        g_rows[i] = summed[n] * h1 * scenario.filter2.field_response(xi - u)
     return (du / (8.0 * np.pi)) * np.sum(np.abs(g_rows) ** 2, axis=1)
 
 

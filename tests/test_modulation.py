@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from modlab import (ConfigurationError, bessel_j_sequence, bessel_j_series,
                     coeffs_from_waveform, compose_nonlocal, read_phase_waveform,
                     sinusoidal_coeffs)
-from modlab.modulation import TAIL_TOL, ModulatorSpectrum
+from modlab.modulation import MAX_DEPTH, TAIL_TOL, ModulatorSpectrum
 
 J_15 = (0.5118276717359181, 0.5579365079100996, 0.2320876721442147,
         0.06096395114113963, 0.011768132420343797)
@@ -263,6 +263,18 @@ def test_read_phase_waveform_rejects_bad_files(tmp_path):
 # ---------------------------------------------------------------------------
 # the coefficient builders against their former loops, bit for bit
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_depth_limit_is_sharp(sign):
+    # the tail margin of the depths in (n-1, n] is least at n, so these are
+    # the hardest accepted depths; the limit itself is one of them
+    for n in range(1, int(MAX_DEPTH) + 1):
+        mod = sinusoidal_coeffs(sign * n, 0.0, 30.0)
+        assert abs(mod.total_power() - 1.0) <= 1e-10
+    assert n == MAX_DEPTH
+    with pytest.raises(ConfigurationError, match="at most 157 rad"):
+        sinusoidal_coeffs(sign * math.nextafter(MAX_DEPTH, math.inf), 0.0, 30.0)
+
 
 def _sinusoidal_coeffs_reference(depth, drive_phase):
     """``sinusoidal_coeffs`` as a loop: the cut by a scan over k, then the

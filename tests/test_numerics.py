@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from modlab import GaussianFilter, SpectralAmplitudes, figure_preset, singles_rate
+from modlab.correlator import intensity_filter
 from modlab.errors import ConvergenceError
 from modlab.numerics import adaptive_simpson
 
@@ -27,12 +28,12 @@ def test_seeded_gaussian_passbands_match_recursion():
     for i in range(24):
         filt = GaussianFilter(fwhm=10 ** rng.uniform(-2.0, 3.0), alpha=rng.uniform(0.1, 2.0),
                               slit=rng.uniform(-5.0, 5.0), dispersion=210.0)
-        convention = ("intensity", "field")[i % 2]
+        filt = intensity_filter(filt, ("intensity", "field")[i % 2])
         center = filt.center
-        width = filt.passband_halfwidth(convention)
+        width = filt.passband_halfwidth()
         atol = 10 ** rng.uniform(-13.0, -6.0) * filt.alpha ** 2 * 2.0 * width
         lo = center - width * rng.uniform(0.2, 1.0)
-        new, old = _both(lambda w: filt.intensity_response(w - center, convention),
+        new, old = _both(lambda w: filt.intensity_response(w - center),
                          lo, center + width, atol)
         assert new == old
 
@@ -42,16 +43,17 @@ def test_seeded_gaussian_passbands_match_recursion():
 def test_flat_singles_rate_matches_recursion(case, convention):
     scn = figure_preset(case)
     amps = SpectralAmplitudes.flat(math.sqrt(2.0), 1.0)
-    for filt, mod in ((scn.filter1, scn.mod1), (scn.filter2, scn.mod2)):
+    for quoted, mod in ((scn.filter1, scn.mod1), (scn.filter2, scn.mod2)):
+        filt = intensity_filter(quoted, convention)
         center = filt.center
-        width = filt.passband_halfwidth(convention)
+        width = filt.passband_halfwidth()
         atol = 1e-12 * max(filt.alpha ** 2, 1e-300) * 2.0 * width
         integral = recursive_simpson(
-            lambda w: float(filt.intensity_response(w - center, convention)),
+            lambda w: float(filt.intensity_response(w - center)),
             center - width, center + width, atol)
         expected = (abs(amps.b0) ** 2 / (4.0 * np.pi) * integral
                     * float((np.abs(mod.coeffs) ** 2).sum()))
-        assert singles_rate(amps, mod, filt, convention) == expected
+        assert singles_rate(amps, mod, quoted, convention) == expected
 
 
 def test_h2_overlap_integrand_matches_recursion():

@@ -34,7 +34,6 @@ def test_preset_instrument_defaults():
     assert scn.filter1.fwhm == scn.filter2.fwhm == 8.5
     assert scn.gate_ns == REFERENCE_GATE_NS == 1.25
     assert scn.dispersion == REFERENCE_DISPERSION == 210.0
-    assert scn.fwhm_convention == "intensity"
     assert scn.filter1.alpha ** 2 == pytest.approx(1.20e-2)
     assert scn.filter2.alpha ** 2 == pytest.approx(5.59e-4)
     # flat-band constants obey the commutator-preserving condition
@@ -64,12 +63,6 @@ def test_scenario_invariants():
             mod1=scn.mod1, mod2=scn.mod2,
             filter1=scn.filter1, filter2=scn.filter2,
             gate_ns=1.25, dispersion=211.0)   # filters carry 210
-    with pytest.raises(ConfigurationError):
-        ExperimentScenario(
-            pump_frequency=scn.pump_frequency, amplitudes=scn.amplitudes,
-            mod1=scn.mod1, mod2=scn.mod2,
-            filter1=scn.filter1, filter2=scn.filter2,
-            gate_ns=1.25, dispersion=210.0, fwhm_convention="both")
 
 
 @pytest.mark.parametrize("gate_ns,dispersion,fragment", [
