@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .correlator import (CorrelationTrace, GaussianFilter, H2Profile, LazyTrace,
                          SidebandModel, coincidence_full, coincidence_trace, h2_profile,
-                         intensity_filter, lazy_trace, sideband_areas, singles_rate)
+                         intensity_filter, sideband_areas, singles_rate)
 from .errors import (ConfigParseError, ConfigurationError, ConvergenceError,
                      DomainError, FitError, ModlabError, ResolutionError)
 from .modulation import (ModulatorSpectrum, bessel_j_sequence, bessel_j_series,
@@ -32,7 +32,7 @@ __all__ = [
     "bessel_j_series", "sinusoidal_coeffs", "coeffs_from_waveform",
     "read_phase_waveform", "compose_nonlocal",
     "GaussianFilter", "H2Profile", "SidebandModel", "CorrelationTrace", "LazyTrace",
-    "singles_rate", "h2_profile", "coincidence_trace", "lazy_trace", "coincidence_full",
+    "singles_rate", "h2_profile", "coincidence_trace", "coincidence_full",
     "sideband_areas", "intensity_filter",
     "ExperimentScenario", "FitResult", "RegimeReport", "figure_preset",
     "reference_scenario", "regime_report", "synthesize_counts", "fit_scale",

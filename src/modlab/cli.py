@@ -46,39 +46,32 @@ Exit codes: 0 success, 1 validation/fit failure, 2 configuration error
 output file or the fit-data file. A scan axis longer than ``MAX_SCAN_ROWS``
 rows, a scan axis whose span or row count is not finite, a negative seed, a
 dwell that is not positive and finite or so long that a Poisson mean passes
-numpy's limit, a filter FWHM whose squared passband half-width overflows, a
-negative transmission scale, transmission scales so large that the
-coincidence rates overflow, a modulation depth above 157 rad in magnitude
-(``modulation.MAX_DEPTH``), and a non-finite fit-data or waveform value
-are configuration errors. A scan or figure whose axis runs past the composed
-modulator support still succeeds, with one ``warning:`` line on stderr,
-printed before the output file is opened. Identical config and seed
-reproduce byte-identical output files; the random generator is numpy's
-PCG64.
+numpy's limit, a filter FWHM whose squared passband half-width overflows, an
+off-scale filter slit, a negative transmission scale, a |B0|, gate or
+transmission scales so large that the coincidence rates overflow, a
+modulation depth above 157 rad in magnitude (``modulation.MAX_DEPTH``), and
+a non-finite fit-data or waveform value are configuration errors. A scan,
+figure or synthetic fit whose axis runs past the composed modulator support
+(``SidebandModel.clips``) still succeeds, with one ``warning:`` line on
+stderr before any output file is opened. Identical config and seed
+reproduce byte-identical output files; the random generator is numpy's PCG64.
 
-``scan`` and ``figure`` build the closed-form model once and keep only the
-delta axis (``correlator.lazy_trace``). ``emit_trace`` then evaluates and
-formats the trace ``_EMIT_CHUNK_ROWS`` rows at a time, each chunk's
-columns computed from its slice of the axis right before it is formatted,
-into one ``textfmt.Canvas`` whose word canvas and work arrays every chunk
-reuses. No full-length output column exists, so the memory a scan needs
-grows with its axis alone, and no chunk allocates the formatter's arrays
-anew.
+``scan`` and ``figure`` hand ``emit_trace`` a ``correlator.LazyTrace``, the
+closed-form ``SidebandModel`` and the delta axis, which it evaluates and
+formats chunk by chunk: the memory a scan needs grows with its axis alone.
 """
 
 import argparse
-import contextlib
 import math
 import sys
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from . import __version__
 from .checks import run_validate
-from .correlator import (FWHM_CONVENTIONS, GaussianFilter, coincidence_trace,
-                         intensity_filter, lazy_trace)
+from .correlator import (CLIPPING_MESSAGE, FWHM_CONVENTIONS, GaussianFilter, LazyTrace,
+                         SidebandModel, intensity_filter)
 from .errors import (ConfigParseError, ConfigurationError, DomainError, FitError,
                      ModlabError, ResolutionError)
 from .modulation import coeffs_from_waveform, read_phase_waveform, sinusoidal_coeffs
@@ -394,14 +387,27 @@ def scenario_to_config(scenario: ExperimentScenario) -> str:
     return "\n".join(out) + "\n"
 
 
+def _exact_bytes(value) -> bytes:
+    """Exact encoding of ``value``: a dataclass as its type and every field,
+    an array as its dtype, shape and raw bytes, anything else by repr."""
+    if is_dataclass(value):
+        parts = (f.name.encode("ascii") + b"=" + _exact_bytes(getattr(value, f.name))
+                 for f in fields(value))
+        return type(value).__name__.encode("ascii") + b"(" + b",".join(parts) + b")"
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype.str}{value.shape}:".encode("ascii") + value.tobytes()
+    return repr(value).encode("utf-8")
+
+
 def scenario_hash(scenario: ExperimentScenario) -> str:
+    """SHA-256 of the config text, or of ``_exact_bytes`` for a scenario without one."""
     import hashlib   # imported here, like json in emit_trace: only .meta files need it
 
     try:
-        payload = scenario_to_config(scenario)
+        payload = scenario_to_config(scenario).encode("utf-8")
     except ConfigurationError:
-        payload = repr(scenario)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        payload = _exact_bytes(scenario)
+    return hashlib.sha256(payload).hexdigest()
 
 
 _EMIT_CHUNK_ROWS = 1 << 14
@@ -437,13 +443,13 @@ def _format_chunk(sep, columns, canvas):
     return canvas.rows()
 
 
-def emit_trace(trace, path, scenario=None, seed=None, dwell=None,
-               gnuplot_style=False):
+def emit_trace(trace, path, scenario=None, gnuplot_style=False):
     """Write a trace as CSV plus a sibling ``<path>.meta`` JSON file.
 
     CSV columns: delta_ghz, paired, accidental, total, n_index; 15
     significant digits, LF line endings, UTF-8. ``--gnuplot-style``
-    switches to whitespace-separated columns with a '#' header.
+    switches to whitespace-separated columns with a '#' header. A trace
+    draws no random numbers: the ``.meta`` ``seed`` and ``dwell_s`` are null.
 
     ``trace`` is a ``CorrelationTrace`` or a ``LazyTrace``; one row is
     written per sample of ``trace.delta_axis``. The output file is opened
@@ -479,8 +485,8 @@ def emit_trace(trace, path, scenario=None, seed=None, dwell=None,
         "tool_version": __version__,
         "schema": 1,
         "scenario_sha256": scenario_hash(scenario) if scenario is not None else None,
-        "seed": seed,
-        "dwell_s": dwell,
+        "seed": None,
+        "dwell_s": None,
         "generator": "pcg64",
         "rows": n_rows,
     }
@@ -524,34 +530,25 @@ def _require(value, message):
     return value
 
 
-@contextlib.contextmanager
-def _warnings_as_lines():
-    """Print each distinct ``RuntimeWarning`` raised inside the block to
-    stderr as one ``warning: <message>`` line, as it happens, instead of
-    the default two lines with a source line."""
-    printed = set()
-
-    def show(message, category, filename, lineno, file=None, line=None):
-        if str(message) not in printed:
-            printed.add(str(message))
-            print(f"warning: {message}", file=sys.stderr)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("always", RuntimeWarning)
-        warnings.showwarning = show
-        yield
+def _sideband_model(scenario, axis):
+    """The closed-form model of ``scenario``, after one ``warning:`` line on
+    stderr when ``axis`` runs past the composed modulator support."""
+    model = SidebandModel(scenario)
+    if model.clips(axis):
+        print(f"warning: {CLIPPING_MESSAGE}", file=sys.stderr)
+    return model
 
 
 def _write_trace(run, scenario, axis, out):
-    """Build the closed form of ``scenario`` on ``axis`` and write it to ``out``.
+    """Write the closed form of ``scenario`` on ``axis`` to ``out``.
 
-    The model is built and the clipping warning printed before the file is
-    opened; ``emit_trace`` then evaluates the rows chunk by chunk.
+    The model is built and clipping reported before the file is opened;
+    ``emit_trace`` then evaluates the rows chunk by chunk.
     """
-    with _warnings_as_lines():
-        trace = lazy_trace(scenario, axis)
-        emit_trace(trace, out, scenario=scenario, gnuplot_style=run.gnuplot_style)
-    return len(trace.delta_axis)
+    model = _sideband_model(scenario, axis)
+    emit_trace(LazyTrace(model, axis), out, scenario=scenario,
+               gnuplot_style=run.gnuplot_style)
+    return len(axis)
 
 
 def _cmd_scan(run, scenario):
@@ -582,8 +579,8 @@ def _cmd_fit(run, scenario):
         source = run.fit_data
     else:
         delta = run.delta_axis()
-        trace = coincidence_trace(scenario, delta)
-        counts = synthesize_counts(trace, dwell=run.dwell, seed=run.seed)
+        model = _sideband_model(scenario, delta)
+        counts = synthesize_counts(model.evaluate(delta), dwell=run.dwell, seed=run.seed)
         source = f"synthetic (seed={run.seed}, dwell={run.dwell})"
     result = fit_scale(delta, counts, scenario, dwell=run.dwell)
     lines = [

@@ -1,8 +1,8 @@
 """Singles rates and frequency-domain coincidence traces.
 
 Two model tiers are provided. ``coincidence_trace`` samples the
-closed-form ``SidebandModel`` (``lazy_trace`` holds the same trace as the
-model and its axis, for evaluation a slice at a time): within the window around the n-th sideband
+closed-form ``SidebandModel``, which ``LazyTrace`` pairs with an axis for
+evaluation a slice at a time: within the window around the n-th sideband
 the paired rate is ``c_n * H2(n w_m - delta)``, where ``H2`` is the
 convolution of the two monochromators' intensity responses and ``c_n``
 weighs the composed modulator coefficient ``s_n``. ``coincidence_full``
@@ -27,9 +27,8 @@ width is quoted in ns and enters only the accidental term.
 """
 
 import math
-import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,6 +46,15 @@ _INT64_LIMIT = 2.0 ** 63
 _MIN_WINDOW_SAMPLES = 24     # samples an interior window needs in sideband_areas
 
 FWHM_CONVENTIONS = ("intensity", "field")
+CLIPPING_MESSAGE = ("delta samples beyond the modulator truncation support; "
+                    "paired term set to zero")
+
+
+def _square(x) -> float:
+    """``x ** 2`` as a Python float, inf where Python's ``**`` would raise
+    ``OverflowError``; numpy calls the same C ``pow``, so the bits agree."""
+    with np.errstate(over="ignore"):
+        return float(np.float64(x) ** 2)
 
 
 @dataclass(frozen=True)
@@ -80,6 +88,12 @@ class GaussianFilter:
             raise ConfigurationError(
                 f"filter FWHM {self.fwhm!r} is too large: its squared passband "
                 "half-width overflows")
+        center = self.center
+        if not (math.isfinite(center) and center - halfwidth != center
+                and center + halfwidth != center):
+            raise ConfigurationError(
+                f"filter slit {self.slit!r} mm is off scale: its center frequency "
+                f"{center:g} GHz does not resolve the {halfwidth:g} GHz passband half-width")
 
     @property
     def center(self) -> float:
@@ -157,8 +171,8 @@ class CorrelationTrace:
     """Sampled coincidence rate versus relative frequency delta.
 
     ``total = paired + accidental`` pointwise; ``n_index`` is the sideband
-    window each sample falls in; ``clipped`` marks samples beyond the
-    truncated sideband support, where the paired term was set to zero.
+    window each sample falls in. Samples whose |n_index| lies beyond the
+    truncated sideband support have a paired term of zero.
     """
 
     delta_axis: np.ndarray
@@ -166,18 +180,13 @@ class CorrelationTrace:
     accidental: np.ndarray
     total: np.ndarray
     n_index: np.ndarray
-    clipped: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.clipped is None:
-            object.__setattr__(self, "clipped", np.zeros(len(self.delta_axis), dtype=bool))
 
     def chunk(self, start, stop):
         """Rows ``start:stop`` as a trace of their own (views, not copies)."""
         return CorrelationTrace(
             delta_axis=self.delta_axis[start:stop], paired=self.paired[start:stop],
             accidental=self.accidental[start:stop], total=self.total[start:stop],
-            n_index=self.n_index[start:stop], clipped=self.clipped[start:stop])
+            n_index=self.n_index[start:stop])
 
 
 def sideband_index(delta, omega_m):
@@ -187,7 +196,8 @@ def sideband_index(delta, omega_m):
     the cast to int64 would wrap.
     """
     delta = np.asarray(delta, dtype=float)
-    n = np.floor(delta / omega_m + 0.5)
+    with np.errstate(over="ignore"):   # an infinite quotient is refused below
+        n = np.floor(delta / omega_m + 0.5)
     if n.size and not (-_INT64_LIMIT < n.min() and n.max() < _INT64_LIMIT):
         raise DomainError(
             f"delta axis [{delta.min():g}, {delta.max():g}] GHz is beyond the range of "
@@ -216,7 +226,7 @@ def singles_rate(amps, mod, filt: GaussianFilter, convention: str = "intensity")
     level: the written traces print the accidental floor to 15 digits, and
     the rule's floats are those of the former scalar recursion, so every
     CSV stays byte-identical. A transmission scale so large that the rule
-    overflows raises ``DomainError``.
+    overflows raises ``DomainError``; a |B0| whose square overflows gives inf.
 
     ``convention`` goes to ``intensity_filter`` on entry; modlab itself
     passes intensity FWHMs, and the parameter stays because the benchmark's
@@ -228,8 +238,8 @@ def singles_rate(amps, mod, filt: GaussianFilter, convention: str = "intensity")
     powers = np.abs(mod.coeffs) ** 2
 
     if amps.is_flat:
-        b0_sq = abs(amps.b0) ** 2
-        peak = filt.alpha ** 2
+        b0_sq = _square(abs(amps.b0))
+        peak = _square(filt.alpha)
         atol = 1e-12 * max(peak, 1e-300) * 2.0 * width
         try:
             # an overflow anywhere in the rule raises here instead of warning
@@ -284,33 +294,41 @@ class SidebandModel:
     ``c_n * H2(n w_m - delta)`` with ``c_n = |A0 B0 s_n|^2 / (8 pi)``, where
     ``s_n`` are the composed modulator coefficients and ``H2`` the two
     filters' lineshape; the accidental floor ``R1 * R2 * T`` is constant.
-    Samples with |n| beyond the composed support get ``c_n = 0``. A
-    scenario whose floor, peak paired rate or their sum is not finite
-    raises ``DomainError``. Both
-    trace tiers take the coefficients, the floor and the window lookup from
-    here; the fit takes the paired rate and its slope.
+    Samples with |n| beyond the composed support (see ``clips``) get
+    ``c_n = 0``. A floor, peak paired rate or sum that is not finite raises
+    ``DomainError`` naming |B0|, the gate or the transmission scales. Both
+    trace tiers take the coefficients, the floor and the window lookup
+    from here; the fit takes the trace and its slope.
     """
 
     def __init__(self, scenario):
+        amps = scenario.amplitudes
         self.s = compose_nonlocal(scenario.mod1, scenario.mod2)
         self.n_max = self.s.k_max
         self.omega_m = scenario.omega_m
-        r1 = singles_rate(scenario.amplitudes, scenario.mod1, scenario.filter1)
-        r2 = singles_rate(scenario.amplitudes, scenario.mod2, scenario.filter2)
+        r1 = singles_rate(amps, scenario.mod1, scenario.filter1)
+        r2 = singles_rate(amps, scenario.mod2, scenario.filter2)
         self.accidental = r1 * r2 * scenario.gate_ns * 1e-9
         self.h2 = h2_profile(scenario.filter1, scenario.filter2)
-        amp_factor = abs(scenario.amplitudes.a0 * scenario.amplitudes.b0) ** 2 / (8.0 * np.pi)
-        self.c_table = amp_factor * np.abs(self.s.coeffs) ** 2
         # checked once here for both trace tiers and the fit, in Python floats
-        # (which overflow without a warning); an infinite floor or peak would
-        # otherwise be written as inf in every row
+        # (which overflow to inf without a warning); an infinite floor or peak
+        # would otherwise be written as inf in every row
+        amp_factor = _square(abs(amps.a0 * amps.b0)) / (8.0 * np.pi)
+        if not amp_factor < np.inf:
+            raise DomainError(
+                f"coincidence rates overflow: |B0| = {abs(amps.b0):g} is too large")
+        self.c_table = amp_factor * np.abs(self.s.coeffs) ** 2
+        if math.isfinite(float(r1) * float(r2)) and not math.isfinite(self.accidental):
+            raise DomainError(
+                f"coincidence rates overflow: gate {scenario.gate_ns:g} ns is too large "
+                "for the accidental floor R1 * R2 * T")
         peak = float(self.c_table.max()) * float(self.h2.peak)
-        if not np.isfinite(float(self.accidental) + peak):
+        if not math.isfinite(float(self.accidental) + peak):
             raise DomainError(
                 "coincidence rates overflow: transmission scales alpha1^2 = "
                 f"{scenario.filter1.alpha ** 2:g} and alpha2^2 = "
                 f"{scenario.filter2.alpha ** 2:g} with |B0| = "
-                f"{abs(scenario.amplitudes.b0):g} are too large")
+                f"{abs(amps.b0):g} are too large")
 
     def window(self, delta):
         """Per sample: window index n, clipped mask, weight c_n and offset n w_m - delta."""
@@ -340,16 +358,11 @@ class SidebandModel:
         an axis gives the same slice of the whole axis's trace, bit for bit.
         """
         delta = np.asarray(delta, dtype=float)
-        n_idx, clipped, c, u = self.window(delta)
+        n_idx, _, c, u = self.window(delta)
         paired = c * self.h2(u)
         accidental = np.full_like(delta, self.accidental)
         return CorrelationTrace(delta_axis=delta, paired=paired, accidental=accidental,
-                                total=paired + accidental, n_index=n_idx, clipped=clipped)
-
-    def paired(self, delta):
-        """Paired rate c_n H2(n w_m - delta)."""
-        _, _, c, u = self.window(delta)
-        return c * self.h2(u)
+                                total=paired + accidental, n_index=n_idx)
 
     def slope(self, delta):
         """d(paired)/d(delta) inside the windows (the floor is constant)."""
@@ -358,26 +371,23 @@ class SidebandModel:
 
 
 def _warn_if_clipped(model, delta):
-    """Warn, naming the first caller outside this module, when samples of
-    ``delta`` lie beyond the composed support."""
+    """Warn when samples of ``delta`` lie beyond the composed support; the
+    public entry points call this, so stack level 3 is their caller's line."""
     if model.clips(delta):
-        frame, level = sys._getframe(1), 2
-        while frame.f_globals.get("__name__") == __name__:
-            frame, level = frame.f_back, level + 1
-        warnings.warn(
-            "delta samples beyond the modulator truncation support; paired term set to zero",
-            RuntimeWarning, stacklevel=level)
+        warnings.warn(CLIPPING_MESSAGE, RuntimeWarning, stacklevel=3)
 
 
 def coincidence_trace(scenario, delta_axis) -> CorrelationTrace:
     """Closed-form coincidence rate versus delta (the flat-band model).
 
-    ``lazy_trace`` evaluated over the whole axis at once. Samples beyond
-    the composed coefficients' support get a zero paired term and are
-    flagged (with a warning), not rejected.
+    ``SidebandModel.evaluate`` over the whole axis at once. Samples beyond
+    the composed coefficients' support get a zero paired term and a
+    warning, not an error.
     """
-    trace = lazy_trace(scenario, delta_axis)
-    return trace.chunk(0, len(trace.delta_axis))
+    delta = np.asarray(delta_axis, dtype=float)
+    model = SidebandModel(scenario)
+    _warn_if_clipped(model, delta)
+    return model.evaluate(delta)
 
 
 @dataclass(frozen=True)
@@ -395,15 +405,6 @@ class LazyTrace:
 
     def chunk(self, start, stop) -> CorrelationTrace:
         return self.model.evaluate(self.delta_axis[start:stop])
-
-
-def lazy_trace(scenario, delta_axis) -> LazyTrace:
-    """The closed-form trace without its columns: the model is built and the
-    clipping warning issued now, the rows are evaluated chunk by chunk."""
-    delta = np.asarray(delta_axis, dtype=float)
-    model = SidebandModel(scenario)
-    _warn_if_clipped(model, delta)
-    return LazyTrace(model, delta)
 
 
 def _omega_offsets(scenario):
@@ -482,7 +483,7 @@ def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
     accidental_arr = np.full_like(delta, model.accidental)
     return CorrelationTrace(delta_axis=delta, paired=paired,
                             accidental=accidental_arr, total=paired + accidental_arr,
-                            n_index=n_idx, clipped=clipped)
+                            n_index=n_idx)
 
 
 def sideband_areas(trace: CorrelationTrace) -> dict:

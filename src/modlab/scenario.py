@@ -213,7 +213,7 @@ def fit_scale(delta_axis, counts, scenario: ExperimentScenario,
     off_bound = 0.5 * scenario.omega_m
 
     def rate(x):
-        return model.accidental + model.paired(x)
+        return model.evaluate(x).total
 
     def objective(scale, off):
         resid = dwell * scale * rate(delta - off) - y

@@ -175,12 +175,12 @@ def test_emit_trace_csv(tmp_path):
         warnings.simplefilter("ignore", RuntimeWarning)
         trace = coincidence_trace(scn, axis)
     out = tmp_path / "t.csv"
-    emit_trace(trace, out, scenario=scn, seed=7)
+    emit_trace(trace, out, scenario=scn)
     lines = out.read_text().splitlines()
     assert lines[0] == "delta_ghz,paired,accidental,total,n_index"
     assert len(lines) == 602
     meta = json.loads((tmp_path / "t.csv.meta").read_text())
-    assert meta["seed"] == 7
+    assert meta["seed"] is None
     assert meta["generator"] == "pcg64"
     assert len(meta["scenario_sha256"]) == 64
 
@@ -378,6 +378,12 @@ FIG4A_BEYOND_INT64 = (FIG4A_SCAN.replace("delta_min = -150 GHz", "delta_min = -1
                       .replace("delta_step = 0.5 GHz", "delta_step = 1e19 GHz"))
 
 
+# delta / w_m overflows to inf before the sideband index is checked
+OVERFLOWING_QUOTIENT = (MINIMAL.replace("delta_min = -150 GHz", "delta_min = 1e307 GHz")
+                        .replace("delta_max = 150 GHz", "delta_max = 1.1e307 GHz")
+                        .replace("delta_step = 0.5 GHz", "delta_step = 1e306 GHz")
+                        + "modulation_frequency = 0.001 GHz\n")
+
 # the axis spans 2e308 GHz, which overflows to inf
 OVERFLOWING_AXIS = (MINIMAL.replace("delta_min = -150 GHz", "delta_min = -1e308 GHz")
                     .replace("delta_max = 150 GHz", "delta_max = 1e308 GHz")
@@ -425,6 +431,21 @@ def _waveform(bad_line):
       for value in ("1e307", "1e308")],
     pytest.param("scan", FIG4A_BEYOND_INT64, [], None, ("sideband indices", "1e+21"),
                  id="scan delta = +-1e21 GHz"),
+    *[pytest.param(command, OVERFLOWING_QUOTIENT, [], None,
+                   ("sideband indices", "1e+307", "0.001 GHz"),
+                   id=f"{command} delta = 1e307 GHz at 0.001 GHz")
+      for command in ("scan", "fit")],
+    # each overflow names its cause
+    *[pytest.param(command, MINIMAL + "b0 = 1e100\n", [], None,
+                   ("coincidence rates overflow", "|B0| = 1e+100"), id=f"{command} b0 = 1e100")
+      for command in ("scan", "fit")],
+    pytest.param("scan", MINIMAL + "gate = 1e308 ns\n", [], None,
+                 ("coincidence rates overflow", "gate 1e+308 ns"), id="scan gate = 1e308 ns"),
+    # the center frequency is 2.1e302 GHz, then inf: either swallows the passband
+    *[pytest.param("scan", MINIMAL + f"filter1_slit = {slit} mm\n", [], None,
+                   (f"filter slit {float(slit)!r} mm", "off scale"),
+                   id=f"filter1_slit = {slit} mm")
+      for slit in ("1e300", "1e307")],
     *[pytest.param(command, OVERFLOWING_AXIS, [], None,
                    ("delta axis", "-1e+308", "1e+300", "no finite row count"),
                    id=f"{command} delta = +-1e308 GHz")
@@ -535,7 +556,7 @@ def test_main_checks_out_path_before_building_trace(tmp_path, capsys, monkeypatc
         raise AssertionError("trace built before the output path was checked")
 
     # what scan and figure call to build and to evaluate the trace
-    monkeypatch.setattr(cli, "lazy_trace", no_trace)
+    monkeypatch.setattr(cli, "SidebandModel", no_trace)
     monkeypatch.setattr(SidebandModel, "evaluate", no_trace)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -569,7 +590,8 @@ def test_main_scan_streams_the_bytes_of_the_full_trace(tmp_path, gnuplot_style):
     with pytest.warns(RuntimeWarning):
         trace = coincidence_trace(scenario, run.delta_axis())
     assert len(trace.delta_axis) == 2 * cli._EMIT_CHUNK_ROWS + 3
-    assert trace.clipped[0] and trace.clipped[-1] and not trace.clipped.all()
+    outside = np.abs(trace.n_index) > SidebandModel(scenario).n_max
+    assert outside[0] and outside[-1] and not outside.all()
     ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
     emit_trace(trace, ref, scenario=scenario, gnuplot_style=gnuplot_style)
     style = ["--gnuplot-style"] if gnuplot_style else []
@@ -627,6 +649,61 @@ def test_main_prints_clipping_warning_as_one_line(tmp_path, capsys):
     cfg.write_text(MINIMAL.replace("preset = fig4b", "preset = fig3a"))
     assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
     assert capsys.readouterr().err.splitlines() == [CLIPPING_WARNING]
+
+
+def test_main_fit_prints_clipping_warning_as_one_line(tmp_path, capsys):
+    # fig3a has no sidebands, so the synthetic fit's axis runs past the support
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(MINIMAL.replace("preset = fig4b", "preset = fig3a"))
+    assert main(["fit", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err.splitlines() == [CLIPPING_WARNING]
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# the commands that read each sample config: its sections are ones the command
+# reads, and it holds the sections the command needs
+CONFIG_READERS = {
+    "explicit_reference": ("scan", "fit"),
+    "fig3a": ("figure",),
+    "fig3b": ("figure",),
+    "fig4a": ("figure",),
+    "fig4b": ("figure",),
+    "fit_demo": ("scan", "fit"),
+    "out_of_regime": ("validate",),
+    "reference_scan": ("scan", "fit"),
+}
+
+
+@pytest.mark.parametrize("name, command", [
+    (name, command) for name, commands in CONFIG_READERS.items() for command in commands])
+def test_sample_configs_print_at_most_the_clipping_line(tmp_path, capsys, name, command):
+    assert sorted(CONFIG_READERS) == sorted(p.stem for p in CONFIGS.glob("*.cfg"))
+    cfg = CONFIGS / f"{name}.cfg"
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err in ("", CLIPPING_WARNING + "\n")
+
+
+def test_main_hashes_waveform_scenarios_exactly(tmp_path):
+    # two random-phase drives 1e-11 rad apart in one sample; numpy's 8-digit
+    # display of their coefficients is the same, their traces are not
+    phases = np.random.default_rng(3).uniform(-np.pi, np.pi, 256)
+    nudged = phases.copy()
+    nudged[17] += 1e-11
+
+    def scan(values, name):
+        wave, cfg, out = (tmp_path / f"{name}.txt", tmp_path / f"{name}.cfg",
+                          tmp_path / f"{name}.csv")
+        wave.write_text("".join(f"{j / 256!r} {v!r}\n" for j, v in enumerate(values.tolist())))
+        cfg.write_text(MINIMAL.replace("preset = fig4b", "preset = fig3a")
+                       + f"mod1_waveform = {wave}\n")
+        assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+        meta = json.loads(Path(f"{out}.meta").read_text())
+        return out.read_bytes(), meta["scenario_sha256"]
+
+    csv_a, hash_a = scan(phases, "a")
+    csv_b, hash_b = scan(nudged, "b")
+    assert csv_a != csv_b and hash_a != hash_b
+    assert scan(phases, "a") == (csv_a, hash_a)
 
 
 def test_main_rejects_a_huge_depth_at_once(tmp_path, capsys):

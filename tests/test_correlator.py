@@ -23,8 +23,7 @@ from modlab import (ConfigurationError, DomainError, GaussianFilter,
                     singles_rate, sinusoidal_coeffs)
 from modlab import CrystalProfile, FrequencyGrid, figure_preset, propagate_envelopes
 from modlab.cli import parse_config
-from modlab.correlator import (_GL3_NODES, _GL3_WEIGHTS, _omega_offsets, intensity_filter,
-                              lazy_trace)
+from modlab.correlator import _GL3_NODES, _GL3_WEIGHTS, _omega_offsets, intensity_filter
 from modlab.modulation import ModulatorSpectrum
 from modlab.scenario import ExperimentScenario, reference_scenario
 
@@ -366,14 +365,14 @@ def test_trace_beyond_support_warns_and_zeroes():
     scn = figure_preset("fig3a")   # identity modulators: support is n = 0 only
     with pytest.warns(RuntimeWarning):
         trace = coincidence_trace(scn, np.array([0.0, 40.0]))
-    assert trace.clipped.tolist() == [False, True]
+    assert trace.n_index.tolist() == [0, 1]
     assert trace.paired[1] == 0.0
     assert trace.total[1] == trace.accidental[1]
 
 
 def test_clipping_warning_names_the_calling_line():
     scn = figure_preset("fig3a")   # identity modulators: support is n = 0 only
-    for build in (coincidence_trace, lazy_trace, coincidence_full):
+    for build in (coincidence_trace, coincidence_full):
         with pytest.warns(RuntimeWarning) as record:
             build(scn, np.array([0.0, 40.0]))
         assert [w.filename for w in record] == [__file__]
@@ -626,6 +625,6 @@ def test_sideband_model_slope_matches_central_difference():
     # samples inside windows n = -4..4, clear of the window edges at +-15 GHz
     delta = (30.0 * np.arange(-4, 5)[:, None] + np.linspace(-13.0, 13.0, 27)).ravel()
     h = 1e-4
-    numeric = (model.paired(delta + h) - model.paired(delta - h)) / (2.0 * h)
+    numeric = (model.evaluate(delta + h).paired - model.evaluate(delta - h).paired) / (2.0 * h)
     slope = model.slope(delta)
     assert np.max(np.abs(slope - numeric)) <= 1e-7 * np.max(np.abs(slope))
