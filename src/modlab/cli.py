@@ -23,7 +23,7 @@ Sections and keys:
 
   schema = 1                   (required, before any section)
   [run]      seed (int), dwell (s), out (path)
-  [scan]     delta_min (GHz), delta_max (GHz), delta_step (GHz)
+  [scan]     delta_min (GHz), delta_max (GHz), delta_step (GHz), all three
   [figure]   case (fig3a|fig3b|fig4a|fig4b)
   [fit]      data (path to a delta_ghz,counts CSV; synthesized when absent)
   [scenario] preset (figure case), or explicit keys:
@@ -43,10 +43,11 @@ keys default to an undriven channel.
 
 Exit codes: 0 success, 1 validation/fit failure, 2 configuration error
 (an unreadable ``--config`` or waveform file included), 3 I/O failure on an
-output file or the fit-data file. A scan axis longer than ``MAX_SCAN_ROWS``
-rows, a scan axis whose span or row count is not finite, a negative seed, a
-dwell that is not positive and finite or so long that a Poisson mean passes
-numpy's limit, a filter FWHM whose squared passband half-width overflows, an
+output file or the fit-data file. A ``[scan]`` section without all three
+keys, a scan axis longer than ``MAX_SCAN_ROWS`` rows, a scan axis whose span
+or row count is not finite, a negative seed, a dwell that is not positive
+and finite, a peak rate and dwell whose Poisson mean passes numpy's limit, a
+filter FWHM whose squared passband half-width overflows, an
 off-scale filter slit, a negative transmission scale, a |B0|, gate or
 transmission scales so large that the coincidence rates overflow, a
 modulation depth above 157 rad in magnitude (``modulation.MAX_DEPTH``), and
@@ -247,7 +248,7 @@ def parse_config(text: str, command: str = "scan"):
     run.out_path = values.get(("run", "out"), None)
     run.figure_case = values.get(("figure", "case"), None)
     run.fit_data = values.get(("fit", "data"), None)
-    if ("scan", "delta_step") in values or ("scan", "delta_min") in values:
+    if any(section == "scan" for section, _ in values):
         for k in ("delta_min", "delta_max", "delta_step"):
             if ("scan", k) not in values:
                 raise ConfigParseError(f"[scan] section is missing key '{k}'", None)
@@ -411,36 +412,6 @@ def scenario_hash(scenario: ExperimentScenario) -> str:
 
 
 _EMIT_CHUNK_ROWS = 1 << 14
-_COLUMN_FORMATS = ("%.15g",) * 4 + ("%d",)
-
-
-def _format_chunk(sep, columns, canvas):
-    """Format one chunk of the five trace columns as rows, each ending in LF.
-
-    Returns the rows as ASCII bytes. A column whose values in the chunk are
-    bitwise identical is formatted once and shared by every row; the
-    comparison is on the bits, so ``0.0`` and ``-0.0`` never fold together.
-    The other columns are formatted a whole column at a time by
-    ``textfmt.format_g15`` and ``textfmt.format_d``, which give the bytes of
-    a per-value ``%.15g`` or ``%d``: values whose 15-digit rounding the
-    vectorised arithmetic cannot certify, such as zeros, subnormals,
-    non-finite values and near ties, go through ``%`` one distinct value
-    at a time. Both write into ``canvas``, a ``textfmt.Canvas`` with room
-    for the chunk, whose buffers ``emit_trace`` reuses from chunk to chunk.
-    """
-    from . import textfmt   # imported here, so that commands writing no CSV skip it
-    n_rows = len(columns[0])
-    canvas.start(n_rows)
-    for i, (spec, col) in enumerate(zip(_COLUMN_FORMATS, columns)):
-        bits = col.view(np.uint64)
-        if (bits == bits[0]).all():
-            canvas.text((spec % col[0].item()).encode("ascii"))
-        elif spec == "%d":
-            textfmt.format_d(col, canvas)
-        else:
-            textfmt.format_g15(col, canvas)
-        canvas.text(b"\n" if i == len(columns) - 1 else sep.encode("ascii"))
-    return canvas.rows()
 
 
 def emit_trace(trace, path, scenario=None, gnuplot_style=False):
@@ -457,29 +428,27 @@ def emit_trace(trace, path, scenario=None, gnuplot_style=False):
     then taken ``_EMIT_CHUNK_ROWS`` at a time with ``trace.chunk``, which
     for a ``LazyTrace`` evaluates the closed form on that slice of the axis
     only, so its output columns never exist at full length. Each chunk is
-    formatted by ``_format_chunk`` into one ``textfmt.Canvas`` made for
-    this call, whose word canvas and work arrays every chunk reuses; the
-    vectorised formatter writes the same bytes as ``'%.15g' % v`` and
-    ``'%d' % v`` per value.
+    formatted by ``textfmt.format_rows`` into one ``textfmt.Canvas`` made
+    for this call, whose word canvas and work arrays every chunk reuses;
+    the rows have the same bytes as ``'%.15g' % v`` and ``'%d' % v`` per
+    value.
     """
     import json   # imported here, like hashlib in scenario_hash: only .meta files need it
 
-    from . import textfmt
+    from . import textfmt   # imported here, so that commands writing no CSV skip it
     sep = " " if gnuplot_style else ","
-    header = sep.join(("delta_ghz", "paired", "accidental", "total", "n_index"))
+    names = ("delta_ghz", "paired", "accidental", "total", "n_index")
+    header = sep.join(names)
     if gnuplot_style:
         header = "# " + header
     n_rows = len(trace.delta_axis)
-    canvas = textfmt.Canvas(min(n_rows, _EMIT_CHUNK_ROWS), len(_COLUMN_FORMATS))
+    canvas = textfmt.Canvas(min(n_rows, _EMIT_CHUNK_ROWS), len(names))
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
         for start in range(0, n_rows, _EMIT_CHUNK_ROWS):
             part = trace.chunk(start, start + _EMIT_CHUNK_ROWS)
-            # canonical 8-byte dtypes, so that _format_chunk can compare bits
-            columns = [np.asarray(c, dtype=np.float64) for c in
-                       (part.delta_axis, part.paired, part.accidental, part.total)]
-            columns.append(np.asarray(part.n_index, dtype=np.int64))
-            fh.write(_format_chunk(sep, columns, canvas))
+            fh.write(textfmt.format_rows(sep, (part.delta_axis, part.paired, part.accidental,
+                                               part.total, part.n_index), canvas))
     meta = {
         "tool": "modlab",
         "tool_version": __version__,
@@ -572,6 +541,15 @@ def _cmd_figure(run, scenario):
     return 0
 
 
+def _write_report(run, lines):
+    """Print the report ``lines`` and, with an output path, write them there too."""
+    report = "\n".join(lines) + "\n"
+    print(report, end="")
+    if run.out_path:
+        with open(run.out_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(report)
+
+
 def _cmd_fit(run, scenario):
     scenario = _require(scenario, "fit needs a [scenario] section")
     if run.fit_data is not None:
@@ -583,7 +561,7 @@ def _cmd_fit(run, scenario):
         counts = synthesize_counts(model.evaluate(delta), dwell=run.dwell, seed=run.seed)
         source = f"synthetic (seed={run.seed}, dwell={run.dwell})"
     result = fit_scale(delta, counts, scenario, dwell=run.dwell)
-    lines = [
+    _write_report(run, [
         f"data = {source}",
         f"alpha1_sq = {result.alpha1_sq!r}",
         f"alpha2_sq = {result.alpha2_sq!r}",
@@ -591,12 +569,7 @@ def _cmd_fit(run, scenario):
         f"delta_offset_ghz = {result.delta_offset!r}",
         f"residual_rms = {result.residual_rms!r}",
         f"iterations = {result.iterations}",
-    ]
-    report = "\n".join(lines) + "\n"
-    print(report, end="")
-    if run.out_path:
-        with open(run.out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report)
+    ])
     return 0
 
 
@@ -605,11 +578,7 @@ def _cmd_validate(run, scenario):
     lines = [f"{status} {name} {detail}" for name, status, detail in results]
     n_fail = sum(1 for _, status, _ in results if status == "FAIL")
     lines.append(f"{'FAIL' if n_fail else 'OK'} {len(results)} checks, {n_fail} failures")
-    report = "\n".join(lines) + "\n"
-    print(report, end="")
-    if run.out_path:
-        with open(run.out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report)
+    _write_report(run, lines)
     return code
 
 

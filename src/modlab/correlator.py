@@ -7,13 +7,15 @@ the paired rate is ``c_n * H2(n w_m - delta)``, where ``H2`` is the
 convolution of the two monochromators' intensity responses and ``c_n``
 weighs the composed modulator coefficient ``s_n``. ``coincidence_full``
 rebuilds the paired rate from the pair amplitude on a frequency-offset
-grid using the full sampled amplitudes, and serves as the high-fidelity
-oracle for the closed form. The two agree to well under a percent while
-the filters are narrow compared to the modulation frequency and wide
-compared to the inverse gate (the reference parameters exceed those
-margins by factors of about 3.5 and 11); the deviation grows as the filter
-width approaches the modulation frequency, which is expected and not
-asserted anywhere.
+grid using the full sampled amplitudes. It is not yet an independent
+oracle for the closed form: both tiers keep only the nearest sideband
+window, so on flat-band scenarios they agree to round-off (``modlab
+validate`` reports a relative RMS of 6.2e-15 on fig4a). With sampled
+amplitudes the gain varies across sidebands and the tiers differ, by at
+most a percent on the reference crystal. The closed form assumes filters
+narrow compared to the modulation frequency and wide compared to the
+inverse gate; the reference parameters exceed those margins by factors of
+about 3.5 and 11.
 
 Both tiers share the accidental floor ``R1 * R2 * T`` from uncorrelated
 detections inside the gate. Absolute rates inherit an arbitrary source

@@ -3,7 +3,7 @@
 The integrands in this package are smooth Gaussian-type profiles for
 which adaptive Simpson converges quickly. The remaining callers are the
 flat-band branch of ``correlator.singles_rate`` (the filter's truncated
-intensity integral) and ``cli._validate_h2`` (the numeric lineshape
+intensity integral) and ``checks.h2_errors`` (the numeric lineshape
 oracle). The sampled amplitudes' singles rate uses a fixed Gauss-Legendre
 rule instead.
 

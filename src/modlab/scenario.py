@@ -123,8 +123,9 @@ def synthesize_counts(trace, dwell: float = 20.0, seed: int = 0) -> np.ndarray:
     """Poisson counts per delta sample for the given dwell time in seconds.
 
     Independent draws with mean rate*dwell from numpy's seeded PCG64
-    generator; a fixed seed reproduces the data bit for bit. A dwell that
-    puts a mean beyond numpy's Poisson limit raises ``DomainError``.
+    generator; a fixed seed reproduces the data bit for bit. A rate and
+    dwell whose product passes numpy's Poisson limit raise ``DomainError``,
+    which names the peak rate and the dwell.
     """
     if not 0 < dwell < math.inf:
         raise DomainError("dwell time must be positive and finite")
@@ -134,8 +135,9 @@ def synthesize_counts(trace, dwell: float = 20.0, seed: int = 0) -> np.ndarray:
     try:
         return rng.poisson(means)
     except ValueError as exc:
-        raise DomainError(f"dwell time {dwell!r} s puts a Poisson mean beyond "
-                          f"numpy's limit ({exc})") from exc
+        raise DomainError(
+            f"peak coincidence rate {np.max(trace.total):.2g} /s over a dwell of {dwell!r} s "
+            f"puts a Poisson mean beyond numpy's limit ({exc})") from exc
 
 
 @dataclass(frozen=True)

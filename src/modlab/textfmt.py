@@ -1,13 +1,14 @@
-"""Vectorised ``%.15g`` and ``%d`` formatting of numpy columns.
+"""Trace rows as CSV bytes: vectorised ``%.15g`` and per-value ``%d``.
 
-The formatters write into a ``Canvas``: a word-major array of 8-byte
-words, one canvas row per word slot and one column per output line. Line
-``i``, read word after word, holds the ASCII bytes of ``'%.15g' % x[i]``
-(or ``'%d' % x[i]``) in fixed slots, with NUL bytes in the slots the value
-does not use; text shared by every line (separators, constant columns)
-takes whole words of its own. ``Canvas.rows`` lays the words of a line
-side by side and deletes every NUL with one ``bytes.translate``, which
-leaves exactly the bytes of the per-value ``%``.
+``format_rows`` turns one chunk of trace columns into rows of text. It
+writes into a ``Canvas``: a word-major array of 8-byte words, one canvas
+row per word slot and one column per output line. Line ``i``, read word
+after word, holds the ASCII bytes of ``'%.15g' % x[i]`` (or ``'%d' %
+x[i]`` for the int64 sideband index) in fixed slots, with NUL bytes in the
+slots the value does not use; text shared by every line (separators,
+constant columns) takes whole words of its own. ``Canvas.rows`` lays the
+words of a line side by side and deletes every NUL with one
+``bytes.translate``, which leaves exactly the bytes of the per-value ``%``.
 
 A canvas is sized for a number of lines and reused: ``Canvas.start``
 begins the next chunk, and every work array the formatters need comes from
@@ -26,7 +27,10 @@ rounding tie, its rounding ``N`` is a 15-digit integer and ``y >= 10**14``
 (``log10`` can overestimate ``e`` by one next to a power of ten). Every
 other value, including zeros, subnormals, infinities, NaN and the rounding
 carries to the next power of ten, is formatted by ``'%.15g' % v`` itself,
-once per distinct value in the column.
+once per distinct value in the column. The sideband index has no digit
+arithmetic of its own: it takes one value per window of the modulation
+frequency, so a chunk holds few distinct values, and each goes through
+``'%d' % v`` once.
 
 An accepted value takes up to four words: a lead word (sign and the
 ``0.000`` prefix of fixed notation for ``-4 <= e < 0``); two words built
@@ -57,10 +61,10 @@ def _words(data):
 
 
 def _quad_tables():
-    """``"0000".."9999"`` as uint32, for ``np.take`` to write four ASCII
-    digits per element in memory order whatever the byte order; the same
-    digits in the low four bytes of a word; and the index, within its four
-    digits, of the last nonzero digit of 1..9999."""
+    """``"0000".."9999"`` in the low four bytes of a word, in memory order
+    whatever the byte order, for ``np.take`` to write four ASCII digits per
+    element; and the index, within its four digits, of the last nonzero
+    digit of 1..9999."""
     pairs = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode("ascii"),
                           dtype=np.uint16)
     quads = np.empty((100, 100, 2), dtype=np.uint16)
@@ -68,10 +72,9 @@ def _quad_tables():
     quads[:, :, 1] = pairs
     last = np.full(10_000, 3)
     last[::10], last[::100], last[::1000] = 2, 1, 0
-    quads = quads.view(np.uint32).ravel()
     words = np.zeros((10_000, 2), dtype=np.uint32)
-    words[:, 0] = quads
-    return quads, words.view(_WORD).ravel(), last
+    words[:, 0] = quads.view(np.uint32).ravel()
+    return words.view(_WORD).ravel(), last
 
 
 def _digit_masks():
@@ -91,7 +94,7 @@ def _digit_masks():
     return np.ascontiguousarray(table.view(_WORD))
 
 
-_QUADS, _QUAD_WORDS, _QUAD_LAST = _quad_tables()
+_QUAD_WORDS, _QUAD_LAST = _quad_tables()
 # one contiguous table per mask column, for np.take into 1-D work arrays
 _MASKS = np.ascontiguousarray(_digit_masks().T)
 _MINUS = _words(b"-")[0]
@@ -134,8 +137,9 @@ class Canvas:
 
     A ``%.15g`` field takes at most four words (lead, two digit words and
     exponent; a ``%`` text is at most 22 bytes, three words) and a ``%d``
-    field at most three; shared text of ``k`` fields and their separators
-    at most ``3 * k + 1``. Five words per field therefore always suffice.
+    text of an int64 at most 20 bytes, three words; shared text of ``k``
+    fields and their separators at most ``3 * k + 1``. Five words per field
+    therefore always suffice.
     """
 
     def __init__(self, capacity, fields):
@@ -221,11 +225,17 @@ def _take(table, index, out):
     return np.take(table, index, out=out, mode="clip")
 
 
-def _fallback(x, rows, words, canvas):
-    """Write ``'%.15g' % v`` for ``x[rows]`` over ``words``, once per
+def _spec(x):
+    """The ``%`` spec of a column: ``'%d'`` for int64, ``'%.15g'`` for float64."""
+    return "%d" if x.dtype == np.int64 else "%.15g"
+
+
+def _per_value(x, rows, words, canvas):
+    """Write ``_spec(x) % v`` for ``x[rows]`` over ``words``, once per
     distinct value, adding NUL words at the end when a text needs them."""
+    spec = _spec(x)
     bits, inverse = np.unique(x[rows].view(np.uint64), return_inverse=True)
-    texts = [("%.15g" % v).encode("ascii") for v in bits.view(np.float64).tolist()]
+    texts = [(spec % v).encode("ascii") for v in bits.view(x.dtype).tolist()]
     while 8 * len(words) < max(map(len, texts)):
         words.append(canvas.word())
         words[-1][...] = 0
@@ -318,27 +328,29 @@ def format_g15(x, canvas):
         words.append(_take(exponent_t, index, canvas.word()))
     slow = np.flatnonzero(np.logical_not(ok, out=flag))
     if len(slow):
-        _fallback(x, slow, words, canvas)
+        _per_value(x, slow, words, canvas)
 
 
-def format_d(x, canvas):
-    """Write ``'%d' % v`` for every ``v`` in an int64 array as the next
-    words of ``canvas``: a sign slot, then the digits."""
-    x = np.asarray(x, dtype=np.int64)
-    neg = x < 0
-    mag = x.view(np.uint64).copy()
-    np.negative(mag, out=mag, where=neg)      # wraps, so iinfo.min is exact
-    width = len(str(int(mag.max())))
-    n_quads = (width + 3) // 4
-    # leading zeros, never the units digit, become NUL
-    n_digits = np.ones(len(x), dtype=np.int64)
-    for k in range(1, width):
-        n_digits += mag >= 10 ** k
-    quads = _quads([mag] + [np.empty_like(mag) for _ in range(n_quads - 1)])
-    digits = np.stack([np.take(_QUADS, q.view(np.int64)) for q in quads], axis=1)
-    digits = digits.view(np.uint8)[:, 4 * n_quads - width:]
-    slots = np.zeros((len(x), 8 * (width // 8 + 1)), dtype=np.uint8)
-    slots[:, 0] = np.where(neg, ord("-"), 0)
-    slots[:, 1:width + 1] = np.where(np.arange(width) >= width - n_digits[:, None], digits, 0)
-    for column in slots.view(_WORD).T:
-        canvas.word()[...] = column
+def format_rows(sep, columns, canvas):
+    """One chunk of trace columns (delta, paired, accidental, total as
+    float64, the sideband index as int64) as ASCII rows joined by ``sep``,
+    each ending in LF, into ``canvas``, which has room for the chunk.
+
+    A column whose values in the chunk are bitwise identical is formatted
+    once and shared by every row; the comparison is on the bits, so ``0.0``
+    and ``-0.0`` never fold together.
+    """
+    *floats, index = columns
+    columns = [np.asarray(c, dtype=np.float64) for c in floats]
+    columns.append(np.asarray(index, dtype=np.int64))
+    canvas.start(len(columns[0]))
+    for i, col in enumerate(columns):
+        bits = col.view(np.uint64)
+        if (bits == bits[0]).all():
+            canvas.text((_spec(col) % col[0].item()).encode("ascii"))
+        elif col.dtype == np.int64:
+            _per_value(col, slice(None), [], canvas)
+        else:
+            format_g15(col, canvas)
+        canvas.text(b"\n" if i == len(columns) - 1 else sep.encode("ascii"))
+    return canvas.rows()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from modlab import ConfigParseError, SidebandModel, figure_preset, regime_report
-from modlab import cli, modulation
+from modlab import cli, modulation, textfmt
 from modlab.cli import (MAX_SCAN_ROWS, RunConfig, emit_trace, main, parse_config,
                         run_validate, scenario_to_config)
 from modlab.correlator import CorrelationTrace, coincidence_trace
@@ -260,6 +260,9 @@ def _across_chunks_cases():
         # one sideband window: n_index is constant in every chunk
         "constant n_index": _fig4a_trace(-10.0, 10.0, CHUNK_ROWS + 2),
         "0.0 and -0.0 in one chunk": _signed_zero_trace(CHUNK_ROWS + 1),
+        # a step wider than the 30 GHz drive: every row in its own window
+        "distinct n_index": SidebandModel(figure_preset("fig4a")).evaluate(
+            37.0 * (np.arange(CHUNK_ROWS + 5) - CHUNK_ROWS // 2)),
     }
     return {name: (trace, _value_texts(trace)) for name, trace in cases.items()}
 
@@ -270,6 +273,8 @@ def test_emit_trace_matches_row_reference_across_chunks(tmp_path, gnuplot_style)
     assert CHUNK_ROWS % cli._EMIT_CHUNK_ROWS == 0
     cases = _across_chunks_cases()
     assert set(cases["constant n_index"][0].n_index.tolist()) == {0}
+    distinct = cases["distinct n_index"][0].n_index
+    assert len(set(distinct.tolist())) == len(distinct)
     out = tmp_path / "out.csv"
     for name, (trace, texts) in cases.items():
         ref = _reference_bytes(texts, gnuplot_style)
@@ -417,6 +422,12 @@ def _waveform(bad_line):
                  ("filter FWHM", "1e+160", "too large"), id="filter2_fwhm = 1e160 GHz"),
     pytest.param("scan", MINIMAL.replace("delta_step = 0.5 GHz", "delta_step = nan GHz"),
                  [], None, ("delta_step", "line"), id="delta_step = nan GHz"),
+    *[pytest.param(command, text, [], None, ("[scan] section is missing key 'delta_min'",),
+                   id=f"{command} [scan] with delta_max alone")
+      for command, text in (
+          ("scan", MINIMAL.replace("delta_min = -150 GHz\n", "")
+                          .replace("delta_step = 0.5 GHz\n", "")),
+          ("figure", "schema = 1\n[scan]\ndelta_max = 100 GHz\n[figure]\ncase = fig4b\n"))],
     pytest.param("scan", MINIMAL + OVERFLOWING_SCALES, [], None,
                  ("transmission scales", "1e+300"), id="scan alpha_sq = 1e300"),
     pytest.param("validate", "schema = 1\n[scenario]\npreset = fig4b\n" + OVERFLOWING_SCALES,
@@ -441,6 +452,9 @@ def _waveform(bad_line):
       for command in ("scan", "fit")],
     pytest.param("scan", MINIMAL + "gate = 1e308 ns\n", [], None,
                  ("coincidence rates overflow", "gate 1e+308 ns"), id="scan gate = 1e308 ns"),
+    # |B0| just below that overflow: the Poisson mean of the synthetic fit is too large
+    pytest.param("fit", MINIMAL + "b0 = 1.1e77\n", [], None,
+                 ("peak coincidence rate", "dwell of 20.0 s"), id="fit b0 = 1.1e77"),
     # the center frequency is 2.1e302 GHz, then inf: either swallows the passband
     *[pytest.param("scan", MINIMAL + f"filter1_slit = {slit} mm\n", [], None,
                    (f"filter slit {float(slit)!r} mm", "off scale"),
@@ -602,7 +616,7 @@ def test_main_scan_streams_the_bytes_of_the_full_trace(tmp_path, gnuplot_style):
 
 def test_main_scan_evaluates_and_formats_chunk_by_chunk(tmp_path, monkeypatch):
     evaluated, formatted = [], []
-    evaluate, format_chunk = SidebandModel.evaluate, cli._format_chunk
+    evaluate, format_rows = SidebandModel.evaluate, textfmt.format_rows
 
     def evaluate_spy(self, delta):
         evaluated.append(len(delta))
@@ -610,10 +624,10 @@ def test_main_scan_evaluates_and_formats_chunk_by_chunk(tmp_path, monkeypatch):
 
     def format_spy(sep, columns, *args):
         formatted.append({len(c) for c in columns})
-        return format_chunk(sep, columns, *args)
+        return format_rows(sep, columns, *args)
 
     monkeypatch.setattr(SidebandModel, "evaluate", evaluate_spy)
-    monkeypatch.setattr(cli, "_format_chunk", format_spy)
+    monkeypatch.setattr(textfmt, "format_rows", format_spy)
     cfg = tmp_path / "scan.cfg"
     cfg.write_text(CLIPPED_BOTH_ENDS)
     assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0

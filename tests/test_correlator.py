@@ -480,8 +480,8 @@ def test_tier_agreement_flat_band():
     assert rel_rms <= 0.01
 
 
-def _sampled_tier_scenario():
-    amps, pump = _sampled_amplitudes()
+def _sampled_tier_scenario(span=1100.0, points=2201):
+    amps, pump = _sampled_amplitudes(span, points)
     base = reference_scenario(1.5, 1.5)
     return ExperimentScenario(
         pump_frequency=pump, amplitudes=amps,
@@ -502,6 +502,18 @@ def test_tier_agreement_sampled_amplitudes():
                / np.sqrt(np.mean(trace.total ** 2)))
     # the gain now varies across sidebands: the tiers differ, but stay close
     assert 0.0 < rel_rms <= 0.01
+
+
+def test_full_tier_needs_amplitudes_for_every_sideband():
+    # 920 GHz covers every sideband's singles passband, so the closed form
+    # runs; the full tier's offset grid, shifted by up to 14 drive periods,
+    # does not fit
+    scn = _sampled_tier_scenario(span=920.0, points=1841)
+    delta = np.arange(-150.0, 151.0, 1.0)
+    coincidence_trace(scn, delta)
+    with pytest.raises(DomainError) as err:
+        coincidence_full(scn, delta)
+    assert str(err.value) == "sidebands k=-14..14 need amplitudes outside the sampled grid"
 
 
 def _delay_domain_paired(scenario, delta_axis, points=4096):

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modlab.cli import _COLUMN_FORMATS, _format_chunk
-from modlab.textfmt import Canvas
+from modlab.textfmt import Canvas, format_rows
 
 SEPARATORS = [",", " "]
 
@@ -39,7 +38,7 @@ def _chunk(floats, ints=None):
 
 def _assert_matches(columns):
     for sep in SEPARATORS:
-        got = _format_chunk(sep, columns, Canvas(len(columns[0]), len(_COLUMN_FORMATS)))
+        got = format_rows(sep, columns, Canvas(len(columns[0]), len(columns)))
         want = _reference(columns, sep)
         if got != want:
             bad = [(g, w) for g, w in zip(got.split(b"\n"), want.split(b"\n")) if g != w]
