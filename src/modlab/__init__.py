@@ -10,8 +10,8 @@ coefficient algebra (``modulation``), singles and coincidence models
 __version__ = "0.1.0"
 
 from .correlator import (CorrelationTrace, GaussianFilter, H2Profile, LazyTrace,
-                         SidebandModel, coincidence_full, coincidence_trace, h2_profile,
-                         intensity_filter, sideband_areas, singles_rate)
+                         SidebandModel, UniformAxis, coincidence_full, coincidence_trace,
+                         h2_profile, intensity_filter, sideband_areas, singles_rate)
 from .errors import (ConfigParseError, ConfigurationError, ConvergenceError,
                      DomainError, FitError, ModlabError, ResolutionError)
 from .modulation import (ModulatorSpectrum, bessel_j_sequence, bessel_j_series,
@@ -32,6 +32,7 @@ __all__ = [
     "bessel_j_series", "sinusoidal_coeffs", "coeffs_from_waveform",
     "read_phase_waveform", "compose_nonlocal",
     "GaussianFilter", "H2Profile", "SidebandModel", "CorrelationTrace", "LazyTrace",
+    "UniformAxis",
     "singles_rate", "h2_profile", "coincidence_trace", "coincidence_full",
     "sideband_areas", "intensity_filter",
     "ExperimentScenario", "FitResult", "RegimeReport", "figure_preset",

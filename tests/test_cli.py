@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -428,6 +429,18 @@ def _waveform(bad_line):
           ("scan", MINIMAL.replace("delta_min = -150 GHz\n", "")
                           .replace("delta_step = 0.5 GHz\n", "")),
           ("figure", "schema = 1\n[scan]\ndelta_max = 100 GHz\n[figure]\ncase = fig4b\n"))],
+    # an empty section header is read as the section, not as its absence
+    *[pytest.param(command, text, [], None,
+                   (f"line {line}: [scan] section is missing key 'delta_min'",),
+                   id=f"{command} empty [scan]")
+      for command, text, line in (
+          ("scan", "schema = 1\n\n[scan]\n\n[scenario]\npreset = fig4b\n", 3),
+          ("figure", "schema = 1\n[scan]\n[figure]\ncase = fig4b\n", 2))],
+    pytest.param("figure", "schema = 1\n[figure]\n", [], None,
+                 ("line 2: [figure] section is missing key 'case'",), id="figure empty [figure]"),
+    pytest.param("scan", MINIMAL.replace("preset = fig4b\n", ""), [], None,
+                 ("explicit scenario is missing required keys", "pump_frequency"),
+                 id="scan empty [scenario]"),
     pytest.param("scan", MINIMAL + OVERFLOWING_SCALES, [], None,
                  ("transmission scales", "1e+300"), id="scan alpha_sq = 1e300"),
     pytest.param("validate", "schema = 1\n[scenario]\npreset = fig4b\n" + OVERFLOWING_SCALES,
@@ -636,6 +649,23 @@ def test_main_scan_evaluates_and_formats_chunk_by_chunk(tmp_path, monkeypatch):
     assert formatted == [{chunk}, {chunk}, {3}]
 
 
+def test_main_scan_memory_does_not_grow_with_rows(tmp_path):
+    cfg, out = tmp_path / "scan.cfg", tmp_path / "out.csv"
+
+    def peak_mib(step):
+        cfg.write_text(MINIMAL.replace("delta_step = 0.5 GHz", f"delta_step = {step} GHz"))
+        tracemalloc.start()
+        try:
+            assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    peak_mib(0.015)   # the first scan fills one-time caches of about 0.5 MB
+    # 2*10^5 rows against 2*10^4: a full-length axis alone would add 1.4 MB
+    assert peak_mib(0.0015) - peak_mib(0.015) < 0.5
+
+
 def test_main_scan_warns_once_before_writing(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out.csv"
     at_emit = []
@@ -811,6 +841,11 @@ def test_main_figure_rejects_scenario_section(tmp_path, capsys, fwhm):
     pytest.param("figure", "schema = 1\n[figure]\ncase = fig3b\n[fit]\ndata = nowhere.csv\n",
                  "fit", 5, id="figure [fit]"),
     pytest.param("fit", MINIMAL + "[figure]\ncase = fig3a\n", "figure", 11, id="fit [figure]"),
+    # a header without keys is named by its own line
+    pytest.param("validate", "schema = 1\n[scan]\n", "scan", 2, id="validate empty [scan]"),
+    pytest.param("scan", MINIMAL + "[figure]\n", "figure", 10, id="scan empty [figure]"),
+    pytest.param("figure", "schema = 1\n[fit]\n[figure]\ncase = fig3b\n", "fit", 2,
+                 id="figure empty [fit]"),
 ])
 def test_main_rejects_sections_the_command_does_not_read(tmp_path, capsys, command, text,
                                                          section, line):

@@ -12,17 +12,18 @@ full model's Parseval sum.
 
 import bisect
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from modlab import (ConfigurationError, DomainError, GaussianFilter,
-                    ResolutionError, SidebandModel, SpectralAmplitudes, bessel_j_series,
-                    coincidence_full, coincidence_trace, h2_profile, sideband_areas,
-                    singles_rate, sinusoidal_coeffs)
+                    ResolutionError, SidebandModel, SpectralAmplitudes, UniformAxis,
+                    bessel_j_series, coincidence_full, coincidence_trace, h2_profile,
+                    sideband_areas, singles_rate, sinusoidal_coeffs)
 from modlab import CrystalProfile, FrequencyGrid, figure_preset, propagate_envelopes
-from modlab.cli import parse_config
+from modlab.cli import _EMIT_CHUNK_ROWS, parse_config
 from modlab.correlator import _GL3_NODES, _GL3_WEIGHTS, _omega_offsets, intensity_filter
 from modlab.modulation import ModulatorSpectrum
 from modlab.scenario import ExperimentScenario, reference_scenario
@@ -616,6 +617,50 @@ def test_full_tier_sampled_amplitudes_match_the_row_loop():
     full = coincidence_full(scn, delta)
     # one matrix product reassociates the k-sums of the per-window products
     assert np.max(np.abs(full.paired - reference)) <= 1e-14 * reference.max()
+
+
+# (start, step, length): every length leaves a partial last emit chunk
+@pytest.mark.parametrize("start, step, length", [
+    (-150.0, 0.0003, 3 * _EMIT_CHUNK_ROWS + 5),
+    (-1.0 / 3.0, 0.1, 2 * _EMIT_CHUNK_ROWS + 1),
+    (-491.55, 0.03, _EMIT_CHUNK_ROWS - 7),
+])
+def test_uniform_axis_equals_the_materialised_axis_bit_for_bit(start, step, length):
+    axis = UniformAxis(start, step, length)
+    whole = start + step * np.arange(length)
+    assert len(axis) == length
+    assert np.asarray(axis).tobytes() == whole.tobytes()
+    for lo in range(0, length, _EMIT_CHUNK_ROWS):
+        hi = lo + _EMIT_CHUNK_ROWS
+        assert axis[lo:hi].tobytes() == whole[lo:hi].tobytes()
+    assert len(axis[length - length % _EMIT_CHUNK_ROWS:]) == length % _EMIT_CHUNK_ROWS
+    for i in (0, 1, _EMIT_CHUNK_ROWS - 1, _EMIT_CHUNK_ROWS, length - 1, -1, -2, -length):
+        if i < length:
+            assert np.float64(axis[i]).tobytes() == whole[i].tobytes()
+    for i in (length, -length - 1):
+        with pytest.raises(IndexError):
+            axis[i]
+
+
+def test_clips_reads_a_uniform_axis_without_building_it():
+    model = SidebandModel(figure_preset("fig4a"))
+    rows = 10 ** 7   # 80 MB as an array
+    tracemalloc.start()
+    try:
+        inside = model.clips(UniformAxis(-150.0, 3e-5, rows))
+        beyond = model.clips(UniformAxis(-1500.0, 3e-4, rows))
+        # both ends lie past 2^63 windows of 30 GHz
+        with pytest.raises(DomainError, match="beyond the range of sideband indices"):
+            model.clips(UniformAxis(-1e21, 2e14, rows))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (inside, beyond) == (False, True)
+    # the same answers as the arrays, on axes short enough to build
+    for start, step in ((-150.0, 3e-2), (-1500.0, 3e-1)):
+        axis = UniformAxis(start, step, rows // 1000)
+        assert model.clips(axis) == model.clips(np.asarray(axis))
 
 
 def test_sideband_index_beyond_int64_raises():
