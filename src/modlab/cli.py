@@ -47,13 +47,14 @@ output file or the fit-data file. A ``[scan]`` section without all three
 keys or a ``[figure]`` section without ``case`` (a bare header included), a
 ``[scenario]`` header with neither a preset nor the explicit keys, a scan
 axis longer than ``MAX_SCAN_ROWS`` rows, a scan axis whose span or row count
-is not finite, a negative seed, a dwell that is not positive and finite, a
-peak rate and dwell whose Poisson mean passes numpy's limit, a filter FWHM
-whose squared passband half-width overflows, an off-scale filter slit, a
-negative transmission scale, a |B0|, gate or transmission scales so large
-that the coincidence rates overflow, a modulation depth above 157 rad in
-magnitude (``modulation.MAX_DEPTH``), and a non-finite fit-data or waveform
-value are configuration errors. A scan, figure or synthetic fit whose axis
+is not finite or whose step is below the float spacing at its larger end (a
+finer step would repeat delta values), a negative seed, a dwell that is not
+positive and finite, a peak rate and dwell whose Poisson mean passes numpy's
+limit, a filter FWHM whose squared passband half-width overflows, an
+off-scale filter slit, a negative transmission scale, a |B0|, gate or
+transmission scales so large that the coincidence rates overflow, a
+modulation depth above 157 rad in magnitude (``modulation.MAX_DEPTH``), and
+a non-finite fit-data or waveform value are configuration errors. A scan, figure or synthetic fit whose axis
 runs past the composed modulator support (``SidebandModel.clips``) still
 succeeds, with one ``warning:`` line on stderr before any output file is
 opened. Identical config and seed reproduce byte-identical output files; the
@@ -64,7 +65,7 @@ closed-form ``SidebandModel`` and the delta axis as a
 ``correlator.UniformAxis`` (start, step and row count), which it evaluates
 and formats chunk by chunk. No column, the axis included, exists at full
 length, so the memory a scan needs does not depend on its row count: a
-``scan`` of 10^5, 10^6 or 10^7 rows peaks at 40.0 to 40.7 MB of RSS
+``scan`` of 10^5, 10^6 or 10^7 rows peaks at 37.5 to 38.2 MB of RSS
 (Python 3.11, numpy 2.4, x86-64 Linux), where a full-length axis took the
 10^7-row peak to 181 MB. ``fit`` builds the whole axis, because its
 least-squares solve needs it as an array.
@@ -148,6 +149,14 @@ class RunConfig:
             raise ConfigurationError(
                 f"delta axis from {self.delta_min:g} to {self.delta_max:g} GHz in steps of "
                 f"{self.delta_step:g} GHz has no finite row count")
+        # at the larger end the float spacing is widest; a finer step would
+        # give rows with the same delta
+        spacing = math.ulp(max(abs(self.delta_min), abs(self.delta_max)))
+        if self.delta_step < spacing:
+            raise ConfigurationError(
+                f"delta_step {self.delta_step:g} GHz is below the float spacing "
+                f"{spacing:g} GHz of the delta axis from {self.delta_min:g} to "
+                f"{self.delta_max:g} GHz")
         count = int(math.floor(steps + 1e-9))
         if count + 1 > MAX_SCAN_ROWS:
             raise ConfigurationError(
@@ -448,12 +457,12 @@ def emit_trace(trace, path, scenario=None, gnuplot_style=False):
     for a ``LazyTrace`` builds that slice of its ``UniformAxis`` and
     evaluates the closed form there only, so neither the axis nor any output
     column exists at full length and the memory of the call does not depend
-    on the row count: a 10^7-row ``scan`` peaks at 40.7 MB of RSS, a
-    10^5-row one at 40.0 MB. Each chunk is
+    on the row count: a 10^7-row ``scan`` peaks at 38.2 MB of RSS, a
+    10^5-row one at 37.5 MB. Each chunk is
     formatted by ``textfmt.format_rows`` into one ``textfmt.Canvas`` made
-    for this call, whose word canvas and work arrays every chunk reuses;
-    the rows have the same bytes as ``'%.15g' % v`` and ``'%d' % v`` per
-    value.
+    for this call, whose word canvas every chunk reuses; the formatter's
+    other arrays are numpy temporaries of one column of one chunk. The rows
+    have the same bytes as ``'%.15g' % v`` and ``'%d' % v`` per value.
     """
     import json   # imported here, like hashlib in scenario_hash: only .meta files need it
 

@@ -107,6 +107,11 @@ class GaussianFilter:
     def field_response(self, offset):
         """H at ``offset`` from the slit center frequency, formed in one new buffer."""
         offset = np.asarray(offset, dtype=float)
+        # One buffer, not alpha * exp(-offset**2 / (4 sigma^2)) as an
+        # expression, which holds the offsets, their square and the exp result
+        # at once. With the expression (same bits) the sampled_tier benchmark
+        # peaked at 39.29-39.43 MB of RSS against 38.86-39.00 MB (4 runs each,
+        # 2-vCPU x86-64 host).
         h = np.square(offset, out=np.empty(offset.shape))
         np.negative(h, out=h)
         np.divide(h, 4.0 * self.intensity_sigma() ** 2, out=h)
@@ -437,8 +442,8 @@ class LazyTrace:
     trace bit for bit and no full-length column, the axis included, is ever
     built. Memory therefore does not depend on the row count: under
     ``tracemalloc`` an in-process 2*10^5-row ``scan`` peaks within 0.01 MB
-    of a 2*10^4-row one, and a 10^7-row ``scan`` peaks at 40.7 MB of RSS,
-    as a 10^5-row one does at 40.0 MB.
+    of a 2*10^4-row one, and a 10^7-row ``scan`` peaks at 38.2 MB of RSS,
+    a 10^5-row one at 37.5 MB.
     """
 
     model: SidebandModel
@@ -514,7 +519,9 @@ def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
 
     xi = n_idx[kept] * omega_m - delta[kept]
     # the H2 factor is formed before g exists and its buffer then takes |g|^2,
-    # so the peak is g and one real array of its shape
+    # so the peak is g and one real array of its shape. With a fresh |g|^2
+    # array the sampled_tier benchmark's peak RSS rose from 38.9 to 40.8 MB
+    # (3 runs each, 2-vCPU x86-64 host).
     h2_rows = scenario.filter2.field_response(np.subtract(xi[:, None], u))
     g = (summed * scenario.filter1.field_response(u))[which]
     g *= h2_rows

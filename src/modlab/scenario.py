@@ -217,17 +217,18 @@ def fit_scale(delta_axis, counts, scenario: ExperimentScenario,
     def rate(x):
         return model.evaluate(x).total
 
-    def objective(scale, off):
-        resid = dwell * scale * rate(delta - off) - y
+    def objective(scale, r):
+        resid = dwell * scale * r - y
         return float(resid @ resid)
 
     # coarse initialization: scan offsets, closed-form scale at each
     best = None
     for off in np.linspace(-off_bound * 0.99, off_bound * 0.99, 121):
-        m = rate(delta - off) * dwell
+        r = rate(delta - off)
+        m = r * dwell
         denom = float(m @ m)
         scale = max(float(m @ y) / denom, 0.0) if denom > 0 else 0.0
-        f = objective(scale, off)
+        f = objective(scale, r)
         if best is None or f < best[0]:
             best = (f, scale, off)
     f_cur, scale, off = best
@@ -256,7 +257,7 @@ def fit_scale(delta_axis, counts, scenario: ExperimentScenario,
         for _ in range(40):
             trial_scale = max(scale + t * step[0], 0.0)
             trial_off = float(np.clip(off + t * step[1], -off_bound, off_bound))
-            f_new = objective(trial_scale, trial_off)
+            f_new = objective(trial_scale, rate(delta - trial_off))
             if f_new < f_cur:
                 scale, off, f_cur = trial_scale, trial_off, f_new
                 history.append(f_cur)

@@ -244,6 +244,11 @@ def propagate_envelopes(profile: CrystalProfile, grid: FrequencyGrid,
 
     y = np.zeros((2, half), dtype=complex)   # rows alpha, beta
     y[0] = 1.0
+    # Stage buffers written in place. Plain expressions for the stages give the
+    # same bits, but on the sampled_tier benchmark's 2201-point, 256-step
+    # propagation they took a median 48-51 ms against 46-47 ms with the
+    # buffers (60 alternating calls, twice; the buffers won 49 and 54 of 60;
+    # 2-vCPU x86-64 host).
     k1, k2, k3, k4, trial = (np.empty_like(y) for _ in range(5))
     c_start, c_mid, c_end = (np.empty(half, dtype=complex) for _ in range(3))
     h = profile.length / steps

@@ -390,6 +390,11 @@ OVERFLOWING_QUOTIENT = (MINIMAL.replace("delta_min = -150 GHz", "delta_min = 1e3
                         .replace("delta_step = 0.5 GHz", "delta_step = 1e306 GHz")
                         + "modulation_frequency = 0.001 GHz\n")
 
+# 51 rows from 1e16 GHz at the float spacing there, 2 GHz
+FINE_STEP_AT_1E16 = (MINIMAL.replace("delta_min = -150 GHz", "delta_min = 1e16 GHz")
+                     .replace("delta_max = 150 GHz", "delta_max = 1.00000000000001e16 GHz")
+                     .replace("delta_step = 0.5 GHz", "delta_step = 2 GHz"))
+
 # the axis spans 2e308 GHz, which overflows to inf
 OVERFLOWING_AXIS = (MINIMAL.replace("delta_min = -150 GHz", "delta_min = -1e308 GHz")
                     .replace("delta_max = 150 GHz", "delta_max = 1e308 GHz")
@@ -445,6 +450,12 @@ def _waveform(bad_line):
                  ("transmission scales", "1e+300"), id="scan alpha_sq = 1e300"),
     pytest.param("validate", "schema = 1\n[scenario]\npreset = fig4b\n" + OVERFLOWING_SCALES,
                  [], None, ("transmission scales", "1e+300"), id="validate alpha_sq = 1e300"),
+    # the float spacing at 1e16 GHz is 2 GHz: a finer step repeats delta values
+    *[pytest.param("scan", FINE_STEP_AT_1E16.replace("delta_step = 2 GHz",
+                                                     f"delta_step = {step} GHz"), [], None,
+                   ("delta_step", f"{float(step):g} GHz", "float spacing 2 GHz"),
+                   id=f"delta_step = {step} GHz at 1e16 GHz")
+      for step in ("0.5", "1.5")],
     pytest.param("scan", MINIMAL + "filter1_alpha_sq = -1\n", [], None,
                  ("filter1_alpha_sq", "nonnegative", "line 10"), id="filter1_alpha_sq = -1"),
     # the flat-band singles integral itself overflows
@@ -519,6 +530,18 @@ def test_main_rejects_non_finite_values(tmp_path, capsys, command, text, argv, d
     # no message names a setting that no config key or flag sets
     assert "tail_tol" not in err
     assert not out.exists()
+
+
+def test_main_scan_accepts_a_step_at_the_float_spacing(tmp_path, capsys):
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text(FINE_STEP_AT_1E16)
+    out = tmp_path / "fine.csv"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+    # the only message is the clipping warning: 1e16 GHz is past every sideband
+    assert capsys.readouterr().err.startswith("warning: delta samples beyond")
+    assert len(out.read_text().splitlines()) == 52
+    run, _ = parse_config(FINE_STEP_AT_1E16, command="scan")
+    assert len(np.unique(np.asarray(run.delta_axis()))) == 51
 
 
 def test_main_rejects_oversized_delta_axis(tmp_path, capsys):

@@ -74,8 +74,6 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# fig3a has no sidebands, so its axis runs past the support by design
-@pytest.mark.filterwarnings("ignore:delta samples beyond:RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
 def test_trace_config_outputs_are_pinned(tmp_path, capsys, name):
     command, csv_digest, meta_digest = TRACE_DIGESTS[name]
