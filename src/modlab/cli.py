@@ -47,17 +47,18 @@ output file or the fit-data file. A ``[scan]`` section without all three
 keys or a ``[figure]`` section without ``case`` (a bare header included), a
 ``[scenario]`` header with neither a preset nor the explicit keys, a scan
 axis longer than ``MAX_SCAN_ROWS`` rows, a scan axis whose span or row count
-is not finite or whose step is below the float spacing at its larger end (a
-finer step would repeat delta values), a negative seed, a dwell that is not
-positive and finite, a peak rate and dwell whose Poisson mean passes numpy's
-limit, a filter FWHM whose squared passband half-width overflows, an
-off-scale filter slit, a negative transmission scale, a |B0|, gate or
-transmission scales so large that the coincidence rates overflow, a
+is not finite or whose step is below two units of the last of the 15 digits
+that ``delta_ghz`` prints at its larger end (100 GHz at 1e16 GHz; a finer
+step could print two rows with the same delta), a negative seed, a dwell
+that is not positive and finite, a peak rate and dwell whose Poisson mean
+passes numpy's limit, a filter FWHM whose squared passband half-width
+overflows, an off-scale filter slit, a negative transmission scale, a |B0|,
+gate or transmission scales so large that the coincidence rates overflow, a
 modulation depth above 157 rad in magnitude (``modulation.MAX_DEPTH``), and
-a non-finite fit-data or waveform value are configuration errors. A scan, figure or synthetic fit whose axis
-runs past the composed modulator support (``SidebandModel.clips``) still
-succeeds, with one ``warning:`` line on stderr before any output file is
-opened. Identical config and seed reproduce byte-identical output files; the
+a non-finite fit-data or waveform value are configuration errors. A scan,
+figure or synthetic fit whose axis runs past the composed modulator support
+(``SidebandModel.clips``) still succeeds, with one ``warning:`` line on
+stderr before any output file is opened. Identical config and seed reproduce byte-identical output files; the
 random generator is numpy's PCG64.
 
 ``scan`` and ``figure`` hand ``emit_trace`` a ``correlator.LazyTrace``: the
@@ -81,7 +82,7 @@ import numpy as np
 from . import __version__
 from .checks import run_validate
 from .correlator import (CLIPPING_MESSAGE, FWHM_CONVENTIONS, GaussianFilter, LazyTrace,
-                         SidebandModel, UniformAxis, intensity_filter)
+                         UniformAxis, intensity_filter)
 from .errors import (ConfigParseError, ConfigurationError, DomainError, FitError,
                      ModlabError, ResolutionError)
 from .modulation import coeffs_from_waveform, read_phase_waveform, sinusoidal_coeffs
@@ -149,14 +150,18 @@ class RunConfig:
             raise ConfigurationError(
                 f"delta axis from {self.delta_min:g} to {self.delta_max:g} GHz in steps of "
                 f"{self.delta_step:g} GHz has no finite row count")
-        # at the larger end the float spacing is widest; a finer step would
-        # give rows with the same delta
-        spacing = math.ulp(max(abs(self.delta_min), abs(self.delta_max)))
-        if self.delta_step < spacing:
+        # '%.15g' writes delta_ghz; at the axis's larger end, of decimal
+        # exponent e there, one unit of its last digit is 10^(e-14) GHz. Each
+        # text lies within half a unit of its float, so rows at least two
+        # units apart always print differently. A unit is more than 4.5 float
+        # spacings, so no two rows of an accepted axis share a float either.
+        largest = max(abs(self.delta_min), abs(self.delta_max))
+        unit = 10.0 ** (int(("%.14e" % largest).partition("e")[2]) - 14)
+        if largest > 0 and self.delta_step < 2.0 * unit:
             raise ConfigurationError(
-                f"delta_step {self.delta_step:g} GHz is below the float spacing "
-                f"{spacing:g} GHz of the delta axis from {self.delta_min:g} to "
-                f"{self.delta_max:g} GHz")
+                f"delta_step {self.delta_step:g} GHz is below twice the {unit:g} GHz "
+                f"resolution of the 15-digit delta_ghz column at {largest:g} GHz; "
+                "adjacent rows would print the same delta")
         count = int(math.floor(steps + 1e-9))
         if count + 1 > MAX_SCAN_ROWS:
             raise ConfigurationError(
@@ -533,7 +538,7 @@ def _require(value, message):
 def _sideband_model(scenario, axis):
     """The closed-form model of ``scenario``, after one ``warning:`` line on
     stderr when ``axis`` runs past the composed modulator support."""
-    model = SidebandModel(scenario)
+    model = scenario.model
     if model.clips(axis):
         print(f"warning: {CLIPPING_MESSAGE}", file=sys.stderr)
     return model

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .numerics import read_only_copy
 
 TAIL_TOL = 1e-24
 # the largest accepted |depth| in rad: up to it the Bessel tail falls below
@@ -133,7 +134,7 @@ class ModulatorSpectrum:
     def __post_init__(self):
         if self.omega_m <= 0:
             raise ConfigurationError("modulator drive frequency must be positive")
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
+        object.__setattr__(self, "coeffs", read_only_copy(self.coeffs, complex))
         if self.coeffs.ndim != 1 or len(self.coeffs) % 2 != 1:
             raise ConfigurationError("coefficients must form an odd-length sequence k=-K..K")
 

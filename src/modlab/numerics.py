@@ -1,4 +1,4 @@
-"""Small numerical helpers: adaptive Simpson quadrature.
+"""Small numerical helpers: adaptive Simpson quadrature and read-only copies.
 
 The integrands in this package are smooth Gaussian-type profiles for
 which adaptive Simpson converges quickly. The remaining callers are the
@@ -105,3 +105,12 @@ def _evaluate(f, x):
     if not np.isfinite(y).all():
         raise ConvergenceError("adaptive Simpson quadrature met a non-finite integrand value")
     return y
+
+
+def read_only_copy(values, dtype):
+    """A read-only copy of ``values`` as ``dtype``. The frozen value types
+    hold their arrays this way, so neither a holder nor the caller who
+    passed the array in can change one in place."""
+    copy = np.array(values, dtype=dtype)
+    copy.flags.writeable = False
+    return copy

@@ -21,6 +21,7 @@ effective per-channel scales; |B0| likewise stays at its configured value.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +52,15 @@ _MAX_ITERATIONS = 500
 
 @dataclass(frozen=True)
 class ExperimentScenario:
-    """Immutable bundle of everything a trace computation needs."""
+    """Immutable bundle of everything a trace computation needs.
+
+    ``model`` is the scenario's closed-form ``SidebandModel``, built on first
+    use and then kept, so both trace tiers, the CLI and the fit share one
+    pair of singles integrals. The arrays of the value types it holds
+    (amplitudes, modulator coefficients) are read-only copies of their
+    inputs, so nothing can change what the cached model was built from;
+    ``dataclasses.replace`` gives a new scenario with a model of its own.
+    """
 
     pump_frequency: float
     amplitudes: SpectralAmplitudes
@@ -78,6 +87,10 @@ class ExperimentScenario:
     @property
     def omega_m(self) -> float:
         return self.mod1.omega_m
+
+    @cached_property
+    def model(self) -> SidebandModel:
+        return SidebandModel(self)
 
 
 def reference_scenario(depth1: float = 0.0, depth2: float = 0.0,
@@ -209,9 +222,8 @@ def fit_scale(delta_axis, counts, scenario: ExperimentScenario,
     ratio = a1_sq / a2_sq
 
     # the model with the transmission product divided out
-    model = SidebandModel(replace(scenario,
-                                  filter1=replace(scenario.filter1, alpha=1.0),
-                                  filter2=replace(scenario.filter2, alpha=1.0)))
+    model = replace(scenario, filter1=replace(scenario.filter1, alpha=1.0),
+                    filter2=replace(scenario.filter2, alpha=1.0)).model
     off_bound = 0.5 * scenario.omega_m
 
     def rate(x):

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
+from .numerics import read_only_copy
 
 DEFAULT_STEPS = 256
 _UNITARITY_HARD_LIMIT = 1e-6
@@ -85,8 +86,8 @@ class CrystalProfile:
     length: float
 
     def __post_init__(self):
-        object.__setattr__(self, "kappa", np.asarray(self.kappa, dtype=complex))
-        object.__setattr__(self, "delta_k", np.asarray(self.delta_k, dtype=float))
+        object.__setattr__(self, "kappa", read_only_copy(self.kappa, complex))
+        object.__setattr__(self, "delta_k", read_only_copy(self.delta_k, float))
         if self.kappa.ndim != 1 or self.delta_k.ndim != 1:
             raise ConfigurationError("kappa and delta_k must be 1-d samples")
         if self.kappa.shape != self.delta_k.shape:
@@ -121,8 +122,8 @@ class SpectralAmplitudes:
         if (self.grid is None) != (self.a is None) or (self.a is None) != (self.b is None):
             raise ConfigurationError("sampled amplitudes need grid, a and b together")
         if self.a is not None:
-            object.__setattr__(self, "a", np.asarray(self.a, dtype=complex))
-            object.__setattr__(self, "b", np.asarray(self.b, dtype=complex))
+            object.__setattr__(self, "a", read_only_copy(self.a, complex))
+            object.__setattr__(self, "b", read_only_copy(self.b, complex))
             if len(self.a) != self.grid.points or len(self.b) != self.grid.points:
                 raise ConfigurationError("amplitude sample counts do not match grid")
 

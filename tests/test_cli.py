@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modlab import ConfigParseError, SidebandModel, figure_preset, regime_report
+from modlab import (ConfigParseError, ExperimentScenario, SidebandModel, figure_preset,
+                    regime_report)
 from modlab import cli, modulation, textfmt
 from modlab.cli import (MAX_SCAN_ROWS, RunConfig, emit_trace, main, parse_config,
                         run_validate, scenario_to_config)
@@ -390,7 +391,8 @@ OVERFLOWING_QUOTIENT = (MINIMAL.replace("delta_min = -150 GHz", "delta_min = 1e3
                         .replace("delta_step = 0.5 GHz", "delta_step = 1e306 GHz")
                         + "modulation_frequency = 0.001 GHz\n")
 
-# 51 rows from 1e16 GHz at the float spacing there, 2 GHz
+# 51 rows from 1e16 GHz at the float spacing there, 2 GHz, where the 15
+# digits of delta_ghz resolve 100 GHz
 FINE_STEP_AT_1E16 = (MINIMAL.replace("delta_min = -150 GHz", "delta_min = 1e16 GHz")
                      .replace("delta_max = 150 GHz", "delta_max = 1.00000000000001e16 GHz")
                      .replace("delta_step = 0.5 GHz", "delta_step = 2 GHz"))
@@ -450,10 +452,10 @@ def _waveform(bad_line):
                  ("transmission scales", "1e+300"), id="scan alpha_sq = 1e300"),
     pytest.param("validate", "schema = 1\n[scenario]\npreset = fig4b\n" + OVERFLOWING_SCALES,
                  [], None, ("transmission scales", "1e+300"), id="validate alpha_sq = 1e300"),
-    # the float spacing at 1e16 GHz is 2 GHz: a finer step repeats delta values
+    # delta_ghz resolves 100 GHz at 1e16 GHz: a finer step repeats printed deltas
     *[pytest.param("scan", FINE_STEP_AT_1E16.replace("delta_step = 2 GHz",
                                                      f"delta_step = {step} GHz"), [], None,
-                   ("delta_step", f"{float(step):g} GHz", "float spacing 2 GHz"),
+                   ("delta_step", f"{float(step):g} GHz", "100 GHz resolution"),
                    id=f"delta_step = {step} GHz at 1e16 GHz")
       for step in ("0.5", "1.5")],
     pytest.param("scan", MINIMAL + "filter1_alpha_sq = -1\n", [], None,
@@ -532,16 +534,41 @@ def test_main_rejects_non_finite_values(tmp_path, capsys, command, text, argv, d
     assert not out.exists()
 
 
-def test_main_scan_accepts_a_step_at_the_float_spacing(tmp_path, capsys):
+def test_main_scan_rejects_a_step_at_the_float_spacing(tmp_path, capsys):
     cfg = tmp_path / "fine.cfg"
     cfg.write_text(FINE_STEP_AT_1E16)
     out = tmp_path / "fine.csv"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: delta_step 2 GHz is below twice the 100 GHz resolution of the "
+        "15-digit delta_ghz column at 1e+16 GHz; adjacent rows would print the same delta"]
+    assert not out.exists()
+    # its 51 rows are distinct floats, but they print as two texts
+    axis = 1e16 + 2.0 * np.arange(51)
+    assert len(np.unique(axis)) == 51
+    assert len({"%.15g" % value for value in axis}) == 2
+
+
+# (delta_min, delta_max, delta_step) with the step at exactly two units of the
+# last printed digit at the axis's larger end: 100 GHz at 1e16 GHz, 0.01 GHz
+# at 4.4e12 GHz
+@pytest.mark.parametrize("lo, hi, step", [
+    ("1e16", "1.000000000001e16", "200"),
+    ("-4.4e12", "-4399999999999", "0.02"),
+])
+def test_main_scan_accepts_a_step_of_two_printed_units(tmp_path, capsys, lo, hi, step):
+    text = (MINIMAL.replace("delta_min = -150 GHz", f"delta_min = {lo} GHz")
+            .replace("delta_max = 150 GHz", f"delta_max = {hi} GHz")
+            .replace("delta_step = 0.5 GHz", f"delta_step = {step} GHz"))
+    cfg = tmp_path / "two_units.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "two_units.csv"
     assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
-    # the only message is the clipping warning: 1e16 GHz is past every sideband
+    # the only message is the clipping warning: the axis is past every sideband
     assert capsys.readouterr().err.startswith("warning: delta samples beyond")
-    assert len(out.read_text().splitlines()) == 52
-    run, _ = parse_config(FINE_STEP_AT_1E16, command="scan")
-    assert len(np.unique(np.asarray(run.delta_axis()))) == 51
+    printed = [row.split(",")[0] for row in out.read_text().splitlines()[1:]]
+    assert len(printed) == 51
+    assert len(set(printed)) == 51
 
 
 def test_main_rejects_oversized_delta_axis(tmp_path, capsys):
@@ -606,7 +633,7 @@ def test_main_checks_out_path_before_building_trace(tmp_path, capsys, monkeypatc
         raise AssertionError("trace built before the output path was checked")
 
     # what scan and figure call to build and to evaluate the trace
-    monkeypatch.setattr(cli, "SidebandModel", no_trace)
+    monkeypatch.setattr(ExperimentScenario, "model", property(no_trace))
     monkeypatch.setattr(SidebandModel, "evaluate", no_trace)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)

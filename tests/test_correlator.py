@@ -13,6 +13,7 @@ full model's Parseval sum.
 import bisect
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from modlab import (ConfigurationError, DomainError, GaussianFilter,
                     ResolutionError, SidebandModel, SpectralAmplitudes, UniformAxis,
                     bessel_j_series, coincidence_full, coincidence_trace, h2_profile,
                     sideband_areas, singles_rate, sinusoidal_coeffs)
-from modlab import CrystalProfile, FrequencyGrid, figure_preset, propagate_envelopes
+from modlab import CrystalProfile, FrequencyGrid, correlator, figure_preset, propagate_envelopes
 from modlab.cli import _EMIT_CHUNK_ROWS, parse_config
 from modlab.correlator import _GL3_NODES, _GL3_WEIGHTS, _omega_offsets, intensity_filter
 from modlab.modulation import ModulatorSpectrum
@@ -520,10 +521,12 @@ def test_full_tier_needs_amplitudes_for_every_sideband():
 def _delay_domain_paired(scenario, delta_axis, points=4096):
     """Paired rate by the delay transform that Parseval's sum replaced.
 
-    Builds g(u) on the full tier's offset grid, transforms it to
+    Builds g(u) on the full tier's offset grid for every sample, with the
+    products A B of each sideband k looked up once, transforms all rows to
     F(tau) = du/(4 pi) sum_u g(u) exp(i u tau) on a uniform grid over
-    +-24 inverse intensity FWHMs, checks that |F|^2 has decayed at the grid
-    edges, and integrates |F|^2 by the trapezoid rule.
+    +-24 inverse intensity FWHMs in one matrix product, checks that |F|^2
+    has decayed at the grid edges of every row, and integrates |F|^2 by
+    the trapezoid rule.
     """
     f1, f2 = scenario.filter1, scenario.filter2
     half = 24.0 / min(f1.fwhm, f2.fwhm)
@@ -532,20 +535,18 @@ def _delay_domain_paired(scenario, delta_axis, points=4096):
     du = u[1] - u[0]
     amps, omega_m = scenario.amplitudes, scenario.omega_m
     c1, pump = f1.center, scenario.pump_frequency
-    phase = np.exp(1j * np.outer(u, tau))
-    paired = []
-    for d in delta_axis:
+    ks = [int(k) for k in scenario.mod1.k_values]
+    ab = {k: amps.a_at(c1 + u - k * omega_m) * amps.b_at(pump - c1 - u + k * omega_m)
+          for k in ks}
+    g = np.zeros((len(delta_axis), len(u)), dtype=complex)
+    for row, d in enumerate(delta_axis):
         n = int(math.floor(d / omega_m + 0.5))
-        g = np.zeros(len(u), dtype=complex)
-        for k in scenario.mod1.k_values:
-            weight = scenario.mod1.coefficient(int(k)) * scenario.mod2.coefficient(int(n - k))
-            g += weight * (amps.a_at(c1 + u - k * omega_m)
-                           * amps.b_at(pump - c1 - u + k * omega_m))
-        g *= f1.field_response(u) * f2.field_response(n * omega_m - d - u)
-        mags = np.abs((du / (4.0 * np.pi)) * (g @ phase)) ** 2
-        assert max(mags[0], mags[-1]) <= 1e-6 * mags.max()
-        paired.append(np.trapezoid(mags, tau))
-    return np.array(paired)
+        for k in ks:
+            g[row] += scenario.mod1.coefficient(k) * scenario.mod2.coefficient(n - k) * ab[k]
+        g[row] *= f1.field_response(u) * f2.field_response(n * omega_m - d - u)
+    mags = np.abs((du / (4.0 * np.pi)) * (g @ np.exp(1j * np.outer(u, tau)))) ** 2
+    assert np.all(np.maximum(mags[:, 0], mags[:, -1]) <= 1e-6 * mags.max(axis=1))
+    return np.trapezoid(mags, tau, axis=1)
 
 
 @pytest.mark.parametrize("case", ["fig4a", "sampled"])
@@ -617,6 +618,48 @@ def test_full_tier_sampled_amplitudes_match_the_row_loop():
     full = coincidence_full(scn, delta)
     # one matrix product reassociates the k-sums of the per-window products
     assert np.max(np.abs(full.paired - reference)) <= 1e-14 * reference.max()
+
+
+@pytest.mark.parametrize("case", ["sampled", "fig4a"])
+def test_trace_and_full_tier_share_one_model(monkeypatch, case):
+    scn = _sampled_tier_scenario() if case == "sampled" else figure_preset("fig4a")
+    copy = replace(scn)
+    delta = np.arange(-150.0, 151.0, 1.0)
+    calls = []
+    original = correlator.singles_rate
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(correlator, "singles_rate", spy)
+    coincidence_trace(scn, delta)
+    coincidence_full(scn, delta)
+    # R1 and R2, once each
+    assert len(calls) == 2
+    # a copy is a scenario of its own, with its own model
+    coincidence_trace(copy, delta)
+    coincidence_full(copy, delta)
+    assert len(calls) == 4
+
+
+# rows of the delta axis, and a bound on the traced peak of one full-tier call
+@pytest.mark.parametrize("rows, bound", [(301, "rows_by_offsets"), (1201, 4e6)])
+def test_full_tier_peak_memory_is_one_window_at_a_time(rows, bound):
+    scn = _sampled_tier_scenario()
+    delta = np.linspace(-150.0, 150.0, rows)
+    u = _omega_offsets(scn)
+    if bound == "rows_by_offsets":
+        # one (rows x u) complex array, which the full tier once held:
+        # 301 x 414 x 16 B = 1.99 MB
+        bound = rows * len(u) * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        coincidence_full(scn, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 # (start, step, length): every length leaves a partial last emit chunk

@@ -1,16 +1,19 @@
 """Preset, synthetic-data and fitting tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from modlab import (ConfigurationError, CorrelationTrace, DomainError, FitError,
-                    coincidence_trace, figure_preset, fit_scale, regime_report,
-                    synthesize_counts)
+from modlab import (ConfigurationError, CorrelationTrace, CrystalProfile, DomainError,
+                    FitError, FrequencyGrid, ModulatorSpectrum, SpectralAmplitudes,
+                    coincidence_trace, figure_preset, fit_scale, propagate_envelopes,
+                    regime_report, synthesize_counts)
 from modlab import scenario
 from modlab.scenario import (ExperimentScenario, REFERENCE_DISPERSION,
-                             REFERENCE_GATE_NS, REFERENCE_OMEGA_M)
+                             REFERENCE_GATE_NS, REFERENCE_OMEGA_M,
+                             REFERENCE_PUMP_FREQUENCY)
 
 
 def test_preset_cases():
@@ -77,6 +80,39 @@ def test_scenario_rejects_nan(gate_ns, dispersion, fragment):
             mod1=scn.mod1, mod2=scn.mod2,
             filter1=scn.filter1, filter2=scn.filter2,
             gate_ns=gate_ns, dispersion=dispersion)
+
+
+def test_scenario_arrays_are_read_only_copies():
+    pump = REFERENCE_PUMP_FREQUENCY
+    grid = FrequencyGrid(center=0.5 * pump, span=1100.0, points=2201, pump_frequency=pump)
+    detuning = grid.omegas - grid.center
+    kappa = 0.06 * np.exp(-detuning ** 2 / (2.0 * 800.0 ** 2)) + 0j
+    delta_k = 1.5e-6 * detuning ** 2
+    profile = CrystalProfile(kappa=kappa, delta_k=delta_k, length=20.0)
+    propagated = propagate_envelopes(profile, grid)
+    # the caller's own arrays, all writable
+    a, b = np.array(propagated.a), np.array(propagated.b)
+    coeffs = np.array(figure_preset("fig3b").mod1.coeffs)
+    scn = replace(figure_preset("fig4a"),
+                  amplitudes=SpectralAmplitudes(propagated.a0, propagated.b0, grid, a, b),
+                  mod1=ModulatorSpectrum(REFERENCE_OMEGA_M, coeffs))
+    for held in (scn.amplitudes.a, scn.amplitudes.b, scn.mod1.coeffs,
+                 profile.kappa, profile.delta_k):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 0.0
+    delta = np.arange(-150.0, 151.0, 1.0)
+    before = coincidence_trace(scn, delta).total
+
+    for mine in (a, b, coeffs, kappa, delta_k):
+        mine *= 2.0
+    # replace() gives a new model, built from the scenario's own arrays
+    assert coincidence_trace(replace(scn), delta).total.tobytes() == before.tobytes()
+    assert propagate_envelopes(profile, grid) == propagated
+    # built from the changed arrays, the trace does move
+    changed = replace(scn, amplitudes=SpectralAmplitudes(propagated.a0, propagated.b0,
+                                                         grid, a, b),
+                      mod1=ModulatorSpectrum(REFERENCE_OMEGA_M, coeffs))
+    assert not np.array_equal(coincidence_trace(changed, delta).total, before)
 
 
 def test_regime_report_reference_values():
