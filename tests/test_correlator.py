@@ -643,16 +643,14 @@ def test_trace_and_full_tier_share_one_model(monkeypatch, case):
     assert len(calls) == 4
 
 
-# rows of the delta axis, and a bound on the traced peak of one full-tier call
-@pytest.mark.parametrize("rows, bound", [(301, "rows_by_offsets"), (1201, 4e6)])
+# rows of the delta axis, and a bound in bytes on the traced peak of one
+# full-tier call: at 301 rows, one (rows x u) complex array, which the full
+# tier once held for the whole axis (301 x 414 x 16 B)
+@pytest.mark.parametrize("rows, bound", [(301, 301 * 414 * 16), (1201, 4e6)])
 def test_full_tier_peak_memory_is_one_window_at_a_time(rows, bound):
     scn = _sampled_tier_scenario()
     delta = np.linspace(-150.0, 150.0, rows)
-    u = _omega_offsets(scn)
-    if bound == "rows_by_offsets":
-        # one (rows x u) complex array, which the full tier once held:
-        # 301 x 414 x 16 B = 1.99 MB
-        bound = rows * len(u) * np.dtype(complex).itemsize
+    assert len(_omega_offsets(scn)) == 414
     tracemalloc.start()
     try:
         coincidence_full(scn, delta)
