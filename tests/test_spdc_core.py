@@ -6,14 +6,16 @@ solution (cosh gL, i sinh gL) at zero mismatch, and the rate inversion is
 checked against direct numeric quadrature of the Gaussian filter integral.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from modlab import (ConfigurationError, ConvergenceError, CrystalProfile, DomainError,
-                    FrequencyGrid, GaussianFilter, SpectralAmplitudes,
-                    amplitudes_from_rate, analytic_amplitudes, propagate_envelopes)
+                    ExperimentScenario, FrequencyGrid, GaussianFilter, SpectralAmplitudes,
+                    amplitudes_from_rate, analytic_amplitudes, coincidence_full,
+                    coincidence_trace, propagate_envelopes, reference_scenario, singles_rate)
 
 COSH_1 = 1.5430806348152437   # closed-form oracle, frozen
 SINH_1 = 1.1752011936438014
@@ -37,6 +39,18 @@ def test_grid_rejects_bad_shapes():
         FrequencyGrid(center=500.0, span=10.0, points=1, pump_frequency=PUMP)
     with pytest.raises(ConfigurationError):
         FrequencyGrid(center=500.0, span=0.0, points=5, pump_frequency=PUMP)
+    # a NaN center with a NaN pump passes the pairing test, and a NaN or
+    # infinite span the sign test; each must be named instead
+    for fields, name in [({"center": math.nan, "pump_frequency": math.nan}, "center"),
+                         ({"center": math.inf, "pump_frequency": math.inf}, "center"),
+                         ({"pump_frequency": math.nan}, "pump_frequency"),
+                         ({"span": math.nan}, "span"),
+                         ({"span": math.inf}, "span"),
+                         ({"span": -math.inf}, "span")]:
+        kwargs = {"center": 500.0, "span": 10.0, "points": 5, "pump_frequency": PUMP,
+                  **fields}
+        with pytest.raises(ConfigurationError, match=f"grid {name} must be finite"):
+            FrequencyGrid(**kwargs)
 
 
 def test_grid_rejects_unpaired_center():
@@ -312,6 +326,111 @@ def test_sampled_amplitudes_interpolation_bounds():
     assert abs(mid[0] - COSH_1) < 1e-9
     with pytest.raises(DomainError):
         amps.a_at(np.array([600.0]))
+
+
+@pytest.mark.parametrize("omega", [math.nan, [500.0, math.nan], [math.nan, 500.0]])
+def test_sampled_amplitudes_reject_nan(omega):
+    grid = small_grid(points=5)
+    amps = propagate_envelopes(CrystalProfile.constant(grid, 0.05, 0.0, 20.0), grid)
+    with pytest.raises(DomainError):
+        amps.b_at(omega)
+
+
+@pytest.mark.parametrize("shape", [(0,), (2, 0)])
+def test_sampled_amplitudes_empty_lookup(shape):
+    grid = small_grid(points=5)
+    amps = propagate_envelopes(CrystalProfile.constant(grid, 0.05, 0.0, 20.0), grid)
+    for lookup in (amps.a_at, amps.b_at):
+        out = lookup(np.empty(shape))
+        assert out.shape == shape and out.dtype == complex
+
+
+def _sampled_tier_amplitudes():
+    """The sampled-tier crystal: 2201 points over 1100 GHz, 256 steps."""
+    pump = 2.0 * 281759.8
+    grid = FrequencyGrid(center=0.5 * pump, span=1100.0, points=2201, pump_frequency=pump)
+    detuning = grid.omegas - grid.center
+    profile = CrystalProfile(kappa=0.06 * np.exp(-detuning ** 2 / (2.0 * 800.0 ** 2)),
+                             delta_k=1.5e-6 * detuning ** 2, length=20.0)
+    return propagate_envelopes(profile, grid, steps=256)
+
+
+def _split_interp(self, values, omega):
+    """The former lookup: two real interpolations joined as re + 1j * im."""
+    omega = np.asarray(omega, dtype=float)
+    grid_w = self.grid.omegas
+    if omega.min() < grid_w[0] - 1e-9 or omega.max() > grid_w[-1] + 1e-9:
+        raise DomainError("requested frequency lies outside the amplitude grid")
+    re = np.interp(omega, grid_w, values.real)
+    im = np.interp(omega, grid_w, values.imag)
+    return re + 1j * im
+
+
+def test_complex_lookup_bits_equal_the_split_interpolation():
+    amps = _sampled_tier_amplitudes()
+    w = amps.grid.omegas
+    omega = np.concatenate([
+        w, 0.5 * (w[:-1] + w[1:]),
+        [w[0], w[-1], w[0] - 0.9e-9, w[-1] + 0.9e-9, w[0] - 1e-9, w[-1] + 1e-9],
+        np.random.default_rng(20).uniform(w[0], w[-1], 10 ** 4)])
+    for lookup, values in ((amps.a_at, amps.a), (amps.b_at, amps.b)):
+        assert lookup(omega).tobytes() == _split_interp(amps, values, omega).tobytes()
+        assert lookup(omega[:, None]).shape == (len(omega), 1)
+
+
+def test_grid_omegas_built_once_read_only():
+    grid = small_grid(points=7)
+    w = grid.omegas
+    assert grid.omegas is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    expected = np.linspace(grid.center - 0.5 * grid.span, grid.center + 0.5 * grid.span,
+                           grid.points)
+    assert w.tobytes() == expected.tobytes()
+
+
+def test_grid_cache_is_not_part_of_the_value():
+    grid = small_grid(points=7)
+    fresh = small_grid(points=7)
+    w = grid.omegas
+    assert grid == fresh and hash(grid) == hash(fresh)
+    wider = dataclasses.replace(grid, span=20.0)
+    assert wider.omegas is not w
+    assert wider.omegas[-1] - wider.omegas[0] == pytest.approx(20.0)
+    assert grid.omegas is w and w[-1] - w[0] == pytest.approx(10.0)
+    assert dataclasses.replace(grid, span=20.0) == wider
+
+
+def _sampled_tier_outputs(amps):
+    """Singles rates, closed-form trace and full tier of the sampled-tier
+    scenario, built afresh so that no cached model carries over."""
+    pump = amps.grid.pump_frequency
+    base = reference_scenario(1.5, 1.5)
+    slit = (0.5 * pump) / 210.0
+    scn = ExperimentScenario(
+        pump_frequency=pump, amplitudes=amps, mod1=base.mod1, mod2=base.mod2,
+        filter1=GaussianFilter(fwhm=8.5, alpha=base.filter1.alpha, slit=slit,
+                               dispersion=210.0),
+        filter2=GaussianFilter(fwhm=8.5, alpha=base.filter2.alpha, slit=slit,
+                               dispersion=210.0),
+        gate_ns=1.25, dispersion=210.0)
+    delta = np.arange(-150.0, 151.0, 1.0)
+    rates = np.array([singles_rate(amps, scn.mod1, scn.filter1),
+                      singles_rate(amps, scn.mod2, scn.filter2)])
+    trace = coincidence_trace(scn, delta)
+    full = coincidence_full(scn, delta)
+    return [rates, trace.paired, trace.accidental, trace.total,
+            full.paired, full.accidental, full.total]
+
+
+def test_sampled_tier_bits_equal_the_split_interpolation(monkeypatch):
+    amps = _sampled_tier_amplitudes()
+    complex_lookup = _sampled_tier_outputs(amps)
+    monkeypatch.setattr(SpectralAmplitudes, "_interp", _split_interp)
+    split_lookup = _sampled_tier_outputs(amps)
+    for got, want in zip(complex_lookup, split_lookup):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_sampled_amplitudes_shape_validation():
