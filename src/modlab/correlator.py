@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import stages
 from .errors import ConfigurationError, DomainError, ResolutionError
 from .modulation import compose_nonlocal
 from .numerics import adaptive_simpson
@@ -212,6 +213,7 @@ def sideband_index(delta, omega_m):
     return n.astype(int)
 
 
+@stages.timed("singles")
 def singles_rate(amps, mod, filt: GaussianFilter, convention: str = "intensity") -> float:
     """Monochromator count rate: (1/4pi) sum_k |q_k|^2 int |B(w-k w_m)|^2 |H|^2 dw.
 
@@ -312,6 +314,7 @@ class SidebandModel:
     integrated once however many traces are taken from it.
     """
 
+    @stages.timed("model")
     def __init__(self, scenario):
         amps = scenario.amplitudes
         self.s = compose_nonlocal(scenario.mod1, scenario.mod2)
@@ -367,6 +370,7 @@ class SidebandModel:
         n = sideband_index(np.array(ends), self.omega_m)
         return bool((np.abs(n) > self.n_max).any())
 
+    @stages.timed("trace")
     def evaluate(self, delta) -> CorrelationTrace:
         """The closed-form trace at the samples ``delta``.
 
@@ -495,50 +499,52 @@ def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
     4096-point delay transform integrated by the trapezoid rule to 6.5e-15
     relative on flat-band scenarios and 1.3e-13 on sampled amplitudes.
     """
-    delta = np.asarray(delta_axis, dtype=float)
-    omega_m = scenario.omega_m
-    amps = scenario.amplitudes
-    c1 = scenario.filter1.center
+    # a with-block, not the decorator: _warn_if_clipped counts stack frames
+    with stages.stage("full_tier"):
+        delta = np.asarray(delta_axis, dtype=float)
+        omega_m = scenario.omega_m
+        amps = scenario.amplitudes
+        c1 = scenario.filter1.center
 
-    model = scenario.model
-    _warn_if_clipped(model, delta)
-    n_idx, clipped, _, _ = model.window(delta)
-    kept = ~clipped
-    distinct, which = np.unique(n_idx[kept], return_inverse=True)
+        model = scenario.model
+        _warn_if_clipped(model, delta)
+        n_idx, clipped, _, _ = model.window(delta)
+        kept = ~clipped
+        distinct, which = np.unique(n_idx[kept], return_inverse=True)
 
-    u = _omega_offsets(scenario)
-    du = u[1] - u[0]
+        u = _omega_offsets(scenario)
+        du = u[1] - u[0]
 
-    if amps.is_flat:
-        # A, B constant: the k-sum collapses to A0 B0 s_n
-        summed = (amps.a0 * amps.b0 * model.s.coeffs[distinct + model.n_max])[:, None]
-    else:
-        q, r = scenario.mod1, scenario.mod2
-        shift = q.k_values[:, None] * omega_m
-        a_freq = c1 + u - shift
-        b_freq = scenario.pump_frequency - c1 - u + shift
-        if not (amps.covers(a_freq.min(), a_freq.max())
-                and amps.covers(b_freq.min(), b_freq.max())):
-            raise DomainError(
-                f"sidebands k=-{q.k_max}..{q.k_max} need amplitudes outside the sampled grid")
-        # r_{n-k}, zero beyond channel 2's support
-        j = distinct[:, None] - q.k_values + r.k_max
-        r_nk = np.where((j >= 0) & (j < len(r.coeffs)),
-                        r.coeffs[np.clip(j, 0, len(r.coeffs) - 1)], 0.0)
-        summed = (q.coeffs * r_nk) @ (amps.a_at(a_freq) * amps.b_at(b_freq))
+        if amps.is_flat:
+            # A, B constant: the k-sum collapses to A0 B0 s_n
+            summed = (amps.a0 * amps.b0 * model.s.coeffs[distinct + model.n_max])[:, None]
+        else:
+            q, r = scenario.mod1, scenario.mod2
+            shift = q.k_values[:, None] * omega_m
+            a_freq = c1 + u - shift
+            b_freq = scenario.pump_frequency - c1 - u + shift
+            if not (amps.covers(a_freq.min(), a_freq.max())
+                    and amps.covers(b_freq.min(), b_freq.max())):
+                raise DomainError(
+                    f"sidebands k=-{q.k_max}..{q.k_max} need amplitudes outside the sampled grid")
+            # r_{n-k}, zero beyond channel 2's support
+            j = distinct[:, None] - q.k_values + r.k_max
+            r_nk = np.where((j >= 0) & (j < len(r.coeffs)),
+                            r.coeffs[np.clip(j, 0, len(r.coeffs) - 1)], 0.0)
+            summed = (q.coeffs * r_nk) @ (amps.a_at(a_freq) * amps.b_at(b_freq))
 
-    weighted = summed * scenario.filter1.field_response(u)
-    rows = np.flatnonzero(kept)
-    paired = np.zeros_like(delta)
-    for w, (n, weighted_n) in enumerate(zip(distinct, weighted)):
-        at = rows[which == w]
-        xi = n * omega_m - delta[at]
-        g = weighted_n * scenario.filter2.field_response(xi[:, None] - u)
-        paired[at] = (du / (8.0 * np.pi)) * np.sum(np.square(np.abs(g)), axis=1)
-    accidental_arr = np.full_like(delta, model.accidental)
-    return CorrelationTrace(delta_axis=delta, paired=paired,
-                            accidental=accidental_arr, total=paired + accidental_arr,
-                            n_index=n_idx)
+        weighted = summed * scenario.filter1.field_response(u)
+        rows = np.flatnonzero(kept)
+        paired = np.zeros_like(delta)
+        for w, (n, weighted_n) in enumerate(zip(distinct, weighted)):
+            at = rows[which == w]
+            xi = n * omega_m - delta[at]
+            g = weighted_n * scenario.filter2.field_response(xi[:, None] - u)
+            paired[at] = (du / (8.0 * np.pi)) * np.sum(np.square(np.abs(g)), axis=1)
+        accidental_arr = np.full_like(delta, model.accidental)
+        return CorrelationTrace(delta_axis=delta, paired=paired,
+                                accidental=accidental_arr, total=paired + accidental_arr,
+                                n_index=n_idx)
 
 
 def sideband_areas(trace: CorrelationTrace) -> dict:

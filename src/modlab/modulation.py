@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .numerics import read_only_copy
+from .numerics import read_only_copy, values_hash
 
 TAIL_TOL = 1e-24
 # the largest accepted |depth| in rad: up to it the Bessel tail falls below
@@ -162,6 +162,10 @@ class ModulatorSpectrum:
                 and self.drive_phase == other.drive_phase
                 and self.coeffs.shape == other.coeffs.shape
                 and bool(np.array_equal(self.coeffs, other.coeffs)))
+
+    def __hash__(self):
+        # hash(0.0) == hash(-0.0), and values_hash folds -0.0 in the array
+        return hash((self.omega_m, self.depth, self.drive_phase, values_hash(self.coeffs)))
 
 
 def sinusoidal_coeffs(depth: float, drive_phase: float = 0.0,

@@ -114,3 +114,11 @@ def read_only_copy(values, dtype):
     copy = np.array(values, dtype=dtype)
     copy.flags.writeable = False
     return copy
+
+
+def values_hash(values):
+    """A hash of an array's shape and values that agrees with
+    ``np.array_equal``: adding 0.0 turns every -0.0 into 0.0 before the
+    bytes are hashed, so arrays equal by value hash equal. Arrays holding
+    NaN are unequal even to themselves and need no agreement."""
+    return hash((values.shape, (values + 0.0).tobytes()))

@@ -25,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import stages
 from .correlator import GaussianFilter, SidebandModel
 from .errors import ConfigurationError, DomainError, FitError
 from .modulation import ModulatorSpectrum, sinusoidal_coeffs
@@ -192,6 +193,7 @@ class FitResult:
         return self.alpha1_sq * self.alpha2_sq
 
 
+@stages.timed("fit")
 def fit_scale(delta_axis, counts, scenario: ExperimentScenario,
               dwell: float = 20.0) -> FitResult:
     """Least-squares fit of transmission scales and horizontal offset.

@@ -28,9 +28,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
-from .numerics import read_only_copy
+from .numerics import read_only_copy, values_hash
 
 DEFAULT_STEPS = 256
+MAX_GRID_POINTS = 1_000_000
 _UNITARITY_HARD_LIMIT = 1e-6
 _SYMMETRY_RTOL = 1e-9
 
@@ -42,6 +43,11 @@ class FrequencyGrid:
     The symmetry guarantees that the conjugate ``w_p - w`` of every sample
     is itself a sample (index ``n-1-i`` for sample ``i``), which is what
     lets the propagator solve each conjugate pair exactly once.
+
+    ``points`` is an ``int`` or numpy integer (not a bool) from 2 to
+    ``MAX_GRID_POINTS`` (10^6, where one complex sample array takes 16 MB);
+    ``center``, ``span`` and ``pump_frequency`` are finite. Anything else
+    raises ``ConfigurationError`` naming the field.
     """
 
     center: float
@@ -54,8 +60,12 @@ class FrequencyGrid:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ConfigurationError(f"frequency grid {name} must be finite, got {value}")
-        if self.points < 2:
-            raise ConfigurationError("frequency grid needs at least 2 points")
+        points = self.points
+        if (isinstance(points, bool) or not isinstance(points, (int, np.integer))
+                or not 2 <= points <= MAX_GRID_POINTS):
+            raise ConfigurationError(
+                f"frequency grid points must be an integer from 2 to {MAX_GRID_POINTS}, "
+                f"got {points!r}")
         if self.span <= 0:
             raise ConfigurationError("frequency grid span must be positive")
         half_pump = 0.5 * self.pump_frequency
@@ -205,6 +215,13 @@ class SpectralAmplitudes:
         if self.is_flat != other.is_flat:
             return False
         return bool(np.array_equal(self.a, other.a) and np.array_equal(self.b, other.b))
+
+    def __hash__(self):
+        # hash(0.0) == hash(-0.0) for the constants, and values_hash folds
+        # -0.0 in the samples
+        if self.is_flat:
+            return hash((self.a0, self.b0))
+        return hash((self.a0, self.b0, self.grid, values_hash(self.a), values_hash(self.b)))
 
     def unitarity_residual(self):
         """max over samples of | |A|^2 - |B|^2 - 1 | (flat: uses a0, b0)."""

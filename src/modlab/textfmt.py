@@ -11,45 +11,53 @@ words of a line side by side and deletes every NUL with one
 ``bytes.translate``, which leaves exactly the bytes of the per-value ``%``.
 
 A canvas is sized for a number of lines and reused: ``Canvas.start``
-begins the next chunk. The formatters compute with plain numpy expressions,
-whose temporaries live while one column of one chunk is formatted. On a
-10^6-row ``scan`` of the fig4a preset (2-vCPU x86-64 host, Python 3.11,
-numpy 2.4) that peaks at 37.4-38.2 MB of RSS, where a pool of about 31
-work arrays kept for the whole call peaked at 39.9-41.0 MB. In exchange
-glibc trims the heap top after each column and faults it back in: minor
-faults rise from 17k to 24.5k and wall time by about 5% (38k to 188k and
-about 7% at 10^7 rows).
+begins the next chunk; it is the one buffer kept across calls.
+``format_g15`` computes in place (``out=`` and augmented assignment) and
+deletes each temporary once it is dead, so a handful of arrays of one
+column of one chunk are alive at a time. On a 10^6-row ``scan`` of the
+fig4a preset (2-vCPU x86-64 host, Python 3.11, numpy 2.4, 12 alternating
+subprocess pairs, ``os.wait4``) this took the wall time from 1.13 to
+0.93 s and the minor faults from 24.8k to 16.4k (a 601-row ``scan`` takes
+4.8k), against a formatter that gave every numpy expression a fresh
+temporary and so made glibc trim the heap top after each column and fault
+it back in; at 10^7 rows the faults fell from 193.6k to 28.0k. glibc now
+keeps that freed heap instead: the peak RSS, reached when the ``.meta``
+step maps OpenSSL for ``hashlib`` after the last chunk, reads 37.1, 37.8
+and 37.9 MB at 10^5, 10^6 and 10^7 rows against 36.7, 37.4 and 37.4 MB.
 
-``%.15g`` rounds |x| to 15 significant digits. For |x| in
-``[1e-280, 1e280]`` the rounding is done in double-double arithmetic:
-with ``e`` an estimate of ``floor(log10|x|)`` and ``(hi, lo)`` the
-double-double value of ``10**(14 - e)``, the scaled ``y = |x| * 10**(14 - e)``
-is Dekker's exact product ``p + err`` of ``|x|`` and ``hi`` plus ``|x| * lo``,
-so ``r = (p - rint(p)) + err + |x| * lo`` is the fraction of ``y`` to well
+``%.15g`` rounds |x| to 15 significant digits. For |x| whose decimal
+exponent ``e = floor(log10|x|)`` lies in -281..280 the rounding is done in
+double-double arithmetic: with ``(hi, lo)`` the double-double value of
+``10**(14 - e)``, the scaled ``y = |x| * 10**(14 - e)`` is Dekker's exact
+product ``p + err`` of ``|x|`` and ``hi`` plus ``|x| * lo``, so
+``r = (p - rint(p)) + err + |x| * lo`` is the fraction of ``y`` to well
 below 1e-12. A value is accepted only when ``y`` is not within 1e-7 of a
 rounding tie, its rounding ``N`` is a 15-digit integer and ``y >= 10**14``
 (``log10`` can overestimate ``e`` by one next to a power of ten). Every
 other value, including zeros, subnormals, infinities, NaN and the rounding
 carries to the next power of ten, is formatted by ``'%.15g' % v`` itself,
-once per distinct value in the column. The sideband index has no digit
-arithmetic of its own: it takes one value per window of the modulation
-frequency, so a chunk holds few distinct values, and each goes through
-``'%d' % v`` once.
+once per distinct value in the column. The per-exponent constants (``hi``
+split into its Veltkamp halves, ``lo``, and the words below) sit in tables
+filled for the exponents a column reaches, once per process; a column
+whose values share one exponent reads them as scalars. The sideband index
+has no digit arithmetic of its own: it takes one value per window of the
+modulation frequency, so a chunk holds few distinct values, and each goes
+through ``'%d' % v`` once.
 
 An accepted value takes up to four words: a lead word (sign and the
 ``0.000`` prefix of fixed notation for ``-4 <= e < 0``); two words built
 from the 16-byte string ``str(10 * N)``, whose integer-part digits stay in
 place while its fraction digits, trailing zeros masked out, move up one
 byte to make room for the decimal point; and an exponent word (``e+XX``).
-A column none of whose values needs the lead or the exponent word goes
-without it.
+A word that is the same on every line of the chunk becomes shared text
+instead, and nothing when it is all NUL, unless some line goes through
+``%`` itself. Over the 62 chunks of the 10^6-row scan this drops most
+lead words and the second digit word of ``delta_ghz``, and the canvas
+holds 1.40 times the bytes of the output, where it held 1.54 times.
 """
-
-import functools
 
 import numpy as np
 
-_SAFE_MIN, _SAFE_MAX = 1e-280, 1e280
 _TIE_MARGIN = 1e-7
 _SPLIT = 134217729.0          # 2**27 + 1, Veltkamp's splitting constant
 _DIGITS = 15
@@ -67,18 +75,22 @@ def _words(data):
 def _quad_tables():
     """``"0000".."9999"`` in the low four bytes of a word, in memory order
     whatever the byte order, for ``np.take`` to write four ASCII digits per
-    element; and the index, within its four digits, of the last nonzero
-    digit of 1..9999."""
+    element; and per group ``g`` of four digits a ``uint8`` table of the
+    position, among the 16 digits, of the last nonzero digit of 1..9999
+    (0 for 0000), so that the largest over the four groups is the last
+    nonzero digit of all 16."""
     pairs = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode("ascii"),
                           dtype=np.uint16)
     quads = np.empty((100, 100, 2), dtype=np.uint16)
     quads[:, :, 0] = pairs[:, None]
     quads[:, :, 1] = pairs
-    last = np.full(10_000, 3)
+    last = np.full(10_000, 3, dtype=np.uint8)
     last[::10], last[::100], last[::1000] = 2, 1, 0
+    positions = last + np.arange(0, 16, 4, dtype=np.uint8)[:, None]
+    positions[:, 0] = 0
     words = np.zeros((10_000, 2), dtype=np.uint32)
     words[:, 0] = quads.view(np.uint32).ravel()
-    return words.view(_WORD).ravel(), last
+    return words.view(_WORD).ravel(), positions
 
 
 def _digit_masks():
@@ -99,33 +111,58 @@ def _digit_masks():
 
 
 _QUAD_WORDS, _QUAD_LAST = _quad_tables()
+# the same digits in the high four bytes, for the second group of a word
+_QUAD_HIGH = _QUAD_WORDS << 32
 # one contiguous table per mask column, so that np.take reads one dense row
 _MASKS = np.ascontiguousarray(_digit_masks().T)
 _MINUS = _words(b"-")[0]
 
 
-@functools.cache
-def _exponent_entry(e):
-    """Per decimal exponent ``e``: ``10**(14 - e)`` as a double-double
-    ``(hi, lo)`` from exact int arithmetic, the number of integer-part
-    digits, and the lead and exponent words as ints."""
-    k = _DIGITS - 1 - e
-    if k >= 0:
-        exact = 10 ** k
-        hi = float(exact)
-        lo = float(exact - int(hi))
-    else:
-        scale = 10 ** -k
-        hi = 1 / scale                   # int true division rounds correctly
-        num, den = hi.as_integer_ratio()
-        lo = (den - num * scale) / (den * scale)
-    if -4 <= e < 0:
-        n_int, lead, exponent = 0, b"\0" + b"0." + b"0" * (-1 - e), b""
-    elif 0 <= e < _DIGITS:
-        n_int, lead, exponent = e + 1, b"", b""
-    else:
-        n_int, lead, exponent = 1, b"", f"e{e:+03d}".encode("ascii")
-    return hi, lo, n_int, int.from_bytes(lead, "little"), int.from_bytes(exponent, "little")
+# The exponent tables: row ``e - _E_FIRST`` for each decimal exponent ``e``
+# in -281..280, the exponents the double-double rounding takes. Rows are
+# filled the first time a column's exponent range reaches them and then kept
+# for the process; they hold constants, so which rows are filled never
+# changes an output. All 562 rows take about 4 ms; a figure fills 10 to 60.
+_E_FIRST = -281
+_E_COUNT = 562
+_HI_HIGH = np.zeros(_E_COUNT)       # Veltkamp halves of hi = 10**(14 - e) rounded
+_HI_LOW = np.zeros(_E_COUNT)
+_LO = np.zeros(_E_COUNT)            # 10**(14 - e) - hi
+_ROW_BASE = np.zeros(_E_COUNT, dtype=np.intp)   # _DIGITS * integer-part digits
+_LEAD = np.zeros(_E_COUNT, dtype=_WORD)
+_EXPONENT = np.zeros(_E_COUNT, dtype=_WORD)
+_FILLED = np.zeros(_E_COUNT, dtype=bool)
+
+
+def _fill_exponents(first, last):
+    """Fill the table rows ``first..last`` not filled yet: ``10**(14 - e)``
+    as a double-double ``(hi, lo)`` from exact int arithmetic, with ``hi``
+    split, the mask-row base of the integer-part digits, and the lead and
+    exponent words."""
+    for i in np.flatnonzero(~_FILLED[first:last + 1]) + first:
+        e = int(i) + _E_FIRST
+        k = _DIGITS - 1 - e
+        if k >= 0:
+            exact = 10 ** k
+            hi = float(exact)
+            lo = float(exact - int(hi))
+        else:
+            scale = 10 ** -k
+            hi = 1 / scale                   # int true division rounds correctly
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * scale) / (den * scale)
+        if -4 <= e < 0:
+            n_int, lead, exponent = 0, b"\0" + b"0." + b"0" * (-1 - e), b""
+        elif 0 <= e < _DIGITS:
+            n_int, lead, exponent = e + 1, b"", b""
+        else:
+            n_int, lead, exponent = 1, b"", f"e{e:+03d}".encode("ascii")
+        _HI_HIGH[i], _HI_LOW[i] = _split(hi)
+        _LO[i] = lo
+        _ROW_BASE[i] = _DIGITS * n_int
+        _LEAD[i] = int.from_bytes(lead, "little")
+        _EXPONENT[i] = int.from_bytes(exponent, "little")
+        _FILLED[i] = True
 
 
 class Canvas:
@@ -139,10 +176,11 @@ class Canvas:
     Adjacent shared texts merge before they are cut into words.
 
     A ``%.15g`` field takes at most four words (lead, two digit words and
-    exponent; a ``%`` text is at most 22 bytes, three words) and a ``%d``
-    text of an int64 at most 20 bytes, three words; shared text of ``k``
-    fields and their separators at most ``3 * k + 1``. Five words per field
-    therefore always suffice.
+    exponent), each a canvas row or, folded into shared text, at most eight
+    bytes of it; a ``%`` text is at most 22 bytes, three words. A ``%d``
+    text of an int64 is at most 20 bytes, three words, and a constant field
+    with its separator at most 23. With a separator or line end after each
+    field, five words per field therefore always suffice.
 
     The canvas is the one buffer kept across chunks. Allocated per chunk
     instead, it left the wall time of a 10^6-row ``scan`` as it was but
@@ -189,22 +227,6 @@ class Canvas:
         return self._canvas[:self._used, :self._n].T.tobytes().translate(None, b"\0")
 
 
-def _exponent_tables(e):
-    """Each value's row ``e - e.min()`` in tables of the ``_exponent_entry``
-    fields over ``e.min()..e.max()``: ``hi`` and ``lo`` as float64, the
-    number of integer-part digits as int64, the lead and exponent words;
-    zero rows for exponents not in ``e``."""
-    e_min = int(e.min())
-    index = e - e_min
-    present = np.zeros(int(e.max()) - e_min + 1, dtype=bool)
-    present[index] = True
-    entries = [_exponent_entry(i + e_min) if seen else (0.0, 0.0, 0, 0, 0)
-               for i, seen in enumerate(present.tolist())]
-    hi, lo, n_int, lead, exponent = zip(*entries)
-    return (index, np.array(hi), np.array(lo), np.array(n_int, dtype=np.int64),
-            np.array(lead, dtype=_WORD), np.array(exponent, dtype=_WORD))
-
-
 def _split(a):
     """Veltkamp's split of ``a`` into ``high + low``."""
     t = a * _SPLIT
@@ -236,52 +258,158 @@ def _per_value(x, rows, words, canvas):
         word[rows] = column
 
 
+def _add_word(canvas, words, word, any_slow):
+    """Append ``word`` (one value per line, or one scalar for all) to
+    ``words`` as the next word of ``canvas``; or, when every line holds the
+    same word, add its bytes as shared text instead: nothing for a NUL word,
+    and only while no line is left for ``_per_value``, which writes its
+    texts over ``words``."""
+    scalar = np.ndim(word) == 0
+    value = word if scalar else word[0]
+    if ((scalar or word[-1] == value and (word == value).all())
+            and (value == 0 or not any_slow)):
+        canvas.text(int(value).to_bytes(8, "little").replace(b"\0", b""))
+    else:
+        words.append(canvas.word(word))
+
+
 def format_g15(x, canvas):
     """Write ``'%.15g' % v`` for every ``v`` in a float64 array as the next
     words of ``canvas``, whose current chunk has ``len(x)`` lines."""
     x = np.asarray(x, dtype=np.float64)
     a = np.abs(x)
-    fast = (a >= _SAFE_MIN) & (a <= _SAFE_MAX)
-    a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    index, hi_t, lo_t, n_int_t, lead_t, exponent_t = _exponent_tables(e)
-    hi = _take(hi_t, index)
-    # y = a * 10**(14 - e) = n0 + r, with n0 = rint(p) and p + err = a * hi exactly
-    p = a * hi
-    ah, al = _split(a)
-    bh, bl = _split(hi)
-    err = ah * bh - p + ah * bl + al * bh + al * bl
-    n0 = np.rint(p)
-    r = p - n0 + err + a * _take(lo_t, index)
-    n = n0 + (r > 0.5) - (r < -0.5)
-    ok = ((np.abs(np.abs(r) - 0.5) > _TIE_MARGIN) & fast & (n >= 1e14) & (n < 1e15)
-          & (n0 - 1e14 + r >= 0))
+    with np.errstate(divide="ignore"):      # log10(0) is -inf
+        t = np.log10(a)
+    np.floor(t, out=t)
+    t -= _E_FIRST
+    # NaN in t makes the range test fail
+    e_lo, e_hi = t.min(), t.max()
+    fast = None
+    if not (0 <= e_lo and e_hi < _E_COUNT):
+        # zeros, subnormals, infinities, NaN and |x| beyond the tables
+        # compute as 1.0 and are left to _per_value
+        fast = (t >= 0) & (t < _E_COUNT)
+        a[~fast] = 1.0
+        t[~fast] = -_E_FIRST
+        e_lo, e_hi = t.min(), t.max()
+    index = t.astype(np.intp)
+    del t
+    e_lo, e_hi = int(e_lo), int(e_hi)
+    if not _FILLED[e_lo:e_hi + 1].all():
+        _fill_exponents(e_lo, e_hi)
 
+    def lookup(table):
+        # the rows of index; one scalar when every value shares its exponent
+        return table[e_lo] if e_lo == e_hi else _take(table, index)
+
+    # y = a * 10**(14 - e) = n0 + r, with n0 = rint(p) and p + err = a * hi
+    # exactly (Dekker's product of a and hi = bh + bl)
+    bh, bl = lookup(_HI_HIGH), lookup(_HI_LOW)
+    p = a * (bh + bl)
+    ah = a * _SPLIT
+    al = ah - a
+    ah -= al
+    np.subtract(a, ah, out=al)
+    err = ah * bh
+    err -= p
+    ah *= bl
+    err += ah
+    np.multiply(al, bh, out=ah)
+    err += ah
+    al *= bl
+    err += al
+    del ah, al, bh, bl
+    n = np.rint(p)
+    p -= n
+    p += err
+    del err
+    a *= lookup(_LO)
+    p += a
+    r = p
+    del a, p
+    # fits 15 digits and y >= 10**14, where log10 can overestimate e by one;
+    # (n0 - 1e14) + r >= 0 implies rint(y) >= 10**14
+    t = n - 1e14
+    t += r
+    ok = t >= 0
+    # |r| < 1.5 on every row that passes, so rint(r) is r's rounding carry
+    np.rint(r, out=t)
+    n += t
+    ok &= n < 1e15
+    if fast is not None:
+        ok &= fast
+    # not within _TIE_MARGIN of a rounding tie: |r - rint(r)| is the
+    # distance of y from its rounding, at most 0.5
+    r -= t
+    np.abs(r, out=r)
+    ok &= r < 0.5 - _TIE_MARGIN
+    del r, t, fast
+    slow = np.flatnonzero(~ok)
+    del ok
+
+    # Rows that fail ok are written over by _per_value below, so what the
+    # digit arithmetic leaves in them does not matter; their n is finite
+    # (a row outside the tables computes with a = 1.0), and mode="clip"
+    # keeps every index the arithmetic gives them inside its table.
     words = []
-    sign = np.signbit(x) & ok
-    if sign.any() or lead_t.any():
-        lead = _take(lead_t, index)
-        words.append(canvas.word(np.where(sign, lead | _MINUS, lead)))
+    negative = x < 0
+    if negative.any():
+        sign = _MINUS if negative.all() else negative * _MINUS
+        lead = lookup(_LEAD) | sign
+        _add_word(canvas, words, lead, len(slow))
+        del lead
+    elif _LEAD[e_lo:e_hi + 1].any():
+        _add_word(canvas, words, lookup(_LEAD), len(slow))
+    del negative
     # str(10 * N): 15 digits and a pad byte that the fraction can move into,
     # in four groups of four digits, most significant first
-    rest, quad3 = np.divmod(np.where(ok, n, 1e14).astype(np.int64) * 10, 10_000)
-    rest, quad2 = np.divmod(rest, 10_000)
-    quads = (*np.divmod(rest, 10_000), quad2, quad3)
-    first = _take(_QUAD_WORDS, quads[0]) | _take(_QUAD_WORDS, quads[1]) << 32
-    second = _take(_QUAD_WORDS, quads[2]) | _take(_QUAD_WORDS, quads[3]) << 32
-    last = _take(_QUAD_LAST, quads[0])
-    for offset, quad in zip((4, 8, 12), quads[1:]):
-        last = np.where(quad != 0, _take(_QUAD_LAST, quad) + offset, last)
-    row = _take(n_int_t, index) * _DIGITS + last
-    low = first & _take(_MASKS[2], row)
-    high = second & _take(_MASKS[3], row)
-    words.append(canvas.word(first & _take(_MASKS[0], row) | low << 8
-                             | _take(_MASKS[4], row)))
-    words.append(canvas.word(second & _take(_MASKS[1], row) | high << 8 | low >> 56
-                             | _take(_MASKS[5], row)))
-    if exponent_t.any():
-        words.append(canvas.word(_take(exponent_t, index)))
-    slow = np.flatnonzero(~ok)
+    m = n.astype(np.int64)
+    del n
+    m *= 10
+    high8 = m // 100_000_000
+    m -= high8 * 100_000_000
+    quad0 = high8 // 10_000
+    high8 -= quad0 * 10_000
+    quad2 = m // 10_000
+    m -= quad2 * 10_000
+    quads = (quad0, high8, quad2, m)
+    del quad0, high8, quad2, m
+    # the index of the last nonzero digit: the largest position that a
+    # nonzero group gives
+    last = _take(_QUAD_LAST[0], quads[0])
+    for table, quad in zip(_QUAD_LAST[1:], quads[1:]):
+        np.maximum(last, _take(table, quad), out=last)
+    row = lookup(_ROW_BASE) + last
+    del last
+    first = _take(_QUAD_WORDS, quads[0])
+    t = _take(_QUAD_HIGH, quads[1])
+    first |= t
+    second = _take(_QUAD_WORDS, quads[2])
+    np.take(_QUAD_HIGH, quads[3], mode="clip", out=t)
+    second |= t
+    del quads
+    # integer-part digits in place, fraction digits up one byte, the point
+    low = _take(_MASKS[2], row)
+    low &= first
+    first &= _take(_MASKS[0], row)
+    np.left_shift(low, 8, out=t)
+    first |= t
+    first |= _take(_MASKS[4], row)
+    _add_word(canvas, words, first, len(slow))
+    del first
+    high = _take(_MASKS[3], row)
+    high &= second
+    second &= _take(_MASKS[1], row)
+    high <<= 8
+    second |= high
+    low >>= 56
+    second |= low
+    second |= _take(_MASKS[5], row)
+    del row, high, low, t
+    _add_word(canvas, words, second, len(slow))
+    del second
+    if _EXPONENT[e_lo:e_hi + 1].any():
+        _add_word(canvas, words, lookup(_EXPONENT), len(slow))
     if len(slow):
         _per_value(x, slow, words, canvas)
 

@@ -9,7 +9,7 @@ import pytest
 from modlab import (ConfigurationError, CorrelationTrace, CrystalProfile, DomainError,
                     FitError, FrequencyGrid, ModulatorSpectrum, SpectralAmplitudes,
                     coincidence_trace, figure_preset, fit_scale, propagate_envelopes,
-                    regime_report, synthesize_counts)
+                    reference_scenario, regime_report, synthesize_counts)
 from modlab import scenario
 from modlab.scenario import (ExperimentScenario, REFERENCE_DISPERSION,
                              REFERENCE_GATE_NS, REFERENCE_OMEGA_M,
@@ -113,6 +113,36 @@ def test_scenario_arrays_are_read_only_copies():
                                                          grid, a, b),
                       mod1=ModulatorSpectrum(REFERENCE_OMEGA_M, coeffs))
     assert not np.array_equal(coincidence_trace(changed, delta).total, before)
+
+
+def test_scenarios_hash_by_value():
+    # ndarray fields made the generated hash raise TypeError
+    scn = reference_scenario(1.5, 1.5)
+    assert hash(scn) == hash(scn) == hash(reference_scenario(1.5, 1.5))
+    assert len({scn, reference_scenario(1.5, 1.5), reference_scenario(1.5, -1.5)}) == 2
+    # the fig4a preset is the reference scenario at these depths
+    assert figure_preset("fig4a") in {scn}
+    assert {scn: "kept"}[reference_scenario(1.5, 1.5)] == "kept"
+
+
+def test_hash_agrees_with_eq_across_signed_zeros():
+    q = ModulatorSpectrum(REFERENCE_OMEGA_M, [0.0, 1.0, complex(0.0, -0.0)], depth=0.0)
+    r = ModulatorSpectrum(REFERENCE_OMEGA_M, [-0.0, 1.0, complex(-0.0, 0.0)], depth=-0.0)
+    assert q.coeffs.tobytes() != r.coeffs.tobytes()
+    assert q == r and hash(q) == hash(r)
+
+    pump = REFERENCE_PUMP_FREQUENCY
+    grid = FrequencyGrid(center=0.5 * pump, span=10.0, points=3, pump_frequency=pump)
+    ones = np.ones(3, dtype=complex)
+    a = SpectralAmplitudes(1.0, 0.0, grid, ones, [0.0, -0.0, complex(-0.0, -0.0)])
+    b = SpectralAmplitudes(complex(1.0, -0.0), -0.0, grid, ones, np.zeros(3))
+    assert a == b and hash(a) == hash(b)
+    assert a != replace(b, b=[0.0, 0.0, 1e-300]) and hash(a) != hash(replace(b, b=[0, 0, 1]))
+
+    preset = figure_preset("fig4a")
+    scenarios = {replace(preset, amplitudes=amps, mod1=mod)
+                 for amps, mod in ((a, q), (b, r), (a, r))}
+    assert len(scenarios) == 1
 
 
 def test_regime_report_reference_values():

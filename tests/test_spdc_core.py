@@ -16,6 +16,7 @@ from modlab import (ConfigurationError, ConvergenceError, CrystalProfile, Domain
                     ExperimentScenario, FrequencyGrid, GaussianFilter, SpectralAmplitudes,
                     amplitudes_from_rate, analytic_amplitudes, coincidence_full,
                     coincidence_trace, propagate_envelopes, reference_scenario, singles_rate)
+from modlab.spdc_core import MAX_GRID_POINTS
 
 COSH_1 = 1.5430806348152437   # closed-form oracle, frozen
 SINH_1 = 1.1752011936438014
@@ -51,6 +52,15 @@ def test_grid_rejects_bad_shapes():
                   **fields}
         with pytest.raises(ConfigurationError, match=f"grid {name} must be finite"):
             FrequencyGrid(**kwargs)
+    # points must be an integer, not a bool, from 2 to the stated cap; a
+    # float, NaN or huge count used to pass and fail later, or never
+    for points in [5.0, math.nan, math.inf, 10 ** 12, MAX_GRID_POINTS + 1, True, 0, -3,
+                   "5", None, np.float64(5.0)]:
+        with pytest.raises(ConfigurationError, match="grid points must be an integer"):
+            FrequencyGrid(center=500.0, span=10.0, points=points, pump_frequency=PUMP)
+    for points in [2, np.int64(5), np.int32(7), MAX_GRID_POINTS]:
+        assert FrequencyGrid(center=500.0, span=10.0, points=points,
+                             pump_frequency=PUMP).points == points
 
 
 def test_grid_rejects_unpaired_center():

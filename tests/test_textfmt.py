@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,3 +116,64 @@ def test_int64_extremes_match_reference():
     ints = [int(I64.min), int(I64.min) + 1, -10 ** 18, -1, 0, 1, 9, 10, 99, 100,
             10 ** 18, int(I64.max) - 1, int(I64.max)]
     _assert_matches(_chunk(np.linspace(-1.0, 1.0, len(ints)), ints))
+
+
+def _slow_kinds(rng, exponents):
+    """The values the fast path hands to ``'%.15g' % v``: zeros,
+    subnormals, infinities, NaN and magnitudes beyond 1e+-281, which it
+    computes as 1.0; and, at the decimal ``exponents``, rounding carries
+    to the next power of ten and values next to a rounding tie (exact ties
+    at exponent 14, where ``d.5`` is a float)."""
+    ties = [float(f"{d}5e{k - 15}")
+            for d, k in zip(rng.integers(10 ** 14, 10 ** 15, size=12).tolist(), exponents * 3)]
+    carries = [999999999999999.5 * 10.0 ** (k - 14) for k in exponents]
+    carries += np.nextafter(carries, math.inf).tolist() + [
+        float(np.nextafter(10.0 ** (k + 1), 0.0)) for k in exponents]
+    return ([0.0, -0.0, 5e-324, -2.5e-310, float(np.nextafter(F64.smallest_normal, 0)),
+             math.inf, -math.inf, math.nan, -math.nan, 1e-300, -3e-290, 2e290, -1e300,
+             float(F64.max)] + ties + np.nextafter(ties, math.inf).tolist() + carries)
+
+
+@pytest.mark.parametrize("spread", ["all exponents", "one exponent"])
+def test_chunk_sized_column_with_every_slow_kind_matches_reference(spread):
+    # a full 2**14-row chunk, as emit_trace formats; with "one exponent"
+    # every value, fast or computed as 1.0, has decimal exponent 0, so the
+    # exponent tables are read as scalars
+    rng = np.random.default_rng(21)
+    n = 1 << 14
+    if spread == "all exponents":
+        values = 10.0 ** rng.uniform(-281.0, 281.0, n) * rng.choice([-1.0, 1.0], n)
+        kinds = _slow_kinds(rng, [-280, -5, 0, 14, 200])
+    else:
+        values = rng.uniform(1.0, 10.0, n)
+        kinds = _slow_kinds(rng, [0])
+    # every kind at four scattered rows
+    rows = rng.choice(n, size=4 * len(kinds), replace=False)
+    values[rows] = np.repeat(kinds, 4)
+    if spread == "one exponent":
+        finite = values[np.isfinite(values) & (values != 0.0)]
+        assert (np.floor(np.log10(np.abs(finite))) == 0.0).sum() >= n - 14 * 4
+    _assert_matches(_chunk(values))
+
+
+def test_format_rows_memory_on_a_trace_chunk():
+    # one 2**14-row chunk of the fig4a scan over -150..150 GHz at 0.0003 GHz
+    from modlab.correlator import LazyTrace, UniformAxis
+    from modlab.scenario import figure_preset
+
+    part = LazyTrace(figure_preset("fig4a").model,
+                     UniformAxis(-150.0, 0.0003, 1_000_001)).chunk(0, 1 << 14)
+    columns = (part.delta_axis, part.paired, part.accidental, part.total, part.n_index)
+    canvas = Canvas(1 << 14, 5)
+    want = format_rows(",", columns, canvas)   # fills the exponent tables
+    tracemalloc.start()
+    try:
+        got = format_rows(",", columns, canvas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    # The formatter with a temporary per numpy expression peaked at 3,723,945
+    # bytes here (numpy 2.4): about 2.5 MB for the canvas bytes and the text,
+    # the rest its arrays. The bound allows 5% above that.
+    assert peak <= 1.05 * 3_723_945
