@@ -9,7 +9,6 @@ measurements at its own frozen tolerances.
 
 import functools
 import math
-import warnings
 
 import numpy as np
 
@@ -124,11 +123,7 @@ def h2_errors():
 
 def preset_traces():
     """Closed-form traces of the four presets on ``WIDE_AXIS``, keyed by case."""
-    with warnings.catch_warnings():
-        # the unmodulated case has no sidebands beyond n=0 by design
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return {case: coincidence_trace(figure_preset(case), WIDE_AXIS)
-                for case in FIGURE_CASES}
+    return {case: coincidence_trace(figure_preset(case), WIDE_AXIS) for case in FIGURE_CASES}
 
 
 def sideband_offset(delta, paired):

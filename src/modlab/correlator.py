@@ -7,10 +7,12 @@ the paired rate is ``c_n * H2(n w_m - delta)``, where ``H2`` is the
 convolution of the two monochromators' intensity responses and ``c_n``
 weighs the composed modulator coefficient ``s_n``. ``coincidence_full``
 rebuilds the paired rate from the pair amplitude on a frequency-offset
-grid using the full sampled amplitudes. It is not yet an independent
+grid: one k-sum over the channel-1 sidebands k of q_k r_{n-k} A B serves
+sampled and flat-band amplitudes alike, so it composes the two
+modulators itself instead of reading ``s_n``. It is not yet an independent
 oracle for the closed form: both tiers keep only the nearest sideband
 window, so on flat-band scenarios they agree to round-off (``modlab
-validate`` reports a relative RMS of 6.2e-15 on fig4a). With sampled
+validate`` reports a relative RMS of 6.6e-15 on fig4a). With sampled
 amplitudes the gain varies across sidebands and the tiers differ, by at
 most a percent on the reference crystal. The closed form assumes filters
 narrow compared to the modulation frequency and wide compared to the
@@ -29,7 +31,6 @@ width is quoted in ns and enters only the accidental term.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -390,24 +391,15 @@ class SidebandModel:
         return c * self.h2(u) * u / self.h2.sigma ** 2
 
 
-def _warn_if_clipped(model, delta):
-    """Warn when samples of ``delta`` lie beyond the composed support; the
-    public entry points call this, so stack level 3 is their caller's line."""
-    if model.clips(delta):
-        warnings.warn(CLIPPING_MESSAGE, RuntimeWarning, stacklevel=3)
-
-
 def coincidence_trace(scenario, delta_axis) -> CorrelationTrace:
     """Closed-form coincidence rate versus delta (the flat-band model).
 
     ``SidebandModel.evaluate`` over the whole axis at once. Samples beyond
-    the composed coefficients' support get a zero paired term and a
-    warning, not an error.
+    the composed coefficients' support get a zero paired term, not an
+    error; ``scenario.model.clips(delta_axis)`` tells whether any do, and
+    ``n_index`` which.
     """
-    delta = np.asarray(delta_axis, dtype=float)
-    model = scenario.model
-    _warn_if_clipped(model, delta)
-    return model.evaluate(delta)
+    return scenario.model.evaluate(delta_axis)
 
 
 @dataclass(frozen=True)
@@ -471,25 +463,30 @@ def _omega_offsets(scenario):
     return np.linspace(-half, half, n)
 
 
+@stages.timed("full_tier")
 def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
     """Full-model coincidence rate from the pair amplitude, by Parseval's theorem.
 
     For each sample in window n, the weighted pair amplitude
     g(u) = summed_n(u) H1(u) H2(n w_m - delta - u), with
     summed_n(u) = sum_k q_k r_{n-k} A(c1 + u - k w_m) B(w_p - c1 - u + k w_m),
-    is built on the internal frequency-offset grid of spacing du, using the
-    actual sampled amplitudes when available. ``summed`` holds one row per
-    distinct window n of the unclipped samples; on sampled amplitudes it is
-    one product of the (n, k) weights q_k r_{n-k} with the (k, u) amplitude
-    grid, and on flat-band amplitudes the k-sum collapses to A0 B0 s_n.
-    ``summed`` times H1 is formed once; g is then built one window at a
-    time, for that window's samples only, and reduced to its row sums before
-    the next window. Every row goes through the floating-point operations of
-    a row-by-row evaluation, so the paired column keeps its bits, and no
-    (rows x u) array is held for the whole axis. Under ``tracemalloc`` a
-    first call on the sampled-amplitude test crystal, model build included,
-    peaks at 1.14 MB over 301 rows and 2.65 MB over 1201 rows; built for all
-    rows at once, g took these to 3.42 and 12.4 MB.
+    is built on the internal frequency-offset grid of spacing du. ``summed``
+    holds one row per distinct window n of the unclipped samples: one
+    product of the (n, k) weights q_k r_{n-k} with the (k, u) amplitude
+    grid. Sampled and flat-band amplitudes take the same product, since
+    ``a_at`` and ``b_at`` give flat amplitudes as constant samples; the
+    k-sum then equals A0 B0 s_n to round-off. ``summed`` times H1 is formed
+    once; g is then built one window at a time, for that window's samples
+    only, and reduced to its row sums before the next window. Every row
+    goes through the floating-point operations of a row-by-row evaluation,
+    so the paired column keeps its bits, and no (rows x u) array is held for
+    the whole axis. Under ``tracemalloc`` a first call on the
+    sampled-amplitude test crystal, model build included, peaks at 1.14 MB
+    over 301 rows and 2.65 MB over 1201 rows; built for all rows at once, g
+    took these to 3.42 and 12.4 MB.
+
+    Samples beyond the composed support get a zero paired term, as in
+    ``coincidence_trace``; ``scenario.model.clips`` reports them.
 
     The delay kernel F(tau) = du/(4 pi) sum_u g(u) exp(i u tau) is periodic
     with period 2 pi/du, so the delay integral of |F|^2 over one period is
@@ -499,52 +496,45 @@ def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
     4096-point delay transform integrated by the trapezoid rule to 6.5e-15
     relative on flat-band scenarios and 1.3e-13 on sampled amplitudes.
     """
-    # a with-block, not the decorator: _warn_if_clipped counts stack frames
-    with stages.stage("full_tier"):
-        delta = np.asarray(delta_axis, dtype=float)
-        omega_m = scenario.omega_m
-        amps = scenario.amplitudes
-        c1 = scenario.filter1.center
+    delta = np.asarray(delta_axis, dtype=float)
+    omega_m = scenario.omega_m
+    amps = scenario.amplitudes
+    c1 = scenario.filter1.center
 
-        model = scenario.model
-        _warn_if_clipped(model, delta)
-        n_idx, clipped, _, _ = model.window(delta)
-        kept = ~clipped
-        distinct, which = np.unique(n_idx[kept], return_inverse=True)
+    model = scenario.model
+    n_idx, clipped, _, _ = model.window(delta)
+    kept = ~clipped
+    distinct, which = np.unique(n_idx[kept], return_inverse=True)
 
-        u = _omega_offsets(scenario)
-        du = u[1] - u[0]
+    u = _omega_offsets(scenario)
+    du = u[1] - u[0]
 
-        if amps.is_flat:
-            # A, B constant: the k-sum collapses to A0 B0 s_n
-            summed = (amps.a0 * amps.b0 * model.s.coeffs[distinct + model.n_max])[:, None]
-        else:
-            q, r = scenario.mod1, scenario.mod2
-            shift = q.k_values[:, None] * omega_m
-            a_freq = c1 + u - shift
-            b_freq = scenario.pump_frequency - c1 - u + shift
-            if not (amps.covers(a_freq.min(), a_freq.max())
-                    and amps.covers(b_freq.min(), b_freq.max())):
-                raise DomainError(
-                    f"sidebands k=-{q.k_max}..{q.k_max} need amplitudes outside the sampled grid")
-            # r_{n-k}, zero beyond channel 2's support
-            j = distinct[:, None] - q.k_values + r.k_max
-            r_nk = np.where((j >= 0) & (j < len(r.coeffs)),
-                            r.coeffs[np.clip(j, 0, len(r.coeffs) - 1)], 0.0)
-            summed = (q.coeffs * r_nk) @ (amps.a_at(a_freq) * amps.b_at(b_freq))
+    q, r = scenario.mod1, scenario.mod2
+    shift = q.k_values[:, None] * omega_m
+    a_freq = c1 + u - shift
+    b_freq = scenario.pump_frequency - c1 - u + shift
+    if not (amps.covers(a_freq.min(), a_freq.max())
+            and amps.covers(b_freq.min(), b_freq.max())):
+        raise DomainError(
+            f"sidebands k=-{q.k_max}..{q.k_max} need amplitudes outside the sampled grid")
+    # r_{n-k}, zero beyond channel 2's support
+    j = distinct[:, None] - q.k_values + r.k_max
+    r_nk = np.where((j >= 0) & (j < len(r.coeffs)),
+                    r.coeffs[np.clip(j, 0, len(r.coeffs) - 1)], 0.0)
+    summed = (q.coeffs * r_nk) @ (amps.a_at(a_freq) * amps.b_at(b_freq))
 
-        weighted = summed * scenario.filter1.field_response(u)
-        rows = np.flatnonzero(kept)
-        paired = np.zeros_like(delta)
-        for w, (n, weighted_n) in enumerate(zip(distinct, weighted)):
-            at = rows[which == w]
-            xi = n * omega_m - delta[at]
-            g = weighted_n * scenario.filter2.field_response(xi[:, None] - u)
-            paired[at] = (du / (8.0 * np.pi)) * np.sum(np.square(np.abs(g)), axis=1)
-        accidental_arr = np.full_like(delta, model.accidental)
-        return CorrelationTrace(delta_axis=delta, paired=paired,
-                                accidental=accidental_arr, total=paired + accidental_arr,
-                                n_index=n_idx)
+    weighted = summed * scenario.filter1.field_response(u)
+    rows = np.flatnonzero(kept)
+    paired = np.zeros_like(delta)
+    for w, (n, weighted_n) in enumerate(zip(distinct, weighted)):
+        at = rows[which == w]
+        xi = n * omega_m - delta[at]
+        g = weighted_n * scenario.filter2.field_response(xi[:, None] - u)
+        paired[at] = (du / (8.0 * np.pi)) * np.sum(np.square(np.abs(g)), axis=1)
+    accidental_arr = np.full_like(delta, model.accidental)
+    return CorrelationTrace(delta_axis=delta, paired=paired,
+                            accidental=accidental_arr, total=paired + accidental_arr,
+                            n_index=n_idx)
 
 
 def sideband_areas(trace: CorrelationTrace) -> dict:

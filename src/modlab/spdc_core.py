@@ -93,9 +93,6 @@ class FrequencyGrid:
     def step(self):
         return self.span / (self.points - 1)
 
-    def conjugate_index(self, i):
-        return self.points - 1 - i
-
 
 @dataclass(frozen=True)
 class CrystalProfile:

@@ -172,10 +172,7 @@ def test_scenario_roundtrip_through_config():
 def test_emit_trace_csv(tmp_path):
     scn = figure_preset("fig3a")
     axis = -150.0 + 0.5 * np.arange(601)
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        trace = coincidence_trace(scn, axis)
+    trace = coincidence_trace(scn, axis)
     out = tmp_path / "t.csv"
     emit_trace(trace, out, scenario=scn)
     lines = out.read_text().splitlines()
@@ -309,10 +306,7 @@ def test_emit_trace_matches_row_reference_edge_values(tmp_path, gnuplot_style):
 
 
 def test_run_validate_all_pass():
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code, results = run_validate()
+    code, results = run_validate()
     assert code == 0
     assert all(status in ("PASS", "SKIP") for _, status, _ in results)
     names = [name for name, _, _ in results]
@@ -325,10 +319,7 @@ def test_run_validate_skips_out_of_regime():
     text = ("schema = 1\n[scenario]\npreset = fig4b\n"
             "filter1_fwhm = 30 GHz\nfilter2_fwhm = 30 GHz\n")
     _, scenario = parse_config(text, command="validate")
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code, results = run_validate(scenario)
+    code, results = run_validate(scenario)
     assert code == 0
     tier = [r for r in results if r[0] == "tier_agreement"][0]
     assert tier[1] == "SKIP"
@@ -342,10 +333,7 @@ def test_run_validate_flags_corrupted_bessel(monkeypatch):
         return real(nmax, x) * (1.0 + 1e-6)
 
     monkeypatch.setattr(modulation, "bessel_j_sequence", corrupted)
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code, results = run_validate()
+    code, results = run_validate()
     assert code == 1
     failed = {name for name, status, _ in results if status == "FAIL"}
     assert "bessel_addition_theorem" in failed
@@ -664,8 +652,7 @@ def test_main_scan_streams_the_bytes_of_the_full_trace(tmp_path, gnuplot_style):
     cfg = tmp_path / "scan.cfg"
     cfg.write_text(CLIPPED_BOTH_ENDS)
     run, scenario = parse_config(CLIPPED_BOTH_ENDS, command="scan")
-    with pytest.warns(RuntimeWarning):
-        trace = coincidence_trace(scenario, run.delta_axis())
+    trace = coincidence_trace(scenario, run.delta_axis())
     assert len(trace.delta_axis) == 2 * cli._EMIT_CHUNK_ROWS + 3
     outside = np.abs(trace.n_index) > SidebandModel(scenario).n_max
     assert outside[0] and outside[-1] and not outside.all()

@@ -363,21 +363,19 @@ def test_sideband_window_selection_rounds_half_up():
     assert list(trace.n_index) == [0, 0, 0, 1, 2]
 
 
-def test_trace_beyond_support_warns_and_zeroes():
+# any warning fails the test: clipping is reported by the model and by
+# n_index, not by a warning
+@pytest.mark.filterwarnings("error")
+def test_trace_beyond_support_zeroes_without_warning():
     scn = figure_preset("fig3a")   # identity modulators: support is n = 0 only
-    with pytest.warns(RuntimeWarning):
-        trace = coincidence_trace(scn, np.array([0.0, 40.0]))
-    assert trace.n_index.tolist() == [0, 1]
-    assert trace.paired[1] == 0.0
-    assert trace.total[1] == trace.accidental[1]
-
-
-def test_clipping_warning_names_the_calling_line():
-    scn = figure_preset("fig3a")   # identity modulators: support is n = 0 only
+    delta = np.array([0.0, 40.0])
+    assert scn.model.clips(delta)
     for build in (coincidence_trace, coincidence_full):
-        with pytest.warns(RuntimeWarning) as record:
-            build(scn, np.array([0.0, 40.0]))
-        assert [w.filename for w in record] == [__file__]
+        trace = build(scn, delta)
+        assert trace.n_index.tolist() == [0, 1]
+        assert trace.paired[0] > 0.0
+        assert trace.paired[1] == 0.0
+        assert trace.total[1] == trace.accidental[1]
 
 
 def test_same_phase_pair_equals_depth_three():
@@ -388,11 +386,8 @@ def test_same_phase_pair_equals_depth_three():
 
 
 def test_opposite_phase_pair_matches_unmodulated():
-    import warnings as _warnings
     delta = np.arange(-150.0, 150.5, 0.5)
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", RuntimeWarning)   # fig3a support is n=0 only
-        off = coincidence_trace(figure_preset("fig3a"), delta)
+    off = coincidence_trace(figure_preset("fig3a"), delta)
     cancel = coincidence_trace(figure_preset("fig4b"), delta)
     assert np.max(np.abs(cancel.total - off.total) / np.abs(off.total)) < 1e-12
 
@@ -443,13 +438,10 @@ def test_area_ratios_match_bessel_oracle():
 
 
 def test_total_area_conserved_across_cases():
-    import warnings as _warnings
     delta = np.arange(-345.0, 345.5, 0.5)
     totals = []
     for case in ("fig3a", "fig3b", "fig4a", "fig4b"):
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", RuntimeWarning)   # fig3a support is n=0 only
-            trace = coincidence_trace(figure_preset(case), delta)
+        trace = coincidence_trace(figure_preset(case), delta)
         totals.append(sum(sideband_areas(trace).values()))
     assert (max(totals) - min(totals)) / max(totals) < 1e-9
 
@@ -571,20 +563,15 @@ def _coincidence_full_reference(scenario, delta):
     u = _omega_offsets(scenario)
     du = u[1] - u[0]
     distinct_n = sorted(set(int(v) for v in n_idx[~clipped]))
-    if amps.is_flat:
-        ab0 = amps.a0 * amps.b0
-        summed = {n: np.full(len(u), ab0 * model.s.coefficient(n), dtype=complex)
-                  for n in distinct_n}
-    else:
-        q, r = scenario.mod1, scenario.mod2
-        table = np.zeros((len(distinct_n), len(q.k_values)), dtype=complex)
-        ab_k = np.zeros((len(q.k_values), len(u)), dtype=complex)
-        for col, k in enumerate(q.k_values):
-            for row, n in enumerate(distinct_n):
-                table[row, col] = q.coefficient(int(k)) * r.coefficient(int(n - k))
-            ab_k[col] = (amps.a_at(c1 + u - k * omega_m)
-                         * amps.b_at(pump - c1 - u + k * omega_m))
-        summed = {n: table[row] @ ab_k for row, n in enumerate(distinct_n)}
+    q, r = scenario.mod1, scenario.mod2
+    table = np.zeros((len(distinct_n), len(q.k_values)), dtype=complex)
+    ab_k = np.zeros((len(q.k_values), len(u)), dtype=complex)
+    for col, k in enumerate(q.k_values):
+        for row, n in enumerate(distinct_n):
+            table[row, col] = q.coefficient(int(k)) * r.coefficient(int(n - k))
+        ab_k[col] = (amps.a_at(c1 + u - k * omega_m)
+                     * amps.b_at(pump - c1 - u + k * omega_m))
+    summed = {n: table[row] @ ab_k for row, n in enumerate(distinct_n)}
     h1 = scenario.filter1.field_response(u)
     g_rows = np.zeros((len(delta), len(u)), dtype=complex)
     for i in range(len(delta)):
@@ -601,18 +588,17 @@ def _out_of_regime_scenario():
     return parse_config(path.read_text(), "validate")[1]
 
 
-# fig3a's single window leaves most of the axis clipped
-@pytest.mark.filterwarnings("ignore:delta samples beyond the modulator truncation support")
-@pytest.mark.parametrize("case", ["fig3a", "fig3b", "fig4a", "fig4b", "out_of_regime"])
-def test_full_tier_flat_band_bits_equal_the_row_loop(case):
-    scn = _out_of_regime_scenario() if case == "out_of_regime" else figure_preset(case)
-    delta = np.arange(-150.0, 151.0, 1.0)
-    full = coincidence_full(scn, delta)
-    assert full.paired.tobytes() == _coincidence_full_reference(scn, delta).tobytes()
-
-
-def test_full_tier_sampled_amplitudes_match_the_row_loop():
-    scn = _sampled_tier_scenario()
+# fig3a's single window leaves most of the axis clipped; the flat-band cases
+# reach the same k-sum as the sampled crystal
+@pytest.mark.parametrize("case", ["fig3a", "fig3b", "fig4a", "fig4b", "out_of_regime",
+                                  "sampled"])
+def test_full_tier_matches_the_row_loop(case):
+    if case == "out_of_regime":
+        scn = _out_of_regime_scenario()
+    elif case == "sampled":
+        scn = _sampled_tier_scenario()
+    else:
+        scn = figure_preset(case)
     delta = np.arange(-150.0, 151.0, 1.0)
     reference = _coincidence_full_reference(scn, delta)
     full = coincidence_full(scn, delta)
