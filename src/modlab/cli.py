@@ -70,9 +70,21 @@ length, so the memory a scan needs does not depend on its row count: a
 (Python 3.11, numpy 2.4, x86-64 Linux), where a full-length axis took the
 10^7-row peak to 181 MB. ``fit`` builds the whole axis, because its
 least-squares solve needs it as an array.
+
+As a process, through ``python -m modlab.cli`` or the ``modlab`` console
+script, a command enters at ``process_main``: it runs ``main()``, calls
+``gc.freeze()`` and exits with the command's code. The interpreter's closing
+garbage collections skip frozen objects, and at exit nearly every object
+alive is one that the numpy and modlab imports made; walking them took 27 to
+30 ms of each command, 7 ms after the freeze (16 alternating subprocess
+pairs per command, Python 3.11, numpy 2.4, x86-64 Linux). Unlike
+``os._exit`` the freeze keeps the rest of shutdown: stdout and stderr are
+flushed and ``atexit`` handlers run. ``main(argv)``, for in-process callers,
+never freezes.
 """
 
 import argparse
+import gc
 import math
 import sys
 from dataclasses import dataclass, fields, is_dataclass
@@ -693,5 +705,14 @@ def main(argv=None) -> int:
         return 1
 
 
+def process_main():
+    """Run one command as a whole process: ``main()``, then ``gc.freeze()``
+    so that the interpreter's closing collections skip every surviving
+    object, then exit with the command's code."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    process_main()

@@ -565,7 +565,11 @@ def sideband_areas(trace: CorrelationTrace) -> dict:
         raise ResolutionError(
             f"fewer than {_MIN_WINDOW_SAMPLES} samples per sideband window")
 
+    # the distinct indices, ascending, by sorting and comparing neighbours:
+    # np.unique would import numpy.ma (11-16 ms and 1.3 MB in `validate`)
+    ordered = np.sort(n_idx)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     areas = {}
-    for n in np.unique(n_idx):
+    for n in distinct:
         areas[int(n)] = step * float(trace.paired[n_idx == n].sum())
     return areas

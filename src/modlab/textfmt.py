@@ -339,7 +339,10 @@ def format_g15(x, canvas):
     if fast is not None:
         ok &= fast
     # not within _TIE_MARGIN of a rounding tie: |r - rint(r)| is the
-    # distance of y from its rounding, at most 0.5
+    # distance of y from its rounding, at most 0.5. r is good to about 1e-16,
+    # and in scientific notation some doubles lie closer than that to a tie
+    # (tests/test_textfmt.py pins 19); without the margin about half of them
+    # would round the wrong way
     r -= t
     np.abs(r, out=r)
     ok &= r < 0.5 - _TIE_MARGIN

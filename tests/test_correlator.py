@@ -23,9 +23,11 @@ from modlab import (ConfigurationError, DomainError, GaussianFilter,
                     ResolutionError, SidebandModel, SpectralAmplitudes, UniformAxis,
                     bessel_j_series, coincidence_full, coincidence_trace, h2_profile,
                     sideband_areas, singles_rate, sinusoidal_coeffs)
-from modlab import CrystalProfile, FrequencyGrid, correlator, figure_preset, propagate_envelopes
+from modlab import (CrystalProfile, FrequencyGrid, checks, correlator, figure_preset,
+                    propagate_envelopes)
 from modlab.cli import _EMIT_CHUNK_ROWS, parse_config
-from modlab.correlator import _GL3_NODES, _GL3_WEIGHTS, _omega_offsets, intensity_filter
+from modlab.correlator import (_GL3_NODES, _GL3_WEIGHTS, CorrelationTrace, _omega_offsets,
+                               intensity_filter)
 from modlab.modulation import ModulatorSpectrum
 from modlab.scenario import ExperimentScenario, reference_scenario
 
@@ -444,6 +446,33 @@ def test_total_area_conserved_across_cases():
         trace = coincidence_trace(figure_preset(case), delta)
         totals.append(sum(sideband_areas(trace).values()))
     assert (max(totals) - min(totals)) / max(totals) < 1e-9
+
+
+def _areas_by_unique(trace):
+    """``sideband_areas``' loop keyed by ``np.unique``, the reference for its keys."""
+    step = float(trace.delta_axis[1] - trace.delta_axis[0])
+    return {int(n): step * float(trace.paired[trace.n_index == n].sum())
+            for n in np.unique(trace.n_index)}
+
+
+def _hand_built_trace():
+    """Uniform axis, windows of 30 samples with unsorted and repeated indices."""
+    n_index = np.repeat([2, -1, 2, 0, -3, -1], 30)
+    delta = np.arange(len(n_index)) * 0.5
+    paired = np.random.default_rng(7).random(len(n_index))
+    accidental = np.full(len(n_index), 0.25)
+    return CorrelationTrace(delta_axis=delta, paired=paired, accidental=accidental,
+                            total=paired + accidental, n_index=n_index)
+
+
+@pytest.mark.parametrize("case", ["fig3a", "fig3b", "fig4a", "fig4b", "hand-built"])
+def test_areas_match_unique_oracle(case):
+    trace = (_hand_built_trace() if case == "hand-built"
+             else checks.preset_traces()[case])
+    areas, expected = sideband_areas(trace), _areas_by_unique(trace)
+    assert list(areas) == list(expected) == sorted(expected)
+    assert [a.hex() for a in areas.values()] == [a.hex() for a in expected.values()]
+    assert sum(areas.values()).hex() == sum(expected.values()).hex()
 
 
 def test_areas_require_dense_sampling():

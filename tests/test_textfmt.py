@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,6 +101,50 @@ def test_rounding_ties_match_reference():
             values.append(value)
             values.extend(np.nextafter(value, [0.0, math.inf]).tolist())
     assert n_exact > 1000
+    _assert_matches(_chunk(values))
+
+
+# Doubles v whose scaled y = v * 10**(14 - e), e the decimal exponent of v,
+# lies within 1e-16 of a rounding tie N + 1/2 without being one. The
+# fraction of y that format_g15 computes is good to about 1e-16, so without
+# its tie margin about half of them round the wrong way. They were found by
+# solving m * 2**k * 10**(14 - e) = N + 1/2 + d (mod 1) for a 53-bit m with
+# a Euclid-like descent; the test checks their distance exactly. Such
+# doubles exist only in scientific notation: for -4 <= e <= 14 y is a
+# multiple of 2**-48 or coarser, so a non-tie lies at least that far off.
+NEAR_TIES = [float.fromhex(h) for h in (
+    "0x1.e0c4490a5bf7ep-800", "0x1.cb6ca7a8b6c56p-797", "0x1.6d6ece8fbcd2dp-494",
+    "0x1.429d71a263148p-481", "0x1.9ddc49f9d82a1p-328", "0x1.15e20edf8f553p-332",
+    "0x1.5fed4774c2589p-179", "0x1.d667710bc170ep-179", "0x1.7c5231e47e589p-89",
+    "0x1.266e3a2c64691p-93", "0x1.37d88ba4b43e4p+137", "0x1.eebabe0957af3p+167",
+    "0x1.535f3110e5d3dp+290", "0x1.19dc138f8a8f5p+432", "0x1.33bb38ea396dep+406",
+    "0x1.a2b58d37a787bp+552", "0x1.fe5126ccc93dfp+665", "0x1.8244e2a2ee0ffp+685",
+    "0x1.8d326e728c023p+841")]
+
+
+def _tie_offset(v):
+    """``y - (floor(y) + 1/2)`` for ``y = v * 10**(14 - e)``, exactly."""
+    e = math.floor(math.log10(v))
+    e += (Fraction(v) >= Fraction(10) ** (e + 1)) - (Fraction(v) < Fraction(10) ** e)
+    y = Fraction(v) * Fraction(10) ** (14 - e)
+    return y - math.floor(y) - Fraction(1, 2)
+
+
+def test_values_next_to_rounding_ties_match_reference():
+    assert all(0 < abs(_tie_offset(v)) < Fraction(1, 10 ** 16) for v in NEAR_TIES)
+    assert {_tie_offset(v) > 0 for v in NEAR_TIES} == {True, False}
+    # the double nearest (N + 1/2) * 10**(e - 14) at fixed-notation and
+    # scientific exponents e
+    rng = random.Random(23)
+    nearest = [float((rng.randrange(10 ** 14, 10 ** 15) + Fraction(1, 2))
+                     * Fraction(10) ** (e - 14))
+               for e in (-4, -2, 0, 3, 8, 13, 14, -30, 120) for _ in range(20)]
+    # each with the doubles up to three ulps either side, exact ties left out
+    bits = np.array(NEAR_TIES + nearest).view(np.int64)
+    values = [v for v in np.add.outer(bits, np.arange(-3, 4)).ravel().view(np.float64).tolist()
+              if _tie_offset(v) != 0]
+    texts = ["%.15g" % v for v in values]
+    assert any("e" in t for t in texts) and any("e" not in t for t in texts)
     _assert_matches(_chunk(values))
 
 
