@@ -12,7 +12,7 @@ sampled and flat-band amplitudes alike, so it composes the two
 modulators itself instead of reading ``s_n``. It is not yet an independent
 oracle for the closed form: both tiers keep only the nearest sideband
 window, so on flat-band scenarios they agree to round-off (``modlab
-validate`` reports a relative RMS of 6.6e-15 on fig4a). With sampled
+validate`` reports a relative RMS of 6.4e-15 on fig4a). With sampled
 amplitudes the gain varies across sidebands and the tiers differ, by at
 most a percent on the reference crystal. The closed form assumes filters
 narrow compared to the modulation frequency and wide compared to the
@@ -48,6 +48,8 @@ _GL3_NODES = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
 _GL3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
 _INT64_LIMIT = 2.0 ** 63
 _MIN_WINDOW_SAMPLES = 24     # samples an interior window needs in sideband_areas
+# points of the full tier's offset grid; one window's 301-row complex block is then 79 MB
+MAX_OFFSET_POINTS = 2 ** 14
 
 FWHM_CONVENTIONS = ("intensity", "field")
 CLIPPING_MESSAGE = ("delta samples beyond the modulator truncation support; "
@@ -59,6 +61,24 @@ def _square(x) -> float:
     ``OverflowError``; numpy calls the same C ``pow``, so the bits agree."""
     with np.errstate(over="ignore"):
         return float(np.float64(x) ** 2)
+
+
+def _gaussian(offset, peak, d):
+    """``peak * exp(-offset**2 / d)``, formed in one new buffer.
+
+    The square, negation, division, exp and product run in place, in the
+    order of the plain expression, so the bits are the expression's. Only
+    the square's overflow is silenced: a far-tail offset squares to inf and
+    gives exactly 0, while the caller's error state still covers the rest.
+    """
+    offset = np.asarray(offset, dtype=float)
+    with np.errstate(over="ignore"):
+        h = np.square(offset, out=np.empty(offset.shape))
+    np.negative(h, out=h)
+    np.divide(h, d, out=h)
+    np.exp(h, out=h)
+    np.multiply(peak, h, out=h)
+    return h[()]
 
 
 @dataclass(frozen=True)
@@ -107,23 +127,12 @@ class GaussianFilter:
         return self.fwhm / _TWO_SQRT_2LN2
 
     def field_response(self, offset):
-        """H at ``offset`` from the slit center frequency, formed in one new buffer."""
-        offset = np.asarray(offset, dtype=float)
-        # One buffer, not alpha * exp(-offset**2 / (4 sigma^2)) as an
-        # expression, which holds the offsets, their square and the exp result
-        # at once. With the expression (same bits) the sampled_tier benchmark
-        # peaked at 39.29-39.43 MB of RSS against 38.86-39.00 MB (4 runs each,
-        # 2-vCPU x86-64 host).
-        h = np.square(offset, out=np.empty(offset.shape))
-        np.negative(h, out=h)
-        np.divide(h, 4.0 * self.intensity_sigma() ** 2, out=h)
-        np.exp(h, out=h)
-        np.multiply(self.alpha, h, out=h)
-        return h[()]
+        """H at ``offset`` from the slit center frequency."""
+        return _gaussian(offset, self.alpha, 4.0 * self.intensity_sigma() ** 2)
 
     def intensity_response(self, offset):
-        sig = self.intensity_sigma()
-        return self.alpha ** 2 * np.exp(-np.asarray(offset, dtype=float) ** 2 / (2.0 * sig ** 2))
+        """|H|^2 at ``offset`` from the slit center frequency."""
+        return _gaussian(offset, self.alpha ** 2, 2.0 * self.intensity_sigma() ** 2)
 
     def intensity_integral(self) -> float:
         """integral of |H|^2 over frequency, closed form."""
@@ -154,7 +163,7 @@ class H2Profile:
     sigma: float
 
     def __call__(self, offset):
-        return self.peak * np.exp(-np.asarray(offset, dtype=float) ** 2 / (2.0 * self.sigma ** 2))
+        return _gaussian(offset, self.peak, 2.0 * self.sigma ** 2)
 
     @property
     def fwhm(self) -> float:
@@ -454,13 +463,31 @@ class LazyTrace:
 
 
 def _omega_offsets(scenario):
-    """Frequency-offset grid of the full tier: resolves both filters."""
-    f_min = min(scenario.filter1.fwhm, scenario.filter2.fwhm)
-    sigma_max = max(scenario.filter1.intensity_sigma(), scenario.filter2.intensity_sigma())
-    half = 0.5 * scenario.omega_m + 8.0 * sigma_max
-    step = f_min / 40.0
-    n = int(np.ceil(2.0 * half / step)) + 1
-    return np.linspace(-half, half, n)
+    """Frequency-offset grid of the full tier: filter 1's support at a step
+    that resolves both filters.
+
+    Every term of g carries H1(u), so the grid spans +-8 sigma_1 (intensity
+    sigma of filter 1), whatever the modulation frequency. Beyond it
+    |H1|^2 <= alpha_1^2 e^-32, so the dropped tail of |g|^2 is at most
+    e^-32 ~ 1.3e-14 of its peak. The step is FWHM_min/40, which gives 273
+    points for equal filters. On the sampled-amplitude test crystal this
+    grid and the former +-(w_m/2 + 8 sigma_max) one, both discretizations
+    of the same sum, give paired rates within 1.02e-9 of the peak (3.0e-16
+    on the flat-band presets).
+
+    Raises ``DomainError`` when the grid would need more than
+    ``MAX_OFFSET_POINTS`` points: the count grows as 272 FWHM_1/FWHM_min.
+    """
+    fwhm1, fwhm2 = scenario.filter1.fwhm, scenario.filter2.fwhm
+    half = 8.0 * float(scenario.filter1.intensity_sigma())
+    step = min(fwhm1, fwhm2) / 40.0
+    intervals = 2.0 * half / step       # Python floats: inf, not an error, on overflow
+    count = math.ceil(intervals) + 1 if math.isfinite(intervals) else math.inf
+    if count > MAX_OFFSET_POINTS:
+        raise DomainError(
+            f"filter FWHMs {fwhm1:g} and {fwhm2:g} GHz need a full-tier offset grid of "
+            f"{count:.0f} points, more than the limit of {MAX_OFFSET_POINTS}")
+    return np.linspace(-half, half, count)
 
 
 @stages.timed("full_tier")
@@ -481,9 +508,9 @@ def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
     goes through the floating-point operations of a row-by-row evaluation,
     so the paired column keeps its bits, and no (rows x u) array is held for
     the whole axis. Under ``tracemalloc`` a first call on the
-    sampled-amplitude test crystal, model build included, peaks at 1.14 MB
-    over 301 rows and 2.65 MB over 1201 rows; built for all rows at once, g
-    took these to 3.42 and 12.4 MB.
+    sampled-amplitude test crystal, model build included, peaks at 0.85 MB
+    over 301 rows and 1.87 MB over 1201 rows; built for all rows at once, g
+    alone would take 1.31 and 5.25 MB on the 273-point offset grid.
 
     Samples beyond the composed support get a zero paired term, as in
     ``coincidence_trace``; ``scenario.model.clips`` reports them.
@@ -493,7 +520,7 @@ def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
     exactly du/(8 pi) sum_u |g(u)|^2, which is the paired rate. The gate is
     long compared to the kernel decay, so the paired integral is ungated;
     the gate enters only the accidental floor. The sum matches the former
-    4096-point delay transform integrated by the trapezoid rule to 6.5e-15
+    4096-point delay transform integrated by the trapezoid rule to 6.2e-15
     relative on flat-band scenarios and 1.3e-13 on sampled amplitudes.
     """
     delta = np.asarray(delta_axis, dtype=float)

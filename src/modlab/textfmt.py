@@ -21,9 +21,10 @@ subprocess pairs, ``os.wait4``) this took the wall time from 1.13 to
 4.8k), against a formatter that gave every numpy expression a fresh
 temporary and so made glibc trim the heap top after each column and fault
 it back in; at 10^7 rows the faults fell from 193.6k to 28.0k. glibc now
-keeps that freed heap instead: the peak RSS, reached when the ``.meta``
-step maps OpenSSL for ``hashlib`` after the last chunk, reads 37.1, 37.8
-and 37.9 MB at 10^5, 10^6 and 10^7 rows against 36.7, 37.4 and 37.4 MB.
+keeps that freed heap instead: the peak RSS, reached while the rows are
+formatted, reads 37.1, 37.8 and 37.9 MB at 10^5, 10^6 and 10^7 rows
+against 36.7, 37.4 and 37.4 MB. The ``.meta`` step's ``hashlib`` import
+after the last chunk stays below that peak.
 
 ``%.15g`` rounds |x| to 15 significant digits. For |x| whose decimal
 exponent ``e = floor(log10|x|)`` lies in -281..280 the rounding is done in

@@ -326,6 +326,29 @@ def test_run_validate_skips_out_of_regime():
     assert "out-of-regime" in tier[2]
 
 
+# the full tier's offset grid spans filter 1 alone, so its size does not
+# depend on the modulation frequency
+@pytest.mark.parametrize("omega_m", ["1e6", "1e160"])
+def test_main_validate_at_a_huge_modulation_frequency(capsys, tmp_path, omega_m):
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(FIG4A_VALIDATE + f"modulation_frequency = {omega_m} GHz\n")
+    assert main(["validate", "--config", str(cfg)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-2].startswith("PASS tier_agreement rel_rms=")
+    assert err == ""
+
+
+def test_fit_far_tail_offsets_warn_nothing(tmp_path):
+    # the fit's offset search spans half a drive period, 5e159 GHz, whose
+    # square overflows to inf: the lineshape there is exactly 0, silently
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text((CONFIGS / "fit_demo.cfg").read_text().replace(
+        "preset = fig3b", "preset = fig4a\nmodulation_frequency = 1e160 GHz"))
+    proc = _run_python("-m", "modlab.cli", "fit", "--config", str(cfg))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
 def test_run_validate_flags_corrupted_bessel(monkeypatch):
     real = modulation.bessel_j_sequence
 
@@ -456,6 +479,11 @@ def _waveform(bad_line):
       for value in ("1e307", "1e308")],
     pytest.param("scan", FIG4A_BEYOND_INT64, [], None, ("sideband indices", "1e+21"),
                  id="scan delta = +-1e21 GHz"),
+    # filter 1 spans 1.2e5 filter-2 widths: the full tier's offset grid would
+    # need 3.2e7 points
+    pytest.param("validate", FIG4A_VALIDATE + "filter1_fwhm = 1e6 GHz\n", [], None,
+                 ("1e+06 and 8.5 GHz", "31974469 points", "limit of 16384"),
+                 id="validate filter1_fwhm = 1e6 GHz"),
     *[pytest.param(command, OVERFLOWING_QUOTIENT, [], None,
                    ("sideband indices", "1e+307", "0.001 GHz"),
                    id=f"{command} delta = 1e307 GHz at 0.001 GHz")

@@ -65,6 +65,22 @@ def test_field_response_matches_reference_formula():
     assert filt.intensity_response(8.5 / 2.0) == pytest.approx(0.5 * 0.49, rel=1e-12)
 
 
+def test_gaussian_responses_keep_the_bits_of_the_plain_expressions():
+    filt = unit_filter(alpha=0.7, fwhm=6.3)
+    h2 = h2_profile(filt, unit_filter())
+    w = np.random.default_rng(5).normal(0.0, 30.0, 10001)
+    sig = filt.intensity_sigma()
+    for got, expected in (
+            (filt.field_response(w), 0.7 * np.exp(-w ** 2 / (4.0 * sig ** 2))),
+            (filt.intensity_response(w), 0.7 ** 2 * np.exp(-w ** 2 / (2.0 * sig ** 2))),
+            (h2(w), h2.peak * np.exp(-w ** 2 / (2.0 * h2.sigma ** 2)))):
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    # an offset whose square overflows is in the far tail: exactly 0, no warning
+    for response in (filt.field_response, filt.intensity_response, h2):
+        assert response(1e200) == 0.0
+        assert np.array_equal(response(np.array([-1e300, 1e160])), [0.0, 0.0])
+
+
 def test_field_convention_narrows_intensity():
     assert intensity_filter(unit_filter(), "intensity") == unit_filter()
     filt = intensity_filter(unit_filter(), "field")
@@ -528,15 +544,19 @@ def test_tier_agreement_sampled_amplitudes():
 
 
 def test_full_tier_needs_amplitudes_for_every_sideband():
-    # 920 GHz covers every sideband's singles passband, so the closed form
-    # runs; the full tier's offset grid, shifted by up to 14 drive periods,
-    # does not fit
+    # the singles rates skip sidebands of power below 1e-30, the full tier
+    # looks up every sideband of channel 1: with two such sidebands added on
+    # each side, 920 GHz covers both singles passbands (+-454 GHz), so the
+    # closed form runs, but not the full tier's grid of +-8 sigma_1 shifted
+    # by 16 drive periods (+-509 GHz)
     scn = _sampled_tier_scenario(span=920.0, points=1841)
+    pad = np.full(2, 1e-20)
+    scn = replace(scn, mod1=ModulatorSpectrum(30.0, np.concatenate((pad, scn.mod1.coeffs, pad))))
     delta = np.arange(-150.0, 151.0, 1.0)
     coincidence_trace(scn, delta)
     with pytest.raises(DomainError) as err:
         coincidence_full(scn, delta)
-    assert str(err.value) == "sidebands k=-14..14 need amplitudes outside the sampled grid"
+    assert str(err.value) == "sidebands k=-16..16 need amplitudes outside the sampled grid"
 
 
 def _delay_domain_paired(scenario, delta_axis, points=4096):
@@ -658,14 +678,23 @@ def test_trace_and_full_tier_share_one_model(monkeypatch, case):
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("omega_m", ["30", "1e6", "1e160"])
+def test_full_tier_grid_spans_filter_one_alone(omega_m):
+    scn = parse_config("schema = 1\n[scenario]\npreset = fig4a\n"
+                       f"modulation_frequency = {omega_m} GHz\n", "validate")[1]
+    u = _omega_offsets(scn)
+    assert len(u) == 273
+    assert u[-1] == -u[0] == 8.0 * scn.filter1.intensity_sigma()
+
+
 # rows of the delta axis, and a bound in bytes on the traced peak of one
-# full-tier call: at 301 rows, one (rows x u) complex array, which the full
-# tier once held for the whole axis (301 x 414 x 16 B)
+# full-tier call: at 301 rows, the (rows x u) complex array that the full
+# tier once held for the whole axis on a 414-point grid (301 x 414 x 16 B)
 @pytest.mark.parametrize("rows, bound", [(301, 301 * 414 * 16), (1201, 4e6)])
 def test_full_tier_peak_memory_is_one_window_at_a_time(rows, bound):
     scn = _sampled_tier_scenario()
     delta = np.linspace(-150.0, 150.0, rows)
-    assert len(_omega_offsets(scn)) == 414
+    assert len(_omega_offsets(scn)) == 273
     tracemalloc.start()
     try:
         coincidence_full(scn, delta)
