@@ -223,6 +223,12 @@ def sideband_index(delta, omega_m):
     return n.astype(int)
 
 
+def _kept_sidebands(mod):
+    """Mask of the sidebands k of ``mod`` that the singles rates and the
+    full tier sum over: those with |q_k|^2 not below ``_NEGLIGIBLE_WEIGHT``."""
+    return ~(np.abs(mod.coeffs) ** 2 < _NEGLIGIBLE_WEIGHT)
+
+
 @stages.timed("singles")
 def singles_rate(amps, mod, filt: GaussianFilter, convention: str = "intensity") -> float:
     """Monochromator count rate: (1/4pi) sum_k |q_k|^2 int |B(w-k w_m)|^2 |H|^2 dw.
@@ -272,7 +278,7 @@ def singles_rate(amps, mod, filt: GaussianFilter, convention: str = "intensity")
                 "is too large") from exc
         return b0_sq / (4.0 * np.pi) * integral * float(powers.sum())
 
-    keep = ~(powers < _NEGLIGIBLE_WEIGHT)
+    keep = _kept_sidebands(mod)
     ks, ps = mod.k_values[keep], powers[keep]
     if not len(ks):
         return 0.0
@@ -500,16 +506,23 @@ def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
     is built on the internal frequency-offset grid of spacing du. ``summed``
     holds one row per distinct window n of the unclipped samples: one
     product of the (n, k) weights q_k r_{n-k} with the (k, u) amplitude
-    grid. Sampled and flat-band amplitudes take the same product, since
-    ``a_at`` and ``b_at`` give flat amplitudes as constant samples; the
-    k-sum then equals A0 B0 s_n to round-off. ``summed`` times H1 is formed
-    once; g is then built one window at a time, for that window's samples
-    only, and reduced to its row sums before the next window. Every row
-    goes through the floating-point operations of a row-by-row evaluation,
-    so the paired column keeps its bits, and no (rows x u) array is held for
-    the whole axis. Under ``tracemalloc`` a first call on the
-    sampled-amplitude test crystal, model build included, peaks at 0.85 MB
-    over 301 rows and 1.87 MB over 1201 rows; built for all rows at once, g
+    grid, over the sidebands k that channel 1's singles rate keeps
+    (|q_k|^2 >= 1e-30). Building the model runs that singles rate, which
+    checks that the amplitude grid holds each kept sideband's passband,
+    c1 - k w_m +- 4 FWHM_1. That contains the A lookups at +-8 sigma_1, and
+    the grid's symmetry about half its pump mirrors them onto the B
+    lookups when the scenario has the grid's pump; a lookup off the grid
+    still raises ``DomainError`` in ``a_at`` or ``b_at``. Sampled and
+    flat-band amplitudes take the same product, since ``a_at`` and ``b_at``
+    give flat amplitudes as constant samples; the k-sum then equals
+    A0 B0 s_n to round-off. ``summed`` times H1 is formed once; g is then
+    built one window at a time, for that window's samples only, and
+    reduced to its row sums before the next window. Every row goes through
+    the floating-point operations of a row-by-row evaluation, so the paired
+    column keeps its bits, and no (rows x u) array is held for the whole
+    axis. Under ``tracemalloc`` a first call on the sampled-amplitude test
+    crystal, model build included, peaks at 0.85 MB over 301 rows and
+    1.87 MB over 1201 rows; built for all rows at once, g
     alone would take 1.31 and 5.25 MB on the 273-point offset grid.
 
     Samples beyond the composed support get a zero paired term, as in
@@ -537,18 +550,16 @@ def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
     du = u[1] - u[0]
 
     q, r = scenario.mod1, scenario.mod2
-    shift = q.k_values[:, None] * omega_m
+    keep = _kept_sidebands(q)
+    ks = q.k_values[keep]
+    shift = ks[:, None] * omega_m
     a_freq = c1 + u - shift
     b_freq = scenario.pump_frequency - c1 - u + shift
-    if not (amps.covers(a_freq.min(), a_freq.max())
-            and amps.covers(b_freq.min(), b_freq.max())):
-        raise DomainError(
-            f"sidebands k=-{q.k_max}..{q.k_max} need amplitudes outside the sampled grid")
     # r_{n-k}, zero beyond channel 2's support
-    j = distinct[:, None] - q.k_values + r.k_max
+    j = distinct[:, None] - ks + r.k_max
     r_nk = np.where((j >= 0) & (j < len(r.coeffs)),
                     r.coeffs[np.clip(j, 0, len(r.coeffs) - 1)], 0.0)
-    summed = (q.coeffs * r_nk) @ (amps.a_at(a_freq) * amps.b_at(b_freq))
+    summed = (q.coeffs[keep] * r_nk) @ (amps.a_at(a_freq) * amps.b_at(b_freq))
 
     weighted = summed * scenario.filter1.field_response(u)
     rows = np.flatnonzero(kept)

@@ -11,13 +11,15 @@ Two modulators acting on the two photons of an energy-conserving pair act
 on the joint frequency correlation as one modulator driven by the summed
 phase phi1(t) + phi2(t): its transfer function is the product m1(t) m2(t),
 whose coefficients are the discrete convolution of the two sequences. For
-sinusoidal drives this is the Bessel addition theorem: equal phases behave
-like a single modulator at the summed depth, opposite phases cancel
-outright.
+sinusoidal drives of one frequency, d1 sin t + d2 sin(t + phi) is a single
+sinusoid of depth |d1 + d2 exp(i phi)|, so at relative phase phi the pair
+acts as one modulator of that depth (the Jacobi-Anger expansion): equal
+phases add the depths, opposite phases subtract them, and equal depths in
+opposition cancel outright.
 
 Bessel values come from downward (Miller) recurrence with the standard
-normalization; an independent power-series evaluator is provided as the
-verification oracle.
+normalization; an independent power-series evaluator, elementwise over
+arrays of orders and arguments, is provided as the verification oracle.
 """
 
 import math
@@ -78,43 +80,41 @@ def bessel_j_sequence(nmax: int, x: float) -> np.ndarray:
     if not np.isfinite(norm):
         # below |x| of about 1e-99 the ratios J_{k-1}/J_k ~ 2k/|x| outgrow the
         # rescaling and the recurrence overflows; the series is accurate there
-        return np.array([bessel_j_series(n, x) for n in range(nmax + 1)])
+        return bessel_j_series(np.arange(nmax + 1), x)
     out /= norm
     if x < 0.0:
         out[1::2] = -out[1::2]
     return out
 
 
-def bessel_j_series(n: int, x: float) -> float:
-    """J_n(x) from the ascending power series; the independent oracle.
+def bessel_j_series(n, x):
+    """J_n(x) from the ascending power series, elementwise; the independent oracle.
 
-    Accurate to ~1e-15 absolute for |x| below about 15, which covers every
-    modulation depth of interest. Deliberately a different algorithm from
+    ``n`` and ``x`` broadcast against each other. Every element goes
+    through the floating-point operations of the scalar series, in the
+    same order, and stops at its own convergence test, so it is bit for bit
+    the value a scalar evaluation gives; scalar arguments give a 0-d
+    result. An underflowed odd order is 0.0, never -0.0. Accurate to
+    ~1e-15 absolute for |x| below about 15, which covers every modulation
+    depth of interest. Deliberately a different algorithm from
     ``bessel_j_sequence`` so the two can check each other.
     """
-    n = int(n)
-    sign = 1.0
-    if n < 0:
-        n = -n
-        if n % 2 == 1:
-            sign = -sign
-    if x < 0 and n % 2 == 1:
-        sign = -sign
-    half = 0.5 * abs(x)
-    term = 1.0
-    for i in range(1, n + 1):
-        term *= half / i
-        if term == 0.0:
-            return 0.0
-    total = term
+    n, x = np.broadcast_arrays(np.asarray(n, dtype=int), np.asarray(x, dtype=float))
+    order = np.abs(n)
+    # J_{-n} = (-1)^n J_n and J_n(-x) = (-1)^n J_n(x)
+    sign = np.where((order % 2 == 1) & ((n < 0) != (x < 0)), -1.0, 1.0)
+    half = 0.5 * np.abs(x)
+    term = np.ones(half.shape)
+    for i in range(1, int(order.max(initial=0)) + 1):
+        term *= np.where(order >= i, half / i, 1.0)
+    total, step, going = term, -(half * half), np.ones(half.shape, dtype=bool)
     m = 0
-    while True:
+    while going.any():
         m += 1
-        term *= -(half * half) / (m * (n + m))
-        total += term
-        if abs(term) < _SERIES_TOL * max(abs(total), 1e-300) or m > 400:
-            break
-    return sign * total
+        term = np.where(going, term * (step / (m * (order + m))), term)
+        total = np.where(going, total + term, total)
+        going &= ~(np.abs(term) < _SERIES_TOL * np.maximum(np.abs(total), 1e-300)) & (m <= 400)
+    return sign * total + 0.0
 
 
 @dataclass(frozen=True)

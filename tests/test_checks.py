@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from modlab import checks, cli, coincidence_trace, figure_preset
+from modlab import checks, cli, coincidence_trace, compose_nonlocal, figure_preset
+from modlab.modulation import ModulatorSpectrum
 
 
 def test_cli_binds_the_suite():
@@ -26,6 +27,20 @@ def test_run_validate_builds_six_traces(monkeypatch):
     assert code == 0
     # four presets on the wide axis, the offset symmetry grid, the tier axis
     assert sorted(lengths) == [301, 602, 1381, 1381, 1381, 1381]
+
+
+def test_validate_sees_the_relative_phase(monkeypatch):
+    # at relative phases 0 and pi channel 2's coefficients are real, so only
+    # the phases between them tell a composition that drops their imaginary
+    # part from the true one
+    def real_r(q, r):
+        return compose_nonlocal(q, ModulatorSpectrum(r.omega_m, r.coeffs.real))
+
+    monkeypatch.setattr(checks, "compose_nonlocal", real_r)
+    code, results = checks.run_validate()
+    assert code == 1
+    assert [line for line in results if line[1] != "PASS"] == [
+        ("bessel_addition_theorem", "FAIL", "max_abs_err=4.947e-01")]
 
 
 def test_wide_axis_slice_equals_a_fresh_reference_trace():

@@ -543,20 +543,23 @@ def test_tier_agreement_sampled_amplitudes():
     assert 0.0 < rel_rms <= 0.01
 
 
-def test_full_tier_needs_amplitudes_for_every_sideband():
-    # the singles rates skip sidebands of power below 1e-30, the full tier
-    # looks up every sideband of channel 1: with two such sidebands added on
-    # each side, 920 GHz covers both singles passbands (+-454 GHz), so the
-    # closed form runs, but not the full tier's grid of +-8 sigma_1 shifted
-    # by 16 drive periods (+-509 GHz)
-    scn = _sampled_tier_scenario(span=920.0, points=1841)
+def test_full_tier_skips_the_sidebands_the_singles_rates_skip():
+    # two sidebands of power 1e-40 on each side of channel 1, below the
+    # 1e-30 that both the singles rates and the full tier skip: 920 GHz
+    # covers the kept sidebands' singles passbands but not the padded ones'
+    # +-8 sigma_1 grid shifted by 16 drive periods (+-509 GHz), so both tiers
+    # run only because the pads are skipped, and the full tier keeps the
+    # unpadded scenario's bits
+    plain = _sampled_tier_scenario(span=920.0, points=1841)
     pad = np.full(2, 1e-20)
-    scn = replace(scn, mod1=ModulatorSpectrum(30.0, np.concatenate((pad, scn.mod1.coeffs, pad))))
+    padded = replace(plain, mod1=ModulatorSpectrum(
+        30.0, np.concatenate((pad, plain.mod1.coeffs, pad))))
     delta = np.arange(-150.0, 151.0, 1.0)
-    coincidence_trace(scn, delta)
-    with pytest.raises(DomainError) as err:
-        coincidence_full(scn, delta)
-    assert str(err.value) == "sidebands k=-16..16 need amplitudes outside the sampled grid"
+    coincidence_trace(padded, delta)
+    full = coincidence_full(padded, delta)
+    reference = coincidence_full(plain, delta)
+    assert full.paired.tobytes() == reference.paired.tobytes()
+    assert full.total.tobytes() == reference.total.tobytes()
 
 
 def _delay_domain_paired(scenario, delta_axis, points=4096):

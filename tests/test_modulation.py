@@ -52,6 +52,52 @@ def test_recurrence_falls_back_to_series_for_tiny_arguments(x):
     assert mod.k_max == 3 and abs(mod.total_power() - 1.0) <= 1e-15
 
 
+def _scalar_series(n, x):
+    """J_n(x) by the ascending series, one (n, x) pair at a time: the loop
+    that ``bessel_j_series`` evaluates elementwise."""
+    n = int(n)
+    sign = 1.0
+    if n < 0:
+        n = -n
+        if n % 2 == 1:
+            sign = -sign
+    if x < 0 and n % 2 == 1:
+        sign = -sign
+    half = 0.5 * abs(x)
+    term = 1.0
+    for i in range(1, n + 1):
+        term *= half / i
+        if term == 0.0:
+            return 0.0
+    total = term
+    m = 0
+    while True:
+        m += 1
+        term *= -(half * half) / (m * (n + m))
+        total += term
+        if abs(term) < 1e-22 * max(abs(total), 1e-300) or m > 400:
+            break
+    return sign * total
+
+
+def test_series_is_the_scalar_loop_elementwise():
+    # orders -60..60 against signed zeros, the smallest subnormal, arguments
+    # whose odd orders underflow, +-157 rad (the largest accepted depth is
+    # 157) and 24 seeded arguments in +-160
+    xs = np.concatenate(([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-100, -1e-150,
+                          157.0, -157.0, 15.0],
+                         np.random.default_rng(25).uniform(-160.0, 160.0, 24)))
+    ns = np.arange(-60, 61)
+    got = bessel_j_series(ns[:, None], xs)
+    assert got.shape == (121, 35)
+    expected = np.array([[_scalar_series(n, x) for x in xs] for n in ns])
+    assert got.tobytes() == expected.tobytes()
+    for n, x in ((3, -1.5), (-7, 1e-150), (0, 157.0)):
+        value = bessel_j_series(n, x)
+        assert np.ndim(value) == 0
+        assert np.float64(value).tobytes() == np.float64(_scalar_series(n, x)).tobytes()
+
+
 def test_series_matches_frozen_values():
     for n, ref in enumerate(J_15):
         assert bessel_j_series(n, 1.5) == pytest.approx(ref, abs=1e-15)
