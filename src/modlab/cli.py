@@ -9,7 +9,7 @@ Configuration is a plain-text file with named ``[section]`` headers and
 against the unit expected for that key. Unknown sections or keys are hard
 errors so misspellings cannot silently fall back to defaults, and so is a
 section the command does not read. The file must start with
-``schema = 1``.
+``schema = 1``, given once.
 
 Sections each command reads:
 
@@ -37,9 +37,16 @@ Sections and keys:
 
 With ``preset`` present the remaining scenario keys act as overrides.
 ``fwhm_convention`` (whether filter FWHMs are those of |H|^2 or of H) is
-applied as each filter is built, so every scenario holds intensity FWHMs.
+applied, as each filter is built, to the widths the file quotes; a preset's
+own widths are intensity FWHMs, so every scenario holds intensity FWHMs.
 Missing slits default to the degenerate spectrum center; missing modulator
-keys default to an undriven channel.
+keys default to an undriven channel (``_SCENARIO_DEFAULTS``).
+
+Each key's value is checked at its own line: its unit, that it is finite,
+and, for the keys of ``_SIGN_RULES`` (``delta_step`` and ``dwell``
+positive; ``seed``, ``b0`` and the transmission scales nonnegative), its
+sign. A sign error is thus reported at the key's line, in file order with
+the other per-key errors and before any rule that relates keys or sections.
 
 Exit codes: 0 success, 1 validation/fit failure, 2 configuration error (an
 unreadable ``--config`` or waveform file included), 3 I/O failure on an
@@ -139,6 +146,25 @@ _COMMAND_SECTIONS = {
 # the keys a section must hold once it is present, even as a bare header
 _REQUIRED_KEYS = {"scan": ("delta_min", "delta_max", "delta_step"), "figure": ("case",)}
 
+# the sign each of these keys must have, checked at the key's own line
+_SIGN_RULES = {"delta_step": "positive", "dwell": "positive", "seed": "nonnegative",
+               "b0": "nonnegative", "filter1_alpha_sq": "nonnegative",
+               "filter2_alpha_sq": "nonnegative"}
+
+# the explicit-scenario keys a file may leave out, with the values they take;
+# every other [scenario] key but the preset, waveforms and slits is required
+_SCENARIO_DEFAULTS = {"fwhm_convention": "intensity", "mod1_depth": 0.0, "mod1_phase": 0.0,
+                      "mod2_depth": 0.0, "mod2_phase": 0.0}
+_SCENARIO_REQUIRED = tuple(
+    key for key in _SECTIONS["scenario"] if key != "preset"
+    and not key.endswith(("_waveform", "_slit")) and key not in _SCENARIO_DEFAULTS)
+
+# the RunConfig field each config key sets
+_RUN_FIELDS = {("run", "seed"): "seed", ("run", "dwell"): "dwell", ("run", "out"): "out_path",
+               ("scan", "delta_min"): "delta_min", ("scan", "delta_max"): "delta_max",
+               ("scan", "delta_step"): "delta_step", ("figure", "case"): "figure_case",
+               ("fit", "data"): "fit_data"}
+
 
 @dataclass
 class RunConfig:
@@ -207,13 +233,14 @@ def _parse_scalar(key, kind, unit, raw, line):
     elif len(parts) != 1:
         raise ConfigParseError(f"cannot parse value '{raw}' for key '{key}'", line)
     try:
-        if kind == "int":
-            return int(parts[0])
-        value = float(parts[0])
+        value = int(parts[0]) if kind == "int" else float(parts[0])
     except ValueError as exc:
         raise ConfigParseError(f"non-numeric value for key '{key}': '{parts[0]}'", line) from exc
-    if not math.isfinite(value):
+    if kind == "float" and not math.isfinite(value):
         raise ConfigParseError(f"non-finite value for key '{key}': '{parts[0]}'", line)
+    sign = _SIGN_RULES.get(key)
+    if sign is not None and not (value > 0 if sign == "positive" else value >= 0):
+        raise ConfigParseError(f"{key} must be {sign}", line)
     return value
 
 
@@ -240,9 +267,9 @@ def parse_config(text: str, command: str = "scan"):
     """Parse a config file into a RunConfig and (when present) a scenario.
 
     Fully validated: unknown sections/keys, sections ``command`` does not
-    read, unit mismatches, duplicate keys, ordering violations and
-    out-of-range values all raise ConfigParseError with the offending line
-    number.
+    read, unit mismatches, duplicate keys (``schema`` included), ordering
+    violations and out-of-range values all raise ConfigParseError with the
+    offending line number.
     """
     values = {}     # (section, key) -> value
     lines = {}
@@ -256,6 +283,8 @@ def parse_config(text: str, command: str = "scan"):
             if key != "schema":
                 raise ConfigParseError(
                     f"key '{key}' appears before any section (only 'schema' may)", lineno)
+            if saw_schema:
+                raise ConfigParseError("duplicate key 'schema'", lineno)
             schema = _parse_scalar("schema", "int", None, raw, lineno)
             if schema != 1:
                 raise ConfigParseError(f"unsupported schema version {schema}", lineno)
@@ -290,26 +319,10 @@ def parse_config(text: str, command: str = "scan"):
                 raise ConfigParseError(f"[{section}] section is missing key '{key}'",
                                        headers[section])
 
-    run = RunConfig()
-    run.seed = values.get(("run", "seed"), run.seed)
-    run.dwell = values.get(("run", "dwell"), run.dwell)
-    run.out_path = values.get(("run", "out"), None)
-    run.figure_case = values.get(("figure", "case"), None)
-    run.fit_data = values.get(("fit", "data"), None)
-    if "scan" in headers:
-        run.delta_min = values[("scan", "delta_min")]
-        run.delta_max = values[("scan", "delta_max")]
-        run.delta_step = values[("scan", "delta_step")]
-        if run.delta_step <= 0:
-            raise ConfigParseError("delta_step must be positive",
-                                   lines[("scan", "delta_step")])
-        if run.delta_min >= run.delta_max:
-            raise ConfigParseError("delta_min must lie below delta_max",
-                                   lines[("scan", "delta_min")])
-    if run.dwell <= 0:
-        raise ConfigParseError("dwell must be positive", lines.get(("run", "dwell")))
-    if run.seed < 0:
-        raise ConfigParseError("seed must be nonnegative", lines.get(("run", "seed")))
+    run = RunConfig(**{name: values[key] for key, name in _RUN_FIELDS.items() if key in values})
+    if "scan" in headers and run.delta_min >= run.delta_max:
+        raise ConfigParseError("delta_min must lie below delta_max",
+                               lines[("scan", "delta_min")])
 
     scn_items = {k: v for (sec, k), v in values.items() if sec == "scenario"}
     scenario = _build_scenario(scn_items, lines) if "scenario" in headers else None
@@ -324,19 +337,11 @@ def _build_scenario(items, lines):
         params = _scenario_params(figure_preset(items["preset"]))
         params.update({k: v for k, v in items.items() if k != "preset"})
     else:
-        required = ("pump_frequency", "modulation_frequency", "gate", "dispersion",
-                    "b0", "filter1_fwhm", "filter1_alpha_sq",
-                    "filter2_fwhm", "filter2_alpha_sq")
-        missing = [k for k in required if k not in items]
+        missing = [k for k in _SCENARIO_REQUIRED if k not in items]
         if missing:
             raise ConfigParseError(
                 "explicit scenario is missing required keys: " + ", ".join(missing), None)
-        params = dict(items)
-        params.setdefault("fwhm_convention", "intensity")
-        params.setdefault("mod1_depth", 0.0)
-        params.setdefault("mod1_phase", 0.0)
-        params.setdefault("mod2_depth", 0.0)
-        params.setdefault("mod2_phase", 0.0)
+        params = {**_SCENARIO_DEFAULTS, **items}
 
     pump = params["pump_frequency"]
     dispersion = params["dispersion"]
@@ -348,33 +353,31 @@ def _build_scenario(items, lines):
     mods = []
     for ch in ("mod1", "mod2"):
         wav_key = f"{ch}_waveform"
-        if wav_key in params and params[wav_key] is not None and f"{ch}_depth" in items:
+        path = items.get(wav_key)
+        if path is None:
+            mods.append(sinusoidal_coeffs(params[f"{ch}_depth"], params[f"{ch}_phase"], omega_m))
+            continue
+        if f"{ch}_depth" in items:
             raise ConfigParseError(
                 f"give either {ch}_depth or {ch}_waveform, not both", line_of(wav_key))
-        if wav_key in params and params[wav_key] is not None:
-            try:
-                phases = read_phase_waveform(params[wav_key])
-            except OSError as exc:
-                raise ConfigParseError(
-                    f"cannot read waveform file '{params[wav_key]}': {exc}",
-                    line_of(wav_key)) from exc
-            mods.append(coeffs_from_waveform(phases, omega_m))
-        else:
-            mods.append(sinusoidal_coeffs(params.get(f"{ch}_depth", 0.0),
-                                          params.get(f"{ch}_phase", 0.0), omega_m))
+        try:
+            phases = read_phase_waveform(path)
+        except OSError as exc:
+            raise ConfigParseError(
+                f"cannot read waveform file '{path}': {exc}", line_of(wav_key)) from exc
+        mods.append(coeffs_from_waveform(phases, omega_m))
 
-    for key in ("b0", "filter1_alpha_sq", "filter2_alpha_sq"):
-        if params[key] < 0:
-            raise ConfigParseError(f"{key} must be nonnegative", line_of(key))
     b0 = params["b0"]
     a0 = math.sqrt(1.0 + b0 * b0)
     try:
-        # each filter is checked at its quoted width, then read per convention
+        # each filter is checked at its width, then a width the file quotes is
+        # read per convention; a preset's own widths are intensity FWHMs
         filter1, filter2 = (
             intensity_filter(GaussianFilter(fwhm=params[f"{ch}_fwhm"],
                                             alpha=math.sqrt(params[f"{ch}_alpha_sq"]),
                                             slit=params[f"{ch}_slit"], dispersion=dispersion),
-                             params["fwhm_convention"])
+                             params["fwhm_convention"] if f"{ch}_fwhm" in items
+                             else "intensity")
             for ch in ("filter1", "filter2"))
         return ExperimentScenario(
             pump_frequency=pump,

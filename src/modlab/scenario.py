@@ -61,6 +61,9 @@ class ExperimentScenario:
     (amplitudes, modulator coefficients) are read-only copies of their
     inputs, so nothing can change what the cached model was built from;
     ``dataclasses.replace`` gives a new scenario with a model of its own.
+    Sampled amplitudes must have been made for the scenario's own pump: the
+    full tier reads B at the pump's conjugate frequency, so a grid made for
+    another pump is a ``ConfigurationError``.
     """
 
     pump_frequency: float
@@ -76,6 +79,11 @@ class ExperimentScenario:
         if self.mod1.omega_m != self.mod2.omega_m:
             raise ConfigurationError(
                 "modulators must share one synchronous drive frequency")
+        grid = self.amplitudes.grid
+        if grid is not None and grid.pump_frequency != self.pump_frequency:
+            raise ConfigurationError(
+                f"sampled amplitudes were made for a {grid.pump_frequency!r} GHz pump, "
+                f"not the scenario's {self.pump_frequency!r} GHz")
         if not self.gate_ns >= 0:
             raise ConfigurationError("gate width must be nonnegative")
         if not self.dispersion > 0:

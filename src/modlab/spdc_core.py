@@ -195,13 +195,6 @@ class SpectralAmplitudes:
             raise DomainError("requested frequency lies outside the amplitude grid")
         return np.interp(omega, grid_w, values)
 
-    def covers(self, lo, hi):
-        """True when [lo, hi] lies inside the sampled grid (always for flat)."""
-        if self.is_flat:
-            return True
-        w = self.grid.omegas
-        return w[0] <= lo and hi <= w[-1]
-
     def __eq__(self, other):
         if not isinstance(other, SpectralAmplitudes):
             return NotImplemented

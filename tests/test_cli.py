@@ -124,6 +124,12 @@ def test_schema_required_and_versioned():
         parse_config("schema = 2\n[scenario]\npreset = fig3a\n", command="scan")
 
 
+def test_second_schema_key_rejected_at_its_line():
+    with pytest.raises(ConfigParseError, match="duplicate key 'schema'") as info:
+        parse_config("schema = 1\nschema = 1\n[scenario]\npreset = fig3a\n", command="scan")
+    assert info.value.line == 2
+
+
 def test_key_before_section_rejected():
     with pytest.raises(ConfigParseError, match="before any section"):
         parse_config("schema = 1\npreset = fig3a\n", command="scan")
@@ -913,6 +919,17 @@ def test_field_convention_scan_equals_its_intensity_equivalent(tmp_path):
     field = _scan_files(tmp_path, "field", "12")
     assert field == _scan_files(tmp_path, "intensity", "8.48528137423857")
     assert field[0] != _scan_files(tmp_path, "intensity", "12")[0]
+
+
+@pytest.mark.parametrize("override, fwhm1", [
+    ("", 8.5),
+    ("filter1_fwhm = 12 GHz\n", 12.0 / math.sqrt(2.0)),
+], ids=["preset-widths", "quoted-filter1"])
+def test_field_convention_reads_only_the_widths_the_file_quotes(override, fwhm1):
+    # a preset's own widths are intensity FWHMs, whatever the convention
+    text = MINIMAL.replace("fig4b", "fig4a") + "fwhm_convention = field\n" + override
+    _, scenario = parse_config(text, command="scan")
+    assert (scenario.filter1.fwhm, scenario.filter2.fwhm) == (fwhm1, 8.5)
 
 
 def test_main_scan_byte_identical(tmp_path):

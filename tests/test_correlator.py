@@ -295,7 +295,7 @@ def _singles_per_sideband(amps, mod, filt, convention="intensity"):
             continue
         shift = k * mod.omega_m
         lo, hi = center - width - shift, center + width - shift
-        if not amps.covers(lo, hi):
+        if not (nodes[0] <= lo and hi <= nodes[-1]):
             raise DomainError(
                 f"filter passband shifted by sideband k={k} lies outside the amplitude grid")
         breaks = np.concatenate(([lo], nodes[(nodes > lo) & (nodes < hi)], [hi]))
@@ -541,6 +541,18 @@ def test_tier_agreement_sampled_amplitudes():
                / np.sqrt(np.mean(trace.total ** 2)))
     # the gain now varies across sidebands: the tiers differ, but stay close
     assert 0.0 < rel_rms <= 0.01
+
+
+def test_sampled_scenario_rejects_amplitudes_made_for_another_pump():
+    # B is read at the pump's conjugate frequency, so amplitudes made for one
+    # pump are wrong for any other; a 100 GHz shift once moved the full
+    # tier's paired counts by 5.5% of peak without an error
+    scn = _sampled_tier_scenario()
+    shifted = scn.pump_frequency + 100.0
+    with pytest.raises(ConfigurationError) as err:
+        replace(scn, pump_frequency=shifted)
+    assert repr(scn.pump_frequency) in str(err.value)
+    assert repr(shifted) in str(err.value)
 
 
 def test_full_tier_skips_the_sidebands_the_singles_rates_skip():
