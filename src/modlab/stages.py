@@ -17,8 +17,12 @@ integrates and ``emit`` the trace chunks it evaluates, and the times add up
 to the timed part of the command. ``seconds()`` returns the record after
 ``main`` returns; a stage that did not run is absent. The record is the
 process's: library calls outside ``main`` add to it too, and stages run by
-concurrent threads are not told apart. Nothing here reaches the CSV or
-``.meta`` files.
+concurrent threads are not told apart. ``emit_trace`` forks a helper for
+a trace of two or more chunks on a host with two or more CPUs: the chunks
+the helper evaluates are booked in the helper, which exits without
+reporting them, so ``trace`` holds only the chunks of the calling process,
+and ``emit`` is the calling process's wall time in the call, its waits for
+the helper included. Nothing here reaches the CSV or ``.meta`` files.
 
 Only ``time`` is imported, so importing this module costs no start-up time.
 """

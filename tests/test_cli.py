@@ -18,7 +18,7 @@ from modlab import (ConfigParseError, ExperimentScenario, SidebandModel, figure_
 from modlab import cli, modulation, textfmt
 from modlab.cli import (MAX_SCAN_ROWS, RunConfig, emit_trace, main, parse_config,
                         run_validate, scenario_to_config)
-from modlab.correlator import CorrelationTrace, coincidence_trace
+from modlab.correlator import CorrelationTrace, LazyTrace, coincidence_trace
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CHUNK_ROWS = 1 << 16
@@ -74,6 +74,20 @@ def test_preset_with_override():
     _, scenario = parse_config(text, command="scan")
     assert scenario.filter1.fwhm == 30.0
     assert not regime_report(scenario).valid
+
+
+@pytest.mark.parametrize("command", ["scan", "fit", "validate"])
+@pytest.mark.parametrize("text", [
+    EXPLICIT.replace("dispersion = 210 GHz/mm", "dispersion = 0 GHz/mm"),
+    "schema = 1\n[scenario]\npreset = fig4a\ndispersion = 0 GHz/mm\n",
+], ids=["explicit", "preset-override"])
+def test_zero_dispersion_is_a_config_error(tmp_path, capsys, command, text):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(text)
+    # the default slits divide by the dispersion
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: invalid scenario: dispersion must be positive"]
 
 
 @pytest.mark.parametrize("line,fragment", [
@@ -766,15 +780,20 @@ def test_main_scan_streams_the_bytes_of_the_full_trace(tmp_path, gnuplot_style):
 
 
 def test_main_scan_evaluates_and_formats_chunk_by_chunk(tmp_path, monkeypatch):
-    evaluated, formatted = [], []
+    # the spies log to files, which the helper process of emit_trace appends to as well
+    evaluated, formatted = tmp_path / "evaluated", tmp_path / "formatted"
     evaluate, format_rows = SidebandModel.evaluate, textfmt.format_rows
 
+    def log(path, sizes):
+        with open(path, "a") as fh:
+            fh.write(" ".join(map(str, sorted(sizes))) + "\n")
+
     def evaluate_spy(self, delta):
-        evaluated.append(len(delta))
+        log(evaluated, [len(delta)])
         return evaluate(self, delta)
 
     def format_spy(sep, columns, *args):
-        formatted.append({len(c) for c in columns})
+        log(formatted, {len(c) for c in columns})
         return format_rows(sep, columns, *args)
 
     monkeypatch.setattr(SidebandModel, "evaluate", evaluate_spy)
@@ -783,8 +802,97 @@ def test_main_scan_evaluates_and_formats_chunk_by_chunk(tmp_path, monkeypatch):
     cfg.write_text(CLIPPED_BOTH_ENDS)
     assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
     chunk = cli._EMIT_CHUNK_ROWS
-    assert evaluated == [chunk, chunk, 3]
-    assert formatted == [{chunk}, {chunk}, {3}]
+    for path in (evaluated, formatted):
+        assert sorted(map(int, path.read_text().split())) == [3, chunk, chunk]
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _chunk_raising(monkeypatch, parity, exc):
+    """Make ``LazyTrace.chunk`` raise ``exc`` on every chunk after the
+    first two whose index has ``parity``: odd chunks are the helper's."""
+    chunk = LazyTrace.chunk
+
+    def failing(self, start, stop):
+        k = start // cli._EMIT_CHUNK_ROWS
+        if k >= 2 and k % 2 == parity:
+            raise exc
+        return chunk(self, start, stop)
+
+    monkeypatch.setattr(LazyTrace, "chunk", failing)
+
+
+@pytest.mark.parametrize("parity, message", [
+    (1, "the helper process writing {out} exited with status 1"),
+    (0, "disk gone"),
+], ids=["helper", "parent"])
+def test_main_scan_failing_emit_process_exits_3(tmp_path, capsys, monkeypatch, parity, message):
+    # the helper's error is its exit status; the parent's own error is its own
+    _chunk_raising(monkeypatch, parity, RuntimeError("boom") if parity else OSError("disk gone"))
+    cfg, out = tmp_path / "scan.cfg", tmp_path / "out.csv"
+    cfg.write_text(MULTI_CHUNK)
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 3
+    # a helper that returned into the caller would run this line too
+    with open(tmp_path / "returned", "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    assert (tmp_path / "returned").read_text() == f"{os.getpid()}\n"
+    assert capsys.readouterr().err.splitlines() == [f"i/o error: {message.format(out=out)}"]
+    _assert_no_child_process()
+
+
+def test_emit_trace_leaves_no_child_process(tmp_path):
+    trace = _fig4a_trace(-150.0, 150.0, 3 * cli._EMIT_CHUNK_ROWS)
+    emit_trace(trace, tmp_path / "out.csv")
+    _assert_no_child_process()
+    if os.path.exists("/dev/full"):
+        with pytest.raises(OSError):
+            emit_trace(trace, "/dev/full")
+        _assert_no_child_process()
+
+
+@pytest.mark.parametrize("n_rows, cpus", [(256, {0, 1}), (3 * 256, {0}), (3 * 256, None)],
+                         ids=["one chunk", "one cpu", "no affinity call"])
+def test_emit_trace_forks_only_for_chunks_and_cpus_to_share(tmp_path, monkeypatch, n_rows, cpus):
+    def no_fork():
+        raise AssertionError("emit_trace forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(cli, "_EMIT_CHUNK_ROWS", 256)
+    trace = _fig4a_trace(-150.0, 150.0, n_rows)
+    out = tmp_path / "out.csv"
+    emit_trace(trace, out)
+    assert out.read_bytes() == _reference_bytes(_value_texts(trace))
+
+
+@pytest.mark.parametrize("n_rows", [2 * 100, 5 * 100, 6 * 100 + 1, 7 * 100 + 1],
+                         ids=["2 chunks", "5 chunks", "7 chunks", "8 chunks"])
+@pytest.mark.parametrize("gnuplot_style", [False, True])
+def test_emit_trace_in_turns_matches_row_reference(tmp_path, monkeypatch, n_rows,
+                                                   gnuplot_style):
+    # the turn order is the same at any chunk size; 100-row chunks keep it cheap
+    monkeypatch.setattr(cli, "_EMIT_CHUNK_ROWS", 100)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    trace = _fig4a_trace(-150.0, 150.0, n_rows)
+    out = tmp_path / "out.csv"
+    emit_trace(trace, out, gnuplot_style=gnuplot_style)
+    assert out.read_bytes() == _reference_bytes(_value_texts(trace), gnuplot_style)
+    assert len(forks) == 1
+    _assert_no_child_process()
 
 
 def test_main_scan_memory_does_not_grow_with_rows(tmp_path):
