@@ -518,12 +518,18 @@ def _write_rows(fh, trace, sep):
         return write_chunks(0, 1, None)
     fh.flush()      # the helper's copy of fh starts with an empty buffer
     to_helper, to_parent = os.pipe(), os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12+ warns when a process with other threads forks, such as
-        # numpy's OpenBLAS pool. The helper only runs numpy ufuncs and writes
-        # bytes: it makes no BLAS call and takes no lock those threads hold.
-        warnings.filterwarnings("ignore", ".* use of fork", DeprecationWarning)
-        pid = os.fork()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with other threads forks, such as
+            # numpy's OpenBLAS pool. The helper only runs numpy ufuncs and writes
+            # bytes: it makes no BLAS call and takes no lock those threads hold.
+            warnings.filterwarnings("ignore", ".* use of fork", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        # no helper (EAGAIN, ENOMEM): this process writes every chunk, same bytes
+        for fd in (*to_helper, *to_parent):
+            os.close(fd)
+        return write_chunks(0, 1, None)
     # each process closes its copy of the write end of the pipe it reads, so
     # that it reads end of file once the other has ended; it keeps the read
     # end of the pipe it writes, so that passing the turn never fails
@@ -577,7 +583,8 @@ def emit_trace(trace, path, scenario=None, gnuplot_style=False):
     before, so the bytes are those of one process writing every chunk. No
     chunk is kept beyond the one each process is writing, and no temporary
     file or thread is used. Every other trace, a 601-row ``figure`` among
-    them, is written by this process alone, without a fork.
+    them, is written by this process alone, without a fork; so is a trace
+    whose fork fails (EAGAIN or ENOMEM), after the pipes are closed.
 
     The helper prints nothing and always ends in ``os._exit``: status 0
     once its chunks are written, or once this process ended first, and 1 on

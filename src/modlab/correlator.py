@@ -48,8 +48,12 @@ _GL3_NODES = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
 _GL3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
 _INT64_LIMIT = 2.0 ** 63
 _MIN_WINDOW_SAMPLES = 24     # samples an interior window needs in sideband_areas
-# points of the full tier's offset grid; one window's 301-row complex block is then 79 MB
+# points of the full tier's offset grid; a kernel block of the full tier
+# holds at most _KERNEL_BLOCK_POINTS floats (128 kB), so at this limit one
+# distinct row offset, and its (offset x window) table one float per
+# distinct row offset and window
 MAX_OFFSET_POINTS = 2 ** 14
+_KERNEL_BLOCK_POINTS = 2 ** 14
 
 FWHM_CONVENTIONS = ("intensity", "field")
 CLIPPING_MESSAGE = ("delta samples beyond the modulator truncation support; "
@@ -291,24 +295,25 @@ def singles_rate(amps, mod, filt: GaussianFilter, convention: str = "intensity")
             f"filter passband shifted by sideband k={ks[uncovered.argmax()]} lies outside "
             "the amplitude grid")
     # the passband of sideband j is split at nodes first[j]..stop[j]-1, the
-    # nodes strictly inside it, into counts[j] pieces; piece i of sideband j
-    # runs from node first[j]+i-1 (lo for i = 0) to node first[j]+i (hi last)
+    # nodes strictly inside it, into counts[j] pieces; piece i of sideband j,
+    # row starts[j]+i, runs from node first[j]+i-1 (lo for i = 0) to node
+    # first[j]+i (hi for the last); first[j] >= 1 and stop[j] < len(nodes)
     first = np.searchsorted(nodes, los, side="right")
     stop = np.searchsorted(nodes, his, side="left")
     counts = stop - first + 1
     ends = np.cumsum(counts)
-    owner = np.repeat(np.arange(len(ks)), counts)
-    piece = np.arange(ends[-1]) - (ends - counts)[owner]
-    node = first[owner] + piece
-    left = np.where(piece == 0, los[owner], nodes[node - 1])
-    right = np.where(piece == counts[owner] - 1, his[owner], nodes[node])
+    starts = ends - counts
+    node = np.arange(ends[-1]) + np.repeat(first - starts, counts)
+    left, right = nodes.take(node - 1), nodes.take(node)
+    left[starts], right[ends - 1] = los, his
     half = 0.5 * (right - left)
     x = (left + half)[:, None] + half[:, None] * _GL3_NODES
     f = (np.abs(amps.b_at(x)) ** 2
-         * filt.intensity_response(x + shifts[owner][:, None] - center))
+         * filt.intensity_response(x + np.repeat(shifts, counts)[:, None] - center))
+    rule = f @ _GL3_WEIGHTS
     total = 0.0
-    for p, start, end in zip(ps, ends - counts, ends):
-        total += p * float(half[start:end] @ (f[start:end] @ _GL3_WEIGHTS))
+    for p, start, end in zip(ps, starts, ends):
+        total += p * float(half[start:end] @ rule[start:end])
     return total / (4.0 * np.pi)
 
 
@@ -515,15 +520,31 @@ def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
     still raises ``DomainError`` in ``a_at`` or ``b_at``. Sampled and
     flat-band amplitudes take the same product, since ``a_at`` and ``b_at``
     give flat amplitudes as constant samples; the k-sum then equals
-    A0 B0 s_n to round-off. ``summed`` times H1 is formed once; g is then
-    built one window at a time, for that window's samples only, and
-    reduced to its row sums before the next window. Every row goes through
-    the floating-point operations of a row-by-row evaluation, so the paired
-    column keeps its bits, and no (rows x u) array is held for the whole
-    axis. Under ``tracemalloc`` a first call on the sampled-amplitude test
-    crystal, model build included, peaks at 0.85 MB over 301 rows and
-    1.87 MB over 1201 rows; built for all rows at once, g
-    alone would take 1.31 and 5.25 MB on the 273-point offset grid.
+    A0 B0 s_n to round-off.
+
+    H2 is real, so |g(u)|^2 = |W_n(u)|^2 |H2(xi - u)|^2 exactly, with
+    W_n = summed_n H1 and xi = n w_m - delta. |W_n|^2 is formed once per
+    window, and the real kernel |H2(xi - u)|^2 (``intensity_response`` of
+    filter 2) once per distinct row offset xi, found with ``np.unique``. The
+    kernel is built in blocks of at most ``_KERNEL_BLOCK_POINTS`` (2^14)
+    floats, and each block goes through one real matrix product with the
+    |W_n|^2 rows into an (offset x window) table of row sums, whose
+    (xi, n) entry each kept row reads. An axis whose step divides w_m
+    repeats its offsets: ``checks.TIER_AXIS`` has 30 in 301 rows, so the
+    kernel takes a tenth of the points of one row per sample. Against the
+    row-by-row sum of the complex |g|^2, the paired column differs by at
+    most 4.3e-16 of its peak on the four presets, ``out_of_regime.cfg``
+    and the sampled-amplitude test crystal, on that axis and on a
+    1201-row axis whose offsets do not repeat.
+
+    No (rows x u) array is held for the whole axis, and the kernel's memory
+    does not grow with the axis. Under ``tracemalloc`` a first call on the
+    sampled-amplitude test crystal, model build included, peaks at
+    0.52 MiB over 301 rows and 0.65 MiB over 1201 rows of repeating
+    offsets, and at 0.75 MiB over 1201 and 1.97 MiB over 10^4 rows whose
+    offsets do not repeat. Building the complex g one window at a time
+    instead peaks at 0.81, 1.78, 1.78 and 11.28 MiB, and a kernel built
+    without blocks at 5.39 and 43.3 MiB on the two non-repeating axes.
 
     Samples beyond the composed support get a zero paired term, as in
     ``coincidence_trace``; ``scenario.model.clips`` reports them.
@@ -533,18 +554,18 @@ def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
     exactly du/(8 pi) sum_u |g(u)|^2, which is the paired rate. The gate is
     long compared to the kernel decay, so the paired integral is ungated;
     the gate enters only the accidental floor. The sum matches the former
-    4096-point delay transform integrated by the trapezoid rule to 6.2e-15
+    4096-point delay transform integrated by the trapezoid rule to 6.5e-15
     relative on flat-band scenarios and 1.3e-13 on sampled amplitudes.
     """
     delta = np.asarray(delta_axis, dtype=float)
-    omega_m = scenario.omega_m
     amps = scenario.amplitudes
     c1 = scenario.filter1.center
 
     model = scenario.model
-    n_idx, clipped, _, _ = model.window(delta)
-    kept = ~clipped
-    distinct, which = np.unique(n_idx[kept], return_inverse=True)
+    n_idx, clipped, _, offset = model.window(delta)
+    rows = np.flatnonzero(~clipped)
+    distinct, which = np.unique(n_idx[rows], return_inverse=True)
+    xi, at = np.unique(offset[rows], return_inverse=True)
 
     u = _omega_offsets(scenario)
     du = u[1] - u[0]
@@ -552,7 +573,7 @@ def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
     q, r = scenario.mod1, scenario.mod2
     keep = _kept_sidebands(q)
     ks = q.k_values[keep]
-    shift = ks[:, None] * omega_m
+    shift = ks[:, None] * scenario.omega_m
     a_freq = c1 + u - shift
     b_freq = scenario.pump_frequency - c1 - u + shift
     # r_{n-k}, zero beyond channel 2's support
@@ -561,14 +582,15 @@ def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
                     r.coeffs[np.clip(j, 0, len(r.coeffs) - 1)], 0.0)
     summed = (q.coeffs[keep] * r_nk) @ (amps.a_at(a_freq) * amps.b_at(b_freq))
 
-    weighted = summed * scenario.filter1.field_response(u)
-    rows = np.flatnonzero(kept)
+    # |W_n(u)|^2 per window; H2 is real, so |g|^2 = |W_n(u)|^2 |H2(xi - u)|^2
+    power = np.square(np.abs(summed * scenario.filter1.field_response(u)))
+    table = np.empty((len(xi), len(distinct)))
+    block = max(1, _KERNEL_BLOCK_POINTS // len(u))
+    for lo in range(0, len(xi), block):
+        kernel = scenario.filter2.intensity_response(xi[lo:lo + block, None] - u)
+        np.matmul(kernel, power.T, out=table[lo:lo + block])
     paired = np.zeros_like(delta)
-    for w, (n, weighted_n) in enumerate(zip(distinct, weighted)):
-        at = rows[which == w]
-        xi = n * omega_m - delta[at]
-        g = weighted_n * scenario.filter2.field_response(xi[:, None] - u)
-        paired[at] = (du / (8.0 * np.pi)) * np.sum(np.square(np.abs(g)), axis=1)
+    paired[rows] = (du / (8.0 * np.pi)) * table[at, which]
     accidental_arr = np.full_like(delta, model.accidental)
     return CorrelationTrace(delta_axis=delta, paired=paired,
                             accidental=accidental_arr, total=paired + accidental_arr,

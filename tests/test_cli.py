@@ -1,5 +1,6 @@
 """Config parsing, output emission, validation command and exit codes."""
 
+import errno
 import functools
 import json
 import math
@@ -892,6 +893,32 @@ def test_emit_trace_in_turns_matches_row_reference(tmp_path, monkeypatch, n_rows
     emit_trace(trace, out, gnuplot_style=gnuplot_style)
     assert out.read_bytes() == _reference_bytes(_value_texts(trace), gnuplot_style)
     assert len(forks) == 1
+    _assert_no_child_process()
+
+
+def test_emit_trace_writes_alone_when_the_fork_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_EMIT_CHUNK_ROWS", 100)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pipes = []
+    pipe = os.pipe
+
+    def recorded_pipe():
+        pipes.extend(pipe())
+        return tuple(pipes[-2:])
+
+    def failing_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    trace = _fig4a_trace(-150.0, 150.0, 5 * 100)
+    out = tmp_path / "out.csv"
+    emit_trace(trace, out)
+    assert out.read_bytes() == _reference_bytes(_value_texts(trace))
+    assert len(pipes) == 4
+    for fd in pipes:
+        with pytest.raises(OSError):
+            os.fstat(fd)
     _assert_no_child_process()
 
 

@@ -652,22 +652,52 @@ def _out_of_regime_scenario():
     return parse_config(path.read_text(), "validate")[1]
 
 
+def _distinct_offset_axis(rows):
+    """A 301 GHz axis on which no two rows share an offset n w_m - delta: for
+    1201 and 10^4 rows, its step 301/(rows - 1) GHz spans a multiple of the
+    30 GHz drive only across 36000 rows or more."""
+    return np.linspace(-151.0, 150.0, rows)
+
+
 # fig3a's single window leaves most of the axis clipped; the flat-band cases
-# reach the same k-sum as the sampled crystal
+# reach the same k-sum as the sampled crystal. TIER_AXIS has 30 distinct
+# offsets in 301 rows; the "distinct offsets" axis has one per row.
 @pytest.mark.parametrize("case", ["fig3a", "fig3b", "fig4a", "fig4b", "out_of_regime",
-                                  "sampled"])
+                                  "sampled", "fig4a-distinct-offsets",
+                                  "sampled-distinct-offsets"])
 def test_full_tier_matches_the_row_loop(case):
     if case == "out_of_regime":
         scn = _out_of_regime_scenario()
-    elif case == "sampled":
+    elif case.startswith("sampled"):
         scn = _sampled_tier_scenario()
     else:
-        scn = figure_preset(case)
-    delta = np.arange(-150.0, 151.0, 1.0)
+        scn = figure_preset(case.split("-")[0])
+    if case.endswith("distinct-offsets"):
+        delta = _distinct_offset_axis(1201)
+        assert len(np.unique(scn.model.window(delta)[3])) == len(delta)
+    else:
+        delta = checks.TIER_AXIS
     reference = _coincidence_full_reference(scn, delta)
     full = coincidence_full(scn, delta)
-    # one matrix product reassociates the k-sums of the per-window products
+    # |g|^2 = |W_n|^2 |H2|^2 in one matrix product per kernel block
+    # reassociates the row sums and the k-sums of the per-window products
     assert np.max(np.abs(full.paired - reference)) <= 1e-14 * reference.max()
+
+
+@pytest.mark.parametrize("case", ["fig4a", "sampled"])
+def test_full_tier_evaluates_one_kernel_row_per_distinct_offset(monkeypatch, case):
+    scn = _sampled_tier_scenario() if case == "sampled" else figure_preset("fig4a")
+    scn.model   # the singles rates, which evaluate |H|^2 too, are integrated here
+    points = []
+    response = GaussianFilter.intensity_response
+
+    def spy(self, offset):
+        points.append(np.size(offset))
+        return response(self, offset)
+
+    monkeypatch.setattr(GaussianFilter, "intensity_response", spy)
+    coincidence_full(scn, checks.TIER_AXIS)
+    assert sum(points) == 30 * len(_omega_offsets(scn))
 
 
 @pytest.mark.parametrize("case", ["sampled", "fig4a"])
@@ -702,13 +732,21 @@ def test_full_tier_grid_spans_filter_one_alone(omega_m):
     assert u[-1] == -u[0] == 8.0 * scn.filter1.intensity_sigma()
 
 
-# rows of the delta axis, and a bound in bytes on the traced peak of one
-# full-tier call: at 301 rows, the (rows x u) complex array that the full
-# tier once held for the whole axis on a 414-point grid (301 x 414 x 16 B)
-@pytest.mark.parametrize("rows, bound", [(301, 301 * 414 * 16), (1201, 4e6)])
-def test_full_tier_peak_memory_is_one_window_at_a_time(rows, bound):
+# rows of the delta axis, whether its offsets repeat, and a bound in bytes
+# on the traced peak of one full-tier call, model build included: at 301
+# rows, the (rows x u) complex array that the full tier once held for the
+# whole axis on a 414-point grid (301 x 414 x 16 B); on axes whose offsets
+# do not repeat, the peaks of the per-window complex loop that the offset
+# table replaced, measured under pytest (1.78 and 11.28 MiB)
+@pytest.mark.parametrize("rows, distinct, bound", [
+    pytest.param(301, False, 301 * 414 * 16, id="301-1993824"),
+    pytest.param(1201, False, 4e6, id="1201-4000000.0"),
+    pytest.param(1201, True, 1.78 * 2 ** 20, id="1201-distinct-offsets"),
+    pytest.param(10 ** 4, True, 11.28 * 2 ** 20, id="10000-distinct-offsets"),
+])
+def test_full_tier_peak_memory_is_one_window_at_a_time(rows, distinct, bound):
     scn = _sampled_tier_scenario()
-    delta = np.linspace(-150.0, 150.0, rows)
+    delta = _distinct_offset_axis(rows) if distinct else np.linspace(-150.0, 150.0, rows)
     assert len(_omega_offsets(scn)) == 273
     tracemalloc.start()
     try:

@@ -63,7 +63,7 @@ PASS accidental_floor tail_fraction=2.107e-12
 """
 # run name -> (extra argv, the last two stdout lines)
 VALIDATE_TAILS = {
-    "default": ([], "PASS tier_agreement rel_rms=6.448e-15\nOK 15 checks, 0 failures\n"),
+    "default": ([], "PASS tier_agreement rel_rms=6.408e-15\nOK 15 checks, 0 failures\n"),
     "out_of_regime": (["--config", str(CONFIGS / "out_of_regime.cfg")],
                       "SKIP tier_agreement out-of-regime (ratios=1.00,37.50)\n"
                       "OK 15 checks, 0 failures\n"),
