@@ -4,7 +4,8 @@ Modules by concern: crystal propagation (``spdc_core``), modulator
 coefficient algebra (``modulation``), singles and coincidence models
 (``correlator``), experiment bundles, presets, synthetic data and fitting
 (``scenario``), the invariant suite behind ``modlab validate``
-(``checks``), and the command-line front end (``cli``).
+(``checks``), and the command-line front end (``cli``), the one module
+that opens files.
 """
 
 __version__ = "0.1.0"
@@ -15,8 +16,7 @@ from .correlator import (CorrelationTrace, GaussianFilter, H2Profile, LazyTrace,
 from .errors import (ConfigParseError, ConfigurationError, ConvergenceError,
                      DomainError, FitError, ModlabError, ResolutionError)
 from .modulation import (ModulatorSpectrum, bessel_j_sequence, bessel_j_series,
-                         coeffs_from_waveform, compose_nonlocal, read_phase_waveform,
-                         sinusoidal_coeffs)
+                         coeffs_from_waveform, compose_nonlocal, sinusoidal_coeffs)
 from .scenario import (ExperimentScenario, FitResult, RegimeReport, figure_preset,
                        fit_scale, reference_scenario, regime_report, synthesize_counts)
 from .spdc_core import (CrystalProfile, FrequencyGrid, SpectralAmplitudes,
@@ -30,7 +30,7 @@ __all__ = [
     "propagate_envelopes", "analytic_amplitudes", "amplitudes_from_rate",
     "ModulatorSpectrum", "bessel_j_sequence",
     "bessel_j_series", "sinusoidal_coeffs", "coeffs_from_waveform",
-    "read_phase_waveform", "compose_nonlocal",
+    "compose_nonlocal",
     "GaussianFilter", "H2Profile", "SidebandModel", "CorrelationTrace", "LazyTrace",
     "UniformAxis",
     "singles_rate", "h2_profile", "coincidence_trace", "coincidence_full",

@@ -50,7 +50,10 @@ the other per-key errors and before any rule that relates keys or sections.
 
 Exit codes: 0 success, 1 validation/fit failure, 2 configuration error (an
 unreadable ``--config`` or waveform file included), 3 I/O failure on an
-output file or the fit-data file. A ``[scan]`` section without all three
+output file or the fit-data file. Every input file is read by
+``_read_text``: a config, fit-data or waveform file that is not UTF-8 text
+is a configuration error, named in one line with the offset of its first
+bad byte. A ``[scan]`` section without all three
 keys or a ``[figure]`` section without ``case`` (a bare header included), a
 ``[scenario]`` header with neither a preset nor the explicit keys, a scan
 axis longer than ``MAX_SCAN_ROWS`` rows, a scan axis whose span or row count
@@ -121,7 +124,7 @@ from .correlator import (CLIPPING_MESSAGE, FWHM_CONVENTIONS, GaussianFilter, Laz
                          UniformAxis, intensity_filter)
 from .errors import (ConfigParseError, ConfigurationError, DomainError, FitError,
                      ModlabError, ResolutionError)
-from .modulation import coeffs_from_waveform, read_phase_waveform, sinusoidal_coeffs
+from .modulation import coeffs_from_waveform, sinusoidal_coeffs
 from .scenario import (FIGURE_CASES, ExperimentScenario, figure_preset, fit_scale,
                        synthesize_counts)
 from .spdc_core import SpectralAmplitudes
@@ -630,34 +633,84 @@ def emit_trace(trace, path, scenario=None, gnuplot_style=False):
 
 
 # ---------------------------------------------------------------------------
-# entry point
+# input files
 # ---------------------------------------------------------------------------
 
-def _read_counts_csv(path):
-    deltas = []
-    counts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "delta_ghz,counts":
-            raise ConfigurationError(
-                f"fit data file must start with 'delta_ghz,counts' (got '{header}')")
-        for lineno, raw in enumerate(fh, start=2):
-            text = raw.strip()
-            if not text:
-                continue
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise ConfigurationError(f"{path}:{lineno}: expected two CSV columns")
-            try:
-                delta, count = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise ConfigurationError(f"{path}:{lineno}: non-numeric value") from exc
-            if not (math.isfinite(delta) and math.isfinite(count)):
-                raise ConfigurationError(f"{path}:{lineno}: non-finite value")
-            deltas.append(delta)
-            counts.append(count)
-    return np.asarray(deltas), np.asarray(counts)
+def _read_text(path):
+    """The text of the file at ``path``, its line ends read as text mode
+    reads them: CR LF and a lone CR become LF (universal newlines), so that
+    splitting at LF numbers the lines as iterating over the open file would.
 
+    Every file a command reads comes through here. Bytes that are not UTF-8
+    raise ``ConfigurationError`` naming the file and the offset of the
+    first bad byte. An ``OSError`` passes to the caller, which reports it
+    with its own exit code.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _float_pairs(path, lines, first, sep, columns):
+    """The two columns of finite floats in ``lines``, numbered from ``first``.
+
+    Each line is stripped, and a blank one is skipped; any other must split
+    at ``sep`` (None: at whitespace) into two finite floats. An error names
+    ``path`` and the line; ``columns`` says what the two columns are.
+    """
+    values = []
+    for lineno, raw in enumerate(lines, start=first):
+        text = raw.strip()
+        if not text:
+            continue
+        parts = text.split(sep)
+        if len(parts) != 2:
+            raise ConfigurationError(f"{path}:{lineno}: expected two {columns}")
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}:{lineno}: non-numeric value") from exc
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ConfigurationError(f"{path}:{lineno}: non-finite value")
+        values += x, y
+    return np.array(values, dtype=float).reshape(-1, 2).T.copy()
+
+
+def read_phase_waveform(path) -> np.ndarray:
+    """Load one period of a phase drive from a two-column text file.
+
+    Columns: time as a fraction of the period, phase in radians. Rows must
+    start at 0 and be uniformly spaced (j/N for N rows); '#' comments and
+    blank lines are ignored. Returns the phase samples for
+    ``modulation.coeffs_from_waveform``.
+    """
+    lines = (line.split("#", 1)[0] for line in _read_text(path).split("\n"))
+    times, phases = _float_pairs(path, lines, 1, None, "columns (time_fraction phase_radians)")
+    n = len(times)
+    if n < 64:
+        raise ConfigurationError("waveform file needs at least 64 samples per period")
+    if np.max(np.abs(times - np.arange(n) / n)) > 1e-9:
+        raise ConfigurationError(
+            "waveform times must be uniform fractions of the period: 0, 1/N, ..., (N-1)/N")
+    return phases
+
+
+def _read_counts_csv(path):
+    header, *rows = _read_text(path).split("\n")
+    header = header.strip()
+    if header != "delta_ghz,counts":
+        raise ConfigurationError(
+            f"fit data file must start with 'delta_ghz,counts' (got '{header}')")
+    return _float_pairs(path, rows, 2, ",", "CSV columns")
+
+
+# ---------------------------------------------------------------------------
+# entry point
+# ---------------------------------------------------------------------------
 
 def _require(value, message):
     if value is None:
@@ -769,8 +822,7 @@ def _run_config(args):
     file, if any, then the command-line overrides."""
     if args.config is not None:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            text = _read_text(args.config)
         except OSError as exc:
             raise ConfigurationError(f"cannot read config file: {exc}") from exc
         run, scenario = parse_config(text, command=args.command)

@@ -5,7 +5,9 @@ function ``m(t) = sum_k q_k exp(-i k w_m t)``; pure phase modulation forces
 ``sum |q_k|^2 = 1``. For a sinusoidal drive of depth ``d`` the coefficients
 are Bessel functions, ``q_k = J_k(-d)``, with a drive-phase offset entering
 as ``q_k -> q_k exp(-i k phi)``. Arbitrary periodic drives are ingested by
-sampling one period of the phase and taking a DFT of ``exp(i phi(t))``.
+sampling one period of the phase and taking a DFT of ``exp(i phi(t))``; the
+module takes the samples as an array and opens no file (``modlab.cli``
+reads a waveform file with ``read_phase_waveform``).
 
 Two modulators acting on the two photons of an energy-conserving pair act
 on the joint frequency correlation as one modulator driven by the summed
@@ -22,7 +24,6 @@ normalization; an independent power-series evaluator, elementwise over
 arrays of orders and arguments, is provided as the verification oracle.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +133,8 @@ class ModulatorSpectrum:
     drive_phase: float | None = None
 
     def __post_init__(self):
-        if self.omega_m <= 0:
+        # a negated comparison, so that NaN fails it too
+        if not self.omega_m > 0:
             raise ConfigurationError("modulator drive frequency must be positive")
         object.__setattr__(self, "coeffs", read_only_copy(self.coeffs, complex))
         if self.coeffs.ndim != 1 or len(self.coeffs) % 2 != 1:
@@ -227,43 +229,6 @@ def coeffs_from_waveform(phase_samples, omega_m: float) -> ModulatorSpectrum:
     # the quarter-period origin shift multiplies q_k by i**k
     coeffs = np.array((1.0, 1.0j, -1.0, -1.0j))[k_idx % 4] * fhat[k_idx % n]
     return ModulatorSpectrum(omega_m=omega_m, coeffs=coeffs)
-
-
-def read_phase_waveform(path) -> np.ndarray:
-    """Load one period of a phase drive from a two-column text file.
-
-    Columns: time as a fraction of the period, phase in radians. Rows must
-    start at 0 and be uniformly spaced (j/N for N rows); '#' comments and
-    blank lines are ignored. Returns the phase samples for
-    ``coeffs_from_waveform``.
-    """
-    times = []
-    phases = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected two columns (time_fraction phase_radians)")
-            try:
-                time, phase = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise ConfigurationError(f"{path}:{lineno}: non-numeric value") from exc
-            if not (math.isfinite(time) and math.isfinite(phase)):
-                raise ConfigurationError(f"{path}:{lineno}: non-finite value")
-            times.append(time)
-            phases.append(phase)
-    n = len(times)
-    if n < 64:
-        raise ConfigurationError("waveform file needs at least 64 samples per period")
-    expected = np.arange(n) / n
-    if np.max(np.abs(np.asarray(times) - expected)) > 1e-9:
-        raise ConfigurationError(
-            "waveform times must be uniform fractions of the period: 0, 1/N, ..., (N-1)/N")
-    return np.asarray(phases, dtype=float)
 
 
 def compose_nonlocal(q: ModulatorSpectrum, r: ModulatorSpectrum) -> ModulatorSpectrum:

@@ -115,7 +115,8 @@ class CrystalProfile:
             raise ConfigurationError("kappa and delta_k must be 1-d samples")
         if self.kappa.shape != self.delta_k.shape:
             raise ConfigurationError("kappa and delta_k sample counts differ")
-        if self.length <= 0:
+        # a negated comparison, so that NaN fails it too
+        if not self.length > 0:
             raise ConfigurationError("crystal length must be positive")
 
     @classmethod
@@ -202,8 +203,6 @@ class SpectralAmplitudes:
             return False
         if self.is_flat and other.is_flat:
             return True
-        if self.is_flat != other.is_flat:
-            return False
         return bool(np.array_equal(self.a, other.a) and np.array_equal(self.b, other.b))
 
     def __hash__(self):

@@ -570,6 +570,57 @@ def test_main_rejects_non_finite_values(tmp_path, capsys, command, text, argv, d
     assert not out.exists()
 
 
+# (command, config text, name and text of the fit-data or waveform file named
+# {data} in the config, or None when the config itself holds the bad byte);
+# each file is written as Latin-1, so its \xff is one byte that UTF-8 never has
+@pytest.mark.parametrize("command, text, name, data", [
+    pytest.param("validate", "schema = 1\n# caf\xff\n[scenario]\npreset = fig4a\n", None,
+                 None, id="config"),
+    pytest.param("fit", MINIMAL + "[fit]\ndata = {data}\n", "counts.csv",
+                 _fit_data("-4.0,9\xff"), id="fit data"),
+    pytest.param("scan", MINIMAL + "mod1_waveform = {data}\n", "wave.txt",
+                 _waveform("0.046875 0.\xff"), id="waveform"),
+])
+def test_main_rejects_a_file_that_is_not_utf8(tmp_path, capsys, command, text, name, data):
+    cfg = tmp_path / "bad.cfg"
+    path = cfg if name is None else tmp_path / name
+    if name is not None:
+        path.write_bytes(data.encode("latin-1"))
+    cfg.write_bytes(text.format(data=path).encode("latin-1"))
+    byte = path.read_bytes().index(b"\xff")
+    out = tmp_path / "x.out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"config error: {path}: not UTF-8 text (byte {byte})"]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# \x0c and \u2028 are whitespace within a row, not line ends as str.splitlines
+# has them; line 5 of each file is the bad one
+ROW_FILES = {
+    "fit": ("counts.csv", MINIMAL + "[fit]\ndata = {data}\n",
+            ["delta_ghz,counts", "-6.0,94\x0c", "-5.0,95\u2028", "", "-4.0,x", "-3.0,97"]),
+    "scan": ("wave.txt", MINIMAL + "mod1_waveform = {data}\n",
+             ["# time phase", "0.0 0.0\x0c", "0.015625 0.0\u2028", "", "0.03125 x"]),
+}
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("command", sorted(ROW_FILES))
+def test_main_numbers_data_lines_as_text_mode_does(tmp_path, capsys, command, end):
+    name, text, rows = ROW_FILES[command]
+    path = tmp_path / name
+    path.write_bytes(end.join(rows).encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        assert [n for n, raw in enumerate(fh, start=1) if " x" in raw or ",x" in raw] == [5]
+    cfg = tmp_path / "rows.cfg"
+    cfg.write_text(text.format(data=path))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.out")]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"config error: {path}:5: non-numeric value"]
+
+
 def test_main_scan_rejects_a_step_at_the_float_spacing(tmp_path, capsys):
     cfg = tmp_path / "fine.cfg"
     cfg.write_text(FINE_STEP_AT_1E16)
@@ -1177,6 +1228,17 @@ def test_main_validate(tmp_path, capsys):
     report = out.read_text()
     assert "PASS bessel_addition_theorem" in report
     assert report.splitlines()[-1].startswith("OK")
+
+
+@pytest.mark.parametrize("override", ["b0 = 0", "filter2_alpha_sq = 0"])
+def test_main_validate_without_coincidences_agrees_exactly(tmp_path, capsys, override):
+    # both tiers are zero on every row: exact agreement, with no 0/0 warning
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(FIG4A_VALIDATE + override + "\n")
+    assert main(["validate", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert "PASS tier_agreement rel_rms=0.000e+00" in captured.out.splitlines()
+    assert captured.err == ""
 
 
 def test_run_config_axis_requires_scan():

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modlab import (ConfigurationError, bessel_j_sequence, bessel_j_series,
-                    coeffs_from_waveform, compose_nonlocal, read_phase_waveform,
-                    sinusoidal_coeffs)
+                    coeffs_from_waveform, compose_nonlocal, sinusoidal_coeffs)
+from modlab.cli import read_phase_waveform
 from modlab.modulation import MAX_DEPTH, TAIL_TOL, ModulatorSpectrum
 
 J_15 = (0.5118276717359181, 0.5579365079100996, 0.2320876721442147,
@@ -273,6 +273,13 @@ def test_compose_rejects_asynchronous_drives():
     with pytest.raises(ConfigurationError):
         compose_nonlocal(sinusoidal_coeffs(1.5, 0.0, 30.0),
                          sinusoidal_coeffs(1.5, 0.0, 29.0))
+
+
+@pytest.mark.parametrize("omega_m", [math.nan, 0.0, -30.0])
+def test_spectrum_rejects_a_drive_frequency_that_is_not_positive(omega_m):
+    # NaN used to pass `omega_m <= 0`
+    with pytest.raises(ConfigurationError, match="drive frequency must be positive"):
+        ModulatorSpectrum(omega_m=omega_m, coeffs=np.array([1.0 + 0.0j]))
 
 
 def test_read_phase_waveform(tmp_path):

@@ -257,6 +257,13 @@ def test_profile_shape_validation():
         propagate_envelopes(CrystalProfile.constant(small_grid(points=5), 0.0, 0.0, 20.0), grid)
 
 
+@pytest.mark.parametrize("length", [math.nan, -math.inf])
+def test_profile_rejects_a_length_that_is_not_positive(length):
+    # NaN used to pass `length <= 0` and end propagation in an overflow message
+    with pytest.raises(ConfigurationError, match="crystal length must be positive"):
+        CrystalProfile(kappa=np.zeros(5, dtype=complex), delta_k=np.zeros(5), length=length)
+
+
 def test_minimum_step_count_enforced():
     grid = small_grid()
     with pytest.raises(ConfigurationError):
