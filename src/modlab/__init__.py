@@ -14,7 +14,7 @@ from .correlator import (CorrelationTrace, GaussianFilter, H2Profile, LazyTrace,
                          SidebandModel, UniformAxis, coincidence_full, coincidence_trace,
                          h2_profile, intensity_filter, sideband_areas, singles_rate)
 from .errors import (ConfigParseError, ConfigurationError, ConvergenceError,
-                     DomainError, FitError, ModlabError, ResolutionError)
+                     DomainError, ModlabError, ResolutionError)
 from .modulation import (ModulatorSpectrum, bessel_j_sequence, bessel_j_series,
                          coeffs_from_waveform, compose_nonlocal, sinusoidal_coeffs)
 from .scenario import (ExperimentScenario, FitResult, RegimeReport, figure_preset,
@@ -25,7 +25,7 @@ from .spdc_core import (CrystalProfile, FrequencyGrid, SpectralAmplitudes,
 __all__ = [
     "__version__",
     "ConfigParseError", "ConfigurationError", "ConvergenceError", "DomainError",
-    "FitError", "ModlabError", "ResolutionError",
+    "ModlabError", "ResolutionError",
     "FrequencyGrid", "CrystalProfile", "SpectralAmplitudes",
     "propagate_envelopes", "analytic_amplitudes", "amplitudes_from_rate",
     "ModulatorSpectrum", "bessel_j_sequence",

@@ -165,8 +165,10 @@ def tier_rel_rms(scenario, axis=TIER_AXIS):
 
     Both totals are scaled by the power of two that brings the closed
     form's maximum into [0.5, 1) before they are squared, so the squares
-    cannot overflow. Scaling by a power of two is exact, and so is its
-    effect on every square, sum, root and the final ratio; the result is
+    cannot overflow. ``np.ldexp`` scales without forming the factor, which
+    for a subnormal maximum (2^1040 and beyond) is not a float. Scaling by a
+    power of two is exact, and so is its effect on every square, sum, root
+    and the final ratio; the result is
     bit for bit the unscaled one wherever that one is finite. A closed form
     that is zero on every row gives 0 when the full tier is zero there as
     well (exact agreement, as in a scenario without pairs), and inf when it
@@ -174,9 +176,9 @@ def tier_rel_rms(scenario, axis=TIER_AXIS):
     """
     trace = coincidence_trace(scenario, axis)
     full = coincidence_full(scenario, axis)
-    scale = math.ldexp(1.0, -math.frexp(float(np.max(trace.total)))[1])
-    closed = trace.total * scale
-    error = np.sqrt(np.mean((full.total * scale - closed) ** 2))
+    exponent = -math.frexp(float(np.max(trace.total)))[1]
+    closed = np.ldexp(trace.total, exponent)
+    error = np.sqrt(np.mean((np.ldexp(full.total, exponent) - closed) ** 2))
     norm = np.sqrt(np.mean(closed ** 2))
     if norm == 0:
         return 0.0 if error == 0 else math.inf

@@ -48,12 +48,13 @@ positive; ``seed``, ``b0`` and the transmission scales nonnegative), its
 sign. A sign error is thus reported at the key's line, in file order with
 the other per-key errors and before any rule that relates keys or sections.
 
-Exit codes: 0 success, 1 validation/fit failure, 2 configuration error (an
-unreadable ``--config`` or waveform file included), 3 I/O failure on an
-output file or the fit-data file. Every input file is read by
-``_read_text``: a config, fit-data or waveform file that is not UTF-8 text
-is a configuration error, named in one line with the offset of its first
-bad byte. A ``[scan]`` section without all three
+Exit codes: 0 success, 1 a failed ``validate`` check, 2 configuration error
+(an unreadable ``--config`` or waveform file included), 3 I/O failure on an
+output file or the fit-data file. Any other ``ModlabError`` also ends with
+1 and one ``error:`` line; no input is known to reach it. Every input
+file is read by ``_read_text``: a config, fit-data or waveform file that is
+not UTF-8 text is a configuration error, named in one line with the offset
+of its first bad byte. A ``[scan]`` section without all three
 keys or a ``[figure]`` section without ``case`` (a bare header included), a
 ``[scenario]`` header with neither a preset nor the explicit keys, a scan
 axis longer than ``MAX_SCAN_ROWS`` rows, a scan axis whose span or row count
@@ -79,7 +80,7 @@ length, so the memory a scan needs does not depend on its row count: a
 ``scan`` of 10^5, 10^6 or 10^7 rows peaks at 36.3 to 37.2 MB of RSS
 (Python 3.11, numpy 2.4, x86-64 Linux), where a full-length axis took the
 10^7-row peak to 181 MB. ``fit`` builds the whole axis, because its
-least-squares solve needs it as an array.
+profile search evaluates the model on the whole array at each offset.
 
 A trace of two or more chunks (more than 16,384 rows) on a host with two
 or more CPUs is written by two processes: ``emit_trace`` forks one helper
@@ -122,8 +123,8 @@ from . import __version__, stages
 from .checks import run_validate
 from .correlator import (CLIPPING_MESSAGE, FWHM_CONVENTIONS, GaussianFilter, LazyTrace,
                          UniformAxis, intensity_filter)
-from .errors import (ConfigParseError, ConfigurationError, DomainError, FitError,
-                     ModlabError, ResolutionError)
+from .errors import (ConfigParseError, ConfigurationError, DomainError, ModlabError,
+                     ResolutionError)
 from .modulation import coeffs_from_waveform, sinusoidal_coeffs
 from .scenario import (FIGURE_CASES, ExperimentScenario, figure_preset, fit_scale,
                        synthesize_counts)
@@ -265,9 +266,14 @@ def _parse_scalar(key, kind, unit, raw, line):
 
 
 def _tokenize(text):
-    """Yield (line_number, section_or_None, key, raw_value)."""
+    """Yield (line_number, section_or_None, key, raw_value).
+
+    ``text`` comes from ``_read_text``, so lines end at LF only: a form feed
+    or U+2028 within a line is whitespace, not a line end as
+    ``str.splitlines`` has it.
+    """
     section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -775,7 +781,7 @@ def _cmd_fit(run, scenario):
         delta, counts = _read_counts_csv(run.fit_data)
         source = run.fit_data
     else:
-        # the fit needs the whole axis as an array
+        # the fit evaluates the model on the whole axis at each offset
         delta = np.asarray(run.delta_axis())
         model = _sideband_model(scenario, delta)
         counts = synthesize_counts(model.evaluate(delta), dwell=run.dwell, seed=run.seed)
@@ -857,9 +863,6 @@ def main(argv=None) -> int:
     except (ConfigParseError, ConfigurationError, DomainError, ResolutionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FitError as exc:
-        print(f"fit failed: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -21,14 +21,6 @@ class ConvergenceError(ModlabError, RuntimeError):
     """An iterative numerical scheme failed to reach its accuracy target."""
 
 
-class FitError(ModlabError, RuntimeError):
-    """Least-squares fit did not converge. Carries the best result found so far."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 class ConfigParseError(ConfigurationError):
     """Config-file syntax or schema violation. Carries the offending line number."""
 

@@ -24,6 +24,7 @@ normalization; an independent power-series evaluator, elementwise over
 arrays of orders and arguments, is provided as the verification oracle.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,7 +198,9 @@ def sinusoidal_coeffs(depth: float, drive_phase: float = 0.0,
     # J_{-k} = (-1)^k J_k
     j_k = j_pos[np.abs(k_idx)]
     coeffs = np.where((k_idx < 0) & (k_idx % 2 == 1), -j_k, j_k).astype(complex)
-    coeffs *= np.exp(-1j * k_idx * float(drive_phase))
+    # reduced mod 2 pi inside the exponential only, so that a huge phase
+    # neither overflows k * phase nor changes the stored drive_phase
+    coeffs *= np.exp(-1j * k_idx * math.remainder(float(drive_phase), 2.0 * math.pi))
     return ModulatorSpectrum(omega_m=omega_m, coeffs=coeffs,
                              depth=depth, drive_phase=float(drive_phase))
 

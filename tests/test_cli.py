@@ -13,13 +13,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from modlab import (ConfigParseError, ExperimentScenario, SidebandModel, figure_preset,
                     regime_report)
 from modlab import cli, modulation, textfmt
 from modlab.cli import (MAX_SCAN_ROWS, RunConfig, emit_trace, main, parse_config,
                         run_validate, scenario_to_config)
-from modlab.correlator import CorrelationTrace, LazyTrace, coincidence_trace
+from modlab.correlator import CLIPPING_MESSAGE, CorrelationTrace, LazyTrace, coincidence_trace
+from modlab.scenario import FIGURE_CASES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CHUNK_ROWS = 1 << 16
@@ -348,15 +350,52 @@ def test_run_validate_skips_out_of_regime():
 
 
 # the full tier's offset grid spans filter 1 alone, so its size does not
-# depend on the modulation frequency
-@pytest.mark.parametrize("omega_m", ["1e6", "1e160"])
+# depend on the modulation frequency; at 1e308 GHz the sideband frequencies
+# k * w_m overflow to inf from k = 2, which flat amplitudes never read
+@pytest.mark.parametrize("omega_m", ["1e6", "1e160", "1e308"])
 def test_main_validate_at_a_huge_modulation_frequency(capsys, tmp_path, omega_m):
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(FIG4A_VALIDATE + f"modulation_frequency = {omega_m} GHz\n")
     assert main(["validate", "--config", str(cfg)]) == 0
     out, err = capsys.readouterr()
+    assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 15 + ["OK"]
     assert out.splitlines()[-2].startswith("PASS tier_agreement rel_rms=")
     assert err == ""
+
+
+# the closed form's peak is subnormal, 5.46e-314, so the power of two that
+# scales it into [0.5, 1) is 2^1040, past the largest float
+def test_main_validate_with_a_subnormal_closed_form_peak(capsys, tmp_path):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("schema = 1\n[scenario]\npreset = fig4b\n"
+                   "filter1_alpha_sq = 5e-324\nfilter2_fwhm = 1e16 GHz\n")
+    assert main(["validate", "--config", str(cfg)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-2:] == ["PASS tier_agreement rel_rms=1.686e-07",
+                                     "OK 15 checks, 0 failures"]
+    assert err == ""
+
+
+def test_main_scan_with_a_huge_drive_phase(capsys, tmp_path):
+    # k * phase overflows unless the phase is reduced mod 2 pi first; the
+    # scenario keeps the phase as given, so its hash does not move
+    text = MINIMAL.replace("preset = fig4b", "preset = fig4a") + "mod2_phase = 1e308 rad\n"
+    cfg = tmp_path / "phase.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "phase.csv"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr() == (f"wrote 601 rows to {out}\n", "")
+    assert parse_config(text)[1].mod2.drive_phase == 1e308
+
+
+def test_main_fit_with_a_passband_narrow_against_its_center(capsys, tmp_path):
+    # the singles rate of a 0.01 GHz filter at 2.8e5 GHz comes from the closed
+    # form where the Simpson rule cannot meet its tolerance
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(MINIMAL.replace("preset = fig4b", "preset = fig3b")
+                   + "filter1_fwhm = 0.01 GHz\n")
+    assert main(["fit", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_fit_far_tail_offsets_warn_nothing(tmp_path):
@@ -597,28 +636,37 @@ def test_main_rejects_a_file_that_is_not_utf8(tmp_path, capsys, command, text, n
 
 
 # \x0c and \u2028 are whitespace within a row, not line ends as str.splitlines
-# has them; line 5 of each file is the bad one
+# has them; line 5 of each file is the bad one. Each entry: the file's name,
+# the config that names it (None: the file is the config), its rows and the
+# error reported
 ROW_FILES = {
     "fit": ("counts.csv", MINIMAL + "[fit]\ndata = {data}\n",
-            ["delta_ghz,counts", "-6.0,94\x0c", "-5.0,95\u2028", "", "-4.0,x", "-3.0,97"]),
+            ["delta_ghz,counts", "-6.0,94\x0c", "-5.0,95\u2028", "", "-4.0,x", "-3.0,97"],
+            "{path}:5: non-numeric value"),
     "scan": ("wave.txt", MINIMAL + "mod1_waveform = {data}\n",
-             ["# time phase", "0.0 0.0\x0c", "0.015625 0.0\u2028", "", "0.03125 x"]),
+             ["# time phase", "0.0 0.0\x0c", "0.015625 0.0\u2028", "", "0.03125 x"],
+             "{path}:5: non-numeric value"),
+    "validate": ("bad.cfg", None,
+                 ["schema = 1", "# note\x0cmore", "[scenario]", "preset = fig4b\u2028", "bad x"],
+                 "line 5: expected 'key = value', got 'bad x'"),
 }
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
 @pytest.mark.parametrize("command", sorted(ROW_FILES))
 def test_main_numbers_data_lines_as_text_mode_does(tmp_path, capsys, command, end):
-    name, text, rows = ROW_FILES[command]
+    name, text, rows, message = ROW_FILES[command]
     path = tmp_path / name
     path.write_bytes(end.join(rows).encode("utf-8"))
     with open(path, encoding="utf-8") as fh:
         assert [n for n, raw in enumerate(fh, start=1) if " x" in raw or ",x" in raw] == [5]
-    cfg = tmp_path / "rows.cfg"
-    cfg.write_text(text.format(data=path))
+    cfg = path
+    if text is not None:
+        cfg = tmp_path / "rows.cfg"
+        cfg.write_text(text.format(data=path))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.out")]) == 2
     err = capsys.readouterr().err
-    assert err.splitlines() == [f"config error: {path}:5: non-numeric value"]
+    assert err.splitlines() == ["config error: " + message.format(path=path)]
 
 
 def test_main_scan_rejects_a_step_at_the_float_spacing(tmp_path, capsys):
@@ -1222,6 +1270,20 @@ def test_main_fit_from_file(tmp_path):
     assert main(["fit", "--config", str(cfg)]) == 0
 
 
+def test_main_fit_ends_at_a_subnormal_modulation_frequency(tmp_path, capsys):
+    # the search's target width, 1e-12 w_m, underflows to 0 here; its step
+    # count does not depend on the width, so it ends all the same
+    data = tmp_path / "counts.csv"
+    data.write_text("delta_ghz,counts\n" + "0,10\n" * 12)
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(f"schema = 1\n[fit]\ndata = {data}\n[scenario]\npreset = fig3b\n"
+                   "modulation_frequency = 1e-320 GHz\n")
+    assert main(["fit", "--config", str(cfg)]) == 0
+    out, err = capsys.readouterr()
+    assert "iterations = 49" in out.splitlines()
+    assert err == ""
+
+
 def test_main_validate(tmp_path, capsys):
     out = tmp_path / "report.txt"
     assert main(["validate", "--out", str(out)]) == 0
@@ -1246,3 +1308,51 @@ def test_run_config_axis_requires_scan():
     from modlab import ConfigurationError
     with pytest.raises(ConfigurationError):
         run.delta_axis()
+
+
+# the keys each command's generated overrides are drawn from, with their
+# units: the number-valued [scenario] keys, and for figure, which reads no
+# [scenario] section, the [scan] keys
+_OVERRIDE_KEYS = {
+    command: {key: unit for key, (kind, unit) in cli._SECTIONS[section].items()
+              if kind == "float"}
+    for command, section in (("scan", "scenario"), ("fit", "scenario"),
+                             ("validate", "scenario"), ("figure", "scan"))}
+_OVERRIDE_VALUES = (st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e308,
+                                     1e-308, 5e-324, 1e16])
+                    | st.floats(min_value=0.01, max_value=100.0))
+
+
+@st.composite
+def _generated_configs(draw):
+    """(command, config text): a preset and one to three overrides."""
+    command = draw(st.sampled_from(sorted(_OVERRIDE_KEYS)))
+    units = _OVERRIDE_KEYS[command]
+    overrides = draw(st.dictionaries(st.sampled_from(sorted(units)), _OVERRIDE_VALUES,
+                                     min_size=1, max_size=3))
+    preset = draw(st.sampled_from(FIGURE_CASES))
+    if command == "figure":
+        axis = {"delta_min": -150.0, "delta_max": 150.0, "delta_step": 0.5, **overrides}
+        return command, (f"schema = 1\n[figure]\ncase = {preset}\n[scan]\n"
+                         + "".join(f"{key} = {value!r} GHz\n" for key, value in axis.items()))
+    head = "schema = 1\n" if command == "validate" else MINIMAL.split("[scenario]")[0]
+    lines = "".join(f"{key} = {value!r} {units[key] or ''}".rstrip() + "\n"
+                    for key, value in overrides.items())
+    return command, f"{head}[scenario]\npreset = {preset}\n{lines}"
+
+
+# every command on generated configs ends with a documented exit code, and
+# stderr holds at most the clipping warning and one line, which a failing
+# exit code needs: a config error, or an i/o error
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_generated_configs())
+def test_main_ends_cleanly_on_generated_configs(tmp_path, capsys, generated):
+    command, text = generated
+    cfg = tmp_path / "generated.cfg"
+    cfg.write_text(text)
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out.txt")])
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line != f"warning: {CLIPPING_MESSAGE}"]
+    assert code in (0, 1, 2, 3)
+    assert len(lines) == (code >= 2), err

@@ -42,7 +42,7 @@ TRACE_DIGESTS = {
                            "7b741e71eb2511fb09e9e99a2850e2e016233b96c34ffc8b8302bb25cd86a006",
                            "b532f318607cb55308912404beb0565e5d7211ae4712c5ac7a72384a27c5186a"),
 }
-FIT_DEMO_STDOUT_DIGEST = "0d1684e5a2a40785483514945e36509d8080f77e217f80507380e650dace0ba7"
+FIT_DEMO_STDOUT_DIGEST = "a8b588ea216c6e9dd98a3268b78df4fb9551bd60f74ecb9ef6cb61368229fd21"
 
 # the first 14 checks do not depend on the scenario
 VALIDATE_SHARED_LINES = """\
