@@ -16,7 +16,8 @@ from .correlator import (GaussianFilter, coincidence_full, coincidence_trace, h2
                          sideband_areas, singles_rate)
 from .modulation import (bessel_j_series, coeffs_from_waveform, compose_nonlocal,
                          sinusoidal_coeffs)
-from .scenario import FIGURE_CASES, ExperimentScenario, figure_preset, regime_report
+from .scenario import (FIGURE_CASES, REFERENCE_OMEGA_M, ExperimentScenario, figure_preset,
+                       regime_report)
 from .spdc_core import (CrystalProfile, FrequencyGrid, SpectralAmplitudes,
                         analytic_amplitudes, propagate_envelopes)
 
@@ -25,6 +26,8 @@ WIDE_AXIS = np.arange(-345.0, 345.5, 0.5)
 # WIDE_AXIS[390:991] is the +-150 GHz axis in 0.5 GHz steps, bit for bit
 _PLUS_MINUS_150 = slice(390, 991)
 TIER_AXIS = np.arange(-150.0, 151.0, 1.0)
+# RK4 steps of the reference propagation and of the analytic-oracle check
+RK4_STEPS = 256
 
 
 def bessel_recurrence_error():
@@ -39,7 +42,7 @@ def parseval_error():
     """Largest |sum_k |q_k|^2 - 1| over four sinusoidal drive depths."""
     worst = 0.0
     for depth in (0.5, 1.0, 1.5, 2.5):
-        mod = sinusoidal_coeffs(depth, 0.3, 30.0)
+        mod = sinusoidal_coeffs(depth, 0.3, REFERENCE_OMEGA_M)
         worst = max(worst, abs(mod.total_power() - 1.0))
     return worst
 
@@ -55,8 +58,8 @@ def addition_theorem_error():
     """
     depths = np.array([0.5, 1.0, 1.5, 2.5])
     phases = np.arange(12) * math.pi / 6.0
-    drives = [sinusoidal_coeffs(d2, phi, 30.0) for d2 in depths for phi in phases]
-    firsts = [sinusoidal_coeffs(d1, 0.0, 30.0) for d1 in depths]
+    drives = [sinusoidal_coeffs(d2, phi, REFERENCE_OMEGA_M) for d2 in depths for phi in phases]
+    firsts = [sinusoidal_coeffs(d1, 0.0, REFERENCE_OMEGA_M) for d1 in depths]
     composed = [compose_nonlocal(q, r) for q in firsts for r in drives]
     totals = np.abs(depths[:, None, None] + depths[:, None] * np.exp(1j * phases)).ravel()
     sizes = [len(s.coeffs) for s in composed]
@@ -70,8 +73,8 @@ def waveform_dft_error():
     """Largest coefficient difference between a sampled 1.5 rad cosine drive
     and the Bessel path."""
     theta = 2.0 * math.pi * np.arange(512) / 512
-    wav = coeffs_from_waveform(1.5 * np.cos(theta), 30.0)
-    ana = sinusoidal_coeffs(1.5, 0.0, 30.0)
+    wav = coeffs_from_waveform(1.5 * np.cos(theta), REFERENCE_OMEGA_M)
+    ana = sinusoidal_coeffs(1.5, 0.0, REFERENCE_OMEGA_M)
     span = max(wav.k_max, ana.k_max)
     wav_k, ana_k = (np.pad(mod.coeffs, span - mod.k_max) for mod in (wav, ana))
     return float(np.max(np.abs(wav_k - ana_k)))
@@ -85,7 +88,7 @@ def reference_propagation():
     kappa = 0.05 * np.exp(-detuning ** 2 / (2.0 * 150.0 ** 2))
     delta_k = 2e-5 * detuning ** 2
     profile = CrystalProfile(kappa=kappa, delta_k=delta_k, length=20.0)
-    return propagate_envelopes(profile, grid, steps=256)
+    return propagate_envelopes(profile, grid, steps=RK4_STEPS)
 
 
 def rk4_error(steps, delta_k=0.2):
@@ -102,7 +105,7 @@ def singles_error():
     """Relative error of an undriven flat-band singles rate against its closed form."""
     filt = GaussianFilter(fwhm=8.5, alpha=1.0, slit=100.0, dispersion=210.0)
     amps = SpectralAmplitudes.flat(math.sqrt(2.0), 1.0)
-    mod = sinusoidal_coeffs(0.0, 0.0, 30.0)
+    mod = sinusoidal_coeffs(0.0, 0.0, REFERENCE_OMEGA_M)
     rate = singles_rate(amps, mod, filt)
     expected = 1.0 / (4.0 * math.pi) * 8.5 * math.sqrt(math.pi / (4.0 * math.log(2.0)))
     return abs(rate - expected) / expected
@@ -132,12 +135,13 @@ def preset_traces():
 
 
 def sideband_offset(delta, paired):
-    """Largest distance in GHz of a paired-rate maximum from a multiple of 30 GHz."""
+    """Largest distance in GHz of a paired-rate maximum from a multiple of the
+    30 GHz reference drive frequency."""
     p = paired
     inner = p[1:-1]
     peak = (inner > p[:-2]) & (inner >= p[2:]) & (inner > 1e-6 * p.max())
     maxima = delta[1:-1][peak]
-    return float(np.max(np.abs(maxima - 30.0 * np.round(maxima / 30.0))))
+    return float(np.max(np.abs(maxima - REFERENCE_OMEGA_M * np.round(maxima / REFERENCE_OMEGA_M))))
 
 
 def area_spread(traces):
@@ -174,11 +178,11 @@ def tier_rel_rms(scenario, axis=TIER_AXIS):
     well (exact agreement, as in a scenario without pairs), and inf when it
     is not.
     """
-    trace = coincidence_trace(scenario, axis)
-    full = coincidence_full(scenario, axis)
-    exponent = -math.frexp(float(np.max(trace.total)))[1]
-    closed = np.ldexp(trace.total, exponent)
-    error = np.sqrt(np.mean((np.ldexp(full.total, exponent) - closed) ** 2))
+    closed = coincidence_trace(scenario, axis).total
+    full = coincidence_full(scenario, axis).total
+    exponent = -math.frexp(float(np.max(closed)))[1]
+    closed = np.ldexp(closed, exponent)
+    error = np.sqrt(np.mean((np.ldexp(full, exponent) - closed) ** 2))
     norm = np.sqrt(np.mean(closed ** 2))
     if norm == 0:
         return 0.0 if error == 0 else math.inf
@@ -201,11 +205,11 @@ def _tier_agreement(scenario):
     return _bounded("tier_agreement", tier_rel_rms(scenario), 0.01, "rel_rms")
 
 
-def run_validate(scenario: ExperimentScenario | None = None):
+def run_validate(scenario: ExperimentScenario | None):
     """Execute the invariant suite of every module; returns (exit_code, results).
 
-    The tier-agreement comparison runs on the supplied scenario (the fig4a
-    preset by default) and is skipped, not failed, when that scenario is
+    The tier-agreement comparison runs on ``scenario`` (the fig4a preset
+    when it is None) and is skipped, not failed, when that scenario is
     outside the closed-form model's validity regime.
     """
     if scenario is None:
@@ -227,8 +231,8 @@ def run_validate(scenario: ExperimentScenario | None = None):
         _bounded("unitarity_propagation", amps.unitarity_residual(), 1e-9, "max_residual"),
         _bounded("conjugate_symmetry", amps.symmetry_residual(), 1e-9, "max_residual"),
         _check("rk4_convergence", r1 >= 12.0 and r2 >= 12.0, f"ratios={r1:.1f},{r2:.1f}"),
-        _bounded("analytic_oracle_agreement", max(rk4_error(256, 0.0), rk4_error(256, 0.2)),
-                 1e-10, "max_abs_err"),
+        _bounded("analytic_oracle_agreement",
+                 max(rk4_error(RK4_STEPS, 0.0), rk4_error(RK4_STEPS, 0.2)), 1e-10, "max_abs_err"),
         _bounded("singles_closed_form", singles_error(), 1e-10, "rel_err"),
         _check("h2_lineshape", fwhm_err <= 1e-9 and peak_err <= 1e-10,
                f"fwhm_err={fwhm_err:.3e} peak_rel_err={peak_err:.3e}"),

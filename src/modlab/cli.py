@@ -48,10 +48,19 @@ positive; ``seed``, ``b0`` and the transmission scales nonnegative), its
 sign. A sign error is thus reported at the key's line, in file order with
 the other per-key errors and before any rule that relates keys or sections.
 
+``--seed`` and ``--dwell`` are the ``[run]`` keys ``seed`` and ``dwell``
+given on the command line: ``_parse_scalar`` reads their text by the key's
+kind, unit, finiteness check and ``_SIGN_RULES`` entry, and an error names
+the flag. ``--out`` and ``--config`` are paths, taken as given.
+
 Exit codes: 0 success, 1 a failed ``validate`` check, 2 configuration error
 (an unreadable ``--config`` or waveform file included), 3 I/O failure on an
-output file or the fit-data file. Any other ``ModlabError`` also ends with
-1 and one ``error:`` line; no input is known to reach it. Every input
+output file or the fit-data file. A usage error (an unknown command or
+option, a missing command, a flag without its value) is a configuration
+error as well: one ``config error:`` line and exit 2, from ``main(argv)``
+too, which returns the code rather than raising ``SystemExit``. Any other
+``ModlabError`` also ends with 1 and one ``error:`` line; no input is known
+to reach it. Every input
 file is read by ``_read_text``: a config, fit-data or waveform file that is
 not UTF-8 text is a configuration error, named in one line with the offset
 of its first bad byte. A ``[scan]`` section without all three
@@ -289,7 +298,7 @@ def _tokenize(text):
         yield lineno, section, key.strip(), value.strip()
 
 
-def parse_config(text: str, command: str = "scan"):
+def parse_config(text: str, command: str):
     """Parse a config file into a RunConfig and (when present) a scenario.
 
     Fully validated: unknown sections/keys, sections ``command`` does not
@@ -559,13 +568,14 @@ def _write_rows(fh, trace, sep):
 
 
 @stages.timed("emit")
-def emit_trace(trace, path, scenario=None, gnuplot_style=False):
+def emit_trace(trace, path, scenario, gnuplot_style):
     """Write a trace as CSV plus a sibling ``<path>.meta`` JSON file.
 
     CSV columns: delta_ghz, paired, accidental, total, n_index; 15
     significant digits, LF line endings, UTF-8. ``--gnuplot-style``
     switches to whitespace-separated columns with a '#' header. A trace
-    draws no random numbers: the ``.meta`` ``seed`` and ``dwell_s`` are null.
+    draws no random numbers: the ``.meta`` ``seed`` and ``dwell_s`` are null,
+    and so is its ``scenario_sha256`` when ``scenario`` is None.
 
     ``trace`` is a ``CorrelationTrace`` or a ``LazyTrace``; one row is
     written per sample of ``trace.delta_axis``. The output file is opened
@@ -808,16 +818,25 @@ def _cmd_validate(run, scenario):
     return code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``ConfigurationError``, so
+    that ``main`` reports each as one ``config error:`` line with exit 2."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def _argument_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="modlab",
         description="Frequency-domain correlation scans, figure presets, fits "
                     "and self-validation for modulated photon pairs.")
     parser.add_argument("command", choices=("scan", "figure", "fit", "validate"))
     parser.add_argument("--config", metavar="FILE", help="config file path")
     parser.add_argument("--out", metavar="FILE", help="output file path")
-    parser.add_argument("--seed", type=int, metavar="N", help="random seed override")
-    parser.add_argument("--dwell", type=float, metavar="S", help="dwell time override (s)")
+    # the [run] keys seed and dwell, read by _parse_scalar under the same rules
+    parser.add_argument("--seed", metavar="N", help="random seed override")
+    parser.add_argument("--dwell", metavar="S", help="dwell time override (s)")
     parser.add_argument("--gnuplot-style", action="store_true",
                         help="whitespace-separated output with a '#' header")
     return parser
@@ -836,15 +855,13 @@ def _run_config(args):
         run, scenario = RunConfig(), None
     if args.out is not None:
         run.out_path = args.out
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigurationError("--seed must be nonnegative")
-        run.seed = args.seed
-    if args.dwell is not None:
-        # a negated comparison, so that NaN fails it too
-        if not 0 < args.dwell < math.inf:
-            raise ConfigurationError("--dwell must be positive and finite")
-        run.dwell = args.dwell
+    for key in ("seed", "dwell"):
+        raw = getattr(args, key)
+        if raw is not None:
+            try:
+                setattr(run, key, _parse_scalar(key, *_SECTIONS["run"][key], raw, None))
+            except ConfigParseError as exc:
+                raise ConfigurationError(f"--{key}: {exc}") from exc
     run.gnuplot_style = args.gnuplot_style
     return run, scenario
 
@@ -852,15 +869,14 @@ def _run_config(args):
 def main(argv=None) -> int:
     """Run one command; ``stages.seconds()`` then holds its stage times."""
     stages.reset()
-    with stages.stage("parse"):
-        args = _argument_parser().parse_args(argv)
     try:
         with stages.stage("parse"):
+            args = _argument_parser().parse_args(argv)
             run, scenario = _run_config(args)
         handler = {"scan": _cmd_scan, "figure": _cmd_figure,
                    "fit": _cmd_fit, "validate": _cmd_validate}[args.command]
         return handler(run, scenario)
-    except (ConfigParseError, ConfigurationError, DomainError, ResolutionError) as exc:
+    except (ConfigurationError, DomainError, ResolutionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -192,7 +192,7 @@ def h2_profile(filter1: GaussianFilter, filter2: GaussianFilter) -> H2Profile:
 class CorrelationTrace:
     """Sampled coincidence rate versus relative frequency delta.
 
-    ``total = paired + accidental`` pointwise; ``n_index`` is the sideband
+    ``total`` is ``paired + accidental`` pointwise; ``n_index`` is the sideband
     window each sample falls in. Samples whose |n_index| lies beyond the
     truncated sideband support have a paired term of zero.
     """
@@ -200,15 +200,17 @@ class CorrelationTrace:
     delta_axis: np.ndarray
     paired: np.ndarray
     accidental: np.ndarray
-    total: np.ndarray
     n_index: np.ndarray
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.paired + self.accidental
 
     def chunk(self, start, stop):
         """Rows ``start:stop`` as a trace of their own (views, not copies)."""
         return CorrelationTrace(
             delta_axis=self.delta_axis[start:stop], paired=self.paired[start:stop],
-            accidental=self.accidental[start:stop], total=self.total[start:stop],
-            n_index=self.n_index[start:stop])
+            accidental=self.accidental[start:stop], n_index=self.n_index[start:stop])
 
 
 def sideband_index(delta, omega_m):
@@ -410,7 +412,7 @@ class SidebandModel:
         paired = c * self.h2(u)
         accidental = np.full_like(delta, self.accidental)
         return CorrelationTrace(delta_axis=delta, paired=paired, accidental=accidental,
-                                total=paired + accidental, n_index=n_idx)
+                                n_index=n_idx)
 
 
 def coincidence_trace(scenario, delta_axis) -> CorrelationTrace:
@@ -596,10 +598,8 @@ def coincidence_full(scenario, delta_axis) -> CorrelationTrace:
         np.matmul(kernel, power.T, out=table[lo:lo + block])
     paired = np.zeros_like(delta)
     paired[rows] = (du / (8.0 * np.pi)) * table[at, which]
-    accidental_arr = np.full_like(delta, model.accidental)
     return CorrelationTrace(delta_axis=delta, paired=paired,
-                            accidental=accidental_arr, total=paired + accidental_arr,
-                            n_index=n_idx)
+                            accidental=np.full_like(delta, model.accidental), n_index=n_idx)
 
 
 def sideband_areas(trace: CorrelationTrace) -> dict:

@@ -171,8 +171,7 @@ class ModulatorSpectrum:
         return hash((self.omega_m, self.depth, self.drive_phase, values_hash(self.coeffs)))
 
 
-def sinusoidal_coeffs(depth: float, drive_phase: float = 0.0,
-                      omega_m: float = 30.0) -> ModulatorSpectrum:
+def sinusoidal_coeffs(depth: float, drive_phase: float, omega_m: float) -> ModulatorSpectrum:
     """Coefficients of a sinusoidal phase modulator of the given depth.
 
     q_k = J_k(-depth) * exp(-i k drive_phase), truncated at the smallest K

@@ -149,7 +149,7 @@ def figure_preset(case: str) -> ExperimentScenario:
     raise ConfigurationError(f"unknown figure case {case!r}; expected one of {FIGURE_CASES}")
 
 
-def synthesize_counts(trace, dwell: float = 20.0, seed: int = 0) -> np.ndarray:
+def synthesize_counts(trace, dwell: float, seed: int) -> np.ndarray:
     """Poisson counts per delta sample for the given dwell time in seconds.
 
     Independent draws with mean rate*dwell from numpy's seeded PCG64
@@ -176,16 +176,17 @@ class RegimeReport:
 
     mod_to_filter: float     # drive frequency over intensity FWHM; want > 3
     filter_gate: float       # intensity FWHM (cycles/ns) times gate (ns); want > 10
-    valid: bool
+
+    @property
+    def valid(self) -> bool:
+        return self.mod_to_filter > 3.0 and self.filter_gate > 10.0
 
 
 def regime_report(scenario: ExperimentScenario) -> RegimeReport:
     """Dimensionless ratios behind the narrow-filter / long-gate assumptions."""
     gamma = min(scenario.filter1.fwhm, scenario.filter2.fwhm)
-    ratio1 = scenario.omega_m / gamma
-    ratio2 = gamma * scenario.gate_ns
-    return RegimeReport(mod_to_filter=ratio1, filter_gate=ratio2,
-                        valid=(ratio1 > 3.0 and ratio2 > 10.0))
+    return RegimeReport(mod_to_filter=scenario.omega_m / gamma,
+                        filter_gate=gamma * scenario.gate_ns)
 
 
 @dataclass(frozen=True)
@@ -210,8 +211,7 @@ class FitResult:
 
 
 @stages.timed("fit")
-def fit_scale(delta_axis, counts, scenario: ExperimentScenario,
-              dwell: float = 20.0) -> FitResult:
+def fit_scale(delta_axis, counts, scenario: ExperimentScenario, dwell: float) -> FitResult:
     """Least-squares fit of transmission scales and horizontal offset.
 
     Minimizes sum((dwell * scale * unit_rate(delta - offset) - counts)^2).

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError, DomainError
 from .numerics import read_only_copy, values_hash
 
-DEFAULT_STEPS = 256
 MAX_GRID_POINTS = 1_000_000
 _UNITARITY_HARD_LIMIT = 1e-6
 _SYMMETRY_RTOL = 1e-9
@@ -241,7 +240,7 @@ def _compose(x, y):
 
 
 def propagate_envelopes(profile: CrystalProfile, grid: FrequencyGrid,
-                        steps: int = DEFAULT_STEPS) -> SpectralAmplitudes:
+                        steps: int) -> SpectralAmplitudes:
     """Amplitudes at z=L of ``steps`` fixed steps of classical RK4 from z=0.
 
     Each conjugate pair (w, w_p - w) evolves under a 2x2 system whose

@@ -23,7 +23,7 @@ def test_run_validate_builds_six_traces(monkeypatch):
         return coincidence_trace(scenario, axis)
 
     monkeypatch.setattr(checks, "coincidence_trace", spy)
-    code, _ = checks.run_validate()
+    code, _ = checks.run_validate(None)
     assert code == 0
     # four presets on the wide axis, the offset symmetry grid, the tier axis
     assert sorted(lengths) == [301, 602, 1381, 1381, 1381, 1381]
@@ -37,7 +37,7 @@ def test_validate_sees_the_relative_phase(monkeypatch):
         return compose_nonlocal(q, ModulatorSpectrum(r.omega_m, r.coeffs.real))
 
     monkeypatch.setattr(checks, "compose_nonlocal", real_r)
-    code, results = checks.run_validate()
+    code, results = checks.run_validate(None)
     assert code == 1
     assert [line for line in results if line[1] != "PASS"] == [
         ("bessel_addition_theorem", "FAIL", "max_abs_err=4.947e-01")]

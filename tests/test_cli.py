@@ -1,5 +1,6 @@
 """Config parsing, output emission, validation command and exit codes."""
 
+import dataclasses
 import errno
 import functools
 import json
@@ -15,8 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from modlab import (ConfigParseError, ExperimentScenario, SidebandModel, figure_preset,
-                    regime_report)
+from modlab import (ConfigParseError, ConfigurationError, ConvergenceError, ExperimentScenario,
+                    FrequencyGrid, ModulatorSpectrum, SidebandModel, SpectralAmplitudes,
+                    figure_preset, regime_report)
 from modlab import cli, modulation, textfmt
 from modlab.cli import (MAX_SCAN_ROWS, RunConfig, emit_trace, main, parse_config,
                         run_validate, scenario_to_config)
@@ -192,12 +194,31 @@ def test_scenario_roundtrip_through_config():
         assert scenario_to_config(back) == text
 
 
+def _sampled_amplitudes(pump):
+    grid = FrequencyGrid(center=0.5 * pump, span=10.0, points=3, pump_frequency=pump)
+    return SpectralAmplitudes(a0=1.0, b0=0.0, grid=grid, a=np.ones(3), b=np.zeros(3))
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda scn: {"amplitudes": _sampled_amplitudes(scn.pump_frequency)},
+     "only flat-band scenarios"),
+    (lambda scn: {"amplitudes": SpectralAmplitudes.flat(scn.amplitudes.a0, 1j)},
+     "only real flat-band constants"),
+    (lambda scn: {"mod1": ModulatorSpectrum(scn.omega_m, scn.mod1.coeffs)},
+     "mod1 was not built from a sinusoidal drive"),
+], ids=["sampled amplitudes", "complex b0", "waveform mod1"])
+def test_scenario_to_config_refuses_what_config_text_cannot_hold(change, message):
+    scn = figure_preset("fig3b")
+    with pytest.raises(ConfigurationError, match=message):
+        scenario_to_config(dataclasses.replace(scn, **change(scn)))
+
+
 def test_emit_trace_csv(tmp_path):
     scn = figure_preset("fig3a")
     axis = -150.0 + 0.5 * np.arange(601)
     trace = coincidence_trace(scn, axis)
     out = tmp_path / "t.csv"
-    emit_trace(trace, out, scenario=scn)
+    emit_trace(trace, out, scenario=scn, gnuplot_style=False)
     lines = out.read_text().splitlines()
     assert lines[0] == "delta_ghz,paired,accidental,total,n_index"
     assert len(lines) == 602
@@ -212,8 +233,8 @@ def test_emit_trace_deterministic_bytes(tmp_path):
     axis = np.arange(-60.0, 60.5, 0.5)
     trace = coincidence_trace(scn, axis)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_trace(trace, a, scenario=scn)
-    emit_trace(coincidence_trace(scn, axis), b, scenario=scn)
+    emit_trace(trace, a, scenario=scn, gnuplot_style=False)
+    emit_trace(coincidence_trace(scn, axis), b, scenario=scn, gnuplot_style=False)
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.csv.meta").read_bytes() == (tmp_path / "b.csv.meta").read_bytes()
 
@@ -222,7 +243,7 @@ def test_emit_empty_trace_header_only(tmp_path):
     scn = figure_preset("fig3a")
     trace = coincidence_trace(scn, np.array([]))
     out = tmp_path / "empty.csv"
-    emit_trace(trace, out)
+    emit_trace(trace, out, scenario=None, gnuplot_style=False)
     assert out.read_text() == "delta_ghz,paired,accidental,total,n_index\n"
 
 
@@ -230,7 +251,7 @@ def test_emit_gnuplot_style(tmp_path):
     scn = figure_preset("fig3a")
     trace = coincidence_trace(scn, np.arange(-5.0, 5.5, 0.5))
     out = tmp_path / "t.dat"
-    emit_trace(trace, out, gnuplot_style=True)
+    emit_trace(trace, out, scenario=None, gnuplot_style=True)
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# delta_ghz")
     assert "," not in lines[1]
@@ -267,7 +288,7 @@ def _signed_zero_trace(n_rows):
     paired = np.zeros(n_rows)
     paired[1::2] = -0.0
     return CorrelationTrace(delta_axis=np.arange(n_rows, dtype=float), paired=paired,
-                            accidental=np.full(n_rows, -0.0), total=paired.copy(),
+                            accidental=np.full(n_rows, -0.0),
                             n_index=np.zeros(n_rows, dtype=np.int64))
 
 
@@ -300,10 +321,10 @@ def test_emit_trace_matches_row_reference_across_chunks(tmp_path, gnuplot_style)
     out = tmp_path / "out.csv"
     for name, (trace, texts) in cases.items():
         ref = _reference_bytes(texts, gnuplot_style)
-        emit_trace(trace, out, gnuplot_style=gnuplot_style)
+        emit_trace(trace, out, scenario=None, gnuplot_style=gnuplot_style)
         assert out.read_bytes() == ref, name
     # emitting the last multi-chunk trace again gives the same bytes
-    emit_trace(trace, out, gnuplot_style=gnuplot_style)
+    emit_trace(trace, out, scenario=None, gnuplot_style=gnuplot_style)
     assert out.read_bytes() == ref
 
 
@@ -311,25 +332,26 @@ def test_emit_trace_matches_row_reference_across_chunks(tmp_path, gnuplot_style)
 def test_emit_trace_write_error_raises():
     trace = _fig4a_trace(-150.0, 150.0, 4 * CHUNK_ROWS)
     with pytest.raises(OSError):
-        emit_trace(trace, "/dev/full")
+        emit_trace(trace, "/dev/full", scenario=None, gnuplot_style=False)
 
 
 @pytest.mark.parametrize("gnuplot_style", [False, True])
 def test_emit_trace_matches_row_reference_edge_values(tmp_path, gnuplot_style):
+    # the last four rows give the total column -1e22, 1.0, -5e-324 and 1e-5
     trace = CorrelationTrace(
-        delta_axis=np.array([-0.0, 5e-324, 1e22, -1.0 / 3.0]),
-        paired=np.array([0.0, -0.0, 1e-300, 2.0 / 3.0]),
-        accidental=np.array([1e22, 5e-324, 0.1, 123456789012345678.0]),
-        total=np.array([-1e22, 1.0, -5e-324, 1e-5]),
-        n_index=np.array([-3, -1, 0, 7]))
+        delta_axis=np.array([-0.0, 5e-324, 1e22, -1.0 / 3.0, -1e22, 1.0, -5e-324, 1e-5]),
+        paired=np.array([0.0, -0.0, 1e-300, 2.0 / 3.0, -1e22, 0.5, -5e-324, 1e-5]),
+        accidental=np.array([1e22, 5e-324, 0.1, 123456789012345678.0, 0.0, 0.5, -0.0, 0.0]),
+        n_index=np.array([-3, -1, 0, 7, -8, 2, -5, 9]))
+    assert trace.total[4:].tolist() == [-1e22, 1.0, -5e-324, 1e-5]
     out = tmp_path / "out.csv"
-    emit_trace(trace, out, gnuplot_style=gnuplot_style)
+    emit_trace(trace, out, scenario=None, gnuplot_style=gnuplot_style)
     assert out.read_bytes() == _reference_bytes(_value_texts(trace), gnuplot_style)
     assert out.read_text().splitlines()[1].split(" " if gnuplot_style else ",")[0] == "-0"
 
 
 def test_run_validate_all_pass():
-    code, results = run_validate()
+    code, results = run_validate(None)
     assert code == 0
     assert all(status in ("PASS", "SKIP") for _, status, _ in results)
     names = [name for name, _, _ in results]
@@ -385,7 +407,7 @@ def test_main_scan_with_a_huge_drive_phase(capsys, tmp_path):
     out = tmp_path / "phase.csv"
     assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
     assert capsys.readouterr() == (f"wrote 601 rows to {out}\n", "")
-    assert parse_config(text)[1].mod2.drive_phase == 1e308
+    assert parse_config(text, command="scan")[1].mod2.drive_phase == 1e308
 
 
 def test_main_fit_with_a_passband_narrow_against_its_center(capsys, tmp_path):
@@ -416,7 +438,7 @@ def test_run_validate_flags_corrupted_bessel(monkeypatch):
         return real(nmax, x) * (1.0 + 1e-6)
 
     monkeypatch.setattr(modulation, "bessel_j_sequence", corrupted)
-    code, results = run_validate()
+    code, results = run_validate(None)
     assert code == 1
     failed = {name for name, status, _ in results if status == "FAIL"}
     assert "bessel_addition_theorem" in failed
@@ -578,6 +600,36 @@ def _waveform(bad_line):
     pytest.param("fit", MINIMAL, ["--dwell", "nan"], None, ("--dwell",), id="--dwell nan"),
     pytest.param("fit", MINIMAL, ["--dwell", "inf"], None, ("--dwell",), id="--dwell inf"),
     pytest.param("fit", MINIMAL, ["--seed", "-1"], None, ("--seed",), id="--seed -1"),
+    # each flag is read as its [run] key: kind, unit, finiteness and sign
+    pytest.param("fit", MINIMAL, ["--seed", "1.5"], None,
+                 ("--seed: non-numeric value for key 'seed': '1.5'",), id="--seed 1.5"),
+    pytest.param("fit", MINIMAL, ["--dwell", "0"], None, ("--dwell: dwell must be positive",),
+                 id="--dwell 0"),
+    pytest.param("fit", MINIMAL, ["--dwell", "1e400"], None, ("--dwell: non-finite",),
+                 id="--dwell 1e400"),
+    pytest.param("fit", MINIMAL, ["--dwell", "20 ms"], None,
+                 ("--dwell: unit mismatch for key 'dwell': expected s, got ms",),
+                 id="--dwell 20 ms"),
+    # usage errors: one line naming the argument, not argparse's usage block
+    pytest.param("frob", MINIMAL, [], None, ("argument command: invalid choice: 'frob'",),
+                 id="unknown command"),
+    pytest.param("scan", MINIMAL, ["--bogus"], None, ("unrecognized arguments: --bogus",),
+                 id="unknown option"),
+    pytest.param("scan", MINIMAL, ["--seed"], None, ("argument --seed: expected one argument",),
+                 id="--seed without a value"),
+    # _parse_scalar's own errors, each at its key's line
+    pytest.param("scan", MINIMAL + "gate =\n", [], None,
+                 ("line 10: empty value for key 'gate'",), id="gate ="),
+    pytest.param("scan", MINIMAL.replace("preset = fig4b", "preset = fig4b fig4a"), [], None,
+                 ("line 9: key 'preset' takes a single word",), id="two-word preset"),
+    pytest.param("scan", MINIMAL + "mod1_waveform = a b\n", [], None,
+                 ("line 10: key 'mod1_waveform' takes a single token",),
+                 id="two-token mod1_waveform"),
+    pytest.param("scan", MINIMAL + "gate = 1.25 ns wide\n", [], None,
+                 ("line 10: cannot parse value '1.25 ns wide' for key 'gate'",),
+                 id="three-token gate"),
+    pytest.param("scan", MINIMAL + "gate = fast ns\n", [], None,
+                 ("line 10: non-numeric value for key 'gate': 'fast'",), id="non-numeric gate"),
     pytest.param("fit", MINIMAL, ["--dwell", "1e308"], None, ("dwell", "1e+308"),
                  id="--dwell 1e308"),
     pytest.param("fit", MINIMAL + "[run]\ndwell = 1e300 s\n", [], None, ("dwell", "1e+300"),
@@ -588,6 +640,16 @@ def _waveform(bad_line):
                  ("counts.csv:4", "non-finite"), id="nan count in fit data"),
     pytest.param("fit", MINIMAL + "[fit]\ndata = {data}\n", [], _fit_data("inf,96"),
                  ("counts.csv:4", "non-finite"), id="inf delta in fit data"),
+    pytest.param("fit", MINIMAL + "[fit]\ndata = {data}\n", [], _fit_data("-4.0,96,1"),
+                 ("counts.csv:4: expected two CSV columns",), id="three columns in fit data"),
+    pytest.param("fit", MINIMAL + "[fit]\ndata = {data}\n", [],
+                 _fit_data("-4.0,96").replace("delta_ghz,counts", "delta,counts"),
+                 ("must start with 'delta_ghz,counts' (got 'delta,counts')",),
+                 id="wrong fit data header"),
+    # the waveform file named is not the one written, and does not exist
+    pytest.param("scan", MINIMAL + "mod1_waveform = {data}.missing\n", [], "",
+                 ("line 10: cannot read waveform file", "wave.txt.missing"),
+                 id="unreadable waveform"),
 ])
 def test_main_rejects_non_finite_values(tmp_path, capsys, command, text, argv, data,
                                         fragments):
@@ -719,7 +781,6 @@ def test_main_rejects_oversized_delta_axis(tmp_path, capsys):
     assert not out.exists()
     # one row past the cap is refused before the axis is built
     run = RunConfig(delta_min=0.0, delta_max=float(MAX_SCAN_ROWS), delta_step=1.0)
-    from modlab import ConfigurationError
     with pytest.raises(ConfigurationError, match="rows"):
         run.delta_axis()
 
@@ -743,7 +804,7 @@ def test_main_scan_multi_chunk_subprocess(tmp_path):
     assert n_rows > 2 * CHUNK_ROWS
     assert proc.stdout.splitlines() == [f"wrote {n_rows} rows to {out}"]
     ref = tmp_path / "ref.csv"
-    emit_trace(trace, ref, scenario=scenario)
+    emit_trace(trace, ref, scenario=scenario, gnuplot_style=False)
     assert out.read_bytes() == ref.read_bytes()
     assert Path(f"{out}.meta").read_bytes() == Path(f"{ref}.meta").read_bytes()
 
@@ -775,6 +836,52 @@ def test_entry_point_config_error_exits_2(tmp_path):
     assert proc.stderr.startswith("config error: ")
 
 
+# a bad flag value and a usage error end the process as any config error
+# does: one line, no usage block, exit 2
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--seed", "1.5"], "--seed: non-numeric value for key 'seed': '1.5'"),
+    ([], "the following arguments are required: command"),
+], ids=["--seed 1.5", "no arguments"])
+def test_entry_point_usage_error_is_one_line(argv, message):
+    proc = _run_python("-m", "modlab.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"config error: {message}\n")
+
+
+def test_main_help_keeps_argparse_usage_and_exit_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: modlab [-h]")
+    assert "random seed override" in out and "dwell time override (s)" in out
+
+
+def test_main_reports_any_other_modlab_error_with_exit_1(capsys, monkeypatch):
+    def fail(scenario):
+        raise ConvergenceError("no convergence")
+
+    monkeypatch.setattr(cli, "run_validate", fail)
+    assert main(["validate"]) == 1
+    assert capsys.readouterr() == ("", "error: no convergence\n")
+
+
+# each flag sets its [run] key: the same value gives the same report bytes,
+# whatever the config's own [run] section says
+@pytest.mark.parametrize("run_section, flags", [
+    ("seed = 11\ndwell = 20 s", ["--seed", "11"]),
+    ("seed = 3\ndwell = 5 s", ["--seed", "11", "--dwell", "20"]),
+    ("seed = 3\ndwell = 5 s", ["--dwell", "20 s", "--seed", "0011"]),
+], ids=["fit_demo --seed 11", "--seed 11 --dwell 20", "--dwell '20 s' --seed 0011"])
+def test_main_fit_flags_equal_their_run_keys(tmp_path, capsys, run_section, flags):
+    demo = CONFIGS / "fit_demo.cfg"
+    assert main(["fit", "--config", str(demo)]) == 0
+    pinned = capsys.readouterr()
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(demo.read_text().replace("seed = 11\ndwell = 20 s", run_section))
+    assert main(["fit", "--config", str(cfg), *flags]) == 0
+    assert capsys.readouterr() == pinned
+
+
 def test_entry_point_missing_out_directory_exits_3(tmp_path):
     cfg = tmp_path / "scan.cfg"
     cfg.write_text(MINIMAL)
@@ -795,7 +902,7 @@ def test_entry_point_freezes_and_keeps_atexit_handlers():
     proc = _run_python("-c", code)
     assert proc.returncode == 2
     assert proc.stdout == "frozen True\n"
-    assert proc.stderr == "config error: --dwell must be positive and finite\n"
+    assert proc.stderr == "config error: --dwell: dwell must be positive\n"
 
 
 def test_console_script_and_module_share_the_entry_point():
@@ -945,11 +1052,11 @@ def test_main_scan_failing_emit_process_exits_3(tmp_path, capsys, monkeypatch, p
 
 def test_emit_trace_leaves_no_child_process(tmp_path):
     trace = _fig4a_trace(-150.0, 150.0, 3 * cli._EMIT_CHUNK_ROWS)
-    emit_trace(trace, tmp_path / "out.csv")
+    emit_trace(trace, tmp_path / "out.csv", scenario=None, gnuplot_style=False)
     _assert_no_child_process()
     if os.path.exists("/dev/full"):
         with pytest.raises(OSError):
-            emit_trace(trace, "/dev/full")
+            emit_trace(trace, "/dev/full", scenario=None, gnuplot_style=False)
         _assert_no_child_process()
 
 
@@ -967,7 +1074,7 @@ def test_emit_trace_forks_only_for_chunks_and_cpus_to_share(tmp_path, monkeypatc
     monkeypatch.setattr(cli, "_EMIT_CHUNK_ROWS", 256)
     trace = _fig4a_trace(-150.0, 150.0, n_rows)
     out = tmp_path / "out.csv"
-    emit_trace(trace, out)
+    emit_trace(trace, out, scenario=None, gnuplot_style=False)
     assert out.read_bytes() == _reference_bytes(_value_texts(trace))
 
 
@@ -989,7 +1096,7 @@ def test_emit_trace_in_turns_matches_row_reference(tmp_path, monkeypatch, n_rows
     monkeypatch.setattr(os, "fork", counted_fork)
     trace = _fig4a_trace(-150.0, 150.0, n_rows)
     out = tmp_path / "out.csv"
-    emit_trace(trace, out, gnuplot_style=gnuplot_style)
+    emit_trace(trace, out, scenario=None, gnuplot_style=gnuplot_style)
     assert out.read_bytes() == _reference_bytes(_value_texts(trace), gnuplot_style)
     assert len(forks) == 1
     _assert_no_child_process()
@@ -1012,7 +1119,7 @@ def test_emit_trace_writes_alone_when_the_fork_fails(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", failing_fork)
     trace = _fig4a_trace(-150.0, 150.0, 5 * 100)
     out = tmp_path / "out.csv"
-    emit_trace(trace, out)
+    emit_trace(trace, out, scenario=None, gnuplot_style=False)
     assert out.read_bytes() == _reference_bytes(_value_texts(trace))
     assert len(pipes) == 4
     for fd in pipes:
@@ -1305,7 +1412,6 @@ def test_main_validate_without_coincidences_agrees_exactly(tmp_path, capsys, ove
 
 def test_run_config_axis_requires_scan():
     run = RunConfig()
-    from modlab import ConfigurationError
     with pytest.raises(ConfigurationError):
         run.delta_axis()
 
@@ -1356,3 +1462,48 @@ def test_main_ends_cleanly_on_generated_configs(tmp_path, capsys, generated):
     lines = [line for line in err.splitlines() if line != f"warning: {CLIPPING_MESSAGE}"]
     assert code in (0, 1, 2, 3)
     assert len(lines) == (code >= 2), err
+
+
+# the --seed and --dwell texts: the override values above as config text,
+# integers up to 2^70, and texts that are no number or no integer
+_FLAG_VALUES = (st.sampled_from(["1.5", "1e400", "2**70", "abc", ""])
+                | st.integers(min_value=0, max_value=2 ** 70).map(str)
+                | _OVERRIDE_VALUES.map(repr))
+# a config each command runs on as it is
+_FLAG_CONFIGS = {"scan": MINIMAL, "fit": MINIMAL, "validate": "schema = 1\n",
+                 "figure": "schema = 1\n[figure]\ncase = fig4a\n"}
+
+
+@st.composite
+def _generated_argv(draw):
+    """(command, argv): the command with generated --seed and --dwell texts,
+    and at times an unknown command or option in place of or among them."""
+    command = draw(st.sampled_from(sorted(_FLAG_CONFIGS)))
+    argv = [command]
+    for flag in ("--seed", "--dwell"):
+        if draw(st.booleans()):
+            argv += [flag, draw(_FLAG_VALUES)]
+    unknown = draw(st.sampled_from([None, "command", "option"]))
+    if unknown == "command":
+        argv[0] = "frob"
+    elif unknown == "option":
+        argv.insert(draw(st.integers(min_value=1, max_value=len(argv))), "--bogus")
+    return command, argv
+
+
+# every command on generated flags ends as on generated configs; an unknown
+# command or option is a usage error, exit 2
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_generated_argv())
+def test_main_ends_cleanly_on_generated_flags(tmp_path, capsys, generated):
+    command, argv = generated
+    cfg = tmp_path / "generated.cfg"
+    cfg.write_text(_FLAG_CONFIGS[command])
+    code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out.txt")])
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line != f"warning: {CLIPPING_MESSAGE}"]
+    assert code in (0, 1, 2, 3)
+    assert len(lines) == (code >= 2), err
+    if "frob" in argv or "--bogus" in argv:
+        assert code == 2

@@ -7,7 +7,8 @@ and docstrings are free; a statement wrapped over three lines counts
 three. The count is taken with ``tokenize`` and the ``ast`` of
 ``src/modlab/*.py``, so it needs no import of the package.
 
-``CODE_LINES_BOUND`` is the count after the last change that moved it. A
+``CODE_LINES_BOUND`` is the count after the last change that moved it;
+when the count passes it, the test gives the code lines of each file. A
 change that deletes code lowers the bound to its new count in the same
 change; a change that raises it says why in ``CHANGES.md``.
 """
@@ -18,7 +19,7 @@ import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "modlab"
-CODE_LINES_BOUND = 1907
+CODE_LINES_BOUND = 1906
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -59,6 +60,9 @@ def test_counter_skips_docstrings_comments_and_blank_lines():
 
 
 def test_code_lines_do_not_grow():
-    total = sum(code_lines(path.read_text(encoding="utf-8"))
-                for path in sorted(SRC.glob("*.py")))
-    assert total <= CODE_LINES_BOUND
+    counts = {path.name: code_lines(path.read_text(encoding="utf-8"))
+              for path in sorted(SRC.glob("*.py"))}
+    total = sum(counts.values())
+    assert total <= CODE_LINES_BOUND, (
+        f"{total} code lines, bound {CODE_LINES_BOUND}: "
+        + ", ".join(f"{name} {count}" for name, count in counts.items()))

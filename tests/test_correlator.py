@@ -487,7 +487,7 @@ def _hand_built_trace():
     paired = np.random.default_rng(7).random(len(n_index))
     accidental = np.full(len(n_index), 0.25)
     return CorrelationTrace(delta_axis=delta, paired=paired, accidental=accidental,
-                            total=paired + accidental, n_index=n_index)
+                            n_index=n_index)
 
 
 @pytest.mark.parametrize("case", ["fig3a", "fig3b", "fig4a", "fig4b", "hand-built"])
@@ -503,6 +503,17 @@ def test_areas_match_unique_oracle(case):
 def test_areas_require_dense_sampling():
     trace = coincidence_trace(figure_preset("fig3b"), np.arange(-150.0, 151.0, 2.0))
     with pytest.raises(ResolutionError):
+        sideband_areas(trace)
+
+
+# too few rows in all: one row, and ten rows of a single window
+@pytest.mark.parametrize("delta, message", [
+    (np.array([0.0]), "trace too short"),
+    (0.5 * np.arange(10.0), "fewer than 24 samples per sideband window"),
+], ids=["one row", "ten rows in one window"])
+def test_areas_require_enough_rows(delta, message):
+    trace = coincidence_trace(figure_preset("fig3b"), delta)
+    with pytest.raises(ResolutionError, match=message):
         sideband_areas(trace)
 
 
@@ -808,6 +819,9 @@ def test_clips_reads_a_uniform_axis_without_building_it():
     for start, step in ((-150.0, 3e-2), (-1500.0, 3e-1)):
         axis = UniformAxis(start, step, rows // 1000)
         assert model.clips(axis) == model.clips(np.asarray(axis))
+    # an empty axis has no sample past the support
+    assert not model.clips(UniformAxis(-1500.0, 3e-1, 0))
+    assert not model.clips(np.array([]))
 
 
 def test_sideband_index_beyond_int64_raises():

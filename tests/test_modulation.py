@@ -33,14 +33,25 @@ Q_SQ_15 = (0.26197, 0.31129, 0.05386, 0.003717)
 def _edge_fraction(mod):
     """(|q_K|^2 + |q_-K|^2) / total power: what the truncation leaves at the edge."""
     return (abs(mod.coeffs[0]) ** 2 + abs(mod.coeffs[-1]) ** 2) / mod.total_power()
+@pytest.mark.parametrize("coeffs", [np.ones(2), np.ones((3, 3))], ids=["even", "2-d"])
+def test_spectrum_rejects_coefficients_not_indexed_minus_k_to_k(coeffs):
+    with pytest.raises(ConfigurationError, match="odd-length sequence"):
+        ModulatorSpectrum(omega_m=30.0, coeffs=coeffs)
+
+
 S_SQ_30 = (0.06763, 0.11496, 0.23628, 0.09552, 0.017433)
 
 
-@pytest.mark.parametrize("x", [0.1, 0.5, 1.5, 3.0, 5.0, 8.0, -1.5])
+@pytest.mark.parametrize("x", [0.0, 0.1, 0.5, 1.5, 3.0, 5.0, 8.0, -1.5])
 def test_recurrence_matches_series(x):
     seq = bessel_j_sequence(25, x)
     for n in range(26):
         assert abs(seq[n] - bessel_j_series(n, x)) < 1e-13
+
+
+def test_recurrence_rejects_a_negative_order():
+    with pytest.raises(ConfigurationError, match="nmax must be nonnegative"):
+        bessel_j_sequence(-1, 1.5)
 
 
 @pytest.mark.parametrize("x", [1e-100, -1e-150, 1e-300, 5e-324])

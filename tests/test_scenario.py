@@ -89,7 +89,7 @@ def test_scenario_arrays_are_read_only_copies():
     kappa = 0.06 * np.exp(-detuning ** 2 / (2.0 * 800.0 ** 2)) + 0j
     delta_k = 1.5e-6 * detuning ** 2
     profile = CrystalProfile(kappa=kappa, delta_k=delta_k, length=20.0)
-    propagated = propagate_envelopes(profile, grid)
+    propagated = propagate_envelopes(profile, grid, steps=256)
     # the caller's own arrays, all writable
     a, b = np.array(propagated.a), np.array(propagated.b)
     coeffs = np.array(figure_preset("fig3b").mod1.coeffs)
@@ -107,7 +107,7 @@ def test_scenario_arrays_are_read_only_copies():
         mine *= 2.0
     # replace() gives a new model, built from the scenario's own arrays
     assert coincidence_trace(replace(scn), delta).total.tobytes() == before.tobytes()
-    assert propagate_envelopes(profile, grid) == propagated
+    assert propagate_envelopes(profile, grid, steps=256) == propagated
     # built from the changed arrays, the trace does move
     changed = replace(scn, amplitudes=SpectralAmplitudes(propagated.a0, propagated.b0,
                                                          grid, a, b),
@@ -183,7 +183,7 @@ def _flat_trace(rate, n=10000):
     delta = np.arange(float(n))
     arr = np.full(n, float(rate))
     return CorrelationTrace(delta_axis=delta, paired=np.zeros(n), accidental=arr,
-                            total=arr, n_index=np.zeros(n, dtype=int))
+                            n_index=np.zeros(n, dtype=int))
 
 
 def test_synthesize_zero_rate_gives_zero_counts():
@@ -265,11 +265,11 @@ def test_fit_offset_stays_within_half_spacing():
 def test_fit_input_validation():
     scn = figure_preset("fig3b")
     with pytest.raises(DomainError):
-        fit_scale(np.arange(5.0), np.ones(5), scn)
+        fit_scale(np.arange(5.0), np.ones(5), scn, dwell=20.0)
     with pytest.raises(DomainError):
-        fit_scale(np.arange(20.0), np.full(20, -1.0), scn)
+        fit_scale(np.arange(20.0), np.full(20, -1.0), scn, dwell=20.0)
     with pytest.raises(ConfigurationError):
-        fit_scale(np.arange(20.0), np.ones(19), scn)
+        fit_scale(np.arange(20.0), np.ones(19), scn, dwell=20.0)
     for dwell in (0.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             fit_scale(np.arange(20.0), np.ones(20), scn, dwell=dwell)

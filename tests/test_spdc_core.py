@@ -6,6 +6,7 @@ solution (cosh gL, i sinh gL) at zero mismatch, and the rate inversion is
 checked against direct numeric quadrature of the Gaussian filter integral.
 """
 
+import cmath
 import dataclasses
 import math
 
@@ -77,7 +78,7 @@ def test_grid_conjugate_pairing():
 
 def test_no_coupling_is_identity():
     grid = small_grid()
-    amps = propagate_envelopes(CrystalProfile.constant(grid, 0.0, 0.0, 20.0), grid)
+    amps = propagate_envelopes(CrystalProfile.constant(grid, 0.0, 0.0, 20.0), grid, steps=256)
     assert np.allclose(amps.a, 1.0)
     assert np.allclose(amps.b, 0.0)
 
@@ -123,6 +124,25 @@ def test_analytic_branch_continuity():
     ap, bp = analytic_amplitudes(0.05, 0.1 * (1.0 + 1e-9), 20.0)
     assert abs(am - ap) < 1e-7
     assert abs(bm - bp) < 1e-7
+
+
+# |g| L = 1e-8 (1 -+ 1e-6) at L = 20 mm, on either side of the switch to the
+# series: hyperbolic (delta_k = 0, g = kappa) and trigonometric (g^2 < 0)
+@pytest.mark.parametrize("kappa, delta_k", [
+    *[(5e-10 * side, 0.0) for side in (1.0 - 1e-6, 1.0 + 1e-6)],
+    *[(1e-10, 2.0 * math.sqrt(1e-20 + (5e-10 * side) ** 2))
+      for side in (1.0 - 1e-6, 1.0 + 1e-6)],
+], ids=["hyperbolic series", "hyperbolic sinh", "trigonometric series", "trigonometric sin"])
+def test_analytic_series_switch_agrees_with_sinh_and_cosh(kappa, delta_k):
+    # cmath's sinh and cosh as the reference: each branch lies within 1e-15
+    # of it, so the two agree to 2e-15 where they meet
+    length = 20.0
+    g = cmath.sqrt(kappa ** 2 - 0.25 * delta_k ** 2)
+    sinhc, cosh_gl = cmath.sinh(g * length) / g, cmath.cosh(g * length)
+    phase = cmath.exp(0.5j * delta_k * length)
+    a0, b0 = analytic_amplitudes(kappa, delta_k, length)
+    assert abs(a0 - phase * (cosh_gl - 0.5j * delta_k * sinhc)) <= 1e-15
+    assert abs(b0 - phase * 1j * kappa * sinhc) <= 1e-15 * abs(b0)
 
 
 @pytest.mark.parametrize("delta_k,steps", [(0.2, 256), (0.3, 512)])
@@ -244,7 +264,7 @@ def test_asymmetric_profile_rejected():
     kappa = np.array([0.05, 0.05, 0.05, 0.05, 0.06], dtype=complex)
     profile = CrystalProfile(kappa=kappa, delta_k=np.zeros(5), length=20.0)
     with pytest.raises(ConfigurationError):
-        propagate_envelopes(profile, grid)
+        propagate_envelopes(profile, grid, steps=256)
 
 
 def test_profile_shape_validation():
@@ -252,9 +272,13 @@ def test_profile_shape_validation():
         CrystalProfile(kappa=np.zeros(4, dtype=complex), delta_k=np.zeros(5), length=20.0)
     with pytest.raises(ConfigurationError):
         CrystalProfile(kappa=np.zeros(5, dtype=complex), delta_k=np.zeros(5), length=0.0)
+    with pytest.raises(ConfigurationError, match="1-d samples"):
+        CrystalProfile(kappa=np.zeros((5, 2), dtype=complex), delta_k=np.zeros((5, 2)),
+                       length=20.0)
     grid = small_grid(points=3)
     with pytest.raises(ConfigurationError):
-        propagate_envelopes(CrystalProfile.constant(small_grid(points=5), 0.0, 0.0, 20.0), grid)
+        propagate_envelopes(CrystalProfile.constant(small_grid(points=5), 0.0, 0.0, 20.0), grid,
+                            steps=256)
 
 
 @pytest.mark.parametrize("length", [math.nan, -math.inf])
@@ -337,7 +361,7 @@ def test_flat_amplitudes_interface():
 
 def test_sampled_amplitudes_interpolation_bounds():
     grid = small_grid(points=5)
-    amps = propagate_envelopes(CrystalProfile.constant(grid, 0.05, 0.0, 20.0), grid)
+    amps = propagate_envelopes(CrystalProfile.constant(grid, 0.05, 0.0, 20.0), grid, steps=256)
     mid = amps.a_at(np.array([500.0]))
     assert abs(mid[0] - COSH_1) < 1e-9
     with pytest.raises(DomainError):
@@ -347,7 +371,7 @@ def test_sampled_amplitudes_interpolation_bounds():
 @pytest.mark.parametrize("omega", [math.nan, [500.0, math.nan], [math.nan, 500.0]])
 def test_sampled_amplitudes_reject_nan(omega):
     grid = small_grid(points=5)
-    amps = propagate_envelopes(CrystalProfile.constant(grid, 0.05, 0.0, 20.0), grid)
+    amps = propagate_envelopes(CrystalProfile.constant(grid, 0.05, 0.0, 20.0), grid, steps=256)
     with pytest.raises(DomainError):
         amps.b_at(omega)
 
@@ -355,7 +379,7 @@ def test_sampled_amplitudes_reject_nan(omega):
 @pytest.mark.parametrize("shape", [(0,), (2, 0)])
 def test_sampled_amplitudes_empty_lookup(shape):
     grid = small_grid(points=5)
-    amps = propagate_envelopes(CrystalProfile.constant(grid, 0.05, 0.0, 20.0), grid)
+    amps = propagate_envelopes(CrystalProfile.constant(grid, 0.05, 0.0, 20.0), grid, steps=256)
     for lookup in (amps.a_at, amps.b_at):
         out = lookup(np.empty(shape))
         assert out.shape == shape and out.dtype == complex

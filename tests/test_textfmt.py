@@ -201,6 +201,22 @@ def test_chunk_sized_column_with_every_slow_kind_matches_reference(spread):
     _assert_matches(_chunk(values))
 
 
+def _fill_six_words(canvas):
+    canvas.start(2)
+    for _ in range(6):
+        canvas.word(0)
+
+
+# a chunk longer than the canvas, and a line of one field needing a sixth word
+@pytest.mark.parametrize("fill, message", [
+    (lambda canvas: canvas.start(3), "3 rows do not fit a canvas of 2"),
+    (_fill_six_words, "a line needs more than 5 words"),
+], ids=["rows", "words"])
+def test_canvas_overflow_raises(fill, message):
+    with pytest.raises(ValueError, match=message):
+        fill(Canvas(2, 1))
+
+
 def test_format_rows_memory_on_a_trace_chunk():
     # one 2**14-row chunk of the fig4a scan over -150..150 GHz at 0.0003 GHz
     from modlab.correlator import LazyTrace, UniformAxis
