@@ -51,7 +51,11 @@ the other per-key errors and before any rule that relates keys or sections.
 ``--seed`` and ``--dwell`` are the ``[run]`` keys ``seed`` and ``dwell``
 given on the command line: ``_parse_scalar`` reads their text by the key's
 kind, unit, finiteness check and ``_SIGN_RULES`` entry, and an error names
-the flag. ``--out`` and ``--config`` are paths, taken as given.
+the flag. An ``int`` key given a number that is no integer (``1.5``,
+``1e3``) is told so; text that is no number is non-numeric. ``--out`` and
+``--config`` are paths, taken as given. A flag is matched whole, never by a
+prefix (``--se``), and the argument after a value flag is its value even
+when it starts with one dash (``--dwell -1e5`` is ``--dwell=-1e5``).
 
 Exit codes: 0 success, 1 a failed ``validate`` check, 2 configuration error
 (an unreadable ``--config`` or waveform file included), 3 I/O failure on an
@@ -119,9 +123,11 @@ never freezes.
 """
 
 import argparse
+import contextlib
 import gc
 import math
 import os
+import stat
 import sys
 import warnings
 from dataclasses import dataclass, fields, is_dataclass
@@ -263,10 +269,16 @@ def _parse_scalar(key, kind, unit, raw, line):
     elif len(parts) != 1:
         raise ConfigParseError(f"cannot parse value '{raw}' for key '{key}'", line)
     try:
-        value = int(parts[0]) if kind == "int" else float(parts[0])
+        value = float(parts[0])
     except ValueError as exc:
         raise ConfigParseError(f"non-numeric value for key '{key}': '{parts[0]}'", line) from exc
-    if kind == "float" and not math.isfinite(value):
+    if kind == "int":
+        try:
+            value = int(parts[0])
+        except ValueError as exc:
+            raise ConfigParseError(
+                f"key '{key}' takes an integer (got '{parts[0]}')", line) from exc
+    elif not math.isfinite(value):
         raise ConfigParseError(f"non-finite value for key '{key}': '{parts[0]}'", line)
     sign = _SIGN_RULES.get(key)
     if sign is not None and not (value > 0 if sign == "positive" else value >= 0):
@@ -579,7 +591,26 @@ def emit_trace(trace, path, scenario, gnuplot_style):
 
     ``trace`` is a ``CorrelationTrace`` or a ``LazyTrace``; one row is
     written per sample of ``trace.delta_axis``. The output file is opened
-    first, so an unwritable path fails before any formatting. The rows are
+    first, so an unwritable path fails before any formatting, and then the
+    ``.meta`` of an earlier run is emptied in place (truncated, through a
+    link if it is one, so only the ``.meta`` itself must be writable); the
+    new one is written last, so only a ``.meta`` that is present and not
+    empty marks a complete CSV. The file is opened without truncating it
+    (``O_WRONLY | O_CREAT``, mode 0o666 as ``open`` gives), so that
+    rewriting an existing CSV, as a repeated scan to one ``--out`` does,
+    writes into its pages. A regular file is then truncated at the offset
+    the rows reached, on success and on any error before it is raised, so
+    a run that ends, well or not, leaves a fresh write's bytes; a device or
+    FIFO is not truncated. A killed process is not truncated either: an
+    older file's tail may follow its rows, beside an empty ``.meta``.
+    Nothing is fsynced, so neither file is durable across a system crash.
+    Truncating first cost a 10^6-row ``scan`` over its own 68 MB CSV 40 to
+    85 ms (ext4, 2-vCPU x86-64 Linux): freeing the old pages, filling new
+    ones, and a block allocation at ``close``. The ``scan`` command took
+    0.622 s with the truncating open and 0.570 s without it (medians of 20
+    alternating pairs, lower in 20); writing a new path, where the kernel
+    does the same work either way, read 0.560 and 0.580 s, then 0.559 and
+    0.563 s (lower in 12 and 14 of 30). The rows are
     then taken ``_EMIT_CHUNK_ROWS`` at a time with ``trace.chunk``, which
     for a ``LazyTrace`` builds that slice of its ``UniformAxis`` and
     evaluates the closed form there only, so neither the axis nor any output
@@ -615,7 +646,9 @@ def emit_trace(trace, path, scenario, gnuplot_style):
     reads end of file at its next turn, or finishes its own chunks, and
     raises ``OSError`` naming the helper's exit status, which ``main``
     reports as one ``i/o error:`` line with exit code 3. A helper whose
-    parent was killed likewise stops at its next turn.
+    parent was killed likewise stops at its next turn. Either way the
+    file ends with the last whole chunk written, with no byte of an older
+    file after it, and its ``.meta``, if any, is empty.
 
     Peak RSS of a ``scan`` of the fig4a preset, read with ``os.wait4`` (so
     the reaped helper's is included; 2-vCPU x86-64 Linux, Python 3.11,
@@ -631,9 +664,20 @@ def emit_trace(trace, path, scenario, gnuplot_style):
     header = sep.join(("delta_ghz", "paired", "accidental", "total", "n_index"))
     if gnuplot_style:
         header = "# " + header
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii") + b"\n")
-        _write_rows(fh, trace, sep)
+    # opened without O_TRUNC, with the mode open gives a new file, so that a
+    # rewrite goes into the old file's pages; its tail is cut off at the end
+    with open(path, "wb", opener=lambda p, _: os.open(p, os.O_WRONLY | os.O_CREAT, 0o666)) as fh:
+        with contextlib.suppress(FileNotFoundError):
+            os.truncate(f"{path}.meta", 0)
+        try:
+            fh.write(header.encode("ascii") + b"\n")
+            _write_rows(fh, trace, sep)
+        finally:
+            # at the offset the flushed rows reached, on an error too; closing
+            # then writes what the buffer still holds there (a header with no
+            # rows), so the bytes are those of a fresh write
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                os.ftruncate(fh.fileno(), os.lseek(fh.fileno(), 0, os.SEEK_CUR))
     meta = {
         "tool": "modlab",
         "tool_version": __version__,
@@ -826,9 +870,26 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
+# the flags that take a value
+_VALUE_FLAGS = ("--config", "--out", "--seed", "--dwell")
+
+
+def _join_dash_values(argv):
+    """``argv`` with each value flag joined to a following argument that
+    starts with a single dash, as ``--flag=value``: argparse takes such an
+    argument (``-1e5``, ``-inf``) for an option, not for the flag's value."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in _VALUE_FLAGS and arg[:1] == "-" and arg[:2] != "--":
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def _argument_parser():
     parser = _ArgumentParser(
-        prog="modlab",
+        prog="modlab", allow_abbrev=False,
         description="Frequency-domain correlation scans, figure presets, fits "
                     "and self-validation for modulated photon pairs.")
     parser.add_argument("command", choices=("scan", "figure", "fit", "validate"))
@@ -871,7 +932,8 @@ def main(argv=None) -> int:
     stages.reset()
     try:
         with stages.stage("parse"):
-            args = _argument_parser().parse_args(argv)
+            args = _argument_parser().parse_args(
+                _join_dash_values(sys.argv[1:] if argv is None else argv))
             run, scenario = _run_config(args)
         handler = {"scan": _cmd_scan, "figure": _cmd_figure,
                    "fit": _cmd_fit, "validate": _cmd_validate}[args.command]

@@ -22,7 +22,8 @@ from modlab import (ConfigParseError, ConfigurationError, ConvergenceError, Expe
 from modlab import cli, modulation, textfmt
 from modlab.cli import (MAX_SCAN_ROWS, RunConfig, emit_trace, main, parse_config,
                         run_validate, scenario_to_config)
-from modlab.correlator import CLIPPING_MESSAGE, CorrelationTrace, LazyTrace, coincidence_trace
+from modlab.correlator import (CLIPPING_MESSAGE, CorrelationTrace, LazyTrace, UniformAxis,
+                               coincidence_trace)
 from modlab.scenario import FIGURE_CASES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -602,7 +603,22 @@ def _waveform(bad_line):
     pytest.param("fit", MINIMAL, ["--seed", "-1"], None, ("--seed",), id="--seed -1"),
     # each flag is read as its [run] key: kind, unit, finiteness and sign
     pytest.param("fit", MINIMAL, ["--seed", "1.5"], None,
-                 ("--seed: non-numeric value for key 'seed': '1.5'",), id="--seed 1.5"),
+                 ("--seed: key 'seed' takes an integer (got '1.5')",), id="--seed 1.5"),
+    pytest.param("fit", MINIMAL, ["--seed", "1e3"], None,
+                 ("--seed: key 'seed' takes an integer (got '1e3')",), id="--seed 1e3"),
+    pytest.param("fit", MINIMAL + "[run]\nseed = 1.5\n", [], None,
+                 ("line 11: key 'seed' takes an integer (got '1.5')",), id="seed = 1.5"),
+    pytest.param("fit", MINIMAL, ["--seed", "abc"], None,
+                 ("--seed: non-numeric value for key 'seed': 'abc'",), id="--seed abc"),
+    # a value that starts with a dash is the flag's value, not an option
+    pytest.param("fit", MINIMAL, ["--dwell", "-1e5"], None, ("--dwell: dwell must be positive",),
+                 id="--dwell -1e5"),
+    pytest.param("fit", MINIMAL, ["--dwell=-1e5"], None, ("--dwell: dwell must be positive",),
+                 id="--dwell=-1e5"),
+    pytest.param("fit", MINIMAL, ["--seed", "-inf"], None,
+                 ("--seed: key 'seed' takes an integer (got '-inf')",), id="--seed -inf"),
+    pytest.param("fit", MINIMAL, ["--seed", "-"], None,
+                 ("--seed: non-numeric value for key 'seed': '-'",), id="--seed -"),
     pytest.param("fit", MINIMAL, ["--dwell", "0"], None, ("--dwell: dwell must be positive",),
                  id="--dwell 0"),
     pytest.param("fit", MINIMAL, ["--dwell", "1e400"], None, ("--dwell: non-finite",),
@@ -839,12 +855,31 @@ def test_entry_point_config_error_exits_2(tmp_path):
 # a bad flag value and a usage error end the process as any config error
 # does: one line, no usage block, exit 2
 @pytest.mark.parametrize("argv, message", [
-    (["scan", "--seed", "1.5"], "--seed: non-numeric value for key 'seed': '1.5'"),
+    (["scan", "--seed", "1.5"], "--seed: key 'seed' takes an integer (got '1.5')"),
     ([], "the following arguments are required: command"),
 ], ids=["--seed 1.5", "no arguments"])
 def test_entry_point_usage_error_is_one_line(argv, message):
     proc = _run_python("-m", "modlab.cli", *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"config error: {message}\n")
+
+
+# a flag is matched whole: a prefix of one is an unknown option, not that flag
+@pytest.mark.parametrize("argv, message", [
+    (["--config", "configs/fit_demo.cfg", "--se", "12"], "unrecognized arguments: --se 12"),
+    (["--conf", "configs/fit_demo.cfg"], "unrecognized arguments: --conf configs/fit_demo.cfg"),
+], ids=["--se", "--conf"])
+def test_main_refuses_a_flag_prefix(capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(CONFIGS.parent)
+    assert main(["fit", *argv]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+def test_main_takes_a_dash_led_path_as_the_value_of_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scan.cfg").write_text(MINIMAL)
+    assert main(["scan", "--config", "scan.cfg", "--out", "-trace.csv"]) == 0
+    assert capsys.readouterr().out == "wrote 601 rows to -trace.csv\n"
+    assert len((tmp_path / "-trace.csv").read_text().splitlines()) == 602
 
 
 def test_main_help_keeps_argparse_usage_and_exit_0(capsys):
@@ -1041,6 +1076,10 @@ def test_main_scan_failing_emit_process_exits_3(tmp_path, capsys, monkeypatch, p
     _chunk_raising(monkeypatch, parity, RuntimeError("boom") if parity else OSError("disk gone"))
     cfg, out = tmp_path / "scan.cfg", tmp_path / "out.csv"
     cfg.write_text(MULTI_CHUNK)
+    # a longer CSV of an earlier run, and its .meta, lie at the output path
+    out.write_bytes(b"\xff" * (16 << 20))
+    meta = Path(f"{out}.meta")
+    meta.write_text("{}\n")
     assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 3
     # a helper that returned into the caller would run this line too
     with open(tmp_path / "returned", "a") as fh:
@@ -1048,6 +1087,15 @@ def test_main_scan_failing_emit_process_exits_3(tmp_path, capsys, monkeypatch, p
     assert (tmp_path / "returned").read_text() == f"{os.getpid()}\n"
     assert capsys.readouterr().err.splitlines() == [f"i/o error: {message.format(out=out)}"]
     _assert_no_child_process()
+    # left: an empty .meta, and the whole chunks written, with no old byte past
+    # them: 0 to 2 when the helper fails at 3, and 0 and 1 when this process fails at 2
+    assert meta.read_bytes() == b""
+    rows = (2 + parity) * cli._EMIT_CHUNK_ROWS
+    run, scenario = parse_config(MULTI_CHUNK, command="scan")
+    ref = tmp_path / "ref.csv"
+    emit_trace(LazyTrace(scenario.model, UniformAxis(run.delta_min, run.delta_step, rows)), ref,
+               scenario=scenario, gnuplot_style=False)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_emit_trace_leaves_no_child_process(tmp_path):
@@ -1058,6 +1106,108 @@ def test_emit_trace_leaves_no_child_process(tmp_path):
         with pytest.raises(OSError):
             emit_trace(trace, "/dev/full", scenario=None, gnuplot_style=False)
         _assert_no_child_process()
+
+
+def _counted_forks(monkeypatch):
+    """A list that gets one entry per ``os.fork`` from now on."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+@pytest.mark.parametrize("n_rows", [300, 3 * 300 + 1], ids=["one process", "two processes"])
+def test_emit_trace_rewrites_an_old_file_as_a_fresh_write_would(tmp_path, monkeypatch, n_rows):
+    # a longer and a shorter old file become the fresh file's bytes, in place
+    monkeypatch.setattr(cli, "_EMIT_CHUNK_ROWS", 300)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = _counted_forks(monkeypatch)
+    scenario = figure_preset("fig4a")
+    trace = LazyTrace(scenario.model, UniformAxis(-150.0, 300.0 / n_rows, n_rows))
+    fresh = tmp_path / "fresh.csv"
+    emit_trace(trace, fresh, scenario=scenario, gnuplot_style=False)
+    expected = (fresh.read_bytes(), Path(f"{fresh}.meta").read_bytes())
+    for old_size in (2 * len(expected[0]), len(expected[0]) // 2):
+        out = tmp_path / f"old_{old_size}.csv"
+        out.write_bytes(b"\xff" * old_size)
+        Path(f"{out}.meta").write_text("{}\n")
+        inode = out.stat().st_ino
+        emit_trace(trace, out, scenario=scenario, gnuplot_style=False)
+        assert (out.read_bytes(), Path(f"{out}.meta").read_bytes()) == expected, old_size
+        assert out.stat().st_ino == inode
+    assert len(forks) == (3 if n_rows > 300 else 0)
+    _assert_no_child_process()
+
+
+def test_emit_trace_empties_and_writes_the_old_meta_in_place(tmp_path, monkeypatch):
+    # the earlier .meta is emptied at the start and written at the end through
+    # its link; no directory entry is removed, so a directory that cannot take
+    # one still works where its files are writable
+    for name in ("remove", "unlink", "rename", "replace"):
+        monkeypatch.setattr(os, name, lambda *args, **kwargs: pytest.fail("directory changed"))
+    target, out = tmp_path / "kept.meta", tmp_path / "out.csv"
+    target.write_text("{}\n")
+    Path(f"{out}.meta").symlink_to(target)
+    scenario = figure_preset("fig4a")
+    trace = LazyTrace(scenario.model, UniformAxis(-150.0, 1.0, 301))
+    emit_trace(trace, out, scenario=scenario, gnuplot_style=False)
+    assert Path(f"{out}.meta").is_symlink()
+    assert json.loads(target.read_text())["rows"] == 301
+    # a run that fails leaves the linked .meta empty: not complete
+    monkeypatch.setattr(LazyTrace, "chunk", lambda self, start, stop: _raise(OSError("gone")))
+    with pytest.raises(OSError, match="gone"):
+        emit_trace(trace, out, scenario=scenario, gnuplot_style=False)
+    assert Path(f"{out}.meta").is_symlink()
+    assert target.read_bytes() == b""
+    assert out.read_bytes() == b"delta_ghz,paired,accidental,total,n_index\n"
+
+
+def _raise(exc):
+    raise exc
+
+
+# devices are written through a link, so that the .meta goes beside it, not into /dev
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/null and /dev/full")
+@pytest.mark.parametrize("device, code", [("/dev/null", 0), ("/dev/full", 3)])
+def test_main_scan_writes_to_a_device_without_a_truncate(tmp_path, capsys, monkeypatch, device,
+                                                         code):
+    monkeypatch.setattr(cli, "_EMIT_CHUNK_ROWS", 100)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = _counted_forks(monkeypatch)
+    cfg, out = tmp_path / "scan.cfg", tmp_path / "device.csv"
+    cfg.write_text(MINIMAL)
+    out.symlink_to(device)
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == (code == 3)
+    assert Path(f"{out}.meta").exists() == (code == 0)
+    assert len(forks) == (code == 0)   # /dev/full fails as the header is flushed
+    _assert_no_child_process()
+
+
+def test_emit_trace_writes_in_turns_to_a_fifo(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_EMIT_CHUNK_ROWS", 100)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = _counted_forks(monkeypatch)
+    fifo, read = tmp_path / "trace.fifo", tmp_path / "read.csv"
+    os.mkfifo(fifo)
+    # a reader process, not a thread: emit_trace forks
+    with open(read, "wb") as sink:
+        reader = subprocess.Popen(["cat", str(fifo)], stdout=sink)
+    try:
+        trace = _fig4a_trace(-150.0, 150.0, 5 * 100)
+        emit_trace(trace, fifo, scenario=None, gnuplot_style=False)
+        assert reader.wait(timeout=60) == 0
+    finally:
+        reader.kill()
+    assert read.read_bytes() == _reference_bytes(_value_texts(trace))
+    assert len(forks) == 1
+    _assert_no_child_process()
 
 
 @pytest.mark.parametrize("n_rows, cpus", [(256, {0, 1}), (3 * 256, {0}), (3 * 256, None)],
@@ -1086,14 +1236,7 @@ def test_emit_trace_in_turns_matches_row_reference(tmp_path, monkeypatch, n_rows
     # the turn order is the same at any chunk size; 100-row chunks keep it cheap
     monkeypatch.setattr(cli, "_EMIT_CHUNK_ROWS", 100)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
+    forks = _counted_forks(monkeypatch)
     trace = _fig4a_trace(-150.0, 150.0, n_rows)
     out = tmp_path / "out.csv"
     emit_trace(trace, out, scenario=None, gnuplot_style=gnuplot_style)
@@ -1506,4 +1649,77 @@ def test_main_ends_cleanly_on_generated_flags(tmp_path, capsys, generated):
     assert code in (0, 1, 2, 3)
     assert len(lines) == (code >= 2), err
     if "frob" in argv or "--bogus" in argv:
+        assert code == 2
+
+
+# the cells of generated fit-data and waveform rows: numbers, and texts that
+# are no number or not finite
+_DATA_CELLS = (st.sampled_from(["0", "-0.0", "96", "1e308", "-1e308", "5e-324", "nan", "-inf",
+                                "x", "1,5", ""])
+               | st.floats(min_value=-200.0, max_value=200.0).map(repr))
+_FIT_HEADERS = ["delta_ghz,counts", " delta_ghz,counts\t", "delta_ghz, counts", "delta,counts",
+                "\ufeffdelta_ghz,counts", "# delta_ghz,counts", ""]
+
+
+@st.composite
+def _generated_data_files(draw):
+    """(command, config text, file bytes): for ``fit`` a fit-data CSV, for
+    ``scan`` a phase waveform file, each built from valid rows and then
+    changed: a header variant, too few rows, a shifted time, a non-finite,
+    non-numeric or extra cell, blank and comment lines, CR, LF and CR LF
+    line ends mixed, and at times a byte that is not UTF-8."""
+    command = draw(st.sampled_from(["fit", "scan"]))
+    if command == "fit":
+        n = draw(st.sampled_from([0, 1, 9, 10, 24]))
+        lines = [draw(st.sampled_from(_FIT_HEADERS))]
+        lines += [f"{-12.0 + j!r},{100 + j % 7}" for j in range(n)]
+        sep, first = ",", 1
+        text = MINIMAL + "[fit]\ndata = {data}\n"
+    else:
+        n = draw(st.sampled_from([0, 1, 63, 64, 100]))
+        lines = [f"{j / n!r} {1.5 * math.sin(2 * math.pi * j / n)!r}" for j in range(n)]
+        sep, first = " ", 0
+        text = MINIMAL + "mod1_waveform = {data}\n"
+    for change in draw(st.lists(st.sampled_from(["cell", "time", "extra", "blank", "comment"]),
+                                max_size=3)):
+        if len(lines) == first:
+            break
+        at = draw(st.integers(min_value=first, max_value=len(lines) - 1))
+        cells = lines[at].split(sep)
+        if change == "cell":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(_DATA_CELLS)
+        elif change == "time":
+            # a shift of about 1e-7, beyond the waveform's 1e-9 tolerance, or 1e-14
+            cells[0] += draw(st.sampled_from(["1", "0000000000001"]))
+        elif change == "extra":
+            cells.append("1")
+        lines[at] = sep.join(cells)
+        if change in ("blank", "comment"):
+            lines.insert(at, "  " if change == "blank" else "# note")
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    data = "".join(map(str.__add__, lines, ends)).encode("utf-8")
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return command, text, data
+
+
+# fit on generated fit-data files and scan on generated waveform files end
+# as on generated configs; a file that is not UTF-8 is a configuration error
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_generated_data_files())
+def test_main_ends_cleanly_on_generated_data_files(tmp_path, capsys, generated):
+    command, text, data = generated
+    path = tmp_path / "generated.dat"
+    path.write_bytes(data)
+    cfg = tmp_path / "generated.cfg"
+    cfg.write_text(text.format(data=path))
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out.txt")])
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line != f"warning: {CLIPPING_MESSAGE}"]
+    assert code in (0, 1, 2, 3)
+    assert len(lines) == (code >= 2), err
+    if b"\xff" in data:
         assert code == 2
