@@ -59,7 +59,8 @@ when it starts with one dash (``--dwell -1e5`` is ``--dwell=-1e5``).
 
 Exit codes: 0 success, 1 a failed ``validate`` check, 2 configuration error
 (an unreadable ``--config`` or waveform file included), 3 I/O failure on an
-output file or the fit-data file. A usage error (an unknown command or
+output file or the fit-data file; a write error names its file, as an
+open error does. A usage error (an unknown command or
 option, a missing command, a flag without its value) is a configuration
 error as well: one ``config error:`` line and exit 2, from ``main(argv)``
 too, which returns the code rather than raising ``SystemExit``. Any other
@@ -89,11 +90,13 @@ random generator is numpy's PCG64.
 closed-form ``SidebandModel`` and the delta axis as a
 ``correlator.UniformAxis`` (start, step and row count), which it evaluates
 and formats chunk by chunk. No column, the axis included, exists at full
-length, so the memory a scan needs does not depend on its row count: a
-``scan`` of 10^5, 10^6 or 10^7 rows peaks at 36.3 to 37.2 MB of RSS
-(Python 3.11, numpy 2.4, x86-64 Linux), where a full-length axis took the
-10^7-row peak to 181 MB. ``fit`` builds the whole axis, because its
-profile search evaluates the model on the whole array at each offset.
+length, and each chunk's text is written 4,096 lines at a time, so the
+memory a scan needs does not depend on its row count: a ``scan`` of 10^5,
+10^6 or 10^7 rows peaks at 36.28, 35.27 and 35.67 MB of RSS (Python
+3.11, numpy 2.4, 2-vCPU x86-64 Linux, ``os.wait4``), where a full-length
+axis took the 10^7-row peak to 181 MB. ``fit`` builds the whole axis,
+because its profile search evaluates the model on the whole array at each
+offset.
 
 A trace of two or more chunks (more than 16,384 rows) on a host with two
 or more CPUs is written by two processes: ``emit_trace`` forks one helper
@@ -510,6 +513,18 @@ def scenario_hash(scenario: ExperimentScenario) -> str:
 _EMIT_CHUNK_ROWS = 1 << 14
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Re-raise an ``OSError`` that names no file, such as a write error, as
+    one naming ``path``, as an error from ``open`` does."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None and exc.errno is not None:
+            exc.filename = str(path)
+        raise
+
+
 def _write_rows(fh, trace, sep):
     """Evaluate, format and write the rows of ``trace`` to ``fh``, chunk by
     chunk: in this process alone, or, for two or more chunks on a host with
@@ -519,8 +534,9 @@ def _write_rows(fh, trace, sep):
     n_rows = len(trace.delta_axis)
     # one canvas, made before any fork; made after it, in each process, it
     # lifted the peak RSS of a 10^6-row scan by 1.3 to 1.5 MB. It is freed
-    # on return, before the .meta step imports hashlib; kept, it lifted the
-    # 10^7-row peak from 37.9 to 39.9 MB.
+    # on return, before the .meta step imports hashlib, whose 3.6 MB now
+    # set the peak, 0.4 to 0.5 MB above the formatting's; kept, it lifted
+    # the 10^7-row peak from 37.9 to 39.9 MB.
     canvas = textfmt.Canvas(min(n_rows, _EMIT_CHUNK_ROWS), 5)
 
     def write_chunks(rank, processes, turn):
@@ -530,15 +546,18 @@ def _write_rows(fh, trace, sep):
         holds at the start and every writer passes on after each chunk."""
         for start in range(rank * _EMIT_CHUNK_ROWS, n_rows, processes * _EMIT_CHUNK_ROWS):
             part = trace.chunk(start, start + _EMIT_CHUNK_ROWS)
-            rows = textfmt.format_rows(sep, (part.delta_axis, part.paired, part.accidental,
-                                             part.total, part.n_index), canvas)
+            blocks = textfmt.format_rows(sep, (part.delta_axis, part.paired, part.accidental,
+                                               part.total, part.n_index), canvas)
             if turn and start > 0 and not os.read(turn[0], 1):
                 return      # the other process ended without passing the turn
-            fh.write(rows)
+            # each block is laid out and translated here, with the turn held,
+            # and dropped by writelines once written, before the next is made:
+            # translated before the turn, the chunk's whole 1.2 MB of text
+            # would be alive at once. part stays alive until the next chunk:
+            # freed before the blocks, it raised the 10^6-row peak RSS from
+            # 35.28 to 35.89 MB and ran slower (12 alternating rounds)
+            fh.writelines(blocks)
             fh.flush()      # before the turn passes on; os._exit flushes nothing
-            # one chunk's rows alive at a time: kept until the next chunk was
-            # formatted, they lifted the peak RSS of a 10^6-row scan by 1.3 MB
-            del rows
             if turn:
                 os.write(turn[1], b"\0")
 
@@ -618,8 +637,13 @@ def emit_trace(trace, path, scenario, gnuplot_style):
     on the row count. Each chunk is formatted by ``textfmt.format_rows``
     into one ``textfmt.Canvas`` per process, whose word canvas every chunk
     reuses; the formatter works in place on a few numpy temporaries of one
-    column of one chunk. The rows have the same bytes as ``'%.15g' % v``
-    and ``'%d' % v`` per value.
+    column of one chunk. Its rows are then laid out as text and written
+    4,096 lines at a time (``textfmt.Canvas.blocks``), while this process
+    holds the turn, so no more than one block of text exists at once. The
+    rows have the same bytes as ``'%.15g' % v`` and ``'%d' % v`` per value.
+    An ``OSError`` that names no file, such as a write error on a full
+    disk, is raised naming the CSV, or the ``.meta`` when it hits that, as
+    an error from ``open`` names its path.
 
     A trace of two or more chunks, on a host where ``os.sched_getaffinity``
     gives two or more CPUs, is written by two processes: after the header
@@ -631,7 +655,7 @@ def emit_trace(trace, path, scenario, gnuplot_style):
     passes it on after each of its chunks. Both write through the one file
     descriptor they share, whose offset places each chunk after the one
     before, so the bytes are those of one process writing every chunk. No
-    chunk is kept beyond the one each process is writing, and no temporary
+    text is kept beyond the block each process is writing, and no temporary
     file or thread is used. Every other trace, a 601-row ``figure`` among
     them, is written by this process alone, without a fork; so is a trace
     whose fork fails (EAGAIN or ENOMEM), after the pipes are closed.
@@ -652,11 +676,13 @@ def emit_trace(trace, path, scenario, gnuplot_style):
 
     Peak RSS of a ``scan`` of the fig4a preset, read with ``os.wait4`` (so
     the reaped helper's is included; 2-vCPU x86-64 Linux, Python 3.11,
-    numpy 2.4, byte-compiled, 3 alternating runs per side): 37.1-37.2 MB at
-    10^5 rows, 36.3-36.4 at 10^6 and 37.1-37.2 at 10^7, against 37.1,
-    36.8 and 37.9 MB when one process wrote every chunk. The call is the
-    ``emit`` stage of ``modlab.stages``; the chunks the helper evaluates are
-    booked in the helper, not in this process's record.
+    numpy 2.4, byte-compiled, medians of 12, 24 and 6 alternating
+    subprocess pairs): 36.28 MB at 10^5 rows, 35.27 at 10^6 and 35.67 at
+    10^7, where each chunk laid out as one piece of text read 38.31, 37.47
+    and 38.39 MB. The ``.meta`` step's ``hashlib`` import (OpenSSL, about
+    3.6 MB) now sets the peak, with the formatting 0.4 to 0.5 MB below it. The
+    call is the ``emit`` stage of ``modlab.stages``; the chunks the helper
+    evaluates are booked in the helper, not in this process's record.
     """
     import json   # imported here, like hashlib in scenario_hash: only .meta files need it
 
@@ -666,9 +692,11 @@ def emit_trace(trace, path, scenario, gnuplot_style):
         header = "# " + header
     # opened without O_TRUNC, with the mode open gives a new file, so that a
     # rewrite goes into the old file's pages; its tail is cut off at the end
-    with open(path, "wb", opener=lambda p, _: os.open(p, os.O_WRONLY | os.O_CREAT, 0o666)) as fh:
+    meta_path = f"{path}.meta"
+    with (_naming(path),
+          open(path, "wb", opener=lambda p, _: os.open(p, os.O_WRONLY | os.O_CREAT, 0o666)) as fh):
         with contextlib.suppress(FileNotFoundError):
-            os.truncate(f"{path}.meta", 0)
+            os.truncate(meta_path, 0)
         try:
             fh.write(header.encode("ascii") + b"\n")
             _write_rows(fh, trace, sep)
@@ -688,7 +716,7 @@ def emit_trace(trace, path, scenario, gnuplot_style):
         "generator": "pcg64",
         "rows": len(trace.delta_axis),
     }
-    with open(str(path) + ".meta", "w", encoding="utf-8", newline="\n") as fh:
+    with _naming(meta_path), open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
@@ -825,7 +853,7 @@ def _write_report(run, lines):
     report = "\n".join(lines) + "\n"
     print(report, end="")
     if run.out_path:
-        with open(run.out_path, "w", encoding="utf-8", newline="\n") as fh:
+        with _naming(run.out_path), open(run.out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(report)
 
 

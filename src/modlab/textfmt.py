@@ -6,9 +6,10 @@ row per word slot and one column per output line. Line ``i``, read word
 after word, holds the ASCII bytes of ``'%.15g' % x[i]`` (or ``'%d' %
 x[i]`` for the int64 sideband index) in fixed slots, with NUL bytes in the
 slots the value does not use; text shared by every line (separators,
-constant columns) takes whole words of its own. ``Canvas.rows`` lays the
-words of a line side by side and deletes every NUL with one
-``bytes.translate``, which leaves exactly the bytes of the per-value ``%``.
+constant columns) takes whole words of its own. ``Canvas.blocks`` lays
+the words of a line side by side and deletes every NUL with
+``bytes.translate``, which leaves exactly the bytes of the per-value ``%``,
+``_BLOCK_LINES`` (4,096) lines at a time.
 
 A canvas is sized for a number of lines and reused: ``Canvas.start``
 begins the next chunk; it is the one buffer kept across calls.
@@ -23,8 +24,22 @@ temporary and so made glibc trim the heap top after each column and fault
 it back in; at 10^7 rows the faults fell from 193.6k to 28.0k. glibc now
 keeps that freed heap instead: the peak RSS, reached while the rows are
 formatted, reads 37.1, 37.8 and 37.9 MB at 10^5, 10^6 and 10^7 rows
-against 36.7, 37.4 and 37.4 MB. The ``.meta`` step's ``hashlib`` import
-after the last chunk stays below that peak.
+against 36.7, 37.4 and 37.4 MB.
+
+A fig4a line takes 12 words, so a 16,384-line chunk is 1.57 MB of words
+and 1.17 MB of text. Laid out with one ``tobytes`` and one ``translate``,
+the chunk held both at once; a 4,096-line block holds 0.39 and 0.29 MB,
+and ``format_rows`` hands out each block only when its caller reaches it.
+On the 10^6-row ``scan`` (2-vCPU x86-64 host, Python 3.11, numpy 2.4, 24
+alternating subprocess pairs, ``os.wait4``) this took the peak RSS from
+37.47 to 35.27 MB, lower in every pair, at the same wall time; formatting
+a chunk in process took 7.3 ms where it took 8.0. In 12 rounds, blocks of
+1,024 and 2,048 lines read 35.27 and 35.23 MB against 35.28 for 4,096,
+and 8,192 lines 36.10 MB: at 4,096 lines and below the text no longer
+sets the peak. The ``.meta`` step's ``hashlib`` import (OpenSSL, about
+3.6 MB) after the last chunk sets it now, with the formatting close
+behind: a copy without that import peaked 0.39 and 0.54 MB lower, in 16
+of 16 pairs in each of two source directories.
 
 ``%.15g`` rounds |x| to 15 significant digits. For |x| whose decimal
 exponent ``e = floor(log10|x|)`` lies in -281..280 the rounding is done in
@@ -62,6 +77,8 @@ import numpy as np
 _TIE_MARGIN = 1e-7
 _SPLIT = 134217729.0          # 2**27 + 1, Veltkamp's splitting constant
 _DIGITS = 15
+# the lines Canvas.blocks lays out and translates at a time
+_BLOCK_LINES = 4096
 
 
 # little-endian words: byte p of a word is bits 8p..8p+7 on every host
@@ -173,8 +190,10 @@ class Canvas:
     ``start(n)`` begins a chunk of ``n`` lines. ``text`` appends bytes
     shared by every line; ``word(value)`` hands out the next canvas row
     filled with ``value`` (one word for every line, or one per line), which
-    the caller may keep writing until ``rows`` returns the finished lines.
-    Adjacent shared texts merge before they are cut into words.
+    the caller may keep writing until ``blocks`` hands out the finished
+    lines, ``_BLOCK_LINES`` at a time, so that the text of a whole chunk
+    never exists at once. Adjacent shared texts merge before they are cut
+    into words.
 
     A ``%.15g`` field takes at most four words (lead, two digit words and
     exponent), each a canvas row or, folded into shared text, at most eight
@@ -220,12 +239,18 @@ class Canvas:
         word[...] = value
         return word
 
-    def rows(self):
-        """The lines as bytes, NULs deleted."""
+    def blocks(self):
+        """The lines, ``_BLOCK_LINES`` at a time, as bytes with NULs deleted.
+
+        Each block is laid out only when the iterator reaches it, from the
+        canvas as it is then, so the blocks must be consumed before the next
+        ``start``."""
         self._flush()
         # word-major, so that each word is one contiguous write; tobytes of
-        # the transpose lays the lines out
-        return self._canvas[:self._used, :self._n].T.tobytes().translate(None, b"\0")
+        # the transpose of a column slice lays that block's lines out
+        words = self._canvas[:self._used, :self._n]
+        return (words[:, lo:lo + _BLOCK_LINES].T.tobytes().translate(None, b"\0")
+                for lo in range(0, self._n, _BLOCK_LINES))
 
 
 def _split(a):
@@ -421,7 +446,9 @@ def format_g15(x, canvas):
 def format_rows(sep, columns, canvas):
     """One chunk of trace columns (delta, paired, accidental, total as
     float64, the sideband index as int64) as ASCII rows joined by ``sep``,
-    each ending in LF, into ``canvas``, which has room for the chunk.
+    each ending in LF, into ``canvas``, which has room for the chunk. The
+    rows come back as ``Canvas.blocks``: an iterator of bytes, one per
+    ``_BLOCK_LINES`` lines, to be consumed before ``canvas`` is used again.
 
     A column whose values in the chunk are bitwise identical is formatted
     once and shared by every row; the comparison is on the bits, so ``0.0``
@@ -440,4 +467,4 @@ def format_rows(sep, columns, canvas):
         else:
             format_g15(col, canvas)
         canvas.text(b"\n" if i == len(columns) - 1 else sep.encode("ascii"))
-    return canvas.rows()
+    return canvas.blocks()

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from modlab import (ConfigParseError, ConfigurationError, ConvergenceError, ExperimentScenario,
                     FrequencyGrid, ModulatorSpectrum, SidebandModel, SpectralAmplitudes,
@@ -1067,13 +1067,17 @@ def _chunk_raising(monkeypatch, parity, exc):
     monkeypatch.setattr(LazyTrace, "chunk", failing)
 
 
-@pytest.mark.parametrize("parity, message", [
-    (1, "the helper process writing {out} exited with status 1"),
-    (0, "disk gone"),
-], ids=["helper", "parent"])
-def test_main_scan_failing_emit_process_exits_3(tmp_path, capsys, monkeypatch, parity, message):
-    # the helper's error is its exit status; the parent's own error is its own
-    _chunk_raising(monkeypatch, parity, RuntimeError("boom") if parity else OSError("disk gone"))
+@pytest.mark.parametrize("parity, exc, message", [
+    (1, RuntimeError("boom"), "the helper process writing {out} exited with status 1"),
+    (0, OSError("disk gone"), "disk gone"),
+    (0, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+     f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{{out}}'"),
+], ids=["helper", "parent", "parent errno"])
+def test_main_scan_failing_emit_process_exits_3(tmp_path, capsys, monkeypatch, parity, exc,
+                                                message):
+    # the helper's error is its exit status; the parent's own error is its
+    # own, named by the output file when it carries an errno but no file
+    _chunk_raising(monkeypatch, parity, exc)
     cfg, out = tmp_path / "scan.cfg", tmp_path / "out.csv"
     cfg.write_text(MULTI_CHUNK)
     # a longer CSV of an earlier run, and its .meta, lie at the output path
@@ -1190,6 +1194,31 @@ def test_main_scan_writes_to_a_device_without_a_truncate(tmp_path, capsys, monke
     _assert_no_child_process()
 
 
+# a write error names the file it hits, as an open error does: the rows of a
+# figure (one process), the header a scan of two or more chunks flushes
+# before it forks, a fit report, and the .meta
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command, text, full", [
+    ("figure", "schema = 1\n[figure]\ncase = fig4a\n", ""),
+    ("scan", MULTI_CHUNK, ""),
+    ("fit", MINIMAL, ""),
+    ("scan", MINIMAL, ".meta"),
+], ids=["figure rows", "scan header", "fit report", "scan meta"])
+def test_main_write_error_names_the_file(tmp_path, capsys, monkeypatch, command, text, full):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if full:
+        # truncating a device fails (EINVAL), so the earlier .meta is not emptied
+        monkeypatch.setattr(os, "truncate", lambda path, length: None)
+    cfg, out = tmp_path / "run.cfg", tmp_path / "full.csv"
+    cfg.write_text(text)
+    target = Path(f"{out}{full}")
+    target.symlink_to("/dev/full")
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"i/o error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{target}'"]
+    _assert_no_child_process()
+
+
 def test_emit_trace_writes_in_turns_to_a_fifo(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_EMIT_CHUNK_ROWS", 100)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -1269,6 +1298,61 @@ def test_emit_trace_writes_alone_when_the_fork_fails(tmp_path, monkeypatch):
         with pytest.raises(OSError):
             os.fstat(fd)
     _assert_no_child_process()
+
+
+# two chunks of 5,096 and 4,101 lines: a whole block and 1,000 lines, then a
+# whole block and five lines
+_BLOCK_EDGE_CHUNK_ROWS = textfmt._BLOCK_LINES + 1000
+
+
+@functools.cache
+def _block_edge_trace():
+    """The two-chunk ``LazyTrace`` above, and its ``_value_texts``."""
+    n_rows = _BLOCK_EDGE_CHUNK_ROWS + textfmt._BLOCK_LINES + 5
+    trace = LazyTrace(figure_preset("fig4a").model, UniformAxis(-150.0, 0.01, n_rows))
+    return trace, _value_texts(trace.chunk(0, n_rows))
+
+
+@pytest.mark.parametrize("fork", ["forks", "fork fails"])
+@pytest.mark.parametrize("gnuplot_style", [False, True])
+def test_emit_trace_writes_chunks_ending_mid_block(tmp_path, monkeypatch, fork, gnuplot_style):
+    monkeypatch.setattr(cli, "_EMIT_CHUNK_ROWS", _BLOCK_EDGE_CHUNK_ROWS)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = _counted_forks(monkeypatch)
+    if fork == "fork fails":
+        monkeypatch.setattr(os, "fork", lambda: _raise(OSError(errno.EAGAIN, "no fork")))
+    trace, texts = _block_edge_trace()
+    out = tmp_path / "out.csv"
+    emit_trace(trace, out, scenario=None, gnuplot_style=gnuplot_style)
+    assert out.read_bytes() == _reference_bytes(texts, gnuplot_style)
+    assert len(forks) == (fork == "forks")
+    _assert_no_child_process()
+
+
+def test_emit_trace_holds_one_block_of_text_at_a_time(tmp_path, monkeypatch):
+    # one process writing three chunks and a row of the fig4a scan
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    n_rows = 3 * cli._EMIT_CHUNK_ROWS + 1
+    trace = LazyTrace(figure_preset("fig4a").model,
+                      UniformAxis(-150.0, 300.0 / (n_rows - 1), n_rows))
+    out = tmp_path / "out.csv"
+
+    def peak():
+        tracemalloc.start()
+        try:
+            emit_trace(trace, out, scenario=None, gnuplot_style=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak()   # imports textfmt and fills its exponent tables
+    # 5,253,216 bytes here (numpy 2.4): the 3.3 MB canvas, one chunk's
+    # columns, the formatter's arrays and one 4,096-line block. A chunk's
+    # whole text is 1.1 MB: joined before the write, the call peaked at
+    # 7,591,749 bytes, and laid out as one block at 8,004,120. The bound
+    # allows 5% above the blocks.
+    assert peak() <= 1.05 * 5_253_216
+    assert len(out.read_bytes().splitlines()) == n_rows + 1
 
 
 def test_main_scan_memory_does_not_grow_with_rows(tmp_path):
@@ -1559,52 +1643,106 @@ def test_run_config_axis_requires_scan():
         run.delta_axis()
 
 
-# the keys each command's generated overrides are drawn from, with their
-# units: the number-valued [scenario] keys, and for figure, which reads no
-# [scenario] section, the [scan] keys
-_OVERRIDE_KEYS = {
-    command: {key: unit for key, (kind, unit) in cli._SECTIONS[section].items()
-              if kind == "float"}
-    for command, section in (("scan", "scenario"), ("fit", "scenario"),
-                             ("validate", "scenario"), ("figure", "scan"))}
+# the number-valued [scenario] keys, which generated overrides set, with
+# their units, and the values the overrides and the [scan] keys take
+_SCENARIO_UNITS = {key: unit for key, (kind, unit) in cli._SECTIONS["scenario"].items()
+                   if kind == "float"}
 _OVERRIDE_VALUES = (st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e308,
                                      1e-308, 5e-324, 1e16])
                     | st.floats(min_value=0.01, max_value=100.0))
+# [run] texts, valid and then any: seeds that are no integer, negative or
+# beyond 64 bits; dwells with and without their unit; output paths that are
+# a directory, in a missing directory, or two tokens
+_RUN_TEXTS = {
+    "seed": (st.integers(min_value=0, max_value=2 ** 64).map(str),
+             st.sampled_from(["-1", "1.5", "1e3", "nan", "abc", str(2 ** 70)])),
+    "dwell": (st.floats(min_value=0.01, max_value=100.0).map(lambda v: f"{v!r} s"),
+              _OVERRIDE_VALUES.map(lambda v: f"{v!r} s") | st.sampled_from(["20", "1 ms"])),
+    "out": (st.just("{tmp}/run.out"),
+            st.sampled_from(["{tmp}/missing/run.out", "{tmp}", "{tmp}/a b"])),
+}
+# a valid axis with more rows than this is left out, so that no example
+# runs long
+_MAX_GENERATED_ROWS = 10_000
+
+
+@st.composite
+def _scan_section(draw, perturbed):
+    """A [scan] section: an axis of 10 to 601 rows from -150 GHz; when
+    ``perturbed``, with one to three of its values replaced by override
+    values, a key at times left out and a value at times given no unit or
+    a wrong one."""
+    step = draw(st.sampled_from([0.5, 1.0, 3.0, 37.0]))
+    axis = {"delta_min": -150.0, "delta_max": -150.0 + step * draw(st.integers(9, 600)),
+            "delta_step": step}
+    units = dict.fromkeys(axis, " GHz")
+    if perturbed:
+        for key in draw(st.lists(st.sampled_from(sorted(axis)), min_size=1, max_size=3,
+                                 unique=True)):
+            axis[key] = draw(_OVERRIDE_VALUES)
+            units[key] = draw(st.sampled_from([" GHz", " GHz", "", " MHz"]))
+        lo, hi, step = axis.values()
+        if lo < hi and step > 0:
+            assume(not _MAX_GENERATED_ROWS < (hi - lo) / step <= 1.1 * MAX_SCAN_ROWS)
+        if draw(st.integers(0, 3)) == 0:
+            del axis[draw(st.sampled_from(sorted(axis)))]
+    return "[scan]\n" + "".join(f"{key} = {value!r}{units[key]}\n"
+                                for key, value in axis.items())
 
 
 @st.composite
 def _generated_configs(draw):
-    """(command, config text): a preset and one to three overrides."""
-    command = draw(st.sampled_from(sorted(_OVERRIDE_KEYS)))
-    units = _OVERRIDE_KEYS[command]
-    overrides = draw(st.dictionaries(st.sampled_from(sorted(units)), _OVERRIDE_VALUES,
-                                     min_size=1, max_size=3))
+    """(command, config text with ``{tmp}`` for the output directory,
+    whether ``--out`` is given, as it is in three of four): a [run]
+    section with some of its keys, a
+    [scan] section (for validate, which reads none, at times), and for
+    every command but figure a preset with up to three overrides. Each
+    section is perturbed in about one example of three, and valid
+    otherwise."""
+    command = draw(st.sampled_from(["figure", "fit", "scan", "validate"]))
+
+    def perturbed():
+        return draw(st.integers(0, 2)) == 0
+
+    text = "schema = 1\n"
+    run = draw(st.lists(st.sampled_from(sorted(_RUN_TEXTS)), max_size=3, unique=True))
+    if run or draw(st.booleans()):
+        text += "[run]\n" + "".join(
+            f"{key} = {draw(_RUN_TEXTS[key][perturbed()])}\n" for key in run)
+    if command in ("fit", "scan") or draw(st.integers(0, 3)) == 0:
+        text += draw(_scan_section(perturbed()))
     preset = draw(st.sampled_from(FIGURE_CASES))
     if command == "figure":
-        axis = {"delta_min": -150.0, "delta_max": 150.0, "delta_step": 0.5, **overrides}
-        return command, (f"schema = 1\n[figure]\ncase = {preset}\n[scan]\n"
-                         + "".join(f"{key} = {value!r} GHz\n" for key, value in axis.items()))
-    head = "schema = 1\n" if command == "validate" else MINIMAL.split("[scenario]")[0]
-    lines = "".join(f"{key} = {value!r} {units[key] or ''}".rstrip() + "\n"
-                    for key, value in overrides.items())
-    return command, f"{head}[scenario]\npreset = {preset}\n{lines}"
+        text += f"[figure]\ncase = {preset}\n"
+    else:
+        overrides = draw(st.dictionaries(st.sampled_from(sorted(_SCENARIO_UNITS)),
+                                         _OVERRIDE_VALUES, min_size=1, max_size=3)
+                         if perturbed() else st.just({}))
+        text += f"[scenario]\npreset = {preset}\n" + "".join(
+            f"{key} = {value!r} {_SCENARIO_UNITS[key] or ''}".rstrip() + "\n"
+            for key, value in overrides.items())
+    return command, text, draw(st.integers(0, 3)) > 0
 
 
 # every command on generated configs ends with a documented exit code, and
 # stderr holds at most the clipping warning and one line, which a failing
-# exit code needs: a config error, or an i/o error
+# exit code needs: a config error, or an i/o error; validate refuses a
+# [scan] section
 @settings(derandomize=True, max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_generated_configs())
 def test_main_ends_cleanly_on_generated_configs(tmp_path, capsys, generated):
-    command, text = generated
+    command, text, out_flag = generated
     cfg = tmp_path / "generated.cfg"
-    cfg.write_text(text)
-    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out.txt")])
+    cfg.write_text(text.format(tmp=tmp_path))
+    out = ["--out", str(tmp_path / "out.txt")] if out_flag else []
+    code = main([command, "--config", str(cfg), *out])
     err = capsys.readouterr().err
     lines = [line for line in err.splitlines() if line != f"warning: {CLIPPING_MESSAGE}"]
     assert code in (0, 1, 2, 3)
     assert len(lines) == (code >= 2), err
+    if command == "validate" and "[scan]" in text:
+        assert code == 2
 
 
 # the --seed and --dwell texts: the override values above as config text,

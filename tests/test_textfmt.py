@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modlab import textfmt
 from modlab.textfmt import Canvas, format_rows
 
 SEPARATORS = [",", " "]
@@ -22,11 +23,10 @@ SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
 
 
 def _reference(columns, sep):
-    floats = [np.asarray(c, dtype=np.float64).tolist() for c in columns[:4]]
-    ints = np.asarray(columns[4], dtype=np.int64).tolist()
-    return "".join(
-        sep.join(["%.15g" % v for v in row[:4]] + ["%d" % row[4]]) + "\n"
-        for row in zip(*floats, ints)).encode("ascii")
+    texts = [["%.15g" % v for v in np.asarray(c, dtype=np.float64).tolist()]
+             for c in columns[:4]]
+    texts.append(["%d" % v for v in np.asarray(columns[4], dtype=np.int64).tolist()])
+    return "".join(sep.join(row) + "\n" for row in zip(*texts)).encode("ascii")
 
 
 def _chunk(floats, ints=None):
@@ -40,7 +40,7 @@ def _chunk(floats, ints=None):
 
 def _assert_matches(columns):
     for sep in SEPARATORS:
-        got = format_rows(sep, columns, Canvas(len(columns[0]), len(columns)))
+        got = b"".join(format_rows(sep, columns, Canvas(len(columns[0]), len(columns))))
         want = _reference(columns, sep)
         if got != want:
             bad = [(g, w) for g, w in zip(got.split(b"\n"), want.split(b"\n")) if g != w]
@@ -217,24 +217,55 @@ def test_canvas_overflow_raises(fill, message):
         fill(Canvas(2, 1))
 
 
-def test_format_rows_memory_on_a_trace_chunk():
-    # one 2**14-row chunk of the fig4a scan over -150..150 GHz at 0.0003 GHz
+def _fig4a_chunk(n_rows):
+    """The first ``n_rows`` rows of the 10^6-row fig4a scan over -150..150
+    GHz at 0.0003 GHz, as the five columns ``format_rows`` takes."""
     from modlab.correlator import LazyTrace, UniformAxis
     from modlab.scenario import figure_preset
 
     part = LazyTrace(figure_preset("fig4a").model,
-                     UniformAxis(-150.0, 0.0003, 1_000_001)).chunk(0, 1 << 14)
-    columns = (part.delta_axis, part.paired, part.accidental, part.total, part.n_index)
+                     UniformAxis(-150.0, 0.0003, 1_000_001)).chunk(0, n_rows)
+    return (part.delta_axis, part.paired, part.accidental, part.total, part.n_index)
+
+
+def test_format_rows_splits_a_chunk_at_block_boundaries():
+    # chunks of one line, one block and a line either side, and a whole
+    # 2**14-line emit chunk, formatted one after another on one canvas
+    block = textfmt._BLOCK_LINES
+    assert block == 4096
     canvas = Canvas(1 << 14, 5)
-    want = format_rows(",", columns, canvas)   # fills the exponent tables
+    chunk = _fig4a_chunk(1 << 14)
+    lines = _reference(chunk, ",").splitlines(keepends=True)
+    for n in (1, block - 1, block, block + 1, 1 << 14):
+        # no text holds a separator, so one reference serves both
+        want = b"".join(lines[:n])
+        for sep in SEPARATORS:
+            blocks = list(format_rows(sep, [c[:n] for c in chunk], canvas))
+            assert [b.count(b"\n") for b in blocks] == [
+                min(block, n - lo) for lo in range(0, n, block)], n
+            assert b"".join(blocks) == want.replace(b",", sep.encode("ascii")), (n, sep)
+
+
+def test_format_rows_memory_on_a_trace_chunk():
+    # one 2**14-row chunk of the fig4a scan, its blocks consumed one at a time
+    columns = _fig4a_chunk(1 << 14)
+    canvas = Canvas(1 << 14, 5)
+    want = b"".join(format_rows(",", columns, canvas))   # fills the exponent tables
+    view = memoryview(want)
     tracemalloc.start()
     try:
-        got = format_rows(",", columns, canvas)
+        at = 0
+        for block in format_rows(",", columns, canvas):
+            assert view[at:at + len(block)] == block
+            at += len(block)
+            del block
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert got == want
-    # The formatter with a temporary per numpy expression peaked at 3,723,945
-    # bytes here (numpy 2.4): about 2.5 MB for the canvas bytes and the text,
-    # the rest its arrays. The bound allows 5% above that.
-    assert peak <= 1.05 * 3_723_945
+    assert at == len(want)
+    # 1,182,132 bytes here (numpy 2.4): the formatter's arrays, and one
+    # 4,096-line block as word bytes and as text. Laid out as one block of
+    # the whole chunk, as before, the rows peaked at 3,146,984 bytes; the
+    # formatter with a temporary per numpy expression at 3,723,945. The
+    # bound allows 5% above the blocks.
+    assert peak <= 1.05 * 1_182_132
