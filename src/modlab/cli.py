@@ -98,6 +98,11 @@ axis took the 10^7-row peak to 181 MB. ``fit`` builds the whole axis,
 because its profile search evaluates the model on the whole array at each
 offset.
 
+A trace leaves a CSV at ``--out`` and a ``<out>.meta`` JSON beside it,
+written last, so only a ``.meta`` that is present and not empty marks a
+complete CSV; ``emit_trace`` states when each file is truncated, and how a
+device or FIFO ``.meta`` is written.
+
 A trace of two or more chunks (more than 16,384 rows) on a host with two
 or more CPUs is written by two processes: ``emit_trace`` forks one helper
 after flushing the header, the two evaluate and format alternate chunks at
@@ -130,7 +135,6 @@ import contextlib
 import gc
 import math
 import os
-import stat
 import sys
 import warnings
 from dataclasses import dataclass, fields, is_dataclass
@@ -198,26 +202,20 @@ _SCENARIO_REQUIRED = tuple(
     key for key in _SECTIONS["scenario"] if key != "preset"
     and not key.endswith(("_waveform", "_slit")) and key not in _SCENARIO_DEFAULTS)
 
-# the RunConfig field each config key sets
-_RUN_FIELDS = {("run", "seed"): "seed", ("run", "dwell"): "dwell", ("run", "out"): "out_path",
-               ("scan", "delta_min"): "delta_min", ("scan", "delta_max"): "delta_max",
-               ("scan", "delta_step"): "delta_step", ("figure", "case"): "figure_case",
-               ("fit", "data"): "fit_data"}
-
-
 @dataclass
 class RunConfig:
-    """Resolved run parameters (config file plus command-line overrides)."""
+    """Resolved run parameters (config file plus command-line overrides),
+    each field named after the config key that sets it."""
 
-    out_path: str | None = None
+    out: str | None = None
     delta_min: float | None = None
     delta_max: float | None = None
     delta_step: float | None = None
-    figure_case: str | None = None
+    case: str | None = None
     seed: int = 0
     dwell: float = 20.0
     gnuplot_style: bool = False
-    fit_data: str | None = None
+    data: str | None = None
 
     def delta_axis(self):
         if self.delta_min is None:
@@ -369,7 +367,7 @@ def parse_config(text: str, command: str):
                 raise ConfigParseError(f"[{section}] section is missing key '{key}'",
                                        headers[section])
 
-    run = RunConfig(**{name: values[key] for key, name in _RUN_FIELDS.items() if key in values})
+    run = RunConfig(**{k: v for (sec, k), v in values.items() if sec != "scenario"})
     if "scan" in headers and run.delta_min >= run.delta_max:
         raise ConfigParseError("delta_min must lie below delta_max",
                                lines[("scan", "delta_min")])
@@ -608,21 +606,25 @@ def emit_trace(trace, path, scenario, gnuplot_style):
     draws no random numbers: the ``.meta`` ``seed`` and ``dwell_s`` are null,
     and so is its ``scenario_sha256`` when ``scenario`` is None.
 
+    The CSV is written in place and the new ``.meta`` last, and each is
+    truncated only if it is a regular file (through a link, if it is one):
+    the CSV where its rows end, and an earlier ``.meta`` to 0 bytes before
+    the first row, so only a ``.meta`` that is present and not empty marks
+    a complete CSV. A device or FIFO ``.meta``, such as a link to
+    ``/dev/null``, is not emptied, only opened and written at the end; a
+    ``.meta`` that cannot be emptied or written ends the command with exit
+    3 and one ``i/o error:`` line naming it.
+
     ``trace`` is a ``CorrelationTrace`` or a ``LazyTrace``; one row is
-    written per sample of ``trace.delta_axis``. The output file is opened
-    first, so an unwritable path fails before any formatting, and then the
-    ``.meta`` of an earlier run is emptied in place (truncated, through a
-    link if it is one, so only the ``.meta`` itself must be writable); the
-    new one is written last, so only a ``.meta`` that is present and not
-    empty marks a complete CSV. The file is opened without truncating it
-    (``O_WRONLY | O_CREAT``, mode 0o666 as ``open`` gives), so that
+    written per sample of ``trace.delta_axis``. The CSV is opened first, so
+    an unwritable path fails before any formatting, and without truncating
+    it (``O_WRONLY | O_CREAT``, mode 0o666 as ``open`` gives), so that
     rewriting an existing CSV, as a repeated scan to one ``--out`` does,
-    writes into its pages. A regular file is then truncated at the offset
-    the rows reached, on success and on any error before it is raised, so
-    a run that ends, well or not, leaves a fresh write's bytes; a device or
-    FIFO is not truncated. A killed process is not truncated either: an
-    older file's tail may follow its rows, beside an empty ``.meta``.
-    Nothing is fsynced, so neither file is durable across a system crash.
+    writes into its pages. Its tail is cut on success and on any error
+    before it is raised, so a run that ends, well or not, leaves a fresh
+    write's bytes. A killed process cuts nothing: an older file's tail may
+    follow its rows, beside an empty ``.meta``. Nothing is fsynced, so
+    neither file is durable across a system crash.
     Truncating first cost a 10^6-row ``scan`` over its own 68 MB CSV 40 to
     85 ms (ext4, 2-vCPU x86-64 Linux): freeing the old pages, filling new
     ones, and a block allocation at ``close``. The ``scan`` command took
@@ -668,11 +670,14 @@ def emit_trace(trace, path, scenario, gnuplot_style):
     a full disk, the helper reads end of file at its next turn and exits,
     and the error is raised as it is. When the helper fails, this process
     reads end of file at its next turn, or finishes its own chunks, and
-    raises ``OSError`` naming the helper's exit status, which ``main``
-    reports as one ``i/o error:`` line with exit code 3. A helper whose
-    parent was killed likewise stops at its next turn. Either way the
-    file ends with the last whole chunk written, with no byte of an older
-    file after it, and its ``.meta``, if any, is empty.
+    raises ``OSError`` naming the helper's exit status (-9 for a helper
+    killed by SIGKILL), which ``main`` reports as one ``i/o error:`` line
+    with exit code 3. Either way the file is cut where the written rows
+    end, with no byte of an older file after it (after the last whole
+    chunk, when the failing process stopped between its writes), and its
+    ``.meta``, if any, is empty. A helper whose parent was killed likewise
+    stops at its next turn; nothing is cut then, and the ``.meta`` stays
+    empty.
 
     Peak RSS of a ``scan`` of the fig4a preset, read with ``os.wait4`` (so
     the reaped helper's is included; 2-vCPU x86-64 Linux, Python 3.11,
@@ -691,11 +696,13 @@ def emit_trace(trace, path, scenario, gnuplot_style):
     if gnuplot_style:
         header = "# " + header
     # opened without O_TRUNC, with the mode open gives a new file, so that a
-    # rewrite goes into the old file's pages; its tail is cut off at the end
+    # rewrite goes into the old file's pages; its tail is cut off at the end.
+    # Either file is truncated only if os.path.isfile, which stats a path
+    # through its link, or a descriptor, shows a regular file
     meta_path = f"{path}.meta"
     with (_naming(path),
           open(path, "wb", opener=lambda p, _: os.open(p, os.O_WRONLY | os.O_CREAT, 0o666)) as fh):
-        with contextlib.suppress(FileNotFoundError):
+        if os.path.isfile(meta_path):
             os.truncate(meta_path, 0)
         try:
             fh.write(header.encode("ascii") + b"\n")
@@ -704,8 +711,8 @@ def emit_trace(trace, path, scenario, gnuplot_style):
             # at the offset the flushed rows reached, on an error too; closing
             # then writes what the buffer still holds there (a header with no
             # rows), so the bytes are those of a fresh write
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                os.ftruncate(fh.fileno(), os.lseek(fh.fileno(), 0, os.SEEK_CUR))
+            if os.path.isfile(fh.fileno()):
+                os.truncate(fh.fileno(), os.lseek(fh.fileno(), 0, os.SEEK_CUR))
     meta = {
         "tool": "modlab",
         "tool_version": __version__,
@@ -829,15 +836,15 @@ def _write_trace(run, scenario, axis, out):
 
 def _cmd_scan(run, scenario):
     scenario = _require(scenario, "scan needs a [scenario] section")
-    out = _require(run.out_path, "scan needs an output path (--out or [run] out)")
+    out = _require(run.out, "scan needs an output path (--out or [run] out)")
     n_rows = _write_trace(run, scenario, run.delta_axis(), out)
     print(f"wrote {n_rows} rows to {out}")
     return 0
 
 
 def _cmd_figure(run, scenario):
-    case = _require(run.figure_case, "figure needs a [figure] section with a case")
-    out = _require(run.out_path, "figure needs an output path (--out or [run] out)")
+    case = _require(run.case, "figure needs a [figure] section with a case")
+    out = _require(run.out, "figure needs an output path (--out or [run] out)")
     scenario = figure_preset(case)
     if run.delta_min is not None:
         axis = run.delta_axis()
@@ -852,16 +859,16 @@ def _write_report(run, lines):
     """Print the report ``lines`` and, with an output path, write them there too."""
     report = "\n".join(lines) + "\n"
     print(report, end="")
-    if run.out_path:
-        with _naming(run.out_path), open(run.out_path, "w", encoding="utf-8", newline="\n") as fh:
+    if run.out:
+        with _naming(run.out), open(run.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(report)
 
 
 def _cmd_fit(run, scenario):
     scenario = _require(scenario, "fit needs a [scenario] section")
-    if run.fit_data is not None:
-        delta, counts = _read_counts_csv(run.fit_data)
-        source = run.fit_data
+    if run.data is not None:
+        delta, counts = _read_counts_csv(run.data)
+        source = run.data
     else:
         # the fit evaluates the model on the whole axis at each offset
         delta = np.asarray(run.delta_axis())
@@ -943,7 +950,7 @@ def _run_config(args):
     else:
         run, scenario = RunConfig(), None
     if args.out is not None:
-        run.out_path = args.out
+        run.out = args.out
     for key in ("seed", "dwell"):
         raw = getattr(args, key)
         if raw is not None:

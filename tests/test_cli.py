@@ -6,8 +6,10 @@ import functools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import textwrap
 import time
 import tracemalloc
 from pathlib import Path
@@ -329,13 +331,6 @@ def test_emit_trace_matches_row_reference_across_chunks(tmp_path, gnuplot_style)
     assert out.read_bytes() == ref
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_emit_trace_write_error_raises():
-    trace = _fig4a_trace(-150.0, 150.0, 4 * CHUNK_ROWS)
-    with pytest.raises(OSError):
-        emit_trace(trace, "/dev/full", scenario=None, gnuplot_style=False)
-
-
 @pytest.mark.parametrize("gnuplot_style", [False, True])
 def test_emit_trace_matches_row_reference_edge_values(tmp_path, gnuplot_style):
     # the last four rows give the total column -1e22, 1.0, -5e-324 and 1e-5
@@ -421,15 +416,15 @@ def test_main_fit_with_a_passband_narrow_against_its_center(capsys, tmp_path):
     assert capsys.readouterr().err == ""
 
 
-def test_fit_far_tail_offsets_warn_nothing(tmp_path):
+def test_fit_far_tail_offsets_warn_nothing(tmp_path, capsys):
     # the fit's offset search spans half a drive period, 5e159 GHz, whose
     # square overflows to inf: the lineshape there is exactly 0, silently
+    # (a numpy warning would raise here, under the suite's warning filter)
     cfg = tmp_path / "fit.cfg"
     cfg.write_text((CONFIGS / "fit_demo.cfg").read_text().replace(
         "preset = fig3b", "preset = fig4a\nmodulation_frequency = 1e160 GHz"))
-    proc = _run_python("-m", "modlab.cli", "fit", "--config", str(cfg))
-    assert proc.returncode == 0
-    assert proc.stderr == ""
+    assert main(["fit", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_run_validate_flags_corrupted_bessel(monkeypatch):
@@ -852,15 +847,15 @@ def test_entry_point_config_error_exits_2(tmp_path):
     assert proc.stderr.startswith("config error: ")
 
 
-# a bad flag value and a usage error end the process as any config error
-# does: one line, no usage block, exit 2
+# a bad flag value and a usage error end main as any config error does: one
+# line, no usage block, exit 2
 @pytest.mark.parametrize("argv, message", [
     (["scan", "--seed", "1.5"], "--seed: key 'seed' takes an integer (got '1.5')"),
     ([], "the following arguments are required: command"),
 ], ids=["--seed 1.5", "no arguments"])
-def test_entry_point_usage_error_is_one_line(argv, message):
-    proc = _run_python("-m", "modlab.cli", *argv)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"config error: {message}\n")
+def test_entry_point_usage_error_is_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
 # a flag is matched whole: a prefix of one is an unknown option, not that flag
@@ -917,14 +912,12 @@ def test_main_fit_flags_equal_their_run_keys(tmp_path, capsys, run_section, flag
     assert capsys.readouterr() == pinned
 
 
-def test_entry_point_missing_out_directory_exits_3(tmp_path):
-    cfg = tmp_path / "scan.cfg"
+def test_entry_point_missing_out_directory_exits_3(tmp_path, capsys):
+    cfg, out = tmp_path / "scan.cfg", tmp_path / "no_dir" / "x.csv"
     cfg.write_text(MINIMAL)
-    proc = _run_python("-m", "modlab.cli", "scan", "--config", str(cfg),
-                       "--out", str(tmp_path / "no_dir" / "x.csv"))
-    assert proc.returncode == 3
-    assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("i/o error: ")
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr() == (
+        "", f"i/o error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{out}'\n")
 
 
 def test_entry_point_freezes_and_keeps_atexit_handlers():
@@ -1054,13 +1047,16 @@ def _assert_no_child_process():
 
 
 def _chunk_raising(monkeypatch, parity, exc):
-    """Make ``LazyTrace.chunk`` raise ``exc`` on every chunk after the
-    first two whose index has ``parity``: odd chunks are the helper's."""
+    """Make ``LazyTrace.chunk`` raise ``exc``, or with None SIGKILL its
+    process, on every chunk after the first two whose index has
+    ``parity``: odd chunks are the helper's."""
     chunk = LazyTrace.chunk
 
     def failing(self, start, stop):
         k = start // cli._EMIT_CHUNK_ROWS
         if k >= 2 and k % 2 == parity:
+            if exc is None:
+                os.kill(os.getpid(), signal.SIGKILL)
             raise exc
         return chunk(self, start, stop)
 
@@ -1069,14 +1065,16 @@ def _chunk_raising(monkeypatch, parity, exc):
 
 @pytest.mark.parametrize("parity, exc, message", [
     (1, RuntimeError("boom"), "the helper process writing {out} exited with status 1"),
+    (1, None, "the helper process writing {out} exited with status -9"),
     (0, OSError("disk gone"), "disk gone"),
     (0, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
      f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{{out}}'"),
-], ids=["helper", "parent", "parent errno"])
+], ids=["helper", "helper killed", "parent", "parent errno"])
 def test_main_scan_failing_emit_process_exits_3(tmp_path, capsys, monkeypatch, parity, exc,
                                                 message):
-    # the helper's error is its exit status; the parent's own error is its
-    # own, named by the output file when it carries an errno but no file
+    # the helper's error, or the SIGKILL that ends it before its chunk 3, is
+    # its exit status; the parent's own error is its own, named by the
+    # output file when it carries an errno but no file
     _chunk_raising(monkeypatch, parity, exc)
     cfg, out = tmp_path / "scan.cfg", tmp_path / "out.csv"
     cfg.write_text(MULTI_CHUNK)
@@ -1107,7 +1105,8 @@ def test_emit_trace_leaves_no_child_process(tmp_path):
     emit_trace(trace, tmp_path / "out.csv", scenario=None, gnuplot_style=False)
     _assert_no_child_process()
     if os.path.exists("/dev/full"):
-        with pytest.raises(OSError):
+        # the header's flush, before any fork, fails
+        with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
             emit_trace(trace, "/dev/full", scenario=None, gnuplot_style=False)
         _assert_no_child_process()
 
@@ -1175,6 +1174,93 @@ def _raise(exc):
     raise exc
 
 
+# a .meta that is a device or a FIFO is not emptied, only written last: a
+# link to /dev/null discards it, and a FIFO's reader receives it
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_main_figure_writes_a_meta_linked_to_dev_null(tmp_path, capsys):
+    cfg, out, ref = CONFIGS / "fig4a.cfg", tmp_path / "o.csv", tmp_path / "ref.csv"
+    assert main(["figure", "--config", str(cfg), "--out", str(ref)]) == 0
+    capsys.readouterr()
+    Path(f"{out}.meta").symlink_to("/dev/null")
+    assert main(["figure", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr() == (f"wrote fig4a trace (601 rows) to {out}\n", "")
+    assert out.read_bytes() == ref.read_bytes()
+    assert len(out.read_bytes().splitlines()) == 1 + 601
+    assert Path(f"{out}.meta").is_symlink()
+
+
+def test_main_figure_writes_the_meta_into_a_fifo(tmp_path, capsys):
+    cfg, out, ref = CONFIGS / "fig4a.cfg", tmp_path / "o.csv", tmp_path / "ref.csv"
+    assert main(["figure", "--config", str(cfg), "--out", str(ref)]) == 0
+    meta, read = Path(f"{out}.meta"), tmp_path / "read.meta"
+    os.mkfifo(meta)
+    with open(read, "wb") as sink:
+        reader = subprocess.Popen(["cat", str(meta)], stdout=sink)
+    try:
+        assert main(["figure", "--config", str(cfg), "--out", str(out)]) == 0
+        assert reader.wait(timeout=60) == 0
+    finally:
+        reader.kill()
+        reader.wait()
+    assert read.read_bytes() == Path(f"{ref}.meta").read_bytes()
+    assert out.read_bytes() == ref.read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+# the command's process killed at its chunk 2: the helper, having written
+# chunk 1, stops at its next turn; nothing cuts the old file's tail, and the
+# earlier .meta stays empty
+_KILLED_AT_CHUNK_2 = textwrap.dedent("""\
+    import os, signal, sys
+    from modlab import cli
+    from modlab.correlator import LazyTrace
+
+    cli._EMIT_CHUNK_ROWS = 100
+    os.sched_getaffinity = lambda pid: {0, 1}
+    parent, fork, chunk = os.getpid(), os.fork, LazyTrace.chunk
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            with open(sys.argv[1], "w") as fh:
+                fh.write(str(pid))
+        return pid
+
+    def killing_chunk(self, start, stop):
+        if start == 200 and os.getpid() == parent:
+            os.kill(parent, signal.SIGKILL)
+        return chunk(self, start, stop)
+
+    os.fork, LazyTrace.chunk = recorded_fork, killing_chunk
+    cli.main(["scan", "--config", sys.argv[2], "--out", sys.argv[3]])
+    """)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_entry_point_killed_mid_write_leaves_an_empty_meta(tmp_path):
+    cfg, out, pid_file = tmp_path / "scan.cfg", tmp_path / "out.csv", tmp_path / "helper.pid"
+    cfg.write_text(MINIMAL)
+    old = b"\xff" * (1 << 20)
+    out.write_bytes(old)
+    meta = Path(f"{out}.meta")
+    meta.write_text("{}\n")
+    proc = _run_python("-c", _KILLED_AT_CHUNK_2, str(pid_file), str(cfg), str(out))
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    # the helper, reparented, is gone or a zombie within the deadline
+    helper = Path(f"/proc/{int(pid_file.read_text())}/stat")
+    deadline = time.monotonic() + 60
+    while helper.exists() and helper.read_text().rpartition(")")[2].split()[0] != "Z":
+        assert time.monotonic() < deadline, "the helper is still running"
+        time.sleep(0.01)
+    assert meta.read_bytes() == b""
+    run, scenario = parse_config(MINIMAL, command="scan")
+    ref = tmp_path / "ref.csv"
+    emit_trace(LazyTrace(scenario.model, UniformAxis(run.delta_min, run.delta_step, 200)), ref,
+               scenario=scenario, gnuplot_style=False)
+    rows = ref.read_bytes()
+    assert out.read_bytes() == rows + old[len(rows):]
+
+
 # devices are written through a link, so that the .meta goes beside it, not into /dev
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/null and /dev/full")
 @pytest.mark.parametrize("device, code", [("/dev/null", 0), ("/dev/full", 3)])
@@ -1206,9 +1292,6 @@ def test_main_scan_writes_to_a_device_without_a_truncate(tmp_path, capsys, monke
 ], ids=["figure rows", "scan header", "fit report", "scan meta"])
 def test_main_write_error_names_the_file(tmp_path, capsys, monkeypatch, command, text, full):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    if full:
-        # truncating a device fails (EINVAL), so the earlier .meta is not emptied
-        monkeypatch.setattr(os, "truncate", lambda path, length: None)
     cfg, out = tmp_path / "run.cfg", tmp_path / "full.csv"
     cfg.write_text(text)
     target = Path(f"{out}{full}")
