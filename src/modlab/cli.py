@@ -1,8 +1,10 @@
 """Command-line front end: scans, figure presets, fits and self-validation.
 
-This module parses arguments and config files, writes trace CSVs and
-prints reports. The invariant suite that ``validate`` reports on is
-``modlab.checks``; ``run_validate`` is bound here from there.
+This module parses argument and config text, reads every input file,
+writes trace CSVs and prints reports; ``scenario.build_scenario`` turns the
+``[scenario]`` values it parses into the scenario. The invariant suite that
+``validate`` reports on is ``modlab.checks``; ``run_validate`` is bound here
+from there.
 
 Configuration is a plain-text file with named ``[section]`` headers and
 ``key = value`` pairs; values may carry a unit suffix which is checked
@@ -35,12 +37,17 @@ Sections and keys:
              filter1_fwhm/filter2_fwhm (GHz), filter1_alpha_sq/
              filter2_alpha_sq (dimensionless), filter1_slit/filter2_slit (mm)
 
-With ``preset`` present the remaining scenario keys act as overrides.
+A preset is a set of ``[scenario]`` values: the reference instrument, the
+case's drives and its slits in mm. The section's other keys replace its
+values, so a dispersion or pump given over a preset keeps its slits.
 ``fwhm_convention`` (whether filter FWHMs are those of |H|^2 or of H) is
 applied, as each filter is built, to the widths the file quotes; a preset's
 own widths are intensity FWHMs, so every scenario holds intensity FWHMs.
-Missing slits default to the degenerate spectrum center; missing modulator
-keys default to an undriven channel (``_SCENARIO_DEFAULTS``).
+An explicit scenario's missing slits sit at the degenerate spectrum center,
+and its missing modulator keys leave a channel undriven
+(``scenario.SCENARIO_DEFAULTS``). Each waveform file is read into its phase
+samples before the scenario is built, so an error of a waveform key,
+reported at its line, comes before any error of the scenario as a whole.
 
 Each key's value is checked at its own line: its unit, that it is finite,
 and, for the keys of ``_SIGN_RULES`` (``delta_step`` and ``dwell``
@@ -143,14 +150,11 @@ import numpy as np
 
 from . import __version__, stages
 from .checks import run_validate
-from .correlator import (CLIPPING_MESSAGE, FWHM_CONVENTIONS, GaussianFilter, LazyTrace,
-                         UniformAxis, intensity_filter)
+from .correlator import CLIPPING_MESSAGE, FWHM_CONVENTIONS, LazyTrace, UniformAxis
 from .errors import (ConfigParseError, ConfigurationError, DomainError, ModlabError,
                      ResolutionError)
-from .modulation import coeffs_from_waveform, sinusoidal_coeffs
-from .scenario import (FIGURE_CASES, ExperimentScenario, figure_preset, fit_scale,
-                       synthesize_counts)
-from .spdc_core import SpectralAmplitudes
+from .scenario import (FIGURE_CASES, ExperimentScenario, build_scenario, figure_preset,
+                       fit_scale, scenario_params, synthesize_counts)
 
 MAX_SCAN_ROWS = 10_000_000
 
@@ -194,13 +198,6 @@ _SIGN_RULES = {"delta_step": "positive", "dwell": "positive", "seed": "nonnegati
                "b0": "nonnegative", "filter1_alpha_sq": "nonnegative",
                "filter2_alpha_sq": "nonnegative"}
 
-# the explicit-scenario keys a file may leave out, with the values they take;
-# every other [scenario] key but the preset, waveforms and slits is required
-_SCENARIO_DEFAULTS = {"fwhm_convention": "intensity", "mod1_depth": 0.0, "mod1_phase": 0.0,
-                      "mod2_depth": 0.0, "mod2_phase": 0.0}
-_SCENARIO_REQUIRED = tuple(
-    key for key in _SECTIONS["scenario"] if key != "preset"
-    and not key.endswith(("_waveform", "_slit")) and key not in _SCENARIO_DEFAULTS)
 
 @dataclass
 class RunConfig:
@@ -317,7 +314,8 @@ def parse_config(text: str, command: str):
     Fully validated: unknown sections/keys, sections ``command`` does not
     read, unit mismatches, duplicate keys (``schema`` included), ordering
     violations and out-of-range values all raise ConfigParseError with the
-    offending line number.
+    offending line number. An error of the scenario as a whole, or of a
+    waveform file's own text, is a ConfigParseError without one.
     """
     values = {}     # (section, key) -> value
     lines = {}
@@ -378,85 +376,27 @@ def parse_config(text: str, command: str):
 
 
 def _build_scenario(items, lines):
-    def line_of(key):
-        return lines.get(("scenario", key))
-
-    if "preset" in items:
-        params = _scenario_params(figure_preset(items["preset"]))
-        params.update({k: v for k, v in items.items() if k != "preset"})
-    else:
-        missing = [k for k in _SCENARIO_REQUIRED if k not in items]
-        if missing:
-            raise ConfigParseError(
-                "explicit scenario is missing required keys: " + ", ".join(missing), None)
-        params = {**_SCENARIO_DEFAULTS, **items}
-
-    pump = params["pump_frequency"]
-    dispersion = params["dispersion"]
-    # a slit the file leaves out sits at the degenerate frequency; a zero
-    # dispersion, like a negative one, is refused when the filters are built
-    center_slit = (0.5 * pump) / dispersion if dispersion else 0.0
-
-    omega_m = params["modulation_frequency"]
-    mods = []
-    for ch in ("mod1", "mod2"):
-        wav_key = f"{ch}_waveform"
-        path = items.get(wav_key)
-        if path is None:
-            mods.append(sinusoidal_coeffs(params[f"{ch}_depth"], params[f"{ch}_phase"], omega_m))
-            continue
-        if f"{ch}_depth" in items:
-            raise ConfigParseError(
-                f"give either {ch}_depth or {ch}_waveform, not both", line_of(wav_key))
-        try:
-            phases = read_phase_waveform(path)
-        except OSError as exc:
-            raise ConfigParseError(
-                f"cannot read waveform file '{path}': {exc}", line_of(wav_key)) from exc
-        mods.append(coeffs_from_waveform(phases, omega_m))
-
-    b0 = params["b0"]
-    a0 = math.sqrt(1.0 + b0 * b0)
+    """``scenario.build_scenario`` of the ``[scenario]`` values ``items``,
+    each waveform path first replaced there by the phase samples its file
+    holds. Every error is a ``ConfigParseError``: a waveform key's, which
+    comes first, at the key's line, and any other with its text unchanged."""
     try:
-        # each filter is checked at its width, then a width the file quotes is
-        # read per convention; a preset's own widths are intensity FWHMs
-        filter1, filter2 = (
-            intensity_filter(GaussianFilter(fwhm=params[f"{ch}_fwhm"],
-                                            alpha=math.sqrt(params[f"{ch}_alpha_sq"]),
-                                            slit=params.get(f"{ch}_slit", center_slit),
-                                            dispersion=dispersion),
-                             params["fwhm_convention"] if f"{ch}_fwhm" in items
-                             else "intensity")
-            for ch in ("filter1", "filter2"))
-        return ExperimentScenario(
-            pump_frequency=pump,
-            amplitudes=SpectralAmplitudes.flat(a0, b0),
-            mod1=mods[0], mod2=mods[1], filter1=filter1, filter2=filter2,
-            gate_ns=params["gate"], dispersion=dispersion)
+        for ch in ("mod1", "mod2"):
+            path = items.get(f"{ch}_waveform")
+            if path is None:
+                continue
+            line = lines.get(("scenario", f"{ch}_waveform"))
+            if f"{ch}_depth" in items:
+                raise ConfigParseError(f"give either {ch}_depth or {ch}_waveform, not both", line)
+            try:
+                items[f"{ch}_waveform"] = read_phase_waveform(path)
+            except OSError as exc:
+                raise ConfigParseError(f"cannot read waveform file '{path}': {exc}", line) from exc
+        return build_scenario(items)
+    except ConfigParseError:
+        raise
     except ValueError as exc:
-        raise ConfigParseError(f"invalid scenario: {exc}", None) from exc
-
-
-def _scenario_params(scenario: ExperimentScenario) -> dict:
-    """The ``[scenario]`` keys of a flat-band scenario with sinusoidal drives,
-    in config-file order, with the values that rebuild it."""
-    return {
-        "pump_frequency": scenario.pump_frequency,
-        "modulation_frequency": scenario.omega_m,
-        "gate": scenario.gate_ns,
-        "dispersion": scenario.dispersion,
-        # every GaussianFilter holds an intensity FWHM
-        "fwhm_convention": "intensity",
-        "b0": abs(scenario.amplitudes.b0),
-        "mod1_depth": scenario.mod1.depth, "mod1_phase": scenario.mod1.drive_phase,
-        "mod2_depth": scenario.mod2.depth, "mod2_phase": scenario.mod2.drive_phase,
-        "filter1_fwhm": scenario.filter1.fwhm,
-        "filter1_alpha_sq": scenario.filter1.alpha ** 2,
-        "filter1_slit": scenario.filter1.slit,
-        "filter2_fwhm": scenario.filter2.fwhm,
-        "filter2_alpha_sq": scenario.filter2.alpha ** 2,
-        "filter2_slit": scenario.filter2.slit,
-    }
+        raise ConfigParseError(str(exc)) from exc
 
 
 def scenario_to_config(scenario: ExperimentScenario) -> str:
@@ -476,7 +416,7 @@ def scenario_to_config(scenario: ExperimentScenario) -> str:
             raise ConfigurationError(
                 f"{name} was not built from a sinusoidal drive; cannot serialize")
     out = ["schema = 1", "", "[scenario]"]
-    for key, value in _scenario_params(scenario).items():
+    for key, value in scenario_params(scenario).items():
         kind, unit = _SECTIONS["scenario"][key]
         if kind == "enum":
             out.append(f"{key} = {value}")
@@ -537,17 +477,27 @@ def _write_rows(fh, trace, sep):
     # the 10^7-row peak from 37.9 to 39.9 MB.
     canvas = textfmt.Canvas(min(n_rows, _EMIT_CHUNK_ROWS), 5)
 
+    fh.flush()      # the header; the helper's copy of fh starts with an empty buffer
+    # in a regular file, the offset after the last chunk this process knows
+    # to be whole: after its own flush, and after the other's once it takes
+    # the turn. A failed write is cut back to it, so the file ends after
+    # whole chunks; a FIFO, which cannot tell its offset, is cut nowhere
+    tell = fh.tell if os.path.isfile(fh.fileno()) else lambda: None
+    done = tell()
+
     def write_chunks(rank, processes, turn):
         """The chunks ``rank``, ``rank + processes``, ...; with ``turn``, the
         (read, write) ends of this process's turn pipes, each is written only
         while this process holds the turn token, which the writer of chunk 0
         holds at the start and every writer passes on after each chunk."""
+        nonlocal done
         for start in range(rank * _EMIT_CHUNK_ROWS, n_rows, processes * _EMIT_CHUNK_ROWS):
             part = trace.chunk(start, start + _EMIT_CHUNK_ROWS)
             blocks = textfmt.format_rows(sep, (part.delta_axis, part.paired, part.accidental,
                                                part.total, part.n_index), canvas)
             if turn and start > 0 and not os.read(turn[0], 1):
                 return      # the other process ended without passing the turn
+            done = tell()   # the chunk before, this process's or the other's, is whole
             # each block is laid out and translated here, with the turn held,
             # and dropped by writelines once written, before the next is made:
             # translated before the turn, the chunk's whole 1.2 MB of text
@@ -556,44 +506,51 @@ def _write_rows(fh, trace, sep):
             # 35.28 to 35.89 MB and ran slower (12 alternating rounds)
             fh.writelines(blocks)
             fh.flush()      # before the turn passes on; os._exit flushes nothing
+            done = tell()
             if turn:
                 os.write(turn[1], b"\0")
 
-    # the CPUs this process may run on; os.sched_getaffinity exists on
-    # Linux-like hosts only, and elsewhere one process writes every chunk
-    if n_rows <= _EMIT_CHUNK_ROWS or len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2:
-        return write_chunks(0, 1, None)
-    fh.flush()      # the helper's copy of fh starts with an empty buffer
-    to_helper, to_parent = os.pipe(), os.pipe()
     try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns when a process with other threads forks, such as
-            # numpy's OpenBLAS pool. The helper only runs numpy ufuncs and writes
-            # bytes: it makes no BLAS call and takes no lock those threads hold.
-            warnings.filterwarnings("ignore", ".* use of fork", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        # no helper (EAGAIN, ENOMEM): this process writes every chunk, same bytes
-        for fd in (*to_helper, *to_parent):
-            os.close(fd)
-        return write_chunks(0, 1, None)
-    # each process closes its copy of the write end of the pipe it reads, so
-    # that it reads end of file once the other has ended; it keeps the read
-    # end of the pipe it writes, so that passing the turn never fails
-    reads, writes = (to_parent, to_helper) if pid else (to_helper, to_parent)
-    os.close(reads[1])
-    try:
-        write_chunks(int(pid == 0), 2, (reads[0], writes[1]))
-        if pid == 0:
-            os._exit(0)
-    finally:
-        if pid == 0:
-            os._exit(1)     # never return into the caller, whose exit would run twice
-        for fd in (reads[0], *writes):
-            os.close(fd)
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0:
-        raise OSError(f"the helper process writing {fh.name} exited with status {status}")
+        # the CPUs this process may run on; os.sched_getaffinity exists on
+        # Linux-like hosts only, and elsewhere one process writes every chunk
+        if n_rows <= _EMIT_CHUNK_ROWS or len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2:
+            return write_chunks(0, 1, None)
+        to_helper, to_parent = os.pipe(), os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns when a process with other threads forks, such
+                # as numpy's OpenBLAS pool. The helper only runs numpy ufuncs and
+                # writes bytes: it makes no BLAS call and takes no lock those
+                # threads hold.
+                warnings.filterwarnings("ignore", ".* use of fork", DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            # no helper (EAGAIN, ENOMEM): this process writes every chunk, same bytes
+            for fd in (*to_helper, *to_parent):
+                os.close(fd)
+            return write_chunks(0, 1, None)
+        # each process closes its copy of the write end of the pipe it reads, so
+        # that it reads end of file once the other has ended; it keeps the read
+        # end of the pipe it writes, so that passing the turn never fails
+        reads, writes = (to_parent, to_helper) if pid else (to_helper, to_parent)
+        os.close(reads[1])
+        try:
+            write_chunks(int(pid == 0), 2, (reads[0], writes[1]))
+            if pid == 0:
+                os._exit(0)
+        finally:
+            if pid == 0:
+                os._exit(1)     # never return into the caller, whose exit would run twice
+            for fd in (reads[0], *writes):
+                os.close(fd)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status != 0:
+            raise OSError(f"the helper process writing {fh.name} exited with status {status}")
+    except BaseException:
+        # in this process only, once the helper is reaped and writes no more
+        if done is not None:
+            os.lseek(fh.fileno(), done, os.SEEK_SET)
+        raise
 
 
 @stages.timed("emit")
@@ -608,22 +565,23 @@ def emit_trace(trace, path, scenario, gnuplot_style):
 
     The CSV is written in place and the new ``.meta`` last, and each is
     truncated only if it is a regular file (through a link, if it is one):
-    the CSV where its rows end, and an earlier ``.meta`` to 0 bytes before
-    the first row, so only a ``.meta`` that is present and not empty marks
-    a complete CSV. A device or FIFO ``.meta``, such as a link to
-    ``/dev/null``, is not emptied, only opened and written at the end; a
-    ``.meta`` that cannot be emptied or written ends the command with exit
-    3 and one ``i/o error:`` line naming it.
+    the CSV where its rows end, or after its last whole chunk on an error,
+    and an earlier ``.meta`` to 0 bytes before the first row, so only a
+    ``.meta`` that is present and not empty marks a complete CSV. A device
+    or FIFO ``.meta``, such as a link to ``/dev/null``, is not emptied,
+    only opened and written at the end; a ``.meta`` that cannot be emptied
+    or written ends the command with exit 3 and one ``i/o error:`` line
+    naming it.
 
     ``trace`` is a ``CorrelationTrace`` or a ``LazyTrace``; one row is
     written per sample of ``trace.delta_axis``. The CSV is opened first, so
     an unwritable path fails before any formatting, and without truncating
     it (``O_WRONLY | O_CREAT``, mode 0o666 as ``open`` gives), so that
     rewriting an existing CSV, as a repeated scan to one ``--out`` does,
-    writes into its pages. Its tail is cut on success and on any error
+    writes into its pages. Its tail is cut on success, and on any error
     before it is raised, so a run that ends, well or not, leaves a fresh
-    write's bytes. A killed process cuts nothing: an older file's tail may
-    follow its rows, beside an empty ``.meta``. Nothing is fsynced, so
+    write's bytes, in whole chunks. A killed process cuts nothing: an older
+    file's tail may follow its rows, beside an empty ``.meta``. Nothing is fsynced, so
     neither file is durable across a system crash.
     Truncating first cost a 10^6-row ``scan`` over its own 68 MB CSV 40 to
     85 ms (ext4, 2-vCPU x86-64 Linux): freeing the old pages, filling new
@@ -672,12 +630,14 @@ def emit_trace(trace, path, scenario, gnuplot_style):
     reads end of file at its next turn, or finishes its own chunks, and
     raises ``OSError`` naming the helper's exit status (-9 for a helper
     killed by SIGKILL), which ``main`` reports as one ``i/o error:`` line
-    with exit code 3. Either way the file is cut where the written rows
-    end, with no byte of an older file after it (after the last whole
-    chunk, when the failing process stopped between its writes), and its
-    ``.meta``, if any, is empty. A helper whose parent was killed likewise
-    stops at its next turn; nothing is cut then, and the ``.meta`` stays
-    empty.
+    with exit code 3. Either way a regular file is cut after the last chunk
+    this process knows to be whole: the one it flushed last, or the
+    helper's that ended when this process last took the turn, whichever
+    is later. So the file holds whole chunks only, with no byte of an older
+    file after them, even when a process stopped inside its chunk's writes,
+    and its ``.meta``, if any, is empty. A helper whose parent was killed
+    likewise stops at its next turn; nothing is cut then, and the ``.meta``
+    stays empty.
 
     Peak RSS of a ``scan`` of the fig4a preset, read with ``os.wait4`` (so
     the reaped helper's is included; 2-vCPU x86-64 Linux, Python 3.11,
@@ -708,9 +668,10 @@ def emit_trace(trace, path, scenario, gnuplot_style):
             fh.write(header.encode("ascii") + b"\n")
             _write_rows(fh, trace, sep)
         finally:
-            # at the offset the flushed rows reached, on an error too; closing
-            # then writes what the buffer still holds there (a header with no
-            # rows), so the bytes are those of a fresh write
+            # where the rows end, or on an error where _write_rows put the
+            # offset back, after the last whole chunk; closing then writes
+            # what the buffer still holds there (a header with no rows), so
+            # the bytes are those of a fresh write
             if os.path.isfile(fh.fileno()):
                 os.truncate(fh.fileno(), os.lseek(fh.fileno(), 0, os.SEEK_CUR))
     meta = {

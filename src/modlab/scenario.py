@@ -8,7 +8,10 @@ follow the reference apparatus: 30 GHz drive, 8.5 GHz monochromator FWHM,
 flat-band constants come
 from a stand-in average channel-2 singles rate, inverted exactly the way
 the experiment calibrates them, and put the unmodulated correlation peak
-near 1000 counts per 20 s dwell.
+near 1000 counts per 20 s dwell. ``build_scenario`` is the one builder
+of a scenario from ``[scenario]`` values: each preset is a table of them,
+and ``figure_preset``, ``reference_scenario`` and every config file build
+through it.
 
 Synthetic measurements are independent Poisson draws per delta sample from
 a seeded PCG64 generator. Fitting mirrors the reference analysis: only
@@ -31,9 +34,9 @@ from functools import cached_property
 import numpy as np
 
 from . import stages
-from .correlator import GaussianFilter, SidebandModel
+from .correlator import GaussianFilter, SidebandModel, intensity_filter
 from .errors import ConfigurationError, DomainError
-from .modulation import ModulatorSpectrum, sinusoidal_coeffs
+from .modulation import ModulatorSpectrum, coeffs_from_waveform, sinusoidal_coeffs
 from .spdc_core import SpectralAmplitudes, amplitudes_from_rate
 
 # 532 nm cw pump, ordinary frequency
@@ -48,8 +51,6 @@ REFERENCE_DEPTH = 1.5                                   # rad
 # stand-in average channel-2 singles rate used to set |B0| (counts/s);
 # chosen so the unmodulated peak lands near 1e3 counts per 20 s dwell
 PRESET_R2_RATE = 2.18
-
-FIGURE_CASES = ("fig3a", "fig3b", "fig4a", "fig4b")
 
 # fit_scale's coarse offsets, and the golden-section steps that shrink the
 # bracket of two coarse spacings, 2 * 0.99 w_m / (_COARSE_POINTS - 1), to 1e-12 w_m
@@ -110,25 +111,113 @@ class ExperimentScenario:
         return SidebandModel(self)
 
 
+# slit at the degenerate spectrum center, mm
+_REFERENCE_SLIT = (0.5 * REFERENCE_PUMP_FREQUENCY) / REFERENCE_DISPERSION
+# the reference instrument's [scenario] values, in config-file order: the keys
+# an explicit scenario must give
+_REFERENCE_VALUES = {
+    "pump_frequency": REFERENCE_PUMP_FREQUENCY, "modulation_frequency": REFERENCE_OMEGA_M,
+    "gate": REFERENCE_GATE_NS, "dispersion": REFERENCE_DISPERSION,
+    "b0": amplitudes_from_rate(PRESET_R2_RATE, GaussianFilter(
+        fwhm=REFERENCE_FILTER_FWHM, alpha=math.sqrt(REFERENCE_ALPHA2_SQ),
+        slit=_REFERENCE_SLIT, dispersion=REFERENCE_DISPERSION))[1].real,
+    "filter1_fwhm": REFERENCE_FILTER_FWHM, "filter1_alpha_sq": REFERENCE_ALPHA1_SQ,
+    "filter2_fwhm": REFERENCE_FILTER_FWHM, "filter2_alpha_sq": REFERENCE_ALPHA2_SQ,
+}
+# the values an explicit scenario may leave out: intensity FWHMs and
+# undriven modulators; a slit left out sits at the degenerate spectrum center
+SCENARIO_DEFAULTS = {"fwhm_convention": "intensity", "mod1_depth": 0.0, "mod1_phase": 0.0,
+                     "mod2_depth": 0.0, "mod2_phase": 0.0}
+# each measured case's drives; fig4b drives fig4a's modulators in opposition
+_CASE_DRIVES = {"fig3a": {}, "fig3b": {"mod1_depth": REFERENCE_DEPTH},
+                "fig4a": {"mod1_depth": REFERENCE_DEPTH, "mod2_depth": REFERENCE_DEPTH}}
+_CASE_DRIVES["fig4b"] = {**_CASE_DRIVES["fig4a"], "mod2_phase": math.pi}
+FIGURE_CASES = tuple(_CASE_DRIVES)
+# a preset's values hold its slits, in mm, so that a dispersion or pump given
+# over it keeps them
+_PRESETS = {case: {**SCENARIO_DEFAULTS, **_REFERENCE_VALUES, "filter1_slit": _REFERENCE_SLIT,
+                   "filter2_slit": _REFERENCE_SLIT, **drives}
+            for case, drives in _CASE_DRIVES.items()}
+
+
+def build_scenario(items) -> ExperimentScenario:
+    """The scenario of the ``[scenario]`` values ``items``, keyed as in a
+    config file, with a waveform given as its phase samples.
+
+    With ``preset``, the values start from the preset's (the reference
+    instrument, the case's drives and the slits at its center, in mm) and
+    ``items`` replace them; without it, ``items`` must give every key of
+    ``_REFERENCE_VALUES`` and ``SCENARIO_DEFAULTS`` fill what it leaves out.
+    This is the one place that states how values become a scenario: a slit
+    left out sits at the degenerate frequency, (pump / 2) / dispersion; a
+    filter's alpha is the square root of its ``alpha_sq``; |A0| is
+    sqrt(1 + |B0|^2), both phases zero; ``fwhm_convention`` applies to the
+    widths ``items`` gives, while a preset's own widths are intensity
+    FWHMs; and a modulator with a waveform is driven by it, not by its
+    depth. Every error is a ``ValueError`` of the package, and one of the
+    filters or of the scenario as a whole reads ``invalid scenario: ...``.
+    """
+    if "preset" in items:
+        if items["preset"] not in _PRESETS:
+            raise ConfigurationError(
+                f"unknown figure case {items['preset']!r}; expected one of {FIGURE_CASES}")
+        params = {**_PRESETS[items["preset"]], **items}
+    else:
+        missing = [key for key in _REFERENCE_VALUES if key not in items]
+        if missing:
+            raise ConfigurationError(
+                "explicit scenario is missing required keys: " + ", ".join(missing))
+        params = {**SCENARIO_DEFAULTS, **items}
+    pump, dispersion = params["pump_frequency"], params["dispersion"]
+    # a zero dispersion, like a negative one, is refused when the filters are built
+    center_slit = (0.5 * pump) / dispersion if dispersion else 0.0
+    omega_m = params["modulation_frequency"]
+    mod1, mod2 = (
+        coeffs_from_waveform(params[f"{ch}_waveform"], omega_m) if f"{ch}_waveform" in params
+        else sinusoidal_coeffs(params[f"{ch}_depth"], params[f"{ch}_phase"], omega_m)
+        for ch in ("mod1", "mod2"))
+    b0 = params["b0"]
+    try:
+        filter1, filter2 = (intensity_filter(
+            GaussianFilter(fwhm=params[f"{ch}_fwhm"], alpha=math.sqrt(params[f"{ch}_alpha_sq"]),
+                           slit=params.get(f"{ch}_slit", center_slit), dispersion=dispersion),
+            params["fwhm_convention"] if f"{ch}_fwhm" in items else "intensity")
+            for ch in ("filter1", "filter2"))
+        return ExperimentScenario(
+            pump_frequency=pump, amplitudes=SpectralAmplitudes.flat(math.sqrt(1.0 + b0 * b0), b0),
+            mod1=mod1, mod2=mod2, filter1=filter1, filter2=filter2,
+            gate_ns=params["gate"], dispersion=dispersion)
+    except ValueError as exc:
+        raise ConfigurationError(f"invalid scenario: {exc}") from exc
+
+
+def scenario_params(scenario: ExperimentScenario) -> dict:
+    """The ``[scenario]`` values of a flat-band scenario with sinusoidal
+    drives, in config-file order, that ``build_scenario`` rebuilds it from."""
+    return {
+        "pump_frequency": scenario.pump_frequency,
+        "modulation_frequency": scenario.omega_m,
+        "gate": scenario.gate_ns,
+        "dispersion": scenario.dispersion,
+        # every GaussianFilter holds an intensity FWHM
+        "fwhm_convention": "intensity",
+        "b0": abs(scenario.amplitudes.b0),
+        "mod1_depth": scenario.mod1.depth, "mod1_phase": scenario.mod1.drive_phase,
+        "mod2_depth": scenario.mod2.depth, "mod2_phase": scenario.mod2.drive_phase,
+        "filter1_fwhm": scenario.filter1.fwhm,
+        "filter1_alpha_sq": scenario.filter1.alpha ** 2,
+        "filter1_slit": scenario.filter1.slit,
+        "filter2_fwhm": scenario.filter2.fwhm,
+        "filter2_alpha_sq": scenario.filter2.alpha ** 2,
+        "filter2_slit": scenario.filter2.slit,
+    }
+
+
 def reference_scenario(depth1: float = 0.0, depth2: float = 0.0,
                        phase1: float = 0.0, phase2: float = 0.0) -> ExperimentScenario:
     """Scenario with the reference instrument parameters and given drives."""
-    # slit at the degenerate spectrum center, mm
-    slit = (0.5 * REFERENCE_PUMP_FREQUENCY) / REFERENCE_DISPERSION
-    filter1 = GaussianFilter(fwhm=REFERENCE_FILTER_FWHM,
-                             alpha=math.sqrt(REFERENCE_ALPHA1_SQ),
-                             slit=slit, dispersion=REFERENCE_DISPERSION)
-    filter2 = GaussianFilter(fwhm=REFERENCE_FILTER_FWHM,
-                             alpha=math.sqrt(REFERENCE_ALPHA2_SQ),
-                             slit=slit, dispersion=REFERENCE_DISPERSION)
-    a0, b0 = amplitudes_from_rate(PRESET_R2_RATE, filter2)
-    return ExperimentScenario(
-        pump_frequency=REFERENCE_PUMP_FREQUENCY,
-        amplitudes=SpectralAmplitudes.flat(a0, b0),
-        mod1=sinusoidal_coeffs(depth1, phase1, REFERENCE_OMEGA_M),
-        mod2=sinusoidal_coeffs(depth2, phase2, REFERENCE_OMEGA_M),
-        filter1=filter1, filter2=filter2,
-        gate_ns=REFERENCE_GATE_NS, dispersion=REFERENCE_DISPERSION)
+    return build_scenario({**_REFERENCE_VALUES, "mod1_depth": depth1, "mod1_phase": phase1,
+                           "mod2_depth": depth2, "mod2_phase": phase2})
 
 
 def figure_preset(case: str) -> ExperimentScenario:
@@ -138,15 +227,7 @@ def figure_preset(case: str) -> ExperimentScenario:
     fig4a: both at 1.5 rad, same phase. fig4b: both at 1.5 rad, opposite
     phase.
     """
-    if case == "fig3a":
-        return reference_scenario(0.0, 0.0)
-    if case == "fig3b":
-        return reference_scenario(REFERENCE_DEPTH, 0.0)
-    if case == "fig4a":
-        return reference_scenario(REFERENCE_DEPTH, REFERENCE_DEPTH, 0.0, 0.0)
-    if case == "fig4b":
-        return reference_scenario(REFERENCE_DEPTH, REFERENCE_DEPTH, 0.0, math.pi)
-    raise ConfigurationError(f"unknown figure case {case!r}; expected one of {FIGURE_CASES}")
+    return build_scenario({"preset": case})
 
 
 def synthesize_counts(trace, dwell: float, seed: int) -> np.ndarray:

@@ -26,10 +26,14 @@ from modlab.cli import (MAX_SCAN_ROWS, RunConfig, emit_trace, main, parse_config
                         run_validate, scenario_to_config)
 from modlab.correlator import (CLIPPING_MESSAGE, CorrelationTrace, LazyTrace, UniformAxis,
                                coincidence_trace)
-from modlab.scenario import FIGURE_CASES
+from modlab.scenario import (FIGURE_CASES, PRESET_R2_RATE, REFERENCE_ALPHA1_SQ,
+                             REFERENCE_ALPHA2_SQ, REFERENCE_DISPERSION, REFERENCE_FILTER_FWHM,
+                             REFERENCE_GATE_NS, REFERENCE_OMEGA_M, REFERENCE_PUMP_FREQUENCY,
+                             reference_scenario)
+from modlab.spdc_core import amplitudes_from_rate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-CHUNK_ROWS = 1 << 16
+CHUNK_ROWS = cli._EMIT_CHUNK_ROWS
 
 MINIMAL = """\
 schema = 1
@@ -62,9 +66,10 @@ filter2_alpha_sq = 0.000559
 """
 
 
-def test_minimal_preset_passthrough():
-    run, scenario = parse_config(MINIMAL, command="scan")
-    assert scenario == figure_preset("fig4b")
+@pytest.mark.parametrize("case", FIGURE_CASES)
+def test_minimal_preset_passthrough(case):
+    run, scenario = parse_config(MINIMAL.replace("fig4b", case), command="scan")
+    assert scenario == figure_preset(case)
     axis = run.delta_axis()
     assert len(axis) == 601
     assert axis[0] == -150.0 and axis[-1] == 150.0
@@ -82,6 +87,62 @@ def test_preset_with_override():
     _, scenario = parse_config(text, command="scan")
     assert scenario.filter1.fwhm == 30.0
     assert not regime_report(scenario).valid
+
+
+def test_preset_keeps_its_slits_under_a_dispersion_and_pump():
+    # the slits are among the preset's values, in mm: a dispersion given over
+    # the preset moves each filter's centre with it, not to the new pump's half
+    text = MINIMAL + "dispersion = 100 GHz/mm\npump_frequency = 500000 GHz\n"
+    _, scenario = parse_config(text, command="scan")
+    preset = figure_preset("fig4b")
+    assert (scenario.dispersion, scenario.pump_frequency) == (100.0, 500000.0)
+    for filt, ref in ((scenario.filter1, preset.filter1), (scenario.filter2, preset.filter2)):
+        assert filt.slit == ref.slit == (0.5 * REFERENCE_PUMP_FREQUENCY) / REFERENCE_DISPERSION
+        assert filt.center == 100.0 * ref.slit
+
+
+@pytest.mark.parametrize("drives", [(0.0, 0.0, 0.0, 0.0), (1.5, 0.25, -0.5, math.pi)])
+def test_reference_scenario_equals_its_explicit_config(drives):
+    depth1, depth2, phase1, phase2 = drives
+    scenario = reference_scenario(depth1, depth2, phase1, phase2)
+    b0 = abs(amplitudes_from_rate(PRESET_R2_RATE, scenario.filter2)[1])
+    text = textwrap.dedent(f"""\
+        schema = 1
+        [scenario]
+        pump_frequency = {REFERENCE_PUMP_FREQUENCY!r} GHz
+        modulation_frequency = {REFERENCE_OMEGA_M!r} GHz
+        gate = {REFERENCE_GATE_NS!r} ns
+        dispersion = {REFERENCE_DISPERSION!r} GHz/mm
+        b0 = {b0!r}
+        mod1_depth = {depth1!r} rad
+        mod1_phase = {phase1!r} rad
+        mod2_depth = {depth2!r} rad
+        mod2_phase = {phase2!r} rad
+        filter1_fwhm = {REFERENCE_FILTER_FWHM!r} GHz
+        filter1_alpha_sq = {REFERENCE_ALPHA1_SQ!r}
+        filter2_fwhm = {REFERENCE_FILTER_FWHM!r} GHz
+        filter2_alpha_sq = {REFERENCE_ALPHA2_SQ!r}
+        """)
+    assert parse_config(text, command="validate")[1] == scenario
+
+
+def test_scenario_error_is_a_config_parse_error(capsys):
+    # a modulator's error, like a filter's, comes from parse_config as a
+    # ConfigParseError, its text unchanged
+    text = MINIMAL.replace("fig4b", "fig4a") + "mod1_depth = 200 rad\n"
+    message = "modulation depth 200 rad is too large: |depth| must be at most 157 rad"
+    with pytest.raises(ConfigParseError) as info:
+        parse_config(text, command="scan")
+    assert (str(info.value), info.value.line) == (message, None)
+
+
+def test_waveform_errors_come_before_scenario_errors(tmp_path):
+    # the waveform files are read before the scenario is built, so an
+    # unreadable mod2_waveform is reported before mod1's depth
+    text = MINIMAL + f"mod1_depth = 200 rad\nmod2_waveform = {tmp_path / 'missing.txt'}\n"
+    with pytest.raises(ConfigParseError, match="cannot read waveform file") as info:
+        parse_config(text, command="scan")
+    assert info.value.line == len(MINIMAL.splitlines()) + 2
 
 
 @pytest.mark.parametrize("command", ["scan", "fit", "validate"])
@@ -315,8 +376,6 @@ def _across_chunks_cases():
 
 @pytest.mark.parametrize("gnuplot_style", [False, True])
 def test_emit_trace_matches_row_reference_across_chunks(tmp_path, gnuplot_style):
-    # whole emit chunks, so that the case names below hold
-    assert CHUNK_ROWS % cli._EMIT_CHUNK_ROWS == 0
     cases = _across_chunks_cases()
     assert set(cases["constant n_index"][0].n_index.tolist()) == {0}
     distinct = cases["distinct n_index"][0].n_index
@@ -1046,36 +1105,51 @@ def _assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _chunk_raising(monkeypatch, parity, exc):
+def _chunk_raising(monkeypatch, parity, exc, blocks=None):
     """Make ``LazyTrace.chunk`` raise ``exc``, or with None SIGKILL its
     process, on every chunk after the first two whose index has
-    ``parity``: odd chunks are the helper's."""
-    chunk = LazyTrace.chunk
+    ``parity``: odd chunks are the helper's. With ``blocks``, such a chunk
+    is made and fails once that many of its 4,096-line blocks are written."""
+    chunk, format_rows = LazyTrace.chunk, textfmt.format_rows
+    failing_chunk = []
+
+    def fail():
+        if exc is None:
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise exc
 
     def failing(self, start, stop):
         k = start // cli._EMIT_CHUNK_ROWS
         if k >= 2 and k % 2 == parity:
-            if exc is None:
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise exc
+            if blocks is None:
+                fail()
+            failing_chunk.append(k)
         return chunk(self, start, stop)
 
+    def failing_blocks(sep, columns, canvas):
+        for n, block in enumerate(format_rows(sep, columns, canvas)):
+            if failing_chunk and n == blocks:
+                fail()
+            yield block
+
     monkeypatch.setattr(LazyTrace, "chunk", failing)
+    monkeypatch.setattr(textfmt, "format_rows", failing_blocks)
 
 
-@pytest.mark.parametrize("parity, exc, message", [
-    (1, RuntimeError("boom"), "the helper process writing {out} exited with status 1"),
-    (1, None, "the helper process writing {out} exited with status -9"),
-    (0, OSError("disk gone"), "disk gone"),
-    (0, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+@pytest.mark.parametrize("parity, exc, blocks, message", [
+    (1, RuntimeError("boom"), None, "the helper process writing {out} exited with status 1"),
+    (1, None, None, "the helper process writing {out} exited with status -9"),
+    (1, None, 1, "the helper process writing {out} exited with status -9"),
+    (0, OSError("disk gone"), None, "disk gone"),
+    (0, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), None,
      f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{{out}}'"),
-], ids=["helper", "helper killed", "parent", "parent errno"])
+], ids=["helper", "helper killed", "helper killed mid-chunk", "parent", "parent errno"])
 def test_main_scan_failing_emit_process_exits_3(tmp_path, capsys, monkeypatch, parity, exc,
-                                                message):
-    # the helper's error, or the SIGKILL that ends it before its chunk 3, is
-    # its exit status; the parent's own error is its own, named by the
-    # output file when it carries an errno but no file
-    _chunk_raising(monkeypatch, parity, exc)
+                                                blocks, message):
+    # the helper's error, or the SIGKILL that ends it before its chunk 3 or
+    # after the first block of it, is its exit status; the parent's own error
+    # is its own, named by the output file when it carries an errno but no file
+    _chunk_raising(monkeypatch, parity, exc, blocks)
     cfg, out = tmp_path / "scan.cfg", tmp_path / "out.csv"
     cfg.write_text(MULTI_CHUNK)
     # a longer CSV of an earlier run, and its .meta, lie at the output path
@@ -1089,10 +1163,11 @@ def test_main_scan_failing_emit_process_exits_3(tmp_path, capsys, monkeypatch, p
     assert (tmp_path / "returned").read_text() == f"{os.getpid()}\n"
     assert capsys.readouterr().err.splitlines() == [f"i/o error: {message.format(out=out)}"]
     _assert_no_child_process()
-    # left: an empty .meta, and the whole chunks written, with no old byte past
-    # them: 0 to 2 when the helper fails at 3, and 0 and 1 when this process fails at 2
+    # left: an empty .meta, and the chunks this process knew whole, with no
+    # old byte past them: 0 to 2 when the helper fails in or before 3, and 0
+    # when this process fails at 2, before it takes the turn back after 1
     assert meta.read_bytes() == b""
-    rows = (2 + parity) * cli._EMIT_CHUNK_ROWS
+    rows = (1 + 2 * parity) * cli._EMIT_CHUNK_ROWS
     run, scenario = parse_config(MULTI_CHUNK, command="scan")
     ref = tmp_path / "ref.csv"
     emit_trace(LazyTrace(scenario.model, UniformAxis(run.delta_min, run.delta_step, rows)), ref,
