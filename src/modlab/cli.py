@@ -75,7 +75,9 @@ too, which returns the code rather than raising ``SystemExit``. Any other
 to reach it. Every input
 file is read by ``_read_text``: a config, fit-data or waveform file that is
 not UTF-8 text is a configuration error, named in one line with the offset
-of its first bad byte. A ``[scan]`` section without all three
+of its first bad byte; one leading byte-order mark (U+FEFF) is dropped, so
+a file saved with one reads as the same file without it. A ``[scan]``
+section without all three
 keys or a ``[figure]`` section without ``case`` (a bare header included), a
 ``[scenario]`` header with neither a preset nor the explicit keys, a scan
 axis longer than ``MAX_SCAN_ROWS`` rows, a scan axis whose span or row count
@@ -83,7 +85,9 @@ is not finite or whose step is below two units of the last of the 15 digits
 that ``delta_ghz`` prints at its larger end (100 GHz at 1e16 GHz; a finer
 step could print two rows with the same delta), a negative seed, a dwell
 that is not positive and finite, a peak rate and dwell whose Poisson mean
-passes numpy's limit, a filter FWHM whose squared passband half-width
+passes numpy's limit, a fit dwell and counts whose products overflow or
+all underflow to zero (the message names the dwell and the largest count),
+a filter FWHM whose squared passband half-width
 overflows, an off-scale filter slit, a negative transmission scale, a |B0|,
 gate or transmission scales so large that the coincidence rates overflow, a
 modulation depth above 157 rad in magnitude (``modulation.MAX_DEPTH``), and
@@ -699,8 +703,9 @@ def _read_text(path):
 
     Every file a command reads comes through here. Bytes that are not UTF-8
     raise ``ConfigurationError`` naming the file and the offset of the
-    first bad byte. An ``OSError`` passes to the caller, which reports it
-    with its own exit code.
+    first bad byte. One leading byte-order mark, U+FEFF, is dropped after
+    decoding, so the offset stays the file's. An ``OSError`` passes to the
+    caller, which reports it with its own exit code.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -708,7 +713,7 @@ def _read_text(path):
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _float_pairs(path, lines, first, sep, columns):
@@ -748,10 +753,10 @@ def read_phase_waveform(path) -> np.ndarray:
     times, phases = _float_pairs(path, lines, 1, None, "columns (time_fraction phase_radians)")
     n = len(times)
     if n < 64:
-        raise ConfigurationError("waveform file needs at least 64 samples per period")
+        raise ConfigurationError(f"{path}: waveform file needs at least 64 samples per period")
     if np.max(np.abs(times - np.arange(n) / n)) > 1e-9:
-        raise ConfigurationError(
-            "waveform times must be uniform fractions of the period: 0, 1/N, ..., (N-1)/N")
+        raise ConfigurationError(f"{path}: waveform times must be uniform fractions of the "
+                                 "period: 0, 1/N, ..., (N-1)/N")
     return phases
 
 
@@ -760,7 +765,7 @@ def _read_counts_csv(path):
     header = header.strip()
     if header != "delta_ghz,counts":
         raise ConfigurationError(
-            f"fit data file must start with 'delta_ghz,counts' (got '{header}')")
+            f"{path}:1: fit data file must start with 'delta_ghz,counts' (got '{header}')")
     return _float_pairs(path, rows, 2, ",", "CSV columns")
 
 

@@ -310,6 +310,10 @@ def fit_scale(delta_axis, counts, scenario: ExperimentScenario, dwell: float) ->
     3.3e-16 relative. ``iterations`` is the step count and
     ``objective_history`` the best objective after the coarse scan and
     after each step that improved it.
+
+    A dwell and counts whose products overflow, or whose model products all
+    underflow to zero, raise ``DomainError`` naming the dwell and the
+    largest count, instead of a fit of nan or zero scales.
     """
     delta = np.asarray(delta_axis, dtype=float)
     y = np.asarray(counts, dtype=float)
@@ -336,11 +340,20 @@ def fit_scale(delta_axis, counts, scenario: ExperimentScenario, dwell: float) ->
     def profile(off):
         """The objective at offset ``off`` with the scale that minimizes it there."""
         r = model.evaluate(delta - off).total
-        m = r * dwell
-        denom = float(m @ m)
-        scale = max(float(m @ y) / denom, 0.0) if denom > 0 else 0.0
-        resid = dwell * scale * r - y
-        seen.append((float(resid @ resid), scale, off))
+        try:
+            # an overflow raises here instead of warning; so does a model
+            # whose every squared product underflowed to zero
+            with np.errstate(over="raise", invalid="raise"):
+                m = r * dwell
+                denom = float(m @ m)
+                if denom == 0 and np.any(r):
+                    raise FloatingPointError("underflow")
+                scale = max(float(m @ y) / denom, 0.0) if denom > 0 else 0.0
+                resid = dwell * scale * r - y
+                seen.append((float(resid @ resid), scale, off))
+        except FloatingPointError as exc:
+            raise DomainError(f"fit leaves the floating-point range: dwell {dwell!r} s, "
+                              f"largest count {float(y.max())!r}") from exc
         return seen[-1][0]
 
     grid = np.linspace(-off_bound * 0.99, off_bound * 0.99, _COARSE_POINTS)

@@ -405,27 +405,6 @@ def test_emit_trace_matches_row_reference_edge_values(tmp_path, gnuplot_style):
     assert out.read_text().splitlines()[1].split(" " if gnuplot_style else ",")[0] == "-0"
 
 
-def test_run_validate_all_pass():
-    code, results = run_validate(None)
-    assert code == 0
-    assert all(status in ("PASS", "SKIP") for _, status, _ in results)
-    names = [name for name, _, _ in results]
-    assert "bessel_addition_theorem" in names
-    assert "tier_agreement" in names
-
-
-def test_run_validate_skips_out_of_regime():
-    # validate reads no [scan] section, so the scenario comes without one
-    text = ("schema = 1\n[scenario]\npreset = fig4b\n"
-            "filter1_fwhm = 30 GHz\nfilter2_fwhm = 30 GHz\n")
-    _, scenario = parse_config(text, command="validate")
-    code, results = run_validate(scenario)
-    assert code == 0
-    tier = [r for r in results if r[0] == "tier_agreement"][0]
-    assert tier[1] == "SKIP"
-    assert "out-of-regime" in tier[2]
-
-
 # the full tier's offset grid spans filter 1 alone, so its size does not
 # depend on the modulation frequency; at 1e308 GHz the sideband frequencies
 # k * w_m overflow to inf from k = 2, which flat amplitudes never read
@@ -714,8 +693,18 @@ def _waveform(bad_line):
                  ("counts.csv:4: expected two CSV columns",), id="three columns in fit data"),
     pytest.param("fit", MINIMAL + "[fit]\ndata = {data}\n", [],
                  _fit_data("-4.0,96").replace("delta_ghz,counts", "delta,counts"),
-                 ("must start with 'delta_ghz,counts' (got 'delta,counts')",),
+                 ("counts.csv:1: fit data file must start with 'delta_ghz,counts' "
+                  "(got 'delta,counts')",),
                  id="wrong fit data header"),
+    # a fit whose products overflow, or all underflow to zero, on a data file
+    *[pytest.param("fit", MINIMAL + "[fit]\ndata = {data}\n", argv, _fit_data(row),
+                   (f"fit leaves the floating-point range: dwell {dwell} s, "
+                    f"largest count {count}",), id=name)
+      for name, argv, row, dwell, count in [
+          ("--dwell 1e308 on fit data", ["--dwell", "1e308"], "-4.0,96", "1e+308", "105.0"),
+          ("--dwell 1e300 on fit data", ["--dwell", "1e300"], "-4.0,96", "1e+300", "105.0"),
+          ("--dwell 1e-300 on fit data", ["--dwell", "1e-300"], "-4.0,96", "1e-300", "105.0"),
+          ("count 1e308 in fit data", [], "-4.0,1e308", "20.0", "1e+308")]],
     # the waveform file named is not the one written, and does not exist
     pytest.param("scan", MINIMAL + "mod1_waveform = {data}.missing\n", [], "",
                  ("line 10: cannot read waveform file", "wave.txt.missing"),
@@ -765,6 +754,49 @@ def test_main_rejects_a_file_that_is_not_utf8(tmp_path, capsys, command, text, n
     assert err.splitlines() == [f"config error: {path}: not UTF-8 text (byte {byte})"]
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# (command, config text, name and text of the fit-data or waveform file named
+# {data} in the config, or None when the config itself starts with the mark);
+# the waveform's first line is a comment
+@pytest.mark.parametrize("command, text, name, data", [
+    pytest.param("scan", MINIMAL, None, None, id="config"),
+    pytest.param("fit", MINIMAL + "[fit]\ndata = {data}\n", "counts.csv",
+                 _fit_data("-4.0,96"), id="fit data"),
+    pytest.param("scan", MINIMAL + "mod1_waveform = {data}\n", "wave.txt",
+                 "# time phase\n" + _waveform("0.046875 0.0"), id="waveform"),
+])
+def test_main_drops_a_leading_byte_order_mark(tmp_path, capsys, command, text, name, data):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "x.out"
+    path = cfg if name is None else tmp_path / name
+    runs = []
+    for mark in ("\ufeff", ""):
+        if name is not None:
+            path.write_text(mark + data, encoding="utf-8")
+        cfg.write_text((mark if name is None else "") + text.format(data=path),
+                       encoding="utf-8")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        runs.append((capsys.readouterr(), out.read_bytes()))
+    # the file with the mark reads as the same file without it
+    assert runs[0] == runs[1]
+
+
+# with two waveform files, an error of one file as a whole names that file
+@pytest.mark.parametrize("rows, message", [
+    pytest.param([f"{j / 32} 0.0" for j in range(32)],
+                 "waveform file needs at least 64 samples per period", id="32 samples"),
+    pytest.param([f"{(j / 64) ** 1.01!r} 0.0" for j in range(64)],
+                 "waveform times must be uniform fractions of the period: 0, 1/N, ..., (N-1)/N",
+                 id="uneven times"),
+])
+def test_waveform_file_errors_name_their_file(tmp_path, capsys, rows, message):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text(_waveform("0.046875 0.0"))
+    bad.write_text("\n".join(rows) + "\n")
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(MINIMAL + f"mod1_waveform = {good}\nmod2_waveform = {bad}\n")
+    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "x.out")]) == 2
+    assert capsys.readouterr().err == f"config error: {bad}: {message}\n"
 
 
 # \x0c and \u2028 are whitespace within a row, not line ends as str.splitlines
@@ -1963,7 +1995,9 @@ def _generated_data_files(draw):
     ``scan`` a phase waveform file, each built from valid rows and then
     changed: a header variant, too few rows, a shifted time, a non-finite,
     non-numeric or extra cell, blank and comment lines, CR, LF and CR LF
-    line ends mixed, and at times a byte that is not UTF-8."""
+    line ends mixed, and at times a byte that is not UTF-8. The config's
+    ``[run] dwell`` is the default 20 s or one so large or small that the
+    fit's products overflow or underflow."""
     command = draw(st.sampled_from(["fit", "scan"]))
     if command == "fit":
         n = draw(st.sampled_from([0, 1, 9, 10, 24]))
@@ -1976,6 +2010,7 @@ def _generated_data_files(draw):
         lines = [f"{j / n!r} {1.5 * math.sin(2 * math.pi * j / n)!r}" for j in range(n)]
         sep, first = " ", 0
         text = MINIMAL + "mod1_waveform = {data}\n"
+    text += f"[run]\ndwell = {draw(st.sampled_from(['20', '1e-300', '1e300', '1e308']))} s\n"
     for change in draw(st.lists(st.sampled_from(["cell", "time", "extra", "blank", "comment"]),
                                 max_size=3)):
         if len(lines) == first:

@@ -167,14 +167,6 @@ def test_waveform_trivial_phase():
     assert mod.coefficient(0) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_waveform_cosine_matches_sinusoidal():
-    theta = 2.0 * math.pi * np.arange(512) / 512
-    wav = coeffs_from_waveform(1.5 * np.cos(theta), 30.0)
-    ana = sinusoidal_coeffs(1.5, 0.0, 30.0)
-    for k in range(-max(wav.k_max, ana.k_max), max(wav.k_max, ana.k_max) + 1):
-        assert abs(wav.coefficient(k) - ana.coefficient(k)) < 1e-10
-
-
 def test_waveform_cosine_with_drive_phase():
     phase = 0.9
     theta = 2.0 * math.pi * np.arange(512) / 512
@@ -225,18 +217,6 @@ def test_compose_opposite_phase_cancels():
     assert abs(s.coefficient(0)) == pytest.approx(1.0, abs=1e-12)
     others = max(abs(s.coefficient(n)) for n in range(1, s.k_max + 1))
     assert others < 1e-12
-
-
-@pytest.mark.parametrize("d1", [0.5, 1.0, 1.5, 2.5])
-@pytest.mark.parametrize("d2", [0.5, 1.0, 1.5, 2.5])
-@pytest.mark.parametrize("rel_phase,sign", [(0.0, +1), (math.pi, -1)])
-def test_addition_theorem_grid(d1, d2, rel_phase, sign):
-    # sum_k J_k(a) J_{n-k}(b) = J_n(a+b), via the series oracle
-    s = compose_nonlocal(sinusoidal_coeffs(d1, 0.0, 30.0),
-                         sinusoidal_coeffs(d2, rel_phase, 30.0))
-    total = d1 + sign * d2
-    for n in range(-s.k_max, s.k_max + 1):
-        assert abs(abs(s.coefficient(n)) - abs(bessel_j_series(n, total))) < 1e-9
 
 
 def test_intermediate_relative_phase():

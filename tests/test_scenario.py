@@ -145,13 +145,6 @@ def test_hash_agrees_with_eq_across_signed_zeros():
     assert len(scenarios) == 1
 
 
-def test_regime_report_reference_values():
-    report = regime_report(figure_preset("fig3a"))
-    assert round(report.mod_to_filter, 2) == 3.53
-    assert round(report.filter_gate, 1) == 10.6
-    assert report.valid
-
-
 def test_regime_invalid_when_filter_as_wide_as_drive():
     base = figure_preset("fig4a")
     from modlab import GaussianFilter

@@ -145,29 +145,14 @@ def test_analytic_series_switch_agrees_with_sinh_and_cosh(kappa, delta_k):
     assert abs(b0 - phase * 1j * kappa * sinhc) <= 1e-15 * abs(b0)
 
 
-@pytest.mark.parametrize("delta_k,steps", [(0.2, 256), (0.3, 512)])
-def test_rk4_matches_analytic_with_mismatch(delta_k, steps):
+def test_rk4_matches_analytic_with_mismatch():
+    # delta_k = 0.2 at 256 steps is checks.rk4_error's analytic-oracle case
     grid = small_grid()
-    amps = propagate_envelopes(CrystalProfile.constant(grid, 0.05, delta_k, 20.0),
-                               grid, steps=steps)
-    a_ref, b_ref = analytic_amplitudes(0.05, delta_k, 20.0)
+    amps = propagate_envelopes(CrystalProfile.constant(grid, 0.05, 0.3, 20.0),
+                               grid, steps=512)
+    a_ref, b_ref = analytic_amplitudes(0.05, 0.3, 20.0)
     assert abs(amps.a0 - a_ref) < 1e-10
     assert abs(amps.b0 - b_ref) < 1e-10
-
-
-def _rk4_error(steps):
-    grid = small_grid()
-    amps = propagate_envelopes(CrystalProfile.constant(grid, 0.05, 0.2, 20.0),
-                               grid, steps=steps)
-    a_ref, b_ref = analytic_amplitudes(0.05, 0.2, 20.0)
-    return max(abs(amps.a0 - a_ref), abs(amps.b0 - b_ref))
-
-
-def test_rk4_fourth_order_convergence():
-    e16, e32, e64 = _rk4_error(16), _rk4_error(32), _rk4_error(64)
-    assert e16 / e32 >= 12.0
-    assert e32 / e64 >= 12.0
-    assert math.log2(e16 / e32) >= 3.8
 
 
 def _four_evaluation_rk4(profile, grid, steps):
@@ -249,14 +234,11 @@ def structured_profile(grid):
 
 
 def test_structured_profile_invariants():
+    # even point count: no self-conjugate sample, invariants still hold; the
+    # 401-point grid is checks.reference_propagation
     pump = 2.0 * 281759.0
-    grid = FrequencyGrid(center=0.5 * pump, span=400.0, points=401, pump_frequency=pump)
-    amps = propagate_envelopes(structured_profile(grid), grid, steps=256)
-    _assert_invariants(amps)
-    # even point count: no self-conjugate sample, invariants still hold
-    grid2 = FrequencyGrid(center=0.5 * pump, span=400.0, points=400, pump_frequency=pump)
-    amps2 = propagate_envelopes(structured_profile(grid2), grid2, steps=256)
-    _assert_invariants(amps2)
+    grid = FrequencyGrid(center=0.5 * pump, span=400.0, points=400, pump_frequency=pump)
+    _assert_invariants(propagate_envelopes(structured_profile(grid), grid, steps=256))
 
 
 def test_asymmetric_profile_rejected():
