@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import stages
-from .errors import ConfigurationError, ConvergenceError, DomainError, ResolutionError
+from .errors import ConfigurationError, DomainError, ResolutionError
 from .modulation import compose_nonlocal
 from .numerics import adaptive_simpson
 
@@ -244,51 +244,59 @@ def singles_rate(amps, mod, filt: GaussianFilter, convention: str = "intensity")
     Sampled amplitudes: for each sideband k the passband, shifted into B's
     frequency, is split at the amplitude-grid nodes inside it, and every
     piece gets a 3-point Gauss-Legendre rule. ``b_at`` interpolates
-    linearly, so |B|^2 is a quadratic on each piece and the Gaussian |H|^2
-    is smooth across it; the rule then converges to round-off. The pieces
-    of all sidebands are built at once and looked up in a single ``b_at``
-    call; each sideband's rule is then summed over its own pieces, in k
-    order.
+    linearly, so |B|^2 is a quadratic on each piece, but the rule must
+    also follow the Gaussian |H|^2 across a whole grid interval. With
+    constant B on a 0.5 GHz grid the error against the closed form is at
+    most 1.1e-15 for FWHMs from 1.5 GHz up, -2.9e-8 at 1 GHz and -1.3e-3 at
+    0.5 GHz, so an intensity FWHM below 3 grid steps raises
+    ``DomainError``. The pieces of all sidebands are built at once and
+    looked up in a single ``b_at`` call; each sideband's rule is then
+    summed over its own pieces, in k order.
 
     Flat-band amplitudes: the sideband shifts drop out and the rate reduces
     to |B0|^2/(4pi) times the filter's intensity integral (the coefficients
-    sum to one). That integral stays on adaptive Simpson, refined
-    breadth-first with one vectorised ``intensity_response`` call per
-    level: the written traces print the accidental floor to 15 digits, and
-    the rule's floats are those of the former scalar recursion, so every
-    CSV stays byte-identical. A transmission scale so large that the rule
-    overflows raises ``DomainError``; a |B0| whose square overflows gives inf.
+    sum to one). That integral is adaptive Simpson over offsets from the
+    filter center, -4 FWHM to +4 FWHM, refined breadth-first with one
+    vectorised ``intensity_response`` call per level. The abscissae do not
+    carry the center frequency, so the rate depends on the width and
+    transmission alone, bit for bit, whatever the slit, dispersion or pump,
+    and no passband is too narrow against its center for the rule's
+    tolerance. The rule's floats are those of the scalar recursion over
+    the same offsets. A FWHM whose squared intensity sigma is subnormal
+    (below about 3.5e-154 GHz) squares its offsets to a staircase the rule
+    cannot resolve, and a transmission scale so large that the rule
+    overflows: both raise ``DomainError``. A |B0| whose square overflows
+    gives inf.
 
     ``convention`` goes to ``intensity_filter`` on entry; modlab itself
     passes intensity FWHMs, and the parameter stays because the benchmark's
     tracer reads it by name.
     """
     filt = intensity_filter(filt, convention)
-    center = filt.center
     width = filt.passband_halfwidth()
     powers = np.abs(mod.coeffs) ** 2
 
     if amps.is_flat:
+        # below the normal range the squared offsets are a staircase the rule never resolves
+        if not float(filt.intensity_sigma()) ** 2 >= np.finfo(float).smallest_normal:
+            raise DomainError(
+                f"filter FWHM {filt.fwhm:g} GHz is too narrow: its squared width is subnormal")
         b0_sq = _square(abs(amps.b0))
         peak = _square(filt.alpha)
         atol = 1e-12 * max(peak, 1e-300) * 2.0 * width
         try:
             # an overflow anywhere in the rule raises here instead of warning
             with np.errstate(over="raise", invalid="raise"):
-                integral = adaptive_simpson(
-                    lambda w: filt.intensity_response(w - center),
-                    center - width, center + width, atol)
+                integral = adaptive_simpson(filt.intensity_response, -width, width, atol)
         except FloatingPointError as exc:
             raise DomainError(
                 f"singles rate overflows: transmission scale alpha^2 = {peak:g} "
                 "is too large") from exc
-        except ConvergenceError:
-            # a passband so narrow against its center frequency that the
-            # rounding of the abscissae w outweighs the rule's tolerance; the
-            # +-4 FWHM passband holds all but 1e-21 of the closed form
-            integral = filt.intensity_integral()
         return b0_sq / (4.0 * np.pi) * integral * float(powers.sum())
 
+    if filt.fwhm < 3.0 * amps.grid.step:
+        raise DomainError(f"filter FWHM {filt.fwhm:g} GHz is below 3 amplitude-grid steps "
+                          f"of {amps.grid.step:g} GHz, too narrow for the grid to resolve")
     keep = _kept_sidebands(mod)
     ks, ps = mod.k_values[keep], powers[keep]
     if not len(ks):
@@ -296,6 +304,7 @@ def singles_rate(amps, mod, filt: GaussianFilter, convention: str = "intensity")
     # an overflow to inf is harmless: that passband is off the grid, refused below
     with np.errstate(over="ignore"):
         shifts = ks * mod.omega_m
+    center = filt.center
     los, his = center - width - shifts, center + width - shifts
     nodes = amps.grid.omegas
     uncovered = ~((nodes[0] <= los) & (his <= nodes[-1]))

@@ -3,8 +3,9 @@
 The integrands in this package are smooth Gaussian-type profiles for
 which adaptive Simpson converges quickly. Its one caller is the flat-band
 branch of ``correlator.singles_rate`` (the filter's truncated intensity
-integral). The sampled amplitudes' singles rate uses a fixed
-Gauss-Legendre rule instead, and ``checks.h2_errors`` a uniform sum.
+integral, over offsets from the filter center). The sampled amplitudes'
+singles rate uses a fixed Gauss-Legendre rule instead, and
+``checks.h2_errors`` a uniform sum.
 
 The integrand takes and returns float64 arrays. The rule is refined
 breadth-first: the new midpoints of all panels still open at one level

@@ -213,7 +213,7 @@ def scenario_params(scenario: ExperimentScenario) -> dict:
     }
 
 
-def reference_scenario(depth1: float = 0.0, depth2: float = 0.0,
+def reference_scenario(depth1: float, depth2: float,
                        phase1: float = 0.0, phase2: float = 0.0) -> ExperimentScenario:
     """Scenario with the reference instrument parameters and given drives."""
     return build_scenario({**_REFERENCE_VALUES, "mod1_depth": depth1, "mod1_phase": phase1,
@@ -284,7 +284,7 @@ class FitResult:
     delta_offset: float
     residual_rms: float
     iterations: int
-    objective_history: tuple = field(default=(), repr=False)
+    objective_history: tuple = field(repr=False)
 
     @property
     def scale_product(self) -> float:
@@ -313,7 +313,10 @@ def fit_scale(delta_axis, counts, scenario: ExperimentScenario, dwell: float) ->
 
     A dwell and counts whose products overflow, or whose model products all
     underflow to zero, raise ``DomainError`` naming the dwell and the
-    largest count, instead of a fit of nan or zero scales.
+    largest count, instead of a fit of nan or zero scales. So does a
+    positive, finite product that the configured ratio alpha1^2 / alpha2^2
+    splits into a per-channel scale of 0 or inf; the error names both
+    configured transmissions.
     """
     delta = np.asarray(delta_axis, dtype=float)
     y = np.asarray(counts, dtype=float)
@@ -380,10 +383,13 @@ def fit_scale(delta_axis, counts, scenario: ExperimentScenario, dwell: float) ->
             best = point
             history.append(best[0])
     f_best, scale, off = best
+    split = (float(np.sqrt(scale * ratio)), float(np.sqrt(scale / ratio)) if ratio > 0 else 0.0)
+    if 0 < scale < math.inf and not all(0 < a < math.inf for a in split):
+        raise DomainError(f"fitted product {scale!r} splits into a per-channel scale of 0 or "
+                          f"inf at configured alpha1^2 = {a1_sq!r} and alpha2^2 = {a2_sq!r}")
 
     return FitResult(
-        alpha1_sq=float(np.sqrt(scale * ratio)),
-        alpha2_sq=float(np.sqrt(scale / ratio)) if ratio > 0 else 0.0,
+        *split,
         delta_offset=float(off),
         residual_rms=float(np.sqrt(f_best / len(y))),
         iterations=_GOLDEN_STEPS,

@@ -445,13 +445,55 @@ def test_main_scan_with_a_huge_drive_phase(capsys, tmp_path):
 
 
 def test_main_fit_with_a_passband_narrow_against_its_center(capsys, tmp_path):
-    # the singles rate of a 0.01 GHz filter at 2.8e5 GHz comes from the closed
-    # form where the Simpson rule cannot meet its tolerance
+    # a 0.01 GHz filter at 2.8e5 GHz: its singles rate is integrated over
+    # offsets from the center, so the rounding of absolute frequencies there
+    # (5.8e-11 GHz) does not enter the Simpson rule
     cfg = tmp_path / "narrow.cfg"
     cfg.write_text(MINIMAL.replace("preset = fig4b", "preset = fig3b")
                    + "filter1_fwhm = 0.01 GHz\n")
     assert main(["fit", "--config", str(cfg)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_main_scan_keeps_the_accidental_floor_of_a_narrow_filter(capsys, tmp_path):
+    # a 1e-11 GHz filter at 2.8e5 GHz, where absolute frequencies round by
+    # 5.8e-11 GHz: the floor R1 R2 T of every row is that of the closed-form
+    # singles rates, |B0|^2 / (4 pi) times each filter's intensity integral
+    text = MINIMAL.replace("preset = fig4b", "preset = fig3b") + "filter1_fwhm = 1e-11 GHz\n"
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "narrow.csv"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr() == (f"wrote 601 rows to {out}\n", "")
+    _, scn = parse_config(text, command="scan")
+    r1, r2 = (abs(scn.amplitudes.b0) ** 2 / (4.0 * math.pi) * filt.intensity_integral()
+              * float((np.abs(mod.coeffs) ** 2).sum())
+              for filt, mod in ((scn.filter1, scn.mod1), (scn.filter2, scn.mod2)))
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    accidental = {float(row[2]) for row in rows}
+    assert len(rows) == 601 and len(accidental) == 1
+    floor = accidental.pop()
+    assert floor != 0.0
+    assert floor == pytest.approx(r1 * r2 * scn.gate_ns * 1e-9, rel=1e-11)
+
+
+@pytest.mark.parametrize("alpha1_sq,alpha2_sq,shown", [
+    ("1e-170", "1e170", "1e-170 and alpha2^2 = 1e+170"),
+    ("1e-160", "1e160", "1e-160 and alpha2^2 = 1e+160")], ids=["to-zero", "to-inf"])
+def test_main_fit_refuses_a_split_into_zero_or_inf(capsys, tmp_path, alpha1_sq, alpha2_sq,
+                                                   shown):
+    # the product is 1 and the rates finite, but at the configured ratio the
+    # per-channel scales sqrt(scale * ratio), sqrt(scale / ratio) underflow to
+    # 0 (the ratio itself does at 1e-340) or overflow to inf
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text((CONFIGS / "fit_demo.cfg").read_text()
+                   + f"filter1_alpha_sq = {alpha1_sq}\nfilter2_alpha_sq = {alpha2_sq}\n")
+    assert main(["fit", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("config error: fitted product ")
+    assert err.endswith(f"splits into a per-channel scale of 0 or inf at configured "
+                        f"alpha1^2 = {shown}\n")
 
 
 def test_fit_far_tail_offsets_warn_nothing(tmp_path, capsys):

@@ -29,7 +29,7 @@ from modlab.cli import _EMIT_CHUNK_ROWS, parse_config
 from modlab.correlator import (_GL3_NODES, _GL3_WEIGHTS, CorrelationTrace, _omega_offsets,
                                intensity_filter)
 from modlab.modulation import ModulatorSpectrum
-from modlab.scenario import ExperimentScenario, reference_scenario
+from modlab.scenario import FIGURE_CASES, ExperimentScenario, reference_scenario
 
 
 H2_FWHM_REFERENCE = 12.020815280171307   # sqrt(2) * 8.5, frozen from the numeric oracle
@@ -152,12 +152,70 @@ def test_h2_delta_limit():
 
 
 def test_singles_flat_closed_form_for_a_narrow_passband():
-    # at 2.8e5 GHz the abscissae round by 5.8e-11 GHz, noise above the
-    # Simpson rule's tolerance for a 0.01 GHz passband; the closed form stands in
+    # at 2.8e5 GHz absolute frequencies round by 5.8e-11 GHz, noise above the
+    # Simpson rule's tolerance for a 0.01 GHz passband; the rule runs over
+    # offsets from the center, which carry no such rounding
     amps = SpectralAmplitudes.flat(math.sqrt(2.0), 1.0)
     narrow = unit_filter(fwhm=0.01, slit=1341.7134711779447)
     rate = singles_rate(amps, sinusoidal_coeffs(0.0, 0.0, 30.0), narrow)
     assert rate == pytest.approx(1.0 / (4.0 * math.pi) * 0.01 * GAUSS_INT, rel=1e-12)
+
+
+# slits in mm from below zero to 2.1e8 GHz, the presets' own among them
+SLITS = (-1341.7134711779447, 0.0, 1e-3, 1.0, 100.0, 1341.7134711779447, 1e6)
+
+
+@pytest.mark.parametrize("case", FIGURE_CASES)
+def test_flat_singles_rate_does_not_depend_on_the_slit(case):
+    # the flat-band rate is integrated over offsets from the filter center, so
+    # it is the same float at every slit whose center resolves the passband
+    scn = figure_preset(case)
+    amps = scn.amplitudes
+    for filt, mod in ((scn.filter1, scn.mod1), (scn.filter2, scn.mod2)):
+        weight = float((np.abs(mod.coeffs) ** 2).sum())
+        for fwhm in 10.0 ** np.arange(-12, 4):
+            rates = set()
+            for slit in SLITS:
+                try:
+                    moved = replace(filt, fwhm=fwhm, slit=slit)
+                except ConfigurationError:      # the center rounds the passband away
+                    continue
+                rates.add(singles_rate(amps, mod, moved))
+            closed = abs(amps.b0) ** 2 / (4.0 * math.pi) * moved.intensity_integral() * weight
+            assert len(rates) == 1, (fwhm, rates)
+            assert rates.pop() == pytest.approx(closed, rel=1e-9)
+
+
+def test_flat_singles_rate_is_a_value_or_a_domain_error_at_every_width():
+    # one route, with no fallback: from a subnormal FWHM to the largest a
+    # filter accepts, and for transmissions from 1e-300 to 1e300, the rule
+    # gives a rate or refuses the transmission; a ConvergenceError fails here
+    amps = SpectralAmplitudes.flat(math.sqrt(2.0), 1.0)
+    mod = sinusoidal_coeffs(0.0, 0.0, 30.0)
+    outcomes = {"value": 0, "domain": 0}
+    for exponent in range(-310, 154):
+        for alpha in (1e-150, 1.0, 1e150):
+            filt = unit_filter(fwhm=10.0 ** exponent, alpha=alpha, slit=0.0)
+            try:
+                rate = singles_rate(amps, mod, filt)
+            except DomainError:
+                outcomes["domain"] += 1
+                continue
+            assert 0.0 <= rate < math.inf
+            outcomes["value"] += 1
+    assert outcomes["value"] > 0 and outcomes["domain"] > 0
+
+
+@pytest.mark.parametrize("fwhm", [3e-154, 1e-160, 1e-170, 5e-324])
+def test_flat_singles_rate_refuses_a_width_whose_square_underflows(fwhm):
+    # squared offsets of a few sigma are subnormal there: the integrand is a
+    # staircase on which Simpson reaches its depth limit, or 0/0 at the center
+    amps = SpectralAmplitudes.flat(math.sqrt(2.0), 1.0)
+    filt = unit_filter(fwhm=fwhm, slit=0.0)
+    with pytest.raises(DomainError) as err:
+        singles_rate(amps, sinusoidal_coeffs(0.0, 0.0, 30.0), filt)
+    message = f"filter FWHM {fwhm:g} GHz is too narrow: its squared width is subnormal"
+    assert str(err.value) == message
 
 
 def test_singles_zero_gain_is_dark():
@@ -198,6 +256,22 @@ def test_singles_sampled_against_trapezoid_oracle():
         oracle += p * float(np.trapezoid(np.abs(b) ** 2 * filt.intensity_response(w - filt.center), w))
     oracle /= 4.0 * math.pi
     assert rate == pytest.approx(oracle, rel=1e-8)
+
+
+@pytest.mark.parametrize("fwhm,convention,named", [
+    (1e-11, "intensity", "1e-11"), (1.0, "intensity", "1"), (1.49, "intensity", "1.49"),
+    (2.0, "field", "1.41421")])
+def test_singles_sampled_refuses_a_filter_the_grid_does_not_resolve(fwhm, convention, named):
+    # the 3-point rule spans whole grid intervals: on the test crystal a
+    # 1e-11 GHz filter integrated to 3.4e-52 against 1.9e-12, so an intensity
+    # FWHM below 3 steps of the 0.5 GHz grid is refused
+    amps, pump = _sampled_amplitudes()
+    filt = unit_filter(fwhm=fwhm, slit=(0.5 * pump) / 210.0)
+    message = (f"filter FWHM {named} GHz is below 3 amplitude-grid steps of 0.5 GHz, "
+               "too narrow for the grid to resolve")
+    with pytest.raises(DomainError) as err:
+        singles_rate(amps, sinusoidal_coeffs(1.5, 0.0, 30.0), filt, convention)
+    assert str(err.value) == message
 
 
 def test_singles_passband_outside_grid():

@@ -17,7 +17,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "modlab"
-SETTABLE_VALUES_BOUND = 67
+SETTABLE_VALUES_BOUND = 65
 
 
 def _is_dataclass(node):
