@@ -94,6 +94,14 @@ class GaussianFilter:
     position in mm, selecting the center frequency ``dispersion * slit``.
     ``alpha`` is the dimensionless field transmission scale absorbing losses
     and detector efficiency.
+
+    Each field is held as a Python float, so numpy scalars behave as floats
+    do. ``ConfigurationError`` refuses a FWHM that is not positive, whose
+    squared passband half-width overflows or whose squared intensity sigma
+    is subnormal (below about 3.5e-154 GHz, where the squared offsets of
+    the responses are a staircase), a negative alpha or one whose square
+    overflows, a dispersion that is not positive, and a slit whose center
+    frequency does not resolve the passband.
     """
 
     fwhm: float
@@ -102,20 +110,28 @@ class GaussianFilter:
     dispersion: float
 
     def __post_init__(self):
+        # Python floats, which square and multiply to inf without an overflow warning
+        for name in ("fwhm", "alpha", "slit", "dispersion"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         # negated comparisons so that NaN fails them too
         if not self.fwhm > 0:
             raise ConfigurationError("filter FWHM must be positive")
         if not self.alpha >= 0:
             raise ConfigurationError("filter transmission scale must be nonnegative")
+        if not self.alpha * self.alpha < math.inf:
+            raise ConfigurationError(f"filter transmission scale alpha = {self.alpha!r} is "
+                                     "too large: its square overflows")
         if not self.dispersion > 0:
             raise ConfigurationError("dispersion must be positive")
-        # Python floats square to inf without an overflow warning
-        sigma = float(self.intensity_sigma())
-        halfwidth = float(self.passband_halfwidth())
-        if not (sigma * sigma < np.inf and halfwidth * halfwidth < np.inf):
+        halfwidth = self.passband_halfwidth()
+        if not halfwidth * halfwidth < math.inf:
             raise ConfigurationError(
                 f"filter FWHM {self.fwhm!r} is too large: its squared passband "
                 "half-width overflows")
+        # below the normal range the squared offsets of the responses are a staircase
+        if not self.intensity_sigma() ** 2 >= np.finfo(float).smallest_normal:
+            raise ConfigurationError(
+                f"filter FWHM {self.fwhm:g} GHz is too narrow: its squared width is subnormal")
         center = self.center
         if not (math.isfinite(center) and center - halfwidth != center
                 and center + halfwidth != center):
@@ -241,17 +257,27 @@ def singles_rate(amps, mod, filt: GaussianFilter, convention: str = "intensity")
 
     Integrals run over the filter passband, center +- 4 intensity FWHM.
 
-    Sampled amplitudes: for each sideband k the passband, shifted into B's
-    frequency, is split at the amplitude-grid nodes inside it, and every
-    piece gets a 3-point Gauss-Legendre rule. ``b_at`` interpolates
-    linearly, so |B|^2 is a quadratic on each piece, but the rule must
-    also follow the Gaussian |H|^2 across a whole grid interval. With
-    constant B on a 0.5 GHz grid the error against the closed form is at
-    most 1.1e-15 for FWHMs from 1.5 GHz up, -2.9e-8 at 1 GHz and -1.3e-3 at
-    0.5 GHz, so an intensity FWHM below 3 grid steps raises
-    ``DomainError``. The pieces of all sidebands are built at once and
-    looked up in a single ``b_at`` call; each sideband's rule is then
-    summed over its own pieces, in k order.
+    Sampled amplitudes: every kept sideband k is integrated over offsets y
+    from its shifted center c_k = center - k w_m, so the abscissae of |H|^2
+    do not carry the 2.8e5 GHz center, where one ulp is 5.8e-11 GHz. The
+    offsets lie on one regular lattice of step h = step / ceil(3 step /
+    FWHM), at most FWHM/3 and a whole fraction of the grid step, through
+    the offset of the first grid node inside the passband (+4 FWHM when
+    there is none), and so through every node in it; clipped to the
+    passband, each piece gets a 3-point Gauss-Legendre rule. ``b_at``
+    interpolates linearly, so |B|^2 is a quadratic between nodes, and the
+    lattice must break at them. It must also be regular: a composite Gauss
+    rule on a Gaussian reaches round-off only on a regular lattice, the
+    effect that makes the trapezoid rule exponentially convergent there
+    (L. N. Trefethen and J. A. C. Weideman, SIAM Rev. 56, 385 (2014)). With
+    constant B on the 0.5 GHz grid the error against the closed form is at
+    most 8.9e-16 for 200 FWHMs from 1e-3 to 30 GHz at 4 slit offsets; on
+    the propagated test crystal it is at most 6.6e-13 against the exact
+    Gaussian moments of the interpolant, at FWHM 0.5 GHz with the slit on a
+    node. The lattices of all sidebands are rows of one array, looked up in
+    a single ``b_at`` call and summed in one product over sidebands. Only
+    a passband off the grid, or a grid step whose ratio to the FWHM
+    overflows, raises ``DomainError``.
 
     Flat-band amplitudes: the sideband shifts drop out and the rate reduces
     to |B0|^2/(4pi) times the filter's intensity integral (the coefficients
@@ -262,11 +288,9 @@ def singles_rate(amps, mod, filt: GaussianFilter, convention: str = "intensity")
     transmission alone, bit for bit, whatever the slit, dispersion or pump,
     and no passband is too narrow against its center for the rule's
     tolerance. The rule's floats are those of the scalar recursion over
-    the same offsets. A FWHM whose squared intensity sigma is subnormal
-    (below about 3.5e-154 GHz) squares its offsets to a staircase the rule
-    cannot resolve, and a transmission scale so large that the rule
-    overflows: both raise ``DomainError``. A |B0| whose square overflows
-    gives inf.
+    the same offsets. A transmission scale so large that the rule
+    overflows raises ``DomainError``; a |B0| whose square overflows gives
+    inf.
 
     ``convention`` goes to ``intensity_filter`` on entry; modlab itself
     passes intensity FWHMs, and the parameter stays because the benchmark's
@@ -277,12 +301,8 @@ def singles_rate(amps, mod, filt: GaussianFilter, convention: str = "intensity")
     powers = np.abs(mod.coeffs) ** 2
 
     if amps.is_flat:
-        # below the normal range the squared offsets are a staircase the rule never resolves
-        if not float(filt.intensity_sigma()) ** 2 >= np.finfo(float).smallest_normal:
-            raise DomainError(
-                f"filter FWHM {filt.fwhm:g} GHz is too narrow: its squared width is subnormal")
         b0_sq = _square(abs(amps.b0))
-        peak = _square(filt.alpha)
+        peak = filt.alpha ** 2
         atol = 1e-12 * max(peak, 1e-300) * 2.0 * width
         try:
             # an overflow anywhere in the rule raises here instead of warning
@@ -294,45 +314,34 @@ def singles_rate(amps, mod, filt: GaussianFilter, convention: str = "intensity")
                 "is too large") from exc
         return b0_sq / (4.0 * np.pi) * integral * float(powers.sum())
 
-    if filt.fwhm < 3.0 * amps.grid.step:
-        raise DomainError(f"filter FWHM {filt.fwhm:g} GHz is below 3 amplitude-grid steps "
-                          f"of {amps.grid.step:g} GHz, too narrow for the grid to resolve")
     keep = _kept_sidebands(mod)
     ks, ps = mod.k_values[keep], powers[keep]
     if not len(ks):
         return 0.0
-    # an overflow to inf is harmless: that passband is off the grid, refused below
+    step = amps.grid.step
+    # an overflow to inf is harmless: that passband is off the grid, or that
+    # lattice step is 0, and both are refused below
     with np.errstate(over="ignore"):
-        shifts = ks * mod.omega_m
-    center = filt.center
-    los, his = center - width - shifts, center + width - shifts
+        centers = filt.center - ks * mod.omega_m
+        h = step / np.ceil(3.0 * step / filt.fwhm)
     nodes = amps.grid.omegas
-    uncovered = ~((nodes[0] <= los) & (his <= nodes[-1]))
+    uncovered = ~((nodes[0] <= centers - width) & (centers + width <= nodes[-1]))
     if uncovered.any():
         raise DomainError(
             f"filter passband shifted by sideband k={ks[uncovered.argmax()]} lies outside "
             "the amplitude grid")
-    # the passband of sideband j is split at nodes first[j]..stop[j]-1, the
-    # nodes strictly inside it, into counts[j] pieces; piece i of sideband j,
-    # row starts[j]+i, runs from node first[j]+i-1 (lo for i = 0) to node
-    # first[j]+i (hi for the last); first[j] >= 1 and stop[j] < len(nodes)
-    first = np.searchsorted(nodes, los, side="right")
-    stop = np.searchsorted(nodes, his, side="left")
-    counts = stop - first + 1
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    node = np.arange(ends[-1]) + np.repeat(first - starts, counts)
-    left, right = nodes.take(node - 1), nodes.take(node)
-    left[starts], right[ends - 1] = los, his
-    half = 0.5 * (right - left)
-    x = (left + half)[:, None] + half[:, None] * _GL3_NODES
-    f = (np.abs(amps.b_at(x)) ** 2
-         * filt.intensity_response(x + np.repeat(shifts, counts)[:, None] - center))
-    rule = f @ _GL3_WEIGHTS
-    total = 0.0
-    for p, start, end in zip(ps, starts, ends):
-        total += p * float(half[start:end] @ rule[start:end])
-    return total / (4.0 * np.pi)
+    if not h > 0:
+        raise DomainError(f"amplitude-grid step {step:g} GHz is too coarse for filter FWHM "
+                          f"{filt.fwhm:g} GHz: their ratio overflows")
+    # row j holds the breaks of sideband j: offsets from its shifted center on
+    # the lattice through its first node inside the passband, clipped to it
+    anchor = np.minimum(nodes[np.searchsorted(nodes, centers - width)] - centers, width)
+    below, above = np.ceil((anchor + width) / h), np.ceil((width - anchor) / h)
+    y = np.clip(anchor[:, None] + h * np.arange(-below.max(), above.max() + 1), -width, width)
+    half = 0.5 * np.diff(y)
+    x = (y[:, :-1] + half)[..., None] + half[..., None] * _GL3_NODES
+    f = np.abs(amps.b_at(centers[:, None, None] + x)) ** 2 * filt.intensity_response(x)
+    return float(ps @ (half * (f @ _GL3_WEIGHTS)).sum(axis=1)) / (4.0 * np.pi)
 
 
 class SidebandModel:

@@ -18,8 +18,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from modlab import (ConfigurationError, DomainError, GaussianFilter,
+from modlab import (ConfigurationError, DomainError, GaussianFilter, ModlabError,
                     ResolutionError, SidebandModel, SpectralAmplitudes, UniformAxis,
                     bessel_j_series, coincidence_full, coincidence_trace, h2_profile,
                     sideband_areas, singles_rate, sinusoidal_coeffs)
@@ -41,16 +42,34 @@ def unit_filter(fwhm=8.5, alpha=1.0, slit=100.0):
 
 
 def test_filter_validation():
-    for fwhm, alpha, dispersion in [(0.0, 1.0, 210.0), (8.5, -0.1, 210.0),
-                                    (math.nan, 1.0, 210.0), (8.5, math.nan, 210.0),
-                                    (8.5, 1.0, math.nan),
-                                    # (4 FWHM)^2 overflows above about 3.352e153
-                                    (3.36e153, 1.0, 210.0), (1e200, 1.0, 210.0),
-                                    (math.inf, 1.0, 210.0)]:
+    for fwhm, alpha, slit, dispersion in [
+            (0.0, 1.0, 0.0, 210.0), (8.5, -0.1, 0.0, 210.0),
+            (math.nan, 1.0, 0.0, 210.0), (8.5, math.nan, 0.0, 210.0),
+            (8.5, 1.0, 0.0, math.nan),
+            # (4 FWHM)^2 overflows above about 3.352e153
+            (3.36e153, 1.0, 0.0, 210.0), (1e200, 1.0, 0.0, 210.0),
+            (math.inf, 1.0, 0.0, 210.0),
+            # the squared intensity sigma is subnormal below about 3.5e-154 GHz
+            (3e-154, 1.0, 0.0, 210.0), (1e-160, 1.0, 0.0, 210.0),
+            (1e-170, 1.0, 0.0, 210.0), (5e-324, 1.0, 0.0, 210.0),
+            # numpy scalars are read as Python floats: an overflowing center
+            # is refused without an overflow warning
+            (np.float64(8.5), 1.0, np.float64(1e300), np.float64(1e300))]:
         with pytest.raises(ConfigurationError):
-            GaussianFilter(fwhm=fwhm, alpha=alpha, slit=0.0, dispersion=dispersion)
-    # just below that limit the filter is accepted
-    GaussianFilter(fwhm=3.35e153, alpha=1.0, slit=0.0, dispersion=210.0)
+            GaussianFilter(fwhm=fwhm, alpha=alpha, slit=slit, dispersion=dispersion)
+    # alpha^2 overflows above about 1.341e154
+    for alpha in (1.35e154, 1e200, math.inf, np.float64(1e300)):
+        with pytest.raises(ConfigurationError) as err:
+            GaussianFilter(fwhm=8.5, alpha=alpha, slit=0.0, dispersion=210.0)
+        assert str(err.value) == (f"filter transmission scale alpha = {float(alpha)!r} is "
+                                  "too large: its square overflows")
+    # just inside those limits the filter is accepted
+    GaussianFilter(fwhm=3.35e153, alpha=1.34e154, slit=0.0, dispersion=210.0)
+    GaussianFilter(fwhm=3.6e-154, alpha=1.0, slit=0.0, dispersion=210.0)
+    filt = GaussianFilter(fwhm=np.float64(8.5), alpha=np.float32(0.5), slit=np.int64(100),
+                          dispersion=np.float64(210.0))
+    assert all(type(value) is float for value in
+               (filt.fwhm, filt.alpha, filt.slit, filt.dispersion, filt.center))
     with pytest.raises(ConfigurationError):
         intensity_filter(unit_filter(), "strange")
 
@@ -188,14 +207,19 @@ def test_flat_singles_rate_does_not_depend_on_the_slit(case):
 
 def test_flat_singles_rate_is_a_value_or_a_domain_error_at_every_width():
     # one route, with no fallback: from a subnormal FWHM to the largest a
-    # filter accepts, and for transmissions from 1e-300 to 1e300, the rule
-    # gives a rate or refuses the transmission; a ConvergenceError fails here
+    # filter accepts, and for transmissions from 1e-300 to 1e300, the filter
+    # refuses a subnormal width at construction and the rule gives a rate or
+    # refuses the transmission; a ConvergenceError fails here
     amps = SpectralAmplitudes.flat(math.sqrt(2.0), 1.0)
     mod = sinusoidal_coeffs(0.0, 0.0, 30.0)
-    outcomes = {"value": 0, "domain": 0}
+    outcomes = {"value": 0, "domain": 0, "configuration": 0}
     for exponent in range(-310, 154):
         for alpha in (1e-150, 1.0, 1e150):
-            filt = unit_filter(fwhm=10.0 ** exponent, alpha=alpha, slit=0.0)
+            try:
+                filt = unit_filter(fwhm=10.0 ** exponent, alpha=alpha, slit=0.0)
+            except ConfigurationError:
+                outcomes["configuration"] += 1
+                continue
             try:
                 rate = singles_rate(amps, mod, filt)
             except DomainError:
@@ -203,17 +227,16 @@ def test_flat_singles_rate_is_a_value_or_a_domain_error_at_every_width():
                 continue
             assert 0.0 <= rate < math.inf
             outcomes["value"] += 1
-    assert outcomes["value"] > 0 and outcomes["domain"] > 0
+    assert outcomes["value"] > 0 and outcomes["domain"] > 0 and outcomes["configuration"] > 0
 
 
 @pytest.mark.parametrize("fwhm", [3e-154, 1e-160, 1e-170, 5e-324])
 def test_flat_singles_rate_refuses_a_width_whose_square_underflows(fwhm):
-    # squared offsets of a few sigma are subnormal there: the integrand is a
-    # staircase on which Simpson reaches its depth limit, or 0/0 at the center
-    amps = SpectralAmplitudes.flat(math.sqrt(2.0), 1.0)
-    filt = unit_filter(fwhm=fwhm, slit=0.0)
-    with pytest.raises(DomainError) as err:
-        singles_rate(amps, sinusoidal_coeffs(0.0, 0.0, 30.0), filt)
+    # squared offsets of a few sigma are subnormal there: the responses are a
+    # staircase on which Simpson reaches its depth limit, or 0/0 at the
+    # center; the filter itself refuses such a width, before any rate
+    with pytest.raises(ConfigurationError) as err:
+        unit_filter(fwhm=fwhm, slit=0.0)
     message = f"filter FWHM {fwhm:g} GHz is too narrow: its squared width is subnormal"
     assert str(err.value) == message
 
@@ -258,20 +281,76 @@ def test_singles_sampled_against_trapezoid_oracle():
     assert rate == pytest.approx(oracle, rel=1e-8)
 
 
-@pytest.mark.parametrize("fwhm,convention,named", [
-    (1e-11, "intensity", "1e-11"), (1.0, "intensity", "1"), (1.49, "intensity", "1.49"),
-    (2.0, "field", "1.41421")])
-def test_singles_sampled_refuses_a_filter_the_grid_does_not_resolve(fwhm, convention, named):
-    # the 3-point rule spans whole grid intervals: on the test crystal a
-    # 1e-11 GHz filter integrated to 3.4e-52 against 1.9e-12, so an intensity
-    # FWHM below 3 steps of the 0.5 GHz grid is refused
-    amps, pump = _sampled_amplitudes()
-    filt = unit_filter(fwhm=fwhm, slit=(0.5 * pump) / 210.0)
-    message = (f"filter FWHM {named} GHz is below 3 amplitude-grid steps of 0.5 GHz, "
-               "too narrow for the grid to resolve")
+def _constant_b_amplitudes(b=0.7):
+    """B = ``b`` at every node of the 0.5 GHz test grid."""
+    pump = 2.0 * 281759.8
+    grid = FrequencyGrid(center=0.5 * pump, span=1100.0, points=2201, pump_frequency=pump)
+    ones = np.ones(grid.points)
+    return SpectralAmplitudes(1.0, b, grid, ones, b * ones)
+
+
+def test_singles_sampled_constant_b_matches_the_closed_form():
+    # the lattice runs through the grid nodes at a step of at most FWHM/3,
+    # so the rule holds at every width, far below the grid step too
+    amps = _constant_b_amplitudes()
+    mod = sinusoidal_coeffs(1.5, 0.0, 30.0)
+    weight = float(np.sum(np.abs(mod.coeffs[np.abs(mod.coeffs) ** 2 >= 1e-30]) ** 2))
+    for fwhm in np.geomspace(1e-3, 30.0, 40):
+        for nodes in (0.0, 0.37, 0.5):      # slit center from a node, in grid steps
+            center = amps.grid.center + nodes * amps.grid.step
+            filt = GaussianFilter(fwhm=fwhm, alpha=0.9, slit=center / 210.0, dispersion=210.0)
+            closed = 0.49 * filt.intensity_integral() * weight / (4.0 * math.pi)
+            assert singles_rate(amps, mod, filt) == pytest.approx(closed, rel=1e-14, abs=0)
+
+
+def test_singles_sampled_refuses_a_grid_step_whose_ratio_to_the_fwhm_overflows():
+    # three nodes 5e299 GHz apart around a 1e-150 GHz passband: the grid step
+    # over FWHM/3 overflows, so no lattice step that divides it is a float
+    grid = FrequencyGrid(center=0.0, span=1e300, points=3, pump_frequency=0.0)
+    amps = SpectralAmplitudes(1.0, 1.0, grid, np.ones(3), np.ones(3))
+    filt = GaussianFilter(fwhm=1e-150, alpha=1.0, slit=0.0, dispersion=210.0)
     with pytest.raises(DomainError) as err:
-        singles_rate(amps, sinusoidal_coeffs(1.5, 0.0, 30.0), filt, convention)
-    assert str(err.value) == message
+        singles_rate(amps, sinusoidal_coeffs(0.0, 0.0, 30.0), filt)
+    assert str(err.value) == ("amplitude-grid step 5e+299 GHz is too coarse for filter FWHM "
+                              "1e-150 GHz: their ratio overflows")
+    # at 1e-8 GHz the ratio, 1.5e308, is a float, and the node at the center
+    # anchors the lattice
+    filt = GaussianFilter(fwhm=1e-8, alpha=1.0, slit=0.0, dispersion=210.0)
+    rate = singles_rate(amps, sinusoidal_coeffs(0.0, 0.0, 30.0), filt)
+    assert rate == pytest.approx(filt.intensity_integral() / (4.0 * math.pi), rel=1e-14)
+
+
+# log-uniform from 1e-330 (0.0 below the subnormals) to 1e308
+_LOG_UNIFORM = st.floats(-330.0, 308.0).map(lambda exponent: 10.0 ** exponent)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_LOG_UNIFORM, _LOG_UNIFORM, _LOG_UNIFORM, _LOG_UNIFORM)
+def test_filter_refuses_or_gives_finite_values_on_generated_inputs(fwhm, alpha, slit,
+                                                                   dispersion):
+    # every warning is an error in this suite, so an overflow warning fails here too
+    try:
+        filt = GaussianFilter(fwhm=fwhm, alpha=alpha, slit=slit, dispersion=dispersion)
+    except ModlabError:
+        return
+    sigma = filt.intensity_sigma()
+    for response in (filt.field_response, filt.intensity_response):
+        assert np.isfinite(response(np.array([0.0, -sigma, sigma]))).all()
+    # a transmission whose passband integrals come within a factor 16 of the
+    # float range is accepted, so that the flat singles rate can refuse it
+    # naming alpha^2 as a command reports it; there the integrals, the
+    # lineshape peak and the sampled rate may overflow
+    if not 16.0 * filt.alpha ** 2 * max(filt.fwhm, 1.0) < math.inf:
+        return
+    mod = sinusoidal_coeffs(1.5, 0.0, 30.0)
+    h2 = h2_profile(filt, unit_filter())
+    values = [filt.intensity_integral(), h2.peak, h2.sigma,
+              singles_rate(SpectralAmplitudes.flat(1.0, 1.0), mod, filt)]
+    try:
+        values.append(singles_rate(_constant_b_amplitudes(), mod, filt))
+    except DomainError as exc:
+        assert str(exc).endswith("lies outside the amplitude grid")
+    assert np.isfinite(values).all()
 
 
 def test_singles_passband_outside_grid():
@@ -308,8 +387,8 @@ def _singles_exact_reference(amps, mod, filt):
     ``filt.fwhm`` is an intensity FWHM. Between grid nodes B is linear, so
     on each piece of a shifted passband |B|^2 is a quadratic in the offset
     y from the filter center, and its integral against the Gaussian |H|^2
-    is a sum of three Gaussian moments in erf and exp. The pieces are those
-    of ``singles_rate``: each passband split at the grid nodes inside it.
+    is a sum of three Gaussian moments in erf and exp. Each passband is
+    split at the grid nodes inside it, where the interpolant bends.
     """
     nodes = amps.grid.omegas.tolist()
     b = amps.b.tolist()
@@ -344,7 +423,12 @@ def _singles_exact_reference(amps, mod, filt):
     (30.0, 1.5, 30.0, "intensity", 0.0),
     (8.5, 1.5, 30.0, "field", 0.0),
     (8.5, 1.5, 30.0, "intensity", 0.37),    # slit center off the grid, in grid steps
-], ids=["aligned", "misaligned", "wide-filter", "field", "slit-off-grid"])
+    # narrower than the 0.5 GHz grid step, down to a fiftieth of it
+    (1.0, 2.5, 17.3, "intensity", 0.37),
+    (0.3, 1.5, 30.0, "intensity", 0.0),
+    (0.01, 2.5, 17.3, "intensity", 0.37),
+], ids=["aligned", "misaligned", "wide-filter", "field", "slit-off-grid",
+        "narrow-1", "narrow-0.3", "narrow-0.01"])
 def test_singles_sampled_matches_scalar_simpson(fwhm, depth, omega_m, convention,
                                                 slit_shift):
     # the oracle is exact; 1e-10 allows for float64 round-off in both
@@ -359,28 +443,31 @@ def test_singles_sampled_matches_scalar_simpson(fwhm, depth, omega_m, convention
 
 def _singles_per_sideband(amps, mod, filt, convention="intensity"):
     """The sampled branch of ``singles_rate`` as a loop over sidebands: one
-    coverage check, passband split, ``b_at`` call and Gauss-Legendre sum
-    per k."""
+    coverage check, lattice, ``b_at`` call and Gauss-Legendre sum per k.
+    The lattice of sideband k runs through its first node inside the
+    passband (+width when there is none) in steps of the grid step over
+    ceil(3 steps / FWHM), clipped to the passband."""
     filt = intensity_filter(filt, convention)
-    center = filt.center
     width = filt.passband_halfwidth()
     nodes = amps.grid.omegas
-    total = 0.0
+    h = amps.grid.step / math.ceil(3.0 * amps.grid.step / filt.fwhm)
+    powers, integrals = [], []
     for k, p in zip(mod.k_values, np.abs(mod.coeffs) ** 2):
         if p < 1e-30:
             continue
-        shift = k * mod.omega_m
-        lo, hi = center - width - shift, center + width - shift
-        if not (nodes[0] <= lo and hi <= nodes[-1]):
+        center = filt.center - k * mod.omega_m
+        if not (nodes[0] <= center - width and center + width <= nodes[-1]):
             raise DomainError(
                 f"filter passband shifted by sideband k={k} lies outside the amplitude grid")
-        breaks = np.concatenate(([lo], nodes[(nodes > lo) & (nodes < hi)], [hi]))
-        half = 0.5 * np.diff(breaks)
-        x = (breaks[:-1] + half)[:, None] + half[:, None] * _GL3_NODES
-        f = (np.abs(amps.b_at(x)) ** 2
-             * filt.intensity_response(x + shift - center))
-        total += p * float(half @ (f @ _GL3_WEIGHTS))
-    return total / (4.0 * np.pi)
+        anchor = min(nodes[nodes >= center - width][0] - center, width)
+        m = np.arange(-math.ceil((anchor + width) / h), math.ceil((width - anchor) / h) + 1)
+        y = np.clip(anchor + h * m, -width, width)
+        half = 0.5 * np.diff(y)
+        x = (y[:-1] + half)[:, None] + half[:, None] * _GL3_NODES
+        f = np.abs(amps.b_at(center + x)) ** 2 * filt.intensity_response(x)
+        powers.append(p)
+        integrals.append((half * (f @ _GL3_WEIGHTS)).sum())
+    return float(np.array(powers) @ np.array(integrals)) / (4.0 * np.pi)
 
 
 def _tiny_weight_drive():
@@ -390,7 +477,7 @@ def _tiny_weight_drive():
 
 
 @pytest.mark.parametrize("case", ["sampled-tier-1", "sampled-tier-2", "tiny-weights",
-                                  "all-negligible", "misaligned-field"])
+                                  "all-negligible", "misaligned-field", "misaligned-narrow"])
 def test_singles_sampled_bits_equal_the_per_sideband_loop(case):
     scn = _sampled_tier_scenario()
     amps = scn.amplitudes
@@ -402,11 +489,12 @@ def test_singles_sampled_bits_equal_the_per_sideband_loop(case):
         assert (np.abs(mod.coeffs) ** 2 < 1e-30).sum() == 3
     elif case == "all-negligible":
         mod = ModulatorSpectrum(30.0, np.zeros(3))
-    elif case == "misaligned-field":
+    elif case in ("misaligned-field", "misaligned-narrow"):
+        # the sidebands' lattices start at different offsets from their centers
         center = filt.center + 0.37 * amps.grid.step
         mod = sinusoidal_coeffs(2.5, 0.4, 17.3)
-        filt = GaussianFilter(fwhm=8.5, alpha=0.9, slit=center / 210.0, dispersion=210.0)
-        convention = "field"
+        fwhm, convention = (8.5, "field") if case == "misaligned-field" else (0.3, "intensity")
+        filt = GaussianFilter(fwhm=fwhm, alpha=0.9, slit=center / 210.0, dispersion=210.0)
     rate = singles_rate(amps, mod, filt, convention)
     assert rate == _singles_per_sideband(amps, mod, filt, convention)
 
