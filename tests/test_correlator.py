@@ -289,18 +289,19 @@ def _constant_b_amplitudes(b=0.7):
     return SpectralAmplitudes(1.0, b, grid, ones, b * ones)
 
 
-def test_singles_sampled_constant_b_matches_the_closed_form():
+@pytest.mark.parametrize("nodes", [0.0, 0.37, 0.5, 0.81])
+def test_singles_sampled_constant_b_matches_the_closed_form(nodes):
     # the lattice runs through the grid nodes at a step of at most FWHM/3,
-    # so the rule holds at every width, far below the grid step too
+    # so the rule holds at every width, far below the grid step too, with
+    # the slit center on a node or ``nodes`` grid steps off it
     amps = _constant_b_amplitudes()
     mod = sinusoidal_coeffs(1.5, 0.0, 30.0)
     weight = float(np.sum(np.abs(mod.coeffs[np.abs(mod.coeffs) ** 2 >= 1e-30]) ** 2))
+    center = amps.grid.center + nodes * amps.grid.step
     for fwhm in np.geomspace(1e-3, 30.0, 40):
-        for nodes in (0.0, 0.37, 0.5):      # slit center from a node, in grid steps
-            center = amps.grid.center + nodes * amps.grid.step
-            filt = GaussianFilter(fwhm=fwhm, alpha=0.9, slit=center / 210.0, dispersion=210.0)
-            closed = 0.49 * filt.intensity_integral() * weight / (4.0 * math.pi)
-            assert singles_rate(amps, mod, filt) == pytest.approx(closed, rel=1e-14, abs=0)
+        filt = GaussianFilter(fwhm=fwhm, alpha=0.9, slit=center / 210.0, dispersion=210.0)
+        closed = 0.49 * filt.intensity_integral() * weight / (4.0 * math.pi)
+        assert singles_rate(amps, mod, filt) == pytest.approx(closed, rel=1e-14, abs=0)
 
 
 def test_singles_sampled_refuses_a_grid_step_whose_ratio_to_the_fwhm_overflows():
