@@ -158,7 +158,7 @@ from .correlator import CLIPPING_MESSAGE, FWHM_CONVENTIONS, LazyTrace, UniformAx
 from .errors import (ConfigParseError, ConfigurationError, DomainError, ModlabError,
                      ResolutionError)
 from .scenario import (FIGURE_CASES, ExperimentScenario, build_scenario, figure_preset,
-                       fit_scale, scenario_params, synthesize_counts)
+                       fit_scale, synthesize_counts)
 
 MAX_SCAN_ROWS = 10_000_000
 
@@ -403,32 +403,6 @@ def _build_scenario(items, lines):
         raise ConfigParseError(str(exc)) from exc
 
 
-def scenario_to_config(scenario: ExperimentScenario) -> str:
-    """Serialize a scenario to the config schema (round-trips exactly).
-
-    Only flat-band scenarios with sinusoidal modulators serialize; that
-    covers every preset. Floats are written with repr so reparsing
-    reproduces them bit for bit.
-    """
-    amps = scenario.amplitudes
-    if not amps.is_flat:
-        raise ConfigurationError("only flat-band scenarios serialize to config text")
-    if amps.b0.imag != 0 or amps.a0.imag != 0:
-        raise ConfigurationError("only real flat-band constants serialize to config text")
-    for name, mod in (("mod1", scenario.mod1), ("mod2", scenario.mod2)):
-        if mod.depth is None or mod.drive_phase is None:
-            raise ConfigurationError(
-                f"{name} was not built from a sinusoidal drive; cannot serialize")
-    out = ["schema = 1", "", "[scenario]"]
-    for key, value in scenario_params(scenario).items():
-        kind, unit = _SECTIONS["scenario"][key]
-        if kind == "enum":
-            out.append(f"{key} = {value}")
-        else:
-            out.append(f"{key} = {value!r} {unit}" if unit else f"{key} = {value!r}")
-    return "\n".join(out) + "\n"
-
-
 def _exact_bytes(value) -> bytes:
     """Exact encoding of ``value``: a dataclass as its type and every field,
     an array as its dtype, shape and raw bytes, anything else by repr."""
@@ -442,14 +416,12 @@ def _exact_bytes(value) -> bytes:
 
 
 def scenario_hash(scenario: ExperimentScenario) -> str:
-    """SHA-256 of the config text, or of ``_exact_bytes`` for a scenario without one."""
+    """SHA-256 of ``_exact_bytes(scenario)``: every field of every part, so
+    two scenarios share a hash exactly when their bytes agree, however each
+    was built (a preset, explicit keys or a waveform file)."""
     import hashlib   # imported here, like json in emit_trace: only .meta files need it
 
-    try:
-        payload = scenario_to_config(scenario).encode("utf-8")
-    except ConfigurationError:
-        payload = _exact_bytes(scenario)
-    return hashlib.sha256(payload).hexdigest()
+    return hashlib.sha256(_exact_bytes(scenario)).hexdigest()
 
 
 _EMIT_CHUNK_ROWS = 1 << 14

@@ -123,23 +123,25 @@ def bessel_j_series(n, x):
 class ModulatorSpectrum:
     """Truncated coefficient sequence {q_k}, k = -K..K, of one modulator.
 
-    ``depth`` and ``drive_phase`` are bookkeeping for sinusoidal drives
-    (None when the spectrum came from an arbitrary waveform); the physics
-    lives entirely in ``coeffs``.
+    The physics lives entirely in ``coeffs``: a sinusoidal drive, a sampled
+    waveform and a composed pair that give the same coefficients are the
+    same modulator. Every builder passes through this constructor, which
+    refuses a drive frequency that is not positive and finite and a
+    coefficient that is not finite.
     """
 
     omega_m: float
     coeffs: np.ndarray
-    depth: float | None = None
-    drive_phase: float | None = None
 
     def __post_init__(self):
         # a negated comparison, so that NaN fails it too
-        if not self.omega_m > 0:
-            raise ConfigurationError("modulator drive frequency must be positive")
+        if not 0 < self.omega_m < math.inf:
+            raise ConfigurationError("modulator drive frequency must be positive and finite")
         object.__setattr__(self, "coeffs", read_only_copy(self.coeffs, complex))
         if self.coeffs.ndim != 1 or len(self.coeffs) % 2 != 1:
             raise ConfigurationError("coefficients must form an odd-length sequence k=-K..K")
+        if not np.isfinite(self.coeffs).all():
+            raise ConfigurationError("modulator coefficients must be finite")
 
     @property
     def k_max(self) -> int:
@@ -161,14 +163,12 @@ class ModulatorSpectrum:
         if not isinstance(other, ModulatorSpectrum):
             return NotImplemented
         return (self.omega_m == other.omega_m
-                and self.depth == other.depth
-                and self.drive_phase == other.drive_phase
                 and self.coeffs.shape == other.coeffs.shape
                 and bool(np.array_equal(self.coeffs, other.coeffs)))
 
     def __hash__(self):
         # hash(0.0) == hash(-0.0), and values_hash folds -0.0 in the array
-        return hash((self.omega_m, self.depth, self.drive_phase, values_hash(self.coeffs)))
+        return hash((self.omega_m, values_hash(self.coeffs)))
 
 
 def sinusoidal_coeffs(depth: float, drive_phase: float, omega_m: float) -> ModulatorSpectrum:
@@ -176,17 +176,18 @@ def sinusoidal_coeffs(depth: float, drive_phase: float, omega_m: float) -> Modul
 
     q_k = J_k(-depth) * exp(-i k drive_phase), truncated at the smallest K
     whose edge coefficients carry less than ``TAIL_TOL`` of the power; K
-    comes out near depth + 18. A depth beyond +-``MAX_DEPTH`` is rejected
-    before any order is computed.
+    comes out near depth + 18. A depth beyond +-``MAX_DEPTH`` and a drive
+    phase that is not finite are rejected before any order is computed.
     """
     depth = float(depth)
     if not abs(depth) <= MAX_DEPTH:
         raise ConfigurationError(
             f"modulation depth {depth:g} rad is too large: |depth| must be at most "
             f"{MAX_DEPTH:g} rad")
+    if not math.isfinite(drive_phase):
+        raise ConfigurationError(f"modulation drive phase must be finite, got {drive_phase}")
     if depth == 0.0:
-        return ModulatorSpectrum(omega_m=omega_m, coeffs=np.array([1.0 + 0.0j]),
-                                 depth=0.0, drive_phase=float(drive_phase))
+        return ModulatorSpectrum(omega_m=omega_m, coeffs=np.array([1.0 + 0.0j]))
     k_big = int(np.ceil(abs(depth))) + 48
     j_pos = bessel_j_sequence(k_big, -depth)
     # stay above the turning point so an incidental Bessel zero cannot
@@ -197,11 +198,9 @@ def sinusoidal_coeffs(depth: float, drive_phase: float, omega_m: float) -> Modul
     # J_{-k} = (-1)^k J_k
     j_k = j_pos[np.abs(k_idx)]
     coeffs = np.where((k_idx < 0) & (k_idx % 2 == 1), -j_k, j_k).astype(complex)
-    # reduced mod 2 pi inside the exponential only, so that a huge phase
-    # neither overflows k * phase nor changes the stored drive_phase
-    coeffs *= np.exp(-1j * k_idx * math.remainder(float(drive_phase), 2.0 * math.pi))
-    return ModulatorSpectrum(omega_m=omega_m, coeffs=coeffs,
-                             depth=depth, drive_phase=float(drive_phase))
+    # reduced mod 2 pi first, so that a huge phase does not overflow k * phase
+    coeffs *= np.exp(-1j * k_idx * math.remainder(drive_phase, 2.0 * math.pi))
+    return ModulatorSpectrum(omega_m=omega_m, coeffs=coeffs)
 
 
 def coeffs_from_waveform(phase_samples, omega_m: float) -> ModulatorSpectrum:
@@ -216,8 +215,8 @@ def coeffs_from_waveform(phase_samples, omega_m: float) -> ModulatorSpectrum:
     phase between channels matters).
     """
     phases = np.asarray(phase_samples, dtype=float)
-    if phases.ndim != 1 or len(phases) < 64:
-        raise ConfigurationError("waveform needs at least 64 uniform samples per period")
+    if phases.ndim != 1 or len(phases) < 64 or not np.isfinite(phases).all():
+        raise ConfigurationError("waveform needs at least 64 uniform, finite samples per period")
     n = len(phases)
     transfer = np.exp(1j * phases)
     fhat = np.fft.ifft(transfer)      # fhat[k] = (1/N) sum_j m_j exp(+2pi i jk/N)

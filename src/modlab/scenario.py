@@ -191,28 +191,6 @@ def build_scenario(items) -> ExperimentScenario:
         raise ConfigurationError(f"invalid scenario: {exc}") from exc
 
 
-def scenario_params(scenario: ExperimentScenario) -> dict:
-    """The ``[scenario]`` values of a flat-band scenario with sinusoidal
-    drives, in config-file order, that ``build_scenario`` rebuilds it from."""
-    return {
-        "pump_frequency": scenario.pump_frequency,
-        "modulation_frequency": scenario.omega_m,
-        "gate": scenario.gate_ns,
-        "dispersion": scenario.dispersion,
-        # every GaussianFilter holds an intensity FWHM
-        "fwhm_convention": "intensity",
-        "b0": abs(scenario.amplitudes.b0),
-        "mod1_depth": scenario.mod1.depth, "mod1_phase": scenario.mod1.drive_phase,
-        "mod2_depth": scenario.mod2.depth, "mod2_phase": scenario.mod2.drive_phase,
-        "filter1_fwhm": scenario.filter1.fwhm,
-        "filter1_alpha_sq": scenario.filter1.alpha ** 2,
-        "filter1_slit": scenario.filter1.slit,
-        "filter2_fwhm": scenario.filter2.fwhm,
-        "filter2_alpha_sq": scenario.filter2.alpha ** 2,
-        "filter2_slit": scenario.filter2.slit,
-    }
-
-
 def reference_scenario(depth1: float, depth2: float,
                        phase1: float = 0.0, phase2: float = 0.0) -> ExperimentScenario:
     """Scenario with the reference instrument parameters and given drives."""

@@ -21,6 +21,7 @@ and mismatch profiles are caller-supplied, so the simulated spectral shape
 is only as faithful as those inputs.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -101,6 +102,8 @@ class CrystalProfile:
     Pair generation couples ``w`` with ``w_p - w`` through a single
     interaction term, so both profiles must be symmetric under that
     conjugation; ``propagate_envelopes`` rejects profiles that are not.
+    Every sample and the length must be finite, and the length positive;
+    anything else raises ``ConfigurationError``.
     """
 
     kappa: np.ndarray
@@ -114,9 +117,11 @@ class CrystalProfile:
             raise ConfigurationError("kappa and delta_k must be 1-d samples")
         if self.kappa.shape != self.delta_k.shape:
             raise ConfigurationError("kappa and delta_k sample counts differ")
+        if not (np.isfinite(self.kappa).all() and np.isfinite(self.delta_k).all()):
+            raise ConfigurationError("kappa and delta_k samples must be finite")
         # a negated comparison, so that NaN fails it too
-        if not self.length > 0:
-            raise ConfigurationError("crystal length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ConfigurationError("crystal length must be positive and finite")
 
     @classmethod
     def constant(cls, grid: FrequencyGrid, kappa0, delta_k0, length):
@@ -133,6 +138,9 @@ class SpectralAmplitudes:
     ``a``/``b`` are complex samples on ``grid``; ``a0``/``b0`` are the
     flat-band constants used by the closed-form coincidence model. A purely
     flat-band instance (``grid is None``) carries only the constants.
+    A NaN constant and a sample that is not finite raise
+    ``ConfigurationError``. An infinite constant is accepted, so that the
+    coincidence model can name the |B0| whose square overflowed.
     """
 
     a0: complex
@@ -144,11 +152,15 @@ class SpectralAmplitudes:
     def __post_init__(self):
         if (self.grid is None) != (self.a is None) or (self.a is None) != (self.b is None):
             raise ConfigurationError("sampled amplitudes need grid, a and b together")
+        if np.isnan([self.a0, self.b0]).any():
+            raise ConfigurationError("flat-band constants a0 and b0 must not be NaN")
         if self.a is not None:
             object.__setattr__(self, "a", read_only_copy(self.a, complex))
             object.__setattr__(self, "b", read_only_copy(self.b, complex))
             if len(self.a) != self.grid.points or len(self.b) != self.grid.points:
                 raise ConfigurationError("amplitude sample counts do not match grid")
+            if not (np.isfinite(self.a).all() and np.isfinite(self.b).all()):
+                raise ConfigurationError("amplitude samples must be finite")
 
     @classmethod
     def flat(cls, a0, b0):
@@ -268,15 +280,16 @@ def propagate_envelopes(profile: CrystalProfile, grid: FrequencyGrid,
     At 256 steps, 2201 points take 0.6-0.75 ms instead of the loop's
     27-45 ms (shared 2-vCPU x86-64 host, best of 30 calls, several runs).
 
-    Raises ConfigurationError for unpaired grids or asymmetric profiles,
+    Raises ConfigurationError for a ``steps`` that is not an integer of at
+    least 16, for unpaired grids or asymmetric profiles,
     DomainError when the amplitudes overflow or are large enough that
     rounding alone (about 4 eps max|A|^2) exceeds the unitarity limit 1e-6
     and a bound on the exact solution allows that, and ConvergenceError
     when the unitarity residual after integration exceeds that limit
     otherwise (increase ``steps``).
     """
-    if steps < 16:
-        raise ConfigurationError("propagation needs at least 16 RK4 steps")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 16:
+        raise ConfigurationError(f"RK4 steps must be an integer of at least 16, got {steps!r}")
     n = grid.points
     if len(profile.kappa) != n:
         raise ConfigurationError("profile sample count does not match grid")
@@ -285,11 +298,13 @@ def propagate_envelopes(profile: CrystalProfile, grid: FrequencyGrid,
     dk = profile.delta_k
     scale_k = max(1.0, float(np.abs(kap).max()))
     scale_d = max(1.0, float(np.abs(dk).max()))
-    if (np.abs(kap - kap[::-1]).max() > _SYMMETRY_RTOL * scale_k
-            or np.abs(dk - dk[::-1]).max() > _SYMMETRY_RTOL * scale_d):
-        raise ConfigurationError(
-            "kappa and delta_k must be symmetric under w -> w_p - w "
-            "(a single interaction term couples each conjugate pair)")
+    # a difference that overflows is an asymmetry too
+    with np.errstate(over="ignore"):
+        if (np.abs(kap - kap[::-1]).max() > _SYMMETRY_RTOL * scale_k
+                or np.abs(dk - dk[::-1]).max() > _SYMMETRY_RTOL * scale_d):
+            raise ConfigurationError(
+                "kappa and delta_k must be symmetric under w -> w_p - w "
+                "(a single interaction term couples each conjugate pair)")
 
     half = (n + 1) // 2
     idx = np.arange(half)
@@ -368,24 +383,34 @@ def analytic_amplitudes(kappa0, delta_k0, length):
     switches continuously between the hyperbolic and trigonometric branches
     as g^2 changes sign, with the g -> 0 limit taken by series. Serves as
     the regression oracle for ``propagate_envelopes``.
+
+    Raises DomainError when an input is not finite or the amplitudes
+    leave the floating-point range.
     """
     kappa0 = complex(kappa0)
     delta_k0 = float(delta_k0)
     length = float(length)
-    g_sq = abs(kappa0) ** 2 - 0.25 * delta_k0 ** 2
-    g = np.sqrt(complex(g_sq))
-    gl = g * length
-    if abs(gl) < 1e-8:
-        # sinh(gL)/g and cosh(gL) by series; keeps the g -> 0 limit smooth
-        sinhc = length * (1.0 + gl * gl / 6.0)
-        cosh_gl = 1.0 + gl * gl / 2.0
-    else:
-        sinhc = np.sinh(gl) / g
-        cosh_gl = np.cosh(gl)
-    phase = np.exp(0.5j * delta_k0 * length)
-    a0 = phase * (cosh_gl - 0.5j * delta_k0 * sinhc)
-    b0 = phase * (1j * kappa0 * sinhc)
-    return complex(a0), complex(b0)
+    try:
+        with np.errstate(all="ignore"):
+            g_sq = abs(kappa0) ** 2 - 0.25 * delta_k0 ** 2
+            g = np.sqrt(complex(g_sq))
+            gl = g * length
+            if abs(gl) < 1e-8:
+                # sinh(gL)/g and cosh(gL) by series; keeps the g -> 0 limit smooth
+                sinhc = length * (1.0 + gl * gl / 6.0)
+                cosh_gl = 1.0 + gl * gl / 2.0
+            else:
+                sinhc = np.sinh(gl) / g
+                cosh_gl = np.cosh(gl)
+            phase = np.exp(0.5j * delta_k0 * length)
+            a0 = complex(phase * (cosh_gl - 0.5j * delta_k0 * sinhc))
+            b0 = complex(phase * (1j * kappa0 * sinhc))
+    except OverflowError:   # from the squares of abs(kappa0) or delta_k0
+        a0 = b0 = complex(math.inf)
+    if not (cmath.isfinite(a0) and cmath.isfinite(b0)):
+        raise DomainError(f"closed-form amplitudes are not finite at kappa0 = {kappa0}, "
+                          f"delta_k0 = {delta_k0}, length = {length}")
+    return a0, b0
 
 
 def amplitudes_from_rate(r2_measured, filter2):
@@ -396,13 +421,17 @@ def amplitudes_from_rate(r2_measured, filter2):
     commutator-preserving condition |A0|^2 - |B0|^2 = 1 for |A0|. Phases are
     set to zero: the coincidence model only involves |A0 B0|^2 and |B0|^2.
     """
-    if r2_measured <= 0:
-        raise DomainError("measured rate must be positive")
+    # a negated comparison, so that NaN fails it too
+    if not 0 < r2_measured < math.inf:
+        raise DomainError(f"measured rate must be positive and finite, got {r2_measured}")
     h2_integral = filter2.intensity_integral()
     if h2_integral <= 0:
         raise DomainError("filter 2 must have positive transmission (alpha > 0)")
-    b0_sq = 4.0 * np.pi * float(r2_measured) / h2_integral
-    b0 = np.sqrt(b0_sq)
-    # a0 from the rounded b0 keeps |A0|^2-|B0|^2 = 1 exact under serialization
-    a0 = np.sqrt(1.0 + b0 * b0)
+    with np.errstate(over="ignore"):
+        b0_sq = 4.0 * np.pi * float(r2_measured) / h2_integral
+        b0 = np.sqrt(b0_sq)
+        # a0 from the rounded b0, as build_scenario rebuilds it from a config's b0
+        a0 = np.sqrt(1.0 + b0 * b0)
+    if not np.isfinite(a0):
+        raise DomainError(f"measured rate {r2_measured:g} gives a |B0|^2 beyond the float range")
     return complex(a0), complex(b0)

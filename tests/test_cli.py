@@ -1,6 +1,5 @@
 """Config parsing, output emission, validation command and exit codes."""
 
-import dataclasses
 import errno
 import functools
 import json
@@ -19,11 +18,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from modlab import (ConfigParseError, ConfigurationError, ConvergenceError, ExperimentScenario,
-                    FrequencyGrid, ModulatorSpectrum, SidebandModel, SpectralAmplitudes,
-                    figure_preset, regime_report)
+                    SidebandModel, figure_preset, regime_report, sinusoidal_coeffs)
 from modlab import cli, modulation, textfmt
 from modlab.cli import (MAX_SCAN_ROWS, RunConfig, emit_trace, main, parse_config,
-                        run_validate, scenario_to_config)
+                        run_validate)
 from modlab.correlator import (CLIPPING_MESSAGE, CorrelationTrace, LazyTrace, UniformAxis,
                                coincidence_trace)
 from modlab.scenario import (FIGURE_CASES, PRESET_R2_RATE, REFERENCE_ALPHA1_SQ,
@@ -249,34 +247,6 @@ def test_waveform_modulator_from_config(tmp_path):
     assert abs(scenario.mod1.coefficient(1) - ref.mod1.coefficient(1)) < 1e-9
 
 
-def test_scenario_roundtrip_through_config():
-    for case in ("fig3a", "fig3b", "fig4a", "fig4b"):
-        scn = figure_preset(case)
-        text = scenario_to_config(scn)
-        _, back = parse_config(text, command="validate")
-        assert back == scn
-        assert scenario_to_config(back) == text
-
-
-def _sampled_amplitudes(pump):
-    grid = FrequencyGrid(center=0.5 * pump, span=10.0, points=3, pump_frequency=pump)
-    return SpectralAmplitudes(a0=1.0, b0=0.0, grid=grid, a=np.ones(3), b=np.zeros(3))
-
-
-@pytest.mark.parametrize("change, message", [
-    (lambda scn: {"amplitudes": _sampled_amplitudes(scn.pump_frequency)},
-     "only flat-band scenarios"),
-    (lambda scn: {"amplitudes": SpectralAmplitudes.flat(scn.amplitudes.a0, 1j)},
-     "only real flat-band constants"),
-    (lambda scn: {"mod1": ModulatorSpectrum(scn.omega_m, scn.mod1.coeffs)},
-     "mod1 was not built from a sinusoidal drive"),
-], ids=["sampled amplitudes", "complex b0", "waveform mod1"])
-def test_scenario_to_config_refuses_what_config_text_cannot_hold(change, message):
-    scn = figure_preset("fig3b")
-    with pytest.raises(ConfigurationError, match=message):
-        scenario_to_config(dataclasses.replace(scn, **change(scn)))
-
-
 def test_emit_trace_csv(tmp_path):
     scn = figure_preset("fig3a")
     axis = -150.0 + 0.5 * np.arange(601)
@@ -433,15 +403,15 @@ def test_main_validate_with_a_subnormal_closed_form_peak(capsys, tmp_path):
 
 
 def test_main_scan_with_a_huge_drive_phase(capsys, tmp_path):
-    # k * phase overflows unless the phase is reduced mod 2 pi first; the
-    # scenario keeps the phase as given, so its hash does not move
+    # k * phase overflows unless the phase is reduced mod 2 pi first
     text = MINIMAL.replace("preset = fig4b", "preset = fig4a") + "mod2_phase = 1e308 rad\n"
     cfg = tmp_path / "phase.cfg"
     cfg.write_text(text)
     out = tmp_path / "phase.csv"
     assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
     assert capsys.readouterr() == (f"wrote 601 rows to {out}\n", "")
-    assert parse_config(text, command="scan")[1].mod2.drive_phase == 1e308
+    reduced = sinusoidal_coeffs(1.5, math.remainder(1e308, 2.0 * math.pi), REFERENCE_OMEGA_M)
+    assert parse_config(text, command="scan")[1].mod2 == reduced
 
 
 def test_main_fit_with_a_passband_narrow_against_its_center(capsys, tmp_path):
@@ -1686,6 +1656,27 @@ def test_main_hashes_waveform_scenarios_exactly(tmp_path):
     csv_b, hash_b = scan(nudged, "b")
     assert csv_a != csv_b and hash_a != hash_b
     assert scan(phases, "a") == (csv_a, hash_a)
+
+
+@pytest.mark.parametrize("mod2_phase, same", [
+    ("3.141592653589793", True),
+    (repr(math.nextafter(math.pi, 0.0)), False),
+], ids=["the fig4b scenario", "mod2_phase one ulp lower"])
+def test_main_hashes_one_scenario_once_however_it_is_reached(tmp_path, capsys, mod2_phase,
+                                                              same):
+    # the fig4b figure and a scan of its explicit keys build equal bytes, so
+    # they share a hash; one ulp of a drive phase moves the coefficients
+    def scenario_sha256(command, text):
+        cfg, out = tmp_path / f"{command}.cfg", tmp_path / f"{command}.csv"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        return json.loads(Path(f"{out}.meta").read_text())["scenario_sha256"]
+
+    explicit = (CONFIGS / "explicit_reference.cfg").read_text()
+    assert "mod2_phase = 3.141592653589793 rad" in explicit
+    scan = scenario_sha256("scan", explicit.replace("3.141592653589793", mod2_phase))
+    assert (scan == scenario_sha256("figure", (CONFIGS / "fig4b.cfg").read_text())) is same
+    capsys.readouterr()
 
 
 def test_main_rejects_a_huge_depth_at_once(tmp_path, capsys):

@@ -23,24 +23,24 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TRACE_DIGESTS = {
     "fig3a": ("figure",
               "7d8648f66080176d41cf9cdcd321550be8611abe90baf06b761d95954e0717da",
-              "3043ec0de971cb1b5ef2f5e30f463642fff47ba522c6bfea3f518006768e8d94"),
+              "3501f3ff9d2abbb62c1dd644e0643b6a20eb3c6b130af84b092ef7e0022fe95a"),
     "fig3b": ("figure",
               "ca05fe28294eee61242e6b609deb949bdb1f3e42f24afcfed532dc105aa5c18d",
-              "fe865c09886837f245ac7c32607f6120bcfa8dab456c9c12d41ad273822c4227"),
+              "5265e329ab8c4e65de129056cda3aabae34d1d4edc856cc6cdf1ca498686dfc2"),
     "fig4a": ("figure",
               "41f5010586e2dc5569acd67c8dcb7e1f1a19edd56ce9c8fc559a29a4a02a2134",
-              "5de9dba8f067c077cbf301913ff5303023b2e37aa02fae70174d5e49ef2dc4c3"),
+              "daed18f426c6deb602fc7be43a7d6e6c29ba7b7bf3669b473c172c432662d5ff"),
     "fig4b": ("figure",
               "7b741e71eb2511fb09e9e99a2850e2e016233b96c34ffc8b8302bb25cd86a006",
-              "b532f318607cb55308912404beb0565e5d7211ae4712c5ac7a72384a27c5186a"),
+              "23726ab4bc6e92c2e6246df33e20df43cf38d8557be41aa6e008385feb5aa369"),
     # same scenario and axis as the fig4a figure
     "reference_scan": ("scan",
                        "41f5010586e2dc5569acd67c8dcb7e1f1a19edd56ce9c8fc559a29a4a02a2134",
-                       "5de9dba8f067c077cbf301913ff5303023b2e37aa02fae70174d5e49ef2dc4c3"),
+                       "daed18f426c6deb602fc7be43a7d6e6c29ba7b7bf3669b473c172c432662d5ff"),
     # the fig4b scenario written out key by key
     "explicit_reference": ("scan",
                            "7b741e71eb2511fb09e9e99a2850e2e016233b96c34ffc8b8302bb25cd86a006",
-                           "b532f318607cb55308912404beb0565e5d7211ae4712c5ac7a72384a27c5186a"),
+                           "23726ab4bc6e92c2e6246df33e20df43cf38d8557be41aa6e008385feb5aa369"),
 }
 FIT_DEMO_STDOUT_DIGEST = "a8b588ea216c6e9dd98a3268b78df4fb9551bd60f74ecb9ef6cb61368229fd21"
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modlab import (ConfigurationError, bessel_j_sequence, bessel_j_series,
+from modlab import (ConfigurationError, ModlabError, bessel_j_sequence, bessel_j_series,
                     coeffs_from_waveform, compose_nonlocal, sinusoidal_coeffs)
 from modlab.cli import read_phase_waveform
 from modlab.modulation import MAX_DEPTH, TAIL_TOL, ModulatorSpectrum
@@ -266,11 +266,30 @@ def test_compose_rejects_asynchronous_drives():
                          sinusoidal_coeffs(1.5, 0.0, 29.0))
 
 
-@pytest.mark.parametrize("omega_m", [math.nan, 0.0, -30.0])
+@pytest.mark.parametrize("omega_m", [math.nan, 0.0, -30.0, math.inf])
 def test_spectrum_rejects_a_drive_frequency_that_is_not_positive(omega_m):
-    # NaN used to pass `omega_m <= 0`
+    # NaN used to pass `omega_m <= 0`, and inf was accepted
     with pytest.raises(ConfigurationError, match="drive frequency must be positive"):
         ModulatorSpectrum(omega_m=omega_m, coeffs=np.array([1.0 + 0.0j]))
+
+
+# a NaN phase gave 25 NaN coefficients, an infinite one a bare ValueError
+# from math.remainder, and a NaN waveform the coefficient [nan]
+@pytest.mark.parametrize("build, message", [
+    (lambda: sinusoidal_coeffs(1.0, math.nan, 30.0), "drive phase must be finite, got nan"),
+    (lambda: sinusoidal_coeffs(1.0, math.inf, 30.0), "drive phase must be finite, got inf"),
+    (lambda: sinusoidal_coeffs(0.0, -math.inf, 30.0), "drive phase must be finite, got -inf"),
+    (lambda: coeffs_from_waveform(np.full(64, math.nan), 30.0), "finite samples"),
+    (lambda: coeffs_from_waveform(np.r_[np.zeros(63), -math.inf], 30.0), "finite samples"),
+    (lambda: ModulatorSpectrum(30.0, [0.0, complex(1.0, math.nan), 0.0]),
+     "coefficients must be finite"),
+    (lambda: compose_nonlocal(ModulatorSpectrum(30.0, [1e200]), ModulatorSpectrum(30.0, [1e200])),
+     "coefficients must be finite"),
+], ids=["nan phase", "inf phase", "-inf phase at depth 0", "nan waveform",
+        "-inf waveform sample", "nan coefficient", "overflowing composition"])
+def test_modulator_inputs_that_are_not_finite_are_refused(build, message):
+    with pytest.raises(ConfigurationError, match=message):
+        build()
 
 
 def test_read_phase_waveform(tmp_path):
@@ -441,3 +460,48 @@ def test_composition_in_phase_adds_depths(d1, d2, phase):
     composed = compose_nonlocal(sinusoidal_coeffs(d1, phase, 30.0),
                                 sinusoidal_coeffs(d2, phase, 30.0))
     assert _max_coefficient_gap(composed, sinusoidal_coeffs(d1 + d2, phase, 30.0)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the input boundary on generated values
+# ---------------------------------------------------------------------------
+
+def _any_or(low, high):
+    """Every float, NaN and +-inf among them, or a moderate one that builds."""
+    return st.one_of(st.floats(), st.floats(low, high))
+
+
+@st.composite
+def _wide_waveforms(draw):
+    """62 to 66 samples of a cosine of any finite amplitude, one of them
+    perhaps replaced by any float."""
+    n = draw(st.integers(62, 66))
+    phases = draw(st.floats(allow_nan=False, allow_infinity=False)) * np.cos(
+        2.0 * math.pi * np.arange(n) / n)
+    if draw(st.booleans()):
+        phases[draw(st.integers(0, n - 1))] = draw(st.floats())
+    return phases
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_any_or(-160.0, 160.0), st.floats(), _any_or(1e-3, 1e3), _wide_waveforms(),
+       st.lists(st.complex_numbers(), min_size=1, max_size=5))
+def test_modulator_builders_refuse_or_give_finite_coefficients(depth, phase, omega_m,
+                                                               phases, coeffs):
+    # every warning is an error in this suite, so an overflow warning fails here too
+    built = []
+    for build in (lambda: sinusoidal_coeffs(depth, phase, omega_m),
+                  lambda: coeffs_from_waveform(phases, omega_m),
+                  lambda: ModulatorSpectrum(omega_m, coeffs)):
+        try:
+            built.append(build())
+        except ModlabError:
+            pass
+    for q in list(built):
+        for r in list(built):
+            try:
+                built.append(compose_nonlocal(q, r))
+            except ModlabError:
+                pass
+    for spectrum in built:
+        assert np.isfinite(spectrum.coeffs).all()

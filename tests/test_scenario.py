@@ -9,7 +9,7 @@ import pytest
 from modlab import (ConfigurationError, CorrelationTrace, CrystalProfile, DomainError,
                     FrequencyGrid, ModulatorSpectrum, SpectralAmplitudes,
                     coincidence_trace, figure_preset, fit_scale, propagate_envelopes,
-                    reference_scenario, regime_report, synthesize_counts)
+                    reference_scenario, regime_report, sinusoidal_coeffs, synthesize_counts)
 from modlab import scenario
 from modlab.scenario import (ExperimentScenario, REFERENCE_DISPERSION,
                              REFERENCE_GATE_NS, REFERENCE_OMEGA_M,
@@ -17,16 +17,21 @@ from modlab.scenario import (ExperimentScenario, REFERENCE_DISPERSION,
 
 
 def test_preset_cases():
+    # each preset holds the coefficients of its drives
+    unmodulated = sinusoidal_coeffs(0.0, 0.0, REFERENCE_OMEGA_M)
+    driven = sinusoidal_coeffs(1.5, 0.0, REFERENCE_OMEGA_M)
     a = figure_preset("fig3a")
-    assert a.mod1.depth == 0.0 and a.mod2.depth == 0.0
+    assert a.mod1 == a.mod2 == unmodulated
     b = figure_preset("fig3b")
-    assert b.mod1.depth == 1.5 and b.mod2.depth == 0.0
+    assert b.mod1 == driven and b.mod2 == unmodulated
     c = figure_preset("fig4a")
-    assert c.mod1.depth == 1.5 and c.mod2.depth == 1.5
-    assert c.mod1.drive_phase == c.mod2.drive_phase == 0.0
+    assert c.mod1 == c.mod2 == driven
     d = figure_preset("fig4b")
-    assert d.mod1.depth == 1.5 and d.mod2.depth == 1.5
-    assert d.mod2.drive_phase - d.mod1.drive_phase == pytest.approx(math.pi)
+    assert d.mod1 == driven
+    assert d.mod2 == sinusoidal_coeffs(1.5, math.pi, REFERENCE_OMEGA_M)
+    # opposite phases flip the sign of every odd coefficient
+    odd = d.mod2.k_values % 2 == 1
+    np.testing.assert_allclose(d.mod2.coeffs[odd], -driven.coeffs[odd], rtol=0, atol=1e-15)
     with pytest.raises(ConfigurationError):
         figure_preset("fig5x")
 
@@ -126,8 +131,8 @@ def test_scenarios_hash_by_value():
 
 
 def test_hash_agrees_with_eq_across_signed_zeros():
-    q = ModulatorSpectrum(REFERENCE_OMEGA_M, [0.0, 1.0, complex(0.0, -0.0)], depth=0.0)
-    r = ModulatorSpectrum(REFERENCE_OMEGA_M, [-0.0, 1.0, complex(-0.0, 0.0)], depth=-0.0)
+    q = ModulatorSpectrum(REFERENCE_OMEGA_M, [0.0, 1.0, complex(0.0, -0.0)])
+    r = ModulatorSpectrum(REFERENCE_OMEGA_M, [-0.0, 1.0, complex(-0.0, 0.0)])
     assert q.coeffs.tobytes() != r.coeffs.tobytes()
     assert q == r and hash(q) == hash(r)
 

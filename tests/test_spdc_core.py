@@ -12,9 +12,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modlab import (ConfigurationError, ConvergenceError, CrystalProfile, DomainError,
-                    ExperimentScenario, FrequencyGrid, GaussianFilter, SpectralAmplitudes,
+                    ExperimentScenario, ModlabError, FrequencyGrid, GaussianFilter, SpectralAmplitudes,
                     amplitudes_from_rate, analytic_amplitudes, coincidence_full,
                     coincidence_trace, propagate_envelopes, reference_scenario, singles_rate)
 from modlab.spdc_core import MAX_GRID_POINTS
@@ -263,7 +264,7 @@ def test_profile_shape_validation():
                             steps=256)
 
 
-@pytest.mark.parametrize("length", [math.nan, -math.inf])
+@pytest.mark.parametrize("length", [math.nan, -math.inf, math.inf])
 def test_profile_rejects_a_length_that_is_not_positive(length):
     # NaN used to pass `length <= 0` and end propagation in an overflow message
     with pytest.raises(ConfigurationError, match="crystal length must be positive"):
@@ -274,6 +275,48 @@ def test_minimum_step_count_enforced():
     grid = small_grid()
     with pytest.raises(ConfigurationError):
         propagate_envelopes(CrystalProfile.constant(grid, 0.05, 0.0, 20.0), grid, steps=8)
+
+
+def _filter(alpha=1.0):
+    return GaussianFilter(fwhm=8.5, alpha=alpha, slit=100.0, dispersion=210.0)
+
+
+# each used to end in a warning, a bare Python error, a message about
+# something else, or non-finite values with no error at all
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: CrystalProfile.constant(small_grid(), 0.05, math.inf, 20.0),
+     ConfigurationError, "kappa and delta_k samples must be finite"),
+    (lambda: CrystalProfile.constant(small_grid(), complex(0.05, math.nan), 0.0, 20.0),
+     ConfigurationError, "kappa and delta_k samples must be finite"),
+    (lambda: propagate_envelopes(CrystalProfile.constant(small_grid(), 0.05, 0.0, 20.0),
+                                 small_grid(), steps=16.5),
+     ConfigurationError, "RK4 steps must be an integer of at least 16, got 16.5"),
+    (lambda: propagate_envelopes(CrystalProfile(np.full(3, 0.05), [1e308, 0.0, -1e308], 20.0),
+                                 small_grid(), steps=16),
+     ConfigurationError, "kappa and delta_k must be symmetric"),
+    (lambda: amplitudes_from_rate(math.inf, _filter()),
+     DomainError, "measured rate must be positive and finite, got inf"),
+    (lambda: amplitudes_from_rate(math.nan, _filter()),
+     DomainError, "measured rate must be positive and finite, got nan"),
+    (lambda: amplitudes_from_rate(1e308, _filter(alpha=1e-10)),
+     DomainError, "measured rate 1e+308 gives a |B0|^2 beyond the float range"),
+    (lambda: SpectralAmplitudes.flat(math.nan, 1.0),
+     ConfigurationError, "flat-band constants a0 and b0 must not be NaN"),
+    (lambda: SpectralAmplitudes.flat(1.0, complex(0.0, math.nan)),
+     ConfigurationError, "flat-band constants a0 and b0 must not be NaN"),
+    (lambda: SpectralAmplitudes(1.0, 0.0, small_grid(), np.ones(3), [0.0, math.inf, 0.0]),
+     ConfigurationError, "amplitude samples must be finite"),
+    (lambda: analytic_amplitudes(math.nan, 0.0, 1.0),
+     DomainError, "closed-form amplitudes are not finite at kappa0 = (nan+0j)"),
+    (lambda: analytic_amplitudes(1e200, 0.0, 1e200),
+     DomainError, "closed-form amplitudes are not finite at kappa0 = (1e+200+0j)"),
+], ids=["inf delta_k", "nan kappa", "16.5 steps", "overflowing asymmetry", "inf rate",
+        "nan rate", "rate whose |B0|^2 overflows", "nan a0", "nan b0", "inf sample",
+        "analytic nan kappa", "analytic overflow"])
+def test_boundary_refuses_what_is_not_finite(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value).startswith(message)
 
 
 @pytest.mark.parametrize("kappa,steps", [(50.0, 256), (30.0, 64), (5.0, 256)])
@@ -461,3 +504,48 @@ def test_sampled_amplitudes_shape_validation():
         SpectralAmplitudes(a0=1.0, b0=0.0, grid=grid, a=np.ones(4), b=np.zeros(5))
     with pytest.raises(ConfigurationError):
         SpectralAmplitudes(a0=1.0, b0=0.0, grid=grid, a=np.ones(5), b=None)
+
+
+def _any_or(low, high):
+    """Every float, NaN and +-inf among them, or a moderate one that builds."""
+    return st.one_of(st.floats(), st.floats(low, high))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(center=_any_or(1.0, 1e3), span=_any_or(1e-3, 1e3),
+       points=st.integers(-1, 9),
+       kappa=_any_or(-0.1, 0.1), delta_k=_any_or(-1.0, 1.0),
+       edge=st.one_of(st.none(), st.none(), st.floats()), length=_any_or(0.0, 20.0),
+       steps=st.one_of(st.integers(16, 300), st.integers(0, 300), st.floats(0.0, 300.0)),
+       sample=st.complex_numbers(),
+       a0=st.floats(allow_infinity=False), b0=st.complex_numbers(allow_infinity=False))
+def test_spdc_constructors_refuse_or_give_finite_amplitudes(center, span, points, kappa,
+                                                            delta_k, edge, length, steps,
+                                                            sample, a0, b0):
+    # every warning is an error in this suite, so an overflow warning fails
+    # here too; an infinite flat-band constant is accepted by design (the
+    # coincidence model names the |B0| whose square overflowed), so the
+    # constants are drawn finite or NaN
+    built = []
+
+    def attempt(build):
+        try:
+            built.append(build())
+        except ModlabError:
+            pass
+
+    attempt(lambda: FrequencyGrid(center=center, span=span, points=points,
+                                  pump_frequency=2.0 * center))
+    if built:
+        grid = built.pop()
+        n = grid.points
+        mismatch = np.full(n, delta_k)
+        if edge is not None:
+            mismatch[0] = edge
+        attempt(lambda: SpectralAmplitudes(1.0, 0.0, grid, np.ones(n), np.full(n, sample)))
+        attempt(lambda: propagate_envelopes(
+            CrystalProfile(np.full(n, kappa, dtype=complex), mismatch, length), grid, steps))
+    attempt(lambda: SpectralAmplitudes.flat(a0, b0))
+    for amps in built:
+        assert np.isfinite([amps.a0, amps.b0]).all()
+        assert amps.is_flat or (np.isfinite(amps.a).all() and np.isfinite(amps.b).all())
